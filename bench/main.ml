@@ -383,70 +383,72 @@ let run_json ?(filter = []) () =
   let compiler_estimates =
     if filter = [] then measure_tests (xcc_tests ()) else []
   in
-  let oc = open_out bench_json_file in
-  let first = ref true in
-  Printf.fprintf oc "{\n";
-  Printf.fprintf oc "  \"schema\": \"ximd-bench/1\",\n";
-  Printf.fprintf oc "  \"quota_seconds\": %g,\n" (quota_seconds ());
-  Printf.fprintf oc "  \"entries\": [";
-  List.iter
-    (fun (name, workload, simulator, cycles) ->
-      match List.assoc_opt name estimates with
-      | None -> ()
-      | Some ns_per_run ->
-        let cycles_per_sec = float_of_int cycles /. (ns_per_run *. 1e-9) in
-        Printf.fprintf oc "%s\n    { \"name\": %S, \"workload\": %S, \
-                           \"simulator\": %S,\n      \"cycles\": %d, \
-                           \"ns_per_run\": %.1f, \"cycles_per_sec\": %.1f }"
-          (if !first then "" else ",")
-          name workload simulator cycles ns_per_run cycles_per_sec;
-        first := false)
-    cycle_counts;
-  Printf.fprintf oc "\n  ],\n";
-  (* Compiler rows: per source, trace-off ns/run next to the +sched
-     row, with the overhead ratio pinned so the regression gate can
-     hold the trace-off path to the baseline. *)
-  Printf.fprintf oc "  \"compiler\": [";
-  let first = ref true in
-  List.iter
-    (fun (kernel, _path) ->
-      let plain = List.assoc_opt ("xcc/" ^ kernel) compiler_estimates in
-      let sched =
-        List.assoc_opt ("xcc/" ^ kernel ^ "+sched") compiler_estimates
-      in
-      match (plain, sched) with
-      | Some p, Some s ->
-        Printf.fprintf oc "%s\n    { \"name\": \"xcc/%s\", \
-                           \"ns_per_run\": %.1f },\n    { \"name\": \
-                           \"xcc/%s+sched\", \"ns_per_run\": %.1f, \
-                           \"overhead\": %.2f }"
-          (if !first then "" else ",")
-          kernel p kernel s (s /. p);
-        first := false
-      | _ -> ())
-    xcc_sources;
-  Printf.fprintf oc "\n  ],\n";
   (* Farm rows only make sense when minmax (the campaign workload) is
      in the selection. *)
   let farm =
     if filter = [] || List.mem "minmax" filter then farm_rows () else []
   in
-  Printf.fprintf oc "  \"farm\": [";
-  let first = ref true in
-  List.iter
-    (fun (name, domains, jobs, jobs_per_sec, overhead) ->
-      let overhead_field =
-        match overhead with
-        | None -> ""
-        | Some o -> Printf.sprintf ", \"overhead\": %.2f" o
-      in
-      Printf.fprintf oc "%s\n    { \"name\": %S, \"domains\": %d, \
-                         \"jobs\": %d, \"jobs_per_sec\": %.1f%s }"
-        (if !first then "" else ",")
-        name domains jobs jobs_per_sec overhead_field;
-      first := false)
-    farm;
-  Printf.fprintf oc "\n  ]\n}\n";
+  let module J = Ximd_json in
+  let entries =
+    List.filter_map
+      (fun (name, workload, simulator, cycles) ->
+        Option.map
+          (fun ns_per_run ->
+            J.Obj
+              [ ("name", J.String name);
+                ("workload", J.String workload);
+                ("simulator", J.String simulator);
+                ("cycles", J.Int cycles);
+                ("ns_per_run", J.Fixed (1, ns_per_run));
+                ( "cycles_per_sec",
+                  J.Fixed (1, float_of_int cycles /. (ns_per_run *. 1e-9)) ) ])
+          (List.assoc_opt name estimates))
+      cycle_counts
+  in
+  (* Compiler rows: per source, trace-off ns/run next to the +sched
+     row, with the overhead ratio pinned so the regression gate can
+     hold the trace-off path to the baseline. *)
+  let compiler =
+    List.concat_map
+      (fun (kernel, _path) ->
+        let name = "xcc/" ^ kernel in
+        match
+          ( List.assoc_opt name compiler_estimates,
+            List.assoc_opt (name ^ "+sched") compiler_estimates )
+        with
+        | Some p, Some s ->
+          [ J.Obj [ ("name", J.String name); ("ns_per_run", J.Fixed (1, p)) ];
+            J.Obj
+              [ ("name", J.String (name ^ "+sched"));
+                ("ns_per_run", J.Fixed (1, s));
+                ("overhead", J.Fixed (2, s /. p)) ] ]
+        | _ -> [])
+      xcc_sources
+  in
+  let farm_json =
+    List.map
+      (fun (name, domains, jobs, jobs_per_sec, overhead) ->
+        J.Obj
+          ([ ("name", J.String name);
+             ("domains", J.Int domains);
+             ("jobs", J.Int jobs);
+             ("jobs_per_sec", J.Fixed (1, jobs_per_sec)) ]
+          @
+          match overhead with
+          | None -> []
+          | Some o -> [ ("overhead", J.Fixed (2, o)) ]))
+      farm
+  in
+  let oc = open_out bench_json_file in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [ ("schema", J.String "ximd-bench/1");
+            ("quota_seconds", J.Float (quota_seconds ()));
+            ("entries", J.List entries);
+            ("compiler", J.List compiler);
+            ("farm", J.List farm_json) ]));
+  output_char oc '\n';
   close_out oc;
   Printf.printf "wrote %s (%d entries)\n%!" bench_json_file
     (List.length cycle_counts + List.length farm

@@ -253,6 +253,9 @@ let write_output path contents =
     close_out oc
   end
 
+(* A one-line JSON document, newline-terminated. *)
+let write_json path json = write_output path (Ximd_json.to_string json ^ "\n")
+
 (* --compare short-circuits the normal run: both sides execute inside
    {!Ximd_report.Compare} sessions with accounting sinks attached, and
    the process exits with the worse of the two outcomes' codes. *)
@@ -296,7 +299,7 @@ let run_compare sim program compare_path compare_json ~max_cycles
        (match compare_json with
         | None -> ()
         | Some out ->
-          write_output out (Ximd_report.Compare.to_json cmp ^ "\n"));
+          write_json out (Ximd_report.Compare.to_json cmp));
        exit
          (max
             (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.ximd.outcome)
@@ -467,7 +470,7 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
        (match metrics_file with
         | None -> ()
         | Some path ->
-          write_output path (Ximd_obs.Sink.metrics_json sink ^ "\n"));
+          write_json path (Ximd_obs.Sink.metrics_json sink));
        if profile then begin
          match Ximd_obs.Sink.profile sink with
          | None -> ()
@@ -520,8 +523,7 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
           (match Ximd_obs.Sink.account sink with
            | None -> ()
            | Some acct ->
-             write_output out
-               (Ximd_obs.Account.to_json acct ~cycles:realised ^ "\n");
+             write_json out (Ximd_obs.Account.to_json acct ~cycles:realised);
              if out <> "-" then
                Format.printf "%a@."
                  (fun fmt a -> Ximd_obs.Account.pp fmt a ~cycles:realised)
@@ -532,8 +534,7 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
           (match Ximd_obs.Sink.critpath sink with
            | None -> ()
            | Some crit ->
-             write_output out
-               (Ximd_obs.Critpath.to_json crit ~realised ^ "\n");
+             write_json out (Ximd_obs.Critpath.to_json crit ~realised);
              if out <> "-" then
                Format.printf "%a@."
                  (fun fmt c -> Ximd_obs.Critpath.pp fmt c ~realised)
@@ -550,7 +551,7 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
     in
     (match postmortem with
      | Some `Json ->
-       print_endline
+       write_json "-"
          (Ximd_report.Diagnostics.to_json
             (Ximd_report.Diagnostics.collect state ~outcome))
      | Some `Text ->

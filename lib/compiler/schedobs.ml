@@ -256,163 +256,170 @@ let kernel_rows (l : loop_report) =
 (* ------------------------------------------------------------------ *)
 (* JSON export (logical facts only — byte-stable)                      *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module J = Ximd_json
 
-let jstr s = "\"" ^ json_escape s ^ "\""
-let jlist f xs = "[" ^ String.concat "," (List.map f xs) ^ "]"
+let ints xs = J.List (List.map (fun i -> J.Int i) xs)
+let strings xs = J.List (List.map (fun s -> J.String s) xs)
 
 let why_json = function
-  | Free -> "{\"kind\":\"free\"}"
+  | Free -> J.Obj [ ("kind", J.String "free") ]
   | Dep { pred; kind; latency } ->
-    Printf.sprintf "{\"kind\":\"dep\",\"pred\":%d,\"edge\":%s,\"latency\":%d}"
-      pred (jstr (Ddg.kind_name kind)) latency
+    J.Obj
+      [ ("kind", J.String "dep");
+        ("pred", J.Int pred);
+        ("edge", J.String (Ddg.kind_name kind));
+        ("latency", J.Int latency) ]
   | Resource { ready; delayed } ->
-    Printf.sprintf "{\"kind\":\"resource\",\"ready\":%d,\"delayed\":%d}" ready
-      delayed
+    J.Obj
+      [ ("kind", J.String "resource");
+        ("ready", J.Int ready);
+        ("delayed", J.Int delayed) ]
 
 let placement_json p =
-  Printf.sprintf "{\"op\":%d,\"row\":%d,\"slot\":%d,\"height\":%d,\"why\":%s}"
-    p.op p.row p.slot p.height (why_json p.why)
+  J.Obj
+    [ ("op", J.Int p.op);
+      ("row", J.Int p.row);
+      ("slot", J.Int p.slot);
+      ("height", J.Int p.height);
+      ("why", why_json p.why) ]
 
 let ddg_edge_json (e : Ddg.edge) =
-  Printf.sprintf "{\"src\":%d,\"dst\":%d,\"kind\":%s,\"latency\":%d}" e.src
-    e.dst (jstr (Ddg.kind_name e.kind)) e.latency
+  J.Obj
+    [ ("src", J.Int e.src);
+      ("dst", J.Int e.dst);
+      ("kind", J.String (Ddg.kind_name e.kind));
+      ("latency", J.Int e.latency) ]
 
 let loop_edge_json e =
-  Printf.sprintf
-    "{\"src\":%d,\"dst\":%d,\"kind\":%s,\"latency\":%d,\"distance\":%d}"
-    e.e_src e.e_dst (jstr (Ddg.kind_name e.e_kind)) e.e_latency e.e_distance
+  J.Obj
+    [ ("src", J.Int e.e_src);
+      ("dst", J.Int e.e_dst);
+      ("kind", J.String (Ddg.kind_name e.e_kind));
+      ("latency", J.Int e.e_latency);
+      ("distance", J.Int e.e_distance) ]
 
 let block_json b =
-  Printf.sprintf
-    "{\"label\":%s,\"width\":%d,\"rows\":%d,\"ops\":%s,\"ddg\":%s,\"schedule\":%s}"
-    (jstr b.b_label) b.b_width b.b_rows
-    (jlist jstr (Array.to_list b.b_ops))
-    (jlist ddg_edge_json b.b_edges)
-    (jlist placement_json b.b_placements)
+  J.Obj
+    [ ("label", J.String b.b_label);
+      ("width", J.Int b.b_width);
+      ("rows", J.Int b.b_rows);
+      ("ops", strings (Array.to_list b.b_ops));
+      ("ddg", J.List (List.map ddg_edge_json b.b_edges));
+      ("schedule", J.List (List.map placement_json b.b_placements)) ]
 
 let res_class_json c =
-  Printf.sprintf "{\"class\":%s,\"ops\":%d,\"cap\":%d,\"mii\":%d}" (jstr c.cls)
-    c.cls_ops c.cap c.cls_mii
+  J.Obj
+    [ ("class", J.String c.cls);
+      ("ops", J.Int c.cls_ops);
+      ("cap", J.Int c.cap);
+      ("mii", J.Int c.cls_mii) ]
 
 let circuit_json = function
-  | None -> "null"
+  | None -> J.Null
   | Some c ->
-    Printf.sprintf "{\"ops\":%s,\"latency\":%d,\"distance\":%d}"
-      (jlist string_of_int c.c_ops)
-      c.c_latency c.c_distance
+    J.Obj
+      [ ("ops", ints c.c_ops);
+        ("latency", J.Int c.c_latency);
+        ("distance", J.Int c.c_distance) ]
 
 let attempt_json a =
-  match a.a_outcome with
-  | Placed -> Printf.sprintf "{\"ii\":%d,\"outcome\":\"placed\"}" a.a_ii
-  | Unplaced op ->
-    Printf.sprintf "{\"ii\":%d,\"outcome\":\"unplaced\",\"op\":%d}" a.a_ii op
-  | Violated e ->
-    Printf.sprintf "{\"ii\":%d,\"outcome\":\"violated\",\"edge\":%s}" a.a_ii
-      (loop_edge_json e)
+  let head = [ ("ii", J.Int a.a_ii) ] in
+  J.Obj
+    (match a.a_outcome with
+     | Placed -> head @ [ ("outcome", J.String "placed") ]
+     | Unplaced op ->
+       head @ [ ("outcome", J.String "unplaced"); ("op", J.Int op) ]
+     | Violated e ->
+       head @ [ ("outcome", J.String "violated"); ("edge", loop_edge_json e) ])
 
 let loop_json l =
-  let rows = kernel_rows l in
   let kernel_row_json r ops_in_row =
-    Printf.sprintf "{\"row\":%d,\"ops\":%s,\"empty\":%d}" r
-      (jlist string_of_int ops_in_row)
-      (l.l_width - List.length ops_in_row)
-  in
-  let kernel =
-    "["
-    ^ String.concat ","
-        (List.mapi kernel_row_json (Array.to_list rows))
-    ^ "]"
+    J.Obj
+      [ ("row", J.Int r);
+        ("ops", ints ops_in_row);
+        ("empty", J.Int (l.l_width - List.length ops_in_row)) ]
   in
   let occupied = Array.length l.l_times in
   let total = l.l_ii * l.l_width in
   let lower = max l.l_bounds.res_mii l.l_bounds.rec_mii in
-  Printf.sprintf
-    "{\"label\":%s,\"width\":%d,\"ops\":%s,\"edges\":%s,\"res\":{\"mii\":%d,\"classes\":%s},\"rec\":{\"mii\":%d,\"circuit\":%s},\"attempts\":%s,\"ii\":%d,\"stages\":%d,\"times\":%s,\"kernel\":%s,\"slots\":{\"occupied\":%d,\"empty\":%d,\"total\":%d},\"gap\":{\"lower\":%d,\"gap\":%d,\"binding\":%s}}"
-    (jstr l.l_label) l.l_width
-    (jlist jstr (Array.to_list l.l_ops))
-    (jlist loop_edge_json l.l_edges)
-    l.l_bounds.res_mii
-    (jlist res_class_json l.l_bounds.res_classes)
-    l.l_bounds.rec_mii
-    (circuit_json l.l_bounds.circuit)
-    (jlist attempt_json l.l_attempts)
-    l.l_ii l.l_stages
-    (jlist string_of_int (Array.to_list l.l_times))
-    kernel occupied (total - occupied) total lower (l.l_ii - lower)
-    (jstr (binding_name l.l_binding))
+  J.Obj
+    [ ("label", J.String l.l_label);
+      ("width", J.Int l.l_width);
+      ("ops", strings (Array.to_list l.l_ops));
+      ("edges", J.List (List.map loop_edge_json l.l_edges));
+      ( "res",
+        J.Obj
+          [ ("mii", J.Int l.l_bounds.res_mii);
+            ( "classes",
+              J.List (List.map res_class_json l.l_bounds.res_classes) ) ] );
+      ( "rec",
+        J.Obj
+          [ ("mii", J.Int l.l_bounds.rec_mii);
+            ("circuit", circuit_json l.l_bounds.circuit) ] );
+      ("attempts", J.List (List.map attempt_json l.l_attempts));
+      ("ii", J.Int l.l_ii);
+      ("stages", J.Int l.l_stages);
+      ("times", ints (Array.to_list l.l_times));
+      ( "kernel",
+        J.List (List.mapi kernel_row_json (Array.to_list (kernel_rows l))) );
+      ( "slots",
+        J.Obj
+          [ ("occupied", J.Int occupied);
+            ("empty", J.Int (total - occupied));
+            ("total", J.Int total) ] );
+      ( "gap",
+        J.Obj
+          [ ("lower", J.Int lower);
+            ("gap", J.Int (l.l_ii - lower));
+            ("binding", J.String (binding_name l.l_binding)) ] ) ]
 
 let pack_placement_json p =
-  Printf.sprintf
-    "{\"thread\":%s,\"order\":%d,\"width\":%d,\"length\":%d,\"x\":%d,\"y\":%d,\"menu\":%d,\"bound\":%s}"
-    (jstr p.p_thread) p.p_order p.p_width p.p_length p.p_x p.p_y p.p_menu
-    (jstr p.p_bound)
+  J.Obj
+    [ ("thread", J.String p.p_thread);
+      ("order", J.Int p.p_order);
+      ("width", J.Int p.p_width);
+      ("length", J.Int p.p_length);
+      ("x", J.Int p.p_x);
+      ("y", J.Int p.p_y);
+      ("menu", J.Int p.p_menu);
+      ("bound", J.String p.p_bound) ]
 
 let pack_json k =
-  Printf.sprintf
-    "{\"objective\":%s,\"n_fus\":%d,\"combos\":%d,\"exhaustive\":%b,\"height\":%d,\"lower_bound\":%d,\"placements\":%s}"
-    (jstr k.k_objective) k.k_n_fus k.k_combos k.k_exhaustive k.k_height
-    k.k_lower_bound
-    (jlist pack_placement_json k.k_placements)
+  J.Obj
+    [ ("objective", J.String k.k_objective);
+      ("n_fus", J.Int k.k_n_fus);
+      ("combos", J.Int k.k_combos);
+      ("exhaustive", J.Bool k.k_exhaustive);
+      ("height", J.Int k.k_height);
+      ("lower_bound", J.Int k.k_lower_bound);
+      ("placements", J.List (List.map pack_placement_json k.k_placements)) ]
 
+(* One block, loop or pack per line: each list renders as "[" then
+   "\n<item>" per item, comma-separated. *)
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"ximd-sched/1\",";
-  Buffer.add_string buf (Printf.sprintf "\"source\":%s,\n" (jstr t.src));
-  Buffer.add_string buf
-    ("\"passes\":" ^ jlist jstr (pass_names t) ^ ",\n");
-  Buffer.add_string buf "\"blocks\":[";
-  List.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf (block_json b))
-    (blocks t);
-  Buffer.add_string buf "],\n\"loops\":[";
-  List.iteri
-    (fun i l ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf (loop_json l))
-    (loops t);
-  Buffer.add_string buf "],\n\"packs\":[";
-  List.iteri
-    (fun i k ->
-      if i > 0 then Buffer.add_string buf ",";
-      Buffer.add_string buf "\n";
-      Buffer.add_string buf (pack_json k))
-    (packs t);
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let member = J.member_to_string in
+  let rows key items =
+    J.to_string (J.String key)
+    ^ ":["
+    ^ String.concat "," (List.map (fun item -> "\n" ^ J.to_string item) items)
+    ^ "]"
+  in
+  "{"
+  ^ String.concat ","
+      [ member ("schema", J.String "ximd-sched/1");
+        member ("source", J.String t.src) ]
+  ^ ",\n"
+  ^ String.concat ",\n"
+      [ member ("passes", strings (pass_names t));
+        rows "blocks" (List.map block_json (blocks t));
+        rows "loops" (List.map loop_json (loops t));
+        rows "packs" (List.map pack_json (packs t)) ]
+  ^ "}"
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace (the timing view)                                      *)
 
 let to_chrome t =
-  let buf = Buffer.create 4096 in
-  let first = ref true in
-  let event fields =
-    if !first then first := false else Buffer.add_string buf ",\n";
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":%s" k v))
-      fields;
-    Buffer.add_char buf '}'
-  in
   let passes = List.rev t.rev_passes in
   let base =
     List.fold_left
@@ -424,47 +431,32 @@ let to_chrome t =
       passes
   in
   let base = if base = infinity then 0.0 else base in
-  let us x = string_of_int (int_of_float ((x -. base) *. 1e6)) in
-  let dur a b = string_of_int (max 0 (int_of_float ((b -. a) *. 1e6))) in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("name", jstr "process_name");
-      ("args", "{\"name\":" ^ jstr ("xcc " ^ t.src) ^ "}") ];
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("tid", "0");
-      ("name", jstr "thread_name"); ("args", "{\"name\":\"passes\"}") ];
-  event
-    [ ("ph", jstr "M"); ("pid", "0"); ("tid", "1");
-      ("name", jstr "thread_name");
-      ("args", "{\"name\":\"loop scheduling attempts\"}") ];
-  List.iter
-    (fun p ->
-      event
-        [ ("ph", jstr "X"); ("pid", "0"); ("tid", "0"); ("ts", us p.ps_t0);
-          ("dur", dur p.ps_t0 p.ps_t1); ("name", jstr p.ps_name);
-          ("args", Printf.sprintf "{\"minor_words\":%d}" p.ps_minor) ])
-    passes;
-  List.iter
-    (fun (l : loop_report) ->
-      List.iter
-        (fun a ->
-          let outcome =
-            match a.a_outcome with
-            | Placed -> "placed"
-            | Unplaced op -> Printf.sprintf "unplaced op %d" op
-            | Violated e ->
-              Printf.sprintf "violated %d->%d" e.e_src e.e_dst
-          in
-          event
-            [ ("ph", jstr "X"); ("pid", "0"); ("tid", "1");
-              ("ts", us a.a_t0); ("dur", dur a.a_t0 a.a_t1);
-              ("name",
-               jstr (Printf.sprintf "%s II=%d %s" l.l_label a.a_ii outcome))
-            ])
-        l.l_attempts)
-    (loops t);
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buf
+  let us x = int_of_float ((x -. base) *. 1e6) in
+  let dur a b = max 0 (int_of_float ((b -. a) *. 1e6)) in
+  let pass_slice p =
+    J.Trace.slice ~tid:0 ~ts:(us p.ps_t0) ~dur:(dur p.ps_t0 p.ps_t1) p.ps_name
+      [ ("minor_words", J.Int p.ps_minor) ]
+  in
+  let attempt_slice (l : loop_report) a =
+    let outcome =
+      match a.a_outcome with
+      | Placed -> "placed"
+      | Unplaced op -> Printf.sprintf "unplaced op %d" op
+      | Violated e -> Printf.sprintf "violated %d->%d" e.e_src e.e_dst
+    in
+    J.Trace.slice ~tid:1 ~ts:(us a.a_t0) ~dur:(dur a.a_t0 a.a_t1)
+      (Printf.sprintf "%s II=%d %s" l.l_label a.a_ii outcome)
+      []
+  in
+  J.Trace.document
+    ([ J.Trace.process_name ("xcc " ^ t.src);
+       J.Trace.thread_name ~tid:0 "passes";
+       J.Trace.thread_name ~tid:1 "loop scheduling attempts" ]
+    @ List.map pass_slice passes
+    @ List.concat_map
+        (fun l -> List.map (attempt_slice l) l.l_attempts)
+        (loops t))
+    ~other_data:[]
 
 (* ------------------------------------------------------------------ *)
 (* Human report (logical facts only — golden-pinned)                   *)

@@ -45,6 +45,39 @@ let exit_code = function
    when an exception escapes a job (see lib/farm). *)
 let job_crashed_exit_code = 7
 
+let kind = function
+  | Halted _ -> "halted"
+  | Fuel_exhausted _ -> "fuel_exhausted"
+  | Deadlocked _ -> "deadlocked"
+  | Budget_exceeded _ -> "budget_exceeded"
+
+(* Every result record renders its outcome through here, so each case
+   spells its kind as a literal (a preallocated constant) rather than
+   calling [kind]. *)
+let to_json =
+  let open Ximd_json in
+  let waiting { fu; pc; cond } =
+    Obj
+      [ ("fu", Int fu);
+        ("pc", Int pc);
+        ("cond", String (Ximd_isa.Cond.to_string cond)) ]
+  in
+  function
+  | Halted { cycles } ->
+    Obj [ ("kind", String "halted"); ("cycles", Int cycles) ]
+  | Fuel_exhausted { cycles } ->
+    Obj [ ("kind", String "fuel_exhausted"); ("cycles", Int cycles) ]
+  | Deadlocked { cycles; spinning } ->
+    Obj
+      [ ("kind", String "deadlocked");
+        ("cycles", Int cycles);
+        ("spinning", List (List.map waiting spinning)) ]
+  | Budget_exceeded { cycles; budget } ->
+    Obj
+      [ ("kind", String "budget_exceeded");
+        ("cycles", Int cycles);
+        ("budget", Int budget) ]
+
 let pp_waiting fmt { fu; pc; cond } =
   Format.fprintf fmt "FU%d@@%02x: on %a" fu pc Ximd_isa.Cond.pp cond
 

@@ -41,5 +41,14 @@ val job_crashed_exit_code : int
 (** Exit code 7 — an exception escaped a run-farm job (lib/farm); there
     is no [outcome] constructor for it because the run never finished. *)
 
+val kind : outcome -> string
+(** ["halted"], ["fuel_exhausted"], ["deadlocked"] or
+    ["budget_exceeded"]. *)
+
+val to_json : outcome -> Ximd_json.t
+(** [{"kind":…,"cycles":…}] plus the deadlock's ["spinning"] FUs
+    ([fu]/[pc]/[cond]) or the exceeded ["budget"] — the outcome object
+    of result records and postmortems. *)
+
 val pp_waiting : Format.formatter -> waiting -> unit
 val pp : Format.formatter -> outcome -> unit

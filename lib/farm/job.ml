@@ -111,17 +111,26 @@ let parse_dump_regs json =
     |> Result.map List.rev
   | Some _ -> Error "key \"dump_regs\": expected a list of register names"
 
+(* [Json.member] returns a key's first binding, so a repeated key would
+   silently shadow its later values. *)
+let rec duplicate_key = function
+  | [] -> None
+  | (k, _) :: rest ->
+    if List.mem_assoc k rest then Some k else duplicate_key rest
+
 let of_line ~index line =
   match Json.parse line with
   | Error e -> Error ("bad JSON: " ^ e)
   | Ok json -> (
     match json with
-    | Json.Obj _ -> (
+    | Json.Obj fields -> (
       match
-        List.find_opt (fun k -> not (List.mem k known_keys)) (Json.keys json)
+        ( List.find_opt (fun k -> not (List.mem k known_keys)) (Json.keys json),
+          duplicate_key fields )
       with
-      | Some k -> Error (Printf.sprintf "unknown key %S" k)
-      | None ->
+      | Some k, _ -> Error (Printf.sprintf "unknown key %S" k)
+      | None, Some k -> Error (Printf.sprintf "duplicate key %S" k)
+      | None, None ->
         let* id = str_field json "id" in
         let id =
           match id with Some id -> id | None -> Printf.sprintf "job-%d" index

@@ -4,9 +4,9 @@
     file path, or a named workload), a machine shape, a seed, and the
     supervision limits the farm enforces around the run.  Jobs arrive as
     line-delimited JSON (schema [ximd-job/1]); {!of_line} validates
-    strictly — unknown keys, malformed values and out-of-range machine
-    shapes are structured errors, never exceptions — because a batch
-    front-end must reject a bad line and keep going. *)
+    strictly — unknown or repeated keys, malformed values and
+    out-of-range machine shapes are structured errors, never exceptions
+    — because a batch front-end must reject a bad line and keep going. *)
 
 type payload =
   | Source of string    (** inline XIMD assembly ([source]) *)
@@ -46,7 +46,7 @@ type t = {
 
 val of_line : index:int -> string -> (t, string) result
 (** Parses and validates one [ximd-job/1] line.  Every diagnostic names
-    the offending key; unknown keys are rejected. *)
+    the offending key; unknown and repeated keys are rejected. *)
 
 val to_json : t -> Json.t
 (** The job's spec as JSON (round-trips through {!of_line} up to key

@@ -52,28 +52,8 @@ let class_label t =
   | Rejected _ -> "rejected"
   | Dropped _ -> "dropped"
 
-let json_of_waiting (w : Core.Run.waiting) =
-  Json.Obj
-    [ ("fu", Json.Int w.fu);
-      ("pc", Json.Int w.pc);
-      ("cond", Json.String (Ximd_isa.Cond.to_string w.cond)) ]
-
 let json_of_status = function
-  | Finished (Core.Run.Halted { cycles }) ->
-    Json.Obj [ ("kind", Json.String "halted"); ("cycles", Json.Int cycles) ]
-  | Finished (Core.Run.Fuel_exhausted { cycles }) ->
-    Json.Obj
-      [ ("kind", Json.String "fuel_exhausted"); ("cycles", Json.Int cycles) ]
-  | Finished (Core.Run.Deadlocked { cycles; spinning }) ->
-    Json.Obj
-      [ ("kind", Json.String "deadlocked");
-        ("cycles", Json.Int cycles);
-        ("spinning", Json.List (List.map json_of_waiting spinning)) ]
-  | Finished (Core.Run.Budget_exceeded { cycles; budget }) ->
-    Json.Obj
-      [ ("kind", Json.String "budget_exceeded");
-        ("cycles", Json.Int cycles);
-        ("budget", Json.Int budget) ]
+  | Finished outcome -> Core.Run.to_json outcome
   | Deadline_exceeded { deadline_ms } ->
     Json.Obj
       [ ("kind", Json.String "deadline_exceeded");
@@ -171,17 +151,9 @@ let summarise records =
       check_failed = 0; retried = 0; max_exit_code = 0 }
     records
 
-(* [metrics] is a pre-rendered JSON object (the campaign's merged
-   metrics registry) spliced in as a "metrics" field — passed as text so
-   this module needs no dependency on the obs layer. *)
 let summary_to_json_string ?metrics s =
   let metrics_field =
-    match metrics with
-    | None -> []
-    | Some text -> (
-      match Json.parse text with
-      | Ok j -> [ ("metrics", j) ]
-      | Error _ -> [])
+    match metrics with None -> [] | Some j -> [ ("metrics", j) ]
   in
   Json.to_string
     (Json.Obj

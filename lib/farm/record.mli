@@ -80,10 +80,9 @@ type summary = {
 
 val summarise : t list -> summary
 
-val summary_to_json_string : ?metrics:string -> summary -> string
+val summary_to_json_string : ?metrics:Json.t -> summary -> string
 (** One [ximd-summary/1] line, no trailing newline.  [metrics], when
-    given, must be a rendered JSON object (e.g. a campaign's merged
-    {!Ximd_obs.Metrics.to_json}) and is embedded as a ["metrics"]
-    field. *)
+    given (e.g. a campaign's merged {!Ximd_obs.Metrics.to_json}), is
+    embedded as a ["metrics"] field. *)
 
 val pp_summary : Format.formatter -> summary -> unit

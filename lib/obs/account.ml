@@ -78,31 +78,18 @@ let slots t = Array.fold_left ( + ) 0 t.counts
 let reset t = Array.fill t.counts 0 (Array.length t.counts) 0
 
 let to_json t ~cycles =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\"schema\":\"ximd-account/1\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"cycles\":%d,\"n_fus\":%d,\"slots\":%d," cycles t.n_fus
-       (slots t));
-  Buffer.add_string buf "\"totals\":{";
-  List.iteri
-    (fun i cls ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (name cls) (total t cls)))
-    all;
-  Buffer.add_string buf "},\"per_fu\":[";
-  for fu = 0 to t.n_fus - 1 do
-    if fu > 0 then Buffer.add_char buf ',';
-    Buffer.add_string buf (Printf.sprintf "{\"fu\":%d" fu);
-    List.iter
-      (fun cls ->
-        Buffer.add_string buf
-          (Printf.sprintf ",\"%s\":%d" (name cls) (count t ~fu cls)))
-      all;
-    Buffer.add_char buf '}'
-  done;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf
+  let open Ximd_json in
+  let per_class f = List.map (fun cls -> (name cls, Int (f cls))) all in
+  Obj
+    [ ("schema", String "ximd-account/1");
+      ("cycles", Int cycles);
+      ("n_fus", Int t.n_fus);
+      ("slots", Int (slots t));
+      ("totals", Obj (per_class (total t)));
+      ( "per_fu",
+        List
+          (List.init t.n_fus (fun fu ->
+             Obj (("fu", Int fu) :: per_class (count t ~fu)))) ) ]
 
 let pp fmt t ~cycles =
   let slots = slots t in

@@ -58,9 +58,8 @@ val slots : t -> int
 
 val reset : t -> unit
 
-val to_json : t -> cycles:int -> string
-(** Dependency-free, byte-stable JSON (schema [ximd-account/1]):
-    totals and the per-FU breakdown. *)
+val to_json : t -> cycles:int -> Ximd_json.t
+(** The [ximd-account/1] document: totals and the per-FU breakdown. *)
 
 val pp : Format.formatter -> t -> cycles:int -> unit
 (** Human table: category, slots, percentage, per-FU split.  Categories

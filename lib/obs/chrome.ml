@@ -1,82 +1,19 @@
 let sset_track_base = 1000
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let members_string members =
   "{" ^ String.concat "," (List.map string_of_int members) ^ "}"
 
-type emitter = { buf : Buffer.t; mutable first : bool }
-
-let event e fields =
-  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
-  Buffer.add_char e.buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char e.buf ',';
-      Buffer.add_string e.buf (Printf.sprintf "\"%s\":%s" k v))
-    fields;
-  Buffer.add_char e.buf '}'
-
-let str s = "\"" ^ json_escape s ^ "\""
-
-let meta e ~tid ~name =
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("name", str "thread_name");
-      ("args", "{\"name\":" ^ str name ^ "}") ]
-
-let slice e ~tid ~ts ~dur ~name =
-  event e
-    [ ("ph", str "X");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("ts", string_of_int ts);
-      ("dur", string_of_int dur);
-      ("name", str name) ]
-
-let instant e ~tid ~ts ~name =
-  event e
-    [ ("ph", str "i");
-      ("pid", "0");
-      ("tid", string_of_int tid);
-      ("ts", string_of_int ts);
-      ("s", str "t");
-      ("name", str name) ]
-
-let counter e ~ts ~name ~value =
-  event e
-    [ ("ph", str "C");
-      ("pid", "0");
-      ("ts", string_of_int ts);
-      ("name", str name);
-      ("args", Printf.sprintf "{\"streams\":%d}" value) ]
-
-let to_buffer ?(fu_name = Printf.sprintf "FU%d")
-    ?(pc_label = fun _ -> None) buf sink =
+let to_string ?(fu_name = Printf.sprintf "FU%d") ?(pc_label = fun _ -> None)
+    sink =
+  let open Ximd_json in
   let n = Sink.n_fus sink in
-  let e = { buf; first = true } in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("name", str "process_name");
-      ("args", "{\"name\":\"ximd\"}") ];
+  (* events newest first *)
+  let events = ref [] in
+  let emit e = events := e :: !events in
+  let instant ~tid ~ts name = emit (Trace.instant ~tid ~ts name) in
+  emit (Trace.process_name "ximd");
   for fu = 0 to n - 1 do
-    meta e ~tid:fu ~name:(fu_name fu)
+    emit (Trace.thread_name ~tid:fu (fu_name fu))
   done;
   (* SSET stream tracks actually used, keyed by smallest member. *)
   let timeline = Sink.timeline sink in
@@ -89,8 +26,9 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
   in
   List.iter
     (fun leader ->
-      meta e ~tid:(sset_track_base + leader)
-        ~name:(Printf.sprintf "SSET led by FU%d" leader))
+      emit
+        (Trace.thread_name ~tid:(sset_track_base + leader)
+           (Printf.sprintf "SSET led by FU%d" leader)))
     leaders;
   let slice_name pc =
     match pc_label pc with
@@ -104,8 +42,9 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
   and run_len = Array.make n 0 in
   let flush fu =
     if run_pc.(fu) >= 0 then begin
-      slice e ~tid:fu ~ts:run_start.(fu) ~dur:run_len.(fu)
-        ~name:(slice_name run_pc.(fu));
+      emit
+        (Trace.slice ~tid:fu ~ts:run_start.(fu) ~dur:run_len.(fu)
+           (slice_name run_pc.(fu)) []);
       run_pc.(fu) <- -1
     end
   in
@@ -122,29 +61,30 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
           run_len.(fu) <- 1
         end
       | Event.Cc_broadcast { cycle; fu; value } ->
-        instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "cc%d=%c" fu (if value then 'T' else 'F'))
+        instant ~tid:fu ~ts:cycle
+          (Printf.sprintf "cc%d=%c" fu (if value then 'T' else 'F'))
       | Event.Ss_transition { cycle; fu; to_done } ->
-        instant e ~tid:fu ~ts:cycle
-          ~name:
-            (Printf.sprintf "ss%d->%s" fu (if to_done then "DONE" else "BUSY"))
+        instant ~tid:fu ~ts:cycle
+          (Printf.sprintf "ss%d->%s" fu (if to_done then "DONE" else "BUSY"))
       | Event.Barrier_enter { cycle; fu; pc } ->
-        instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "barrier enter @%02x" pc)
+        instant ~tid:fu ~ts:cycle
+          (Printf.sprintf "barrier enter @%02x" pc)
       | Event.Barrier_exit { cycle; fu; pc; waited } ->
-        instant e ~tid:fu ~ts:cycle
-          ~name:(Printf.sprintf "barrier exit @%02x (waited %d)" pc waited)
+        instant ~tid:fu ~ts:cycle
+          (Printf.sprintf "barrier exit @%02x (waited %d)" pc waited)
       | Event.Halt { cycle; fu } ->
         flush fu;
-        instant e ~tid:fu ~ts:cycle ~name:"halt"
+        instant ~tid:fu ~ts:cycle "halt"
       | Event.Partition_change { cycle; ssets } ->
-        counter e ~ts:cycle ~name:"live_streams" ~value:(List.length ssets)
+        emit
+          (Trace.counter ~ts:cycle "live_streams"
+             [ ("streams", Int (List.length ssets)) ])
       | Event.Fault_fired { cycle; kind; target } ->
-        instant e ~tid:0 ~ts:cycle
-          ~name:(Printf.sprintf "fault %s:%d" kind target)
+        instant ~tid:0 ~ts:cycle
+          (Printf.sprintf "fault %s:%d" kind target)
       | Event.Watchdog_window { cycle; quiet } ->
-        instant e ~tid:0 ~ts:cycle
-          ~name:(Printf.sprintf "watchdog window (%d quiet cycles)" quiet)
+        instant ~tid:0 ~ts:cycle
+          (Printf.sprintf "watchdog window (%d quiet cycles)" quiet)
       | Event.Commit _ -> ())
     (Sink.events sink);
   for fu = 0 to n - 1 do
@@ -156,19 +96,13 @@ let to_buffer ?(fu_name = Printf.sprintf "FU%d")
       match i.members with
       | [] -> ()
       | leader :: _ ->
-        slice e
-          ~tid:(sset_track_base + leader)
-          ~ts:i.start_cycle
-          ~dur:(Timeline.duration i)
-          ~name:(members_string i.members))
+        emit
+          (Trace.slice
+             ~tid:(sset_track_base + leader)
+             ~ts:i.start_cycle ~dur:(Timeline.duration i)
+             (members_string i.members) []))
     timeline;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"otherData\":{\"dropped_events\":%d,\"final_cycle\":%d}}"
-       (Sink.dropped_events sink) (Sink.final_cycle sink));
-  Buffer.add_char buf '\n'
-
-let to_string ?fu_name ?pc_label sink =
-  let buf = Buffer.create 8192 in
-  to_buffer ?fu_name ?pc_label buf sink;
-  Buffer.contents buf
+  Trace.document (List.rev !events)
+    ~other_data:
+      [ ("dropped_events", Int (Sink.dropped_events sink));
+        ("final_cycle", Int (Sink.final_cycle sink)) ]

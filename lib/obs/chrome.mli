@@ -16,15 +16,8 @@
     cycles.  Output is a pure function of the sink's recorded data —
     byte-stable, no timestamps or environment leak in. *)
 
-val to_buffer :
-  ?fu_name:(int -> string) ->
-  ?pc_label:(int -> string option) ->
-  Buffer.t ->
-  Sink.t ->
-  unit
-(** [fu_name] defaults to ["FU<i>"]; [pc_label] (e.g. the program's
-    symbol table) defaults to no labels, slices named ["0x<pc>"]. *)
-
 val to_string :
   ?fu_name:(int -> string) -> ?pc_label:(int -> string option) -> Sink.t ->
   string
+(** [fu_name] defaults to ["FU<i>"]; [pc_label] (e.g. the program's
+    symbol table) defaults to no labels, slices named ["0x<pc>"]. *)

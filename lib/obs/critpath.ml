@@ -291,43 +291,41 @@ let gap_parts t ~realised =
 let max_json_steps = 256
 
 let to_json t ~realised =
-  let buf = Buffer.create 2048 in
+  let open Ximd_json in
   let n = lower_bound t in
   let head, tail = gap_parts t ~realised in
-  Buffer.add_string buf "{\"schema\":\"ximd-critpath/1\",";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"lower_bound\":%d,\"realised\":%d,\"gap\":%d,\"nodes\":%d," n
-       realised (realised - n) t.node_count);
-  Buffer.add_string buf
-    (Printf.sprintf "\"gap_head\":%d,\"gap_tail\":%d," head tail);
-  Buffer.add_string buf "\"breakdown\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"edges\":%d,\"cycles\":%d,\"slack\":%d}"
-           (edge_name k) s.k_edges s.k_cycles s.k_slack))
-    (breakdown t);
-  Buffer.add_string buf "},\"path\":[";
   let steps = path t in
-  List.iteri
-    (fun i s ->
-      if i < max_json_steps then begin
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf
-             "{\"cycle\":%d,\"fu\":%d,\"pc\":%d,\"edge\":\"%s\",\
-              \"latency\":%d,\"slack\":%d}"
-             s.s_cycle s.s_fu s.s_pc (edge_name s.s_edge) s.s_latency
-             s.s_slack)
-      end)
-    steps;
-  Buffer.add_string buf "],";
-  Buffer.add_string buf
-    (Printf.sprintf "\"path_truncated\":%b}"
-       (List.length steps > max_json_steps));
-  Buffer.contents buf
+  Obj
+    [ ("schema", String "ximd-critpath/1");
+      ("lower_bound", Int n);
+      ("realised", Int realised);
+      ("gap", Int (realised - n));
+      ("nodes", Int t.node_count);
+      ("gap_head", Int head);
+      ("gap_tail", Int tail);
+      ( "breakdown",
+        Obj
+          (List.map
+             (fun (k, s) ->
+               ( edge_name k,
+                 Obj
+                   [ ("edges", Int s.k_edges);
+                     ("cycles", Int s.k_cycles);
+                     ("slack", Int s.k_slack) ] ))
+             (breakdown t)) );
+      ( "path",
+        List
+          (List.map
+             (fun s ->
+               Obj
+                 [ ("cycle", Int s.s_cycle);
+                   ("fu", Int s.s_fu);
+                   ("pc", Int s.s_pc);
+                   ("edge", String (edge_name s.s_edge));
+                   ("latency", Int s.s_latency);
+                   ("slack", Int s.s_slack) ])
+             (List.filteri (fun i _ -> i < max_json_steps) steps)) );
+      ("path_truncated", Bool (List.length steps > max_json_steps)) ]
 
 let max_pp_steps = 32
 

@@ -106,8 +106,8 @@ val breakdown : t -> (edge * kind_sum) list
 (** Per-edge-kind attribution over {!path}, in a fixed order
     ([Seq], [Reg], [Cc], [Ss], [Barrier]). *)
 
-val to_json : t -> realised:int -> string
-(** Dependency-free, byte-stable JSON (schema [ximd-critpath/1]).
+val to_json : t -> realised:int -> Ximd_json.t
+(** The [ximd-critpath/1] document.
     [realised] is the run's cycle count; the gap decomposition
     ([gap_head] + per-kind [slack] + [gap_tail]) sums exactly to
     [realised - lower_bound].  The path is truncated at 256 steps

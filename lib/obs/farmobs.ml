@@ -182,32 +182,29 @@ let merge_metrics t registry =
     t.metrics_jobs <- t.metrics_jobs + 1;
     Metrics.merge ~into:t.merged_metrics registry)
 
+let outcome_counts t =
+  List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes [])
+
+let counts pairs =
+  Ximd_json.Obj (List.map (fun (k, n) -> (k, Ximd_json.Int n)) pairs)
+
+let per_sec n elapsed = if elapsed > 0. then float_of_int n /. elapsed else 0.
+
 (* Heartbeat: the outcome counts are over the records emitted so far,
    which the pool guarantees are exactly the first [completed] stream
    positions — deterministic; only elapsed_ms/jobs_per_sec carry wall
    time. *)
 let progress_line t ~now =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"schema\":\"ximd-progress/1\",\"completed\":%d,\"submitted\":%d,"
-       t.completed t.submitted);
-  Buffer.add_string buf "\"outcomes\":{";
-  let labels =
-    List.sort compare
-      (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes [])
-  in
-  List.iteri
-    (fun i (label, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" label n))
-    labels;
+  let open Ximd_json in
   let elapsed = now -. t.t0 in
-  Buffer.add_string buf
-    (Printf.sprintf "},\"elapsed_ms\":%d,\"jobs_per_sec\":%.1f}"
-       (int_of_float (elapsed *. 1000.))
-       (if elapsed > 0. then float_of_int t.completed /. elapsed else 0.));
-  Buffer.contents buf
+  to_string
+    (Obj
+       [ ("schema", String "ximd-progress/1");
+         ("completed", Int t.completed);
+         ("submitted", Int t.submitted);
+         ("outcomes", counts (outcome_counts t));
+         ("elapsed_ms", Int (int_of_float (elapsed *. 1000.)));
+         ("jobs_per_sec", Fixed (1, per_sec t.completed elapsed)) ])
 
 let on_emit t ~seq =
   let now = t.clock () in
@@ -272,11 +269,13 @@ let on_emit t ~seq =
 (* ------------------------------------------------------------------ *)
 (* Results *)
 
-let spans t =
-  locked t (fun () ->
-    List.sort
-      (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
-      t.spans_rev)
+(* Callers must hold the lock. *)
+let sorted_spans t =
+  List.sort
+    (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
+    t.spans_rev
+
+let spans t = locked t (fun () -> sorted_spans t)
 
 let completed t = locked t (fun () -> t.completed)
 let queue_depth_high_water t = locked t (fun () -> t.queue_hwm)
@@ -300,115 +299,75 @@ let total_cycles t = locked t (fun () -> t.total_cycles)
    logical line never sees a wall time, a domain identity or a cache
    artefact. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_outcomes buf outcomes =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (label, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":%d" label n))
-    outcomes;
-  Buffer.add_char buf '}'
-
 (* Callers must hold the lock. *)
-let logical_to_buffer t buf =
-  let spans =
-    List.sort
-      (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
-      t.spans_rev
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"view\":\"logical\",\"jobs\":%d," t.completed);
-  Buffer.add_string buf "\"outcomes\":";
-  add_outcomes buf
-    (List.sort compare
-       (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes []));
-  Buffer.add_string buf
-    (Printf.sprintf ",\"total_cycles\":%d," t.total_cycles);
-  Buffer.add_string buf "\"retry_histogram\":{";
+let logical t =
+  let open Ximd_json in
   let retries =
     List.sort compare
-      (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.retry_hist [])
+      (Hashtbl.fold
+         (fun k r acc -> (string_of_int k, !r) :: acc)
+         t.retry_hist [])
   in
-  List.iteri
-    (fun i (attempts, n) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%d\":%d" attempts n))
-    retries;
-  Buffer.add_string buf "},\"account\":{";
-  List.iteri
-    (fun i cls ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (Account.name cls) t.account_totals.(i)))
-    Account.all;
-  Buffer.add_string buf
-    (Printf.sprintf ",\"slots\":%d}," t.account_slots);
-  Buffer.add_string buf "\"metrics\":";
-  Buffer.add_string buf (Metrics.to_json t.merged_metrics);
-  Buffer.add_string buf ",\"per_job\":[";
-  List.iteri
-    (fun i (s : Span.t) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"seq\":%d,\"id\":\"%s\",\"outcome\":\"%s\",\"attempts\":%d,\
-            \"cycles\":%d,\"n_fus\":%d}"
-           s.seq (json_escape s.id) s.result.Span.label s.attempts s.cycles
-           s.n_fus))
-    spans;
-  Buffer.add_string buf "]}"
+  Obj
+    [ ("view", String "logical");
+      ("jobs", Int t.completed);
+      ("outcomes", counts (outcome_counts t));
+      ("total_cycles", Int t.total_cycles);
+      ("retry_histogram", counts retries);
+      ( "account",
+        counts
+          (List.mapi
+             (fun i cls -> (Account.name cls, t.account_totals.(i)))
+             Account.all
+          @ [ ("slots", t.account_slots) ]) );
+      ("metrics", Metrics.to_json t.merged_metrics);
+      ( "per_job",
+        List
+          (List.map
+             (fun (s : Span.t) ->
+               Obj
+                 [ ("seq", Int s.seq);
+                   ("id", String s.id);
+                   ("outcome", String s.result.Span.label);
+                   ("attempts", Int s.attempts);
+                   ("cycles", Int s.cycles);
+                   ("n_fus", Int s.n_fus) ])
+             (sorted_spans t)) ) ]
 
-let logical_json t =
-  locked t (fun () ->
-    let buf = Buffer.create 2048 in
-    logical_to_buffer t buf;
-    Buffer.contents buf)
+let logical_json t = locked t (fun () -> Ximd_json.to_string (logical t))
 
-let fleet_to_buffer t buf ~now =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"view\":\"fleet\",\"wall_ms\":%d,"
-       (int_of_float ((now -. t.t0) *. 1000.)));
-  Buffer.add_string buf
-    (Printf.sprintf "\"queue_depth_high_water\":%d," t.queue_hwm);
+(* Callers must hold the lock. *)
+let fleet t ~now =
+  let open Ximd_json in
   let hits = t.cache_hits and misses = t.cache_misses in
   let lookups = hits + misses in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "\"session_cache\":{\"hits\":%d,\"misses\":%d,\"hit_rate\":%.3f},"
-       hits misses
-       (if lookups = 0 then 0. else float_of_int hits /. float_of_int lookups));
-  Buffer.add_string buf "\"domains\":[";
   let domains =
-    List.sort compare
-      (Hashtbl.fold (fun k d acc -> (k, d) :: acc) t.domains [])
+    List.sort compare (Hashtbl.fold (fun k d acc -> (k, d) :: acc) t.domains [])
   in
-  List.iteri
-    (fun i (domain, d) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"domain\":%d,\"jobs\":%d,\"cycles\":%d,\"busy_ms\":%d}" domain
-           d.d_jobs d.d_cycles
-           (int_of_float (d.d_busy *. 1000.))))
-    domains;
-  let elapsed = t.last_emit -. t.t0 in
-  Buffer.add_string buf
-    (Printf.sprintf "],\"jobs_per_sec\":%.1f}"
-       (if elapsed > 0. then float_of_int t.completed /. elapsed else 0.))
+  Obj
+    [ ("view", String "fleet");
+      ("wall_ms", Int (int_of_float ((now -. t.t0) *. 1000.)));
+      ("queue_depth_high_water", Int t.queue_hwm);
+      ( "session_cache",
+        Obj
+          [ ("hits", Int hits);
+            ("misses", Int misses);
+            ( "hit_rate",
+              Fixed
+                ( 3,
+                  if lookups = 0 then 0.
+                  else float_of_int hits /. float_of_int lookups ) ) ] );
+      ( "domains",
+        List
+          (List.map
+             (fun (domain, d) ->
+               Obj
+                 [ ("domain", Int domain);
+                   ("jobs", Int d.d_jobs);
+                   ("cycles", Int d.d_cycles);
+                   ("busy_ms", Int (int_of_float (d.d_busy *. 1000.))) ])
+             domains) );
+      ("jobs_per_sec", Fixed (1, per_sec t.completed (t.last_emit -. t.t0))) ]
 
 (* Three lines by construction: line 2 is the logical view (plus a
    trailing comma), so tooling can extract and byte-diff it with
@@ -416,13 +375,14 @@ let fleet_to_buffer t buf ~now =
 let rollup_json t =
   let now = t.clock () in
   locked t (fun () ->
-    let buf = Buffer.create 4096 in
-    Buffer.add_string buf "{\"schema\":\"ximd-campaign/1\",\n\"logical\":";
-    logical_to_buffer t buf;
-    Buffer.add_string buf ",\n\"fleet\":";
-    fleet_to_buffer t buf ~now;
-    Buffer.add_string buf "}\n";
-    Buffer.contents buf)
+    let members =
+      [ ("schema", Ximd_json.String "ximd-campaign/1");
+        ("logical", logical t);
+        ("fleet", fleet t ~now) ]
+    in
+    "{"
+    ^ String.concat ",\n" (List.map Ximd_json.member_to_string members)
+    ^ "}\n")
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace_event export: one track per domain, one complete slice
@@ -430,148 +390,95 @@ let rollup_json t =
    failure instants, a queue-depth counter track, and one async lane
    per job spanning enqueue -> emit (queue wait included). *)
 
-type emitter = { buf : Buffer.t; mutable first : bool }
-
-let event e fields =
-  if e.first then e.first <- false else Buffer.add_string e.buf ",\n";
-  Buffer.add_char e.buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char e.buf ',';
-      Buffer.add_string e.buf (Printf.sprintf "\"%s\":%s" k v))
-    fields;
-  Buffer.add_char e.buf '}'
-
-let str s = "\"" ^ json_escape s ^ "\""
-
-let chrome_to_buffer t buf =
-  let spans =
+let chrome_json t =
+  let open Ximd_json in
+  let spans, samples, queue_hwm =
     locked t (fun () ->
-      List.sort
-        (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
-        t.spans_rev)
-  and samples = locked t (fun () -> List.rev t.queue_samples_rev) in
-  let us f = string_of_int (int_of_float ((f -. t.t0) *. 1e6)) in
-  let dur a b =
-    let d = int_of_float ((b -. a) *. 1e6) in
-    string_of_int (max 0 d)
+      (sorted_spans t, List.rev t.queue_samples_rev, t.queue_hwm))
   in
-  let e = { buf; first = true } in
-  Buffer.add_string buf "{\"traceEvents\":[\n";
-  event e
-    [ ("ph", str "M");
-      ("pid", "0");
-      ("name", str "process_name");
-      ("args", "{\"name\":\"ximd campaign\"}") ];
+  let micros seconds = int_of_float (seconds *. 1e6) in
+  let us f = micros (f -. t.t0) in
+  let dur a b = max 0 (micros (b -. a)) in
   let domains =
     List.sort_uniq Int.compare
       (List.filter_map
          (fun (s : Span.t) -> if s.domain >= 0 then Some s.domain else None)
          spans)
   in
-  List.iter
-    (fun domain ->
-      event e
-        [ ("ph", str "M");
-          ("pid", "0");
-          ("tid", string_of_int domain);
-          ("name", str "thread_name");
-          ("args", "{\"name\":" ^ str (Printf.sprintf "domain %d" domain) ^ "}") ])
-    domains;
-  List.iter (fun (at, depth) ->
-      event e
-        [ ("ph", str "C");
-          ("pid", "0");
-          ("ts", us at);
-          ("name", str "queue_depth");
-          ("args", Printf.sprintf "{\"depth\":%d}" depth) ])
-    samples;
-  List.iter
-    (fun (s : Span.t) ->
-      let label = s.result.Span.label in
-      (* full-lifetime async lane: enqueue -> emit, reorder wait and
-         queue wait visible as the flanks around the domain slice *)
-      event e
-        [ ("ph", str "b");
-          ("cat", str "job");
-          ("id", string_of_int s.seq);
-          ("pid", "0");
-          ("tid", string_of_int (max 0 s.domain));
-          ("ts", us s.enqueue_t);
-          ("name", str s.id) ];
-      event e
-        [ ("ph", str "e");
-          ("cat", str "job");
-          ("id", string_of_int s.seq);
-          ("pid", "0");
-          ("tid", string_of_int (max 0 s.domain));
-          ("ts", us s.emit_t);
-          ("name", str s.id) ];
-      if s.domain >= 0 then begin
-        let tid = string_of_int s.domain in
-        event e
-          [ ("ph", str "X");
-            ("pid", "0");
-            ("tid", tid);
-            ("ts", us s.dequeue_t);
-            ("dur", dur s.dequeue_t s.run_end_t);
-            ("cname", str (Span.cname s.result.Span.quality));
-            ("name", str (Printf.sprintf "%s [%s]" s.id label));
+  let job_events (s : Span.t) =
+    let label = s.result.Span.label in
+    (* full-lifetime async lane: enqueue -> emit, reorder wait and
+       queue wait visible as the flanks around the domain slice *)
+    let lane ph at =
+      Obj
+        [ ("ph", String ph);
+          ("cat", String "job");
+          ("id", Int s.seq);
+          ("pid", Int 0);
+          ("tid", Int (max 0 s.domain));
+          ("ts", Int (us at));
+          ("name", String s.id) ]
+    in
+    let lanes = [ lane "b" s.enqueue_t; lane "e" s.emit_t ] in
+    if s.domain < 0 then lanes
+    else
+      let tid = s.domain in
+      let job =
+        Obj
+          [ ("ph", String "X");
+            ("pid", Int 0);
+            ("tid", Int tid);
+            ("ts", Int (us s.dequeue_t));
+            ("dur", Int (dur s.dequeue_t s.run_end_t));
+            ("cname", String (Span.cname s.result.Span.quality));
+            ("name", String (Printf.sprintf "%s [%s]" s.id label));
             ( "args",
-              Printf.sprintf
-                "{\"outcome\":%s,\"attempts\":%d,\"cycles\":%d,\
-                 \"queue_wait_us\":%d,\"reorder_wait_us\":%d}"
-                (str label) s.attempts s.cycles
-                (int_of_float (Span.queue_wait s *. 1e6))
-                (int_of_float (Span.reorder_wait s *. 1e6)) ) ];
-        (match s.cache_hit with
-         | None -> ()
-         | Some hit ->
-           event e
-             [ ("ph", str "X");
-               ("pid", "0");
-               ("tid", tid);
-               ("ts", us s.dequeue_t);
-               ("dur", dur s.dequeue_t s.session_t);
-               ("name", str (if hit then "cache-hit" else "session-build")) ];
-           event e
-             [ ("ph", str "X");
-               ("pid", "0");
-               ("tid", tid);
-               ("ts", us s.session_t);
-               ("dur", dur s.session_t s.run_end_t);
-               ("name", str "run") ]);
-        List.iter
+              Obj
+                [ ("outcome", String label);
+                  ("attempts", Int s.attempts);
+                  ("cycles", Int s.cycles);
+                  ("queue_wait_us", Int (micros (Span.queue_wait s)));
+                  ("reorder_wait_us", Int (micros (Span.reorder_wait s))) ] ) ]
+      in
+      let phases =
+        match s.cache_hit with
+        | None -> []
+        | Some hit ->
+          [ Trace.slice ~tid ~ts:(us s.dequeue_t)
+              ~dur:(dur s.dequeue_t s.session_t)
+              (if hit then "cache-hit" else "session-build")
+              [];
+            Trace.slice ~tid ~ts:(us s.session_t)
+              ~dur:(dur s.session_t s.run_end_t)
+              "run" [] ]
+      in
+      let markers =
+        List.map
           (fun (m : Span.marker) ->
-            event e
-              [ ("ph", str "i");
-                ("pid", "0");
-                ("tid", tid);
-                ("ts", us m.Span.at);
-                ("s", str "t");
-                ("name", str m.Span.note) ])
-          s.markers;
+            Trace.instant ~tid ~ts:(us m.Span.at) m.Span.note)
+          s.markers
+      in
+      let failure =
         if s.result.Span.quality <> Span.Good then
-          event e
-            [ ("ph", str "i");
-              ("pid", "0");
-              ("tid", tid);
-              ("ts", us s.run_end_t);
-              ("s", str "t");
-              ("name", str label) ]
-      end)
-    spans;
-  Buffer.add_string buf "\n],\"displayTimeUnit\":\"ms\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"otherData\":{\"jobs\":%d,\"queue_depth_high_water\":%d}}"
-       (List.length spans)
-       (locked t (fun () -> t.queue_hwm)));
-  Buffer.add_char buf '\n'
-
-let chrome_json t =
-  let buf = Buffer.create 8192 in
-  chrome_to_buffer t buf;
-  Buffer.contents buf
+          [ Trace.instant ~tid ~ts:(us s.run_end_t) label ]
+        else []
+      in
+      lanes @ (job :: phases) @ markers @ failure
+  in
+  Trace.document
+    (Trace.process_name "ximd campaign"
+     :: List.map
+          (fun domain ->
+            Trace.thread_name ~tid:domain (Printf.sprintf "domain %d" domain))
+          domains
+    @ List.map
+        (fun (at, depth) ->
+          Trace.counter ~ts:(us at) "queue_depth" [ ("depth", Int depth) ])
+        samples
+    @ List.concat_map job_events spans)
+    ~other_data:
+      [ ("jobs", Int (List.length spans));
+        ("queue_depth_high_water", Int queue_hwm) ]
 
 let pp_summary fmt t =
   let spans = spans t in

@@ -178,70 +178,38 @@ let reset t =
     t.histograms_rev
 
 (* ------------------------------------------------------------------ *)
-(* Rendering.  JSON is hand-rolled (no dependencies) and emitted in
-   name order so the bytes are a pure function of the recorded data. *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let add_histogram_json buf h =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"count\":%d,\"sum\":%d,\"max\":%d,\"mean\":%.3f,"
-       h.h_count h.h_sum h.h_max (mean h));
-  Buffer.add_string buf "\"buckets\":[";
-  let first = ref true in
-  Array.iteri
-    (fun i n ->
-      if n > 0 then begin
-        if not !first then Buffer.add_char buf ',';
-        first := false;
-        Buffer.add_string buf
-          (Printf.sprintf "{\"le\":%d,\"count\":%d}" (bucket_hi i) n)
-      end)
-    h.h_buckets;
-  Buffer.add_string buf "]}"
+(* Rendering, in name order so the bytes are a pure function of the
+   recorded data. *)
 
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let sep first = if not !first then Buffer.add_char buf ',' ; first := false in
-  Buffer.add_string buf "{\"counters\":{";
-  let first = ref true in
-  List.iter
-    (fun c ->
-      sep first;
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (json_escape c.c_name) c.c_value))
-    (counters t);
-  Buffer.add_string buf "},\"gauges\":{";
-  let first = ref true in
-  List.iter
-    (fun g ->
-      sep first;
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":{\"value\":%d,\"max\":%d}"
-           (json_escape g.g_name) g.g_value g.g_max))
-    (gauges t);
-  Buffer.add_string buf "},\"histograms\":{";
-  let first = ref true in
-  List.iter
-    (fun h ->
-      sep first;
-      Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape h.h_name));
-      add_histogram_json buf h)
-    (histograms t);
-  Buffer.add_string buf "}}";
-  Buffer.contents buf
+  let open Ximd_json in
+  let histogram h =
+    let buckets = ref [] in
+    for i = n_buckets - 1 downto 0 do
+      let n = h.h_buckets.(i) in
+      if n > 0 then
+        buckets :=
+          Obj [ ("le", Int (bucket_hi i)); ("count", Int n) ] :: !buckets
+    done;
+    Obj
+      [ ("count", Int h.h_count);
+        ("sum", Int h.h_sum);
+        ("max", Int h.h_max);
+        ("mean", Fixed (3, mean h));
+        ("buckets", List !buckets) ]
+  in
+  Obj
+    [ ( "counters",
+        Obj (List.map (fun c -> (c.c_name, Int c.c_value)) (counters t)) );
+      ( "gauges",
+        Obj
+          (List.map
+             (fun g ->
+               ( g.g_name,
+                 Obj [ ("value", Int g.g_value); ("max", Int g.g_max) ] ))
+             (gauges t)) );
+      ( "histograms",
+        Obj (List.map (fun h -> (h.h_name, histogram h)) (histograms t)) ) ]
 
 let pp fmt t =
   Format.pp_open_vbox fmt 0;

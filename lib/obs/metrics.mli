@@ -83,8 +83,8 @@ val merge : into:t -> t -> unit
     Commutative and associative, so merging per-job registries in
     completion order is deterministic whatever the domain count. *)
 
-val to_json : t -> string
-(** Dependency-free JSON, keys sorted — byte-stable for a given set of
+val to_json : t -> Ximd_json.t
+(** The registry as JSON, keys sorted — byte-stable for a given set of
     recorded values.  Histograms list only their non-empty buckets, each
     as [{"le": upper_bound, "count": n}]. *)
 

@@ -233,23 +233,21 @@ let fu_utilisation t ~fu =
   else float_of_int t.m_fu_ops.(fu).Metrics.c_value /. float_of_int live
 
 let metrics_json t =
-  let buf = Buffer.create 2048 in
-  Buffer.add_string buf "{\"schema\":\"ximd-metrics/1\",";
-  Buffer.add_string buf
-    (Printf.sprintf "\"final_cycle\":%d,\"events_dropped\":%d,"
-       t.final_cycle (dropped_events t));
-  Buffer.add_string buf "\"barriers\":[";
-  List.iteri
-    (fun i (pc, (entries, waited)) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"pc\":%d,\"entries\":%d,\"wait_cycles\":%d}" pc
-           entries waited))
-    (barrier_waits t);
-  Buffer.add_string buf "],\"metrics\":";
-  Buffer.add_string buf (Metrics.to_json (metrics t));
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let open Ximd_json in
+  Obj
+    [ ("schema", String "ximd-metrics/1");
+      ("final_cycle", Int t.final_cycle);
+      ("events_dropped", Int (dropped_events t));
+      ( "barriers",
+        List
+          (List.map
+             (fun (pc, (entries, waited)) ->
+               Obj
+                 [ ("pc", Int pc);
+                   ("entries", Int entries);
+                   ("wait_cycles", Int waited) ])
+             (barrier_waits t)) );
+      ("metrics", Metrics.to_json (metrics t)) ]
 
 let reset t =
   Ring.clear t.ring;

@@ -144,9 +144,9 @@ val fu_utilisation : t -> fu:int -> float
 (** Non-nop data operations per live cycle of [fu]; 0. before any
     fetch. *)
 
-val metrics_json : t -> string
-(** The metrics registry plus the barrier-wait attribution table as one
-    dependency-free JSON document (byte-stable). *)
+val metrics_json : t -> Ximd_json.t
+(** The [ximd-metrics/1] document: the metrics registry plus the
+    barrier-wait attribution table (byte-stable). *)
 
 val reset : t -> unit
 (** Clear all recorded data (ring, metrics, profile, streaks, partition

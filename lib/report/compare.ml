@@ -101,50 +101,43 @@ let speedup t =
   if t.ximd.cycles = 0 then 0.
   else float_of_int t.vliw.cycles /. float_of_int t.ximd.cycles
 
-let outcome_name = function
-  | Core.Run.Halted _ -> "halted"
-  | Core.Run.Fuel_exhausted _ -> "fuel_exhausted"
-  | Core.Run.Deadlocked _ -> "deadlocked"
-  | Core.Run.Budget_exceeded _ -> "budget_exceeded"
-
 let side_json s =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"model\":\"%s\",\"outcome\":\"%s\",\"cycles\":%d,\"n_fus\":%d,\
-        \"data_ops\":%d,\"utilisation\":%.4f,\"effective_utilisation\":\
-        %.4f,\"account\":"
-       (match s.model with
-        | Core.Engine.Per_fu -> "per_fu"
-        | Core.Engine.Global -> "global"
-        | Core.Engine.Banked -> "banked")
-       (outcome_name s.outcome) s.cycles s.n_fus s.stats.Core.Stats.data_ops
-       (Core.Stats.utilisation s.stats ~n_fus:s.n_fus)
-       (Core.Stats.effective_utilisation s.stats ~n_fus:s.n_fus));
-  Buffer.add_string buf (Obs.Account.to_json s.account ~cycles:s.cycles);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  let open Ximd_json in
+  Obj
+    [ ( "model",
+        String
+          (match s.model with
+           | Core.Engine.Per_fu -> "per_fu"
+           | Core.Engine.Global -> "global"
+           | Core.Engine.Banked -> "banked") );
+      ("outcome", String (Core.Run.kind s.outcome));
+      ("cycles", Int s.cycles);
+      ("n_fus", Int s.n_fus);
+      ("data_ops", Int s.stats.Core.Stats.data_ops);
+      ("utilisation", Fixed (4, Core.Stats.utilisation s.stats ~n_fus:s.n_fus));
+      ( "effective_utilisation",
+        Fixed (4, Core.Stats.effective_utilisation s.stats ~n_fus:s.n_fus) );
+      ("account", Obs.Account.to_json s.account ~cycles:s.cycles) ]
 
 let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"schema\":\"ximd-compare/1\",";
-  Buffer.add_string buf "\"ximd\":";
-  Buffer.add_string buf (side_json t.ximd);
-  Buffer.add_string buf ",\"vliw\":";
-  Buffer.add_string buf (side_json t.vliw);
-  Buffer.add_string buf
-    (Printf.sprintf ",\"delta\":{\"cycles\":%d,\"speedup\":%.4f,\"slots\":{"
-       (delta_cycles t) (speedup t));
-  List.iteri
-    (fun i cls ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "\"%s\":%d" (Obs.Account.name cls)
-           (Obs.Account.total t.vliw.account cls
-           - Obs.Account.total t.ximd.account cls)))
-    Obs.Account.all;
-  Buffer.add_string buf "}}}";
-  Buffer.contents buf
+  let open Ximd_json in
+  Obj
+    [ ("schema", String "ximd-compare/1");
+      ("ximd", side_json t.ximd);
+      ("vliw", side_json t.vliw);
+      ( "delta",
+        Obj
+          [ ("cycles", Int (delta_cycles t));
+            ("speedup", Fixed (4, speedup t));
+            ( "slots",
+              Obj
+                (List.map
+                   (fun cls ->
+                     ( Obs.Account.name cls,
+                       Int
+                         (Obs.Account.total t.vliw.account cls
+                         - Obs.Account.total t.ximd.account cls) ))
+                   Obs.Account.all) ) ] ) ]
 
 let pp fmt t =
   let x = t.ximd and v = t.vliw in

@@ -56,8 +56,8 @@ val delta_cycles : t -> int
 val speedup : t -> float
 (** [vliw.cycles / ximd.cycles]; [0.] if the XIMD side ran 0 cycles. *)
 
-val to_json : t -> string
-(** Dependency-free, byte-stable JSON (schema [ximd-compare/1]): both
+val to_json : t -> Ximd_json.t
+(** The [ximd-compare/1] document: both
     sides (each embedding its [ximd-account/1] document) plus the
     cycle delta, speedup, and per-category slot deltas. *)
 

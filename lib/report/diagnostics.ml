@@ -104,81 +104,36 @@ let pp fmt t =
   Format.fprintf fmt "@]"
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (hand-rolled, no dependencies)                       *)
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ json_escape s ^ "\""
-let jlist items = "[" ^ String.concat "," items ^ "]"
-let jobj fields =
-  "{"
-  ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields)
-  ^ "}"
-
-let json_of_waiting (w : Core.Run.waiting) =
-  jobj
-    [ ("fu", string_of_int w.fu);
-      ("pc", string_of_int w.pc);
-      ("cond", jstr (Cond.to_string w.cond)) ]
-
-let json_of_outcome = function
-  | Core.Run.Halted { cycles } ->
-    jobj [ ("kind", jstr "halted"); ("cycles", string_of_int cycles) ]
-  | Core.Run.Fuel_exhausted { cycles } ->
-    jobj [ ("kind", jstr "fuel_exhausted"); ("cycles", string_of_int cycles) ]
-  | Core.Run.Deadlocked { cycles; spinning } ->
-    jobj
-      [ ("kind", jstr "deadlocked");
-        ("cycles", string_of_int cycles);
-        ("spinning", jlist (List.map json_of_waiting spinning)) ]
-  | Core.Run.Budget_exceeded { cycles; budget } ->
-    jobj
-      [ ("kind", jstr "budget_exceeded");
-        ("cycles", string_of_int cycles);
-        ("budget", string_of_int budget) ]
-
-let json_of_fu r =
-  jobj
-    [ ("fu", string_of_int r.fu);
-      ("halted", string_of_bool r.halted);
-      ("pc", string_of_int r.pc);
-      ("parcel", (match r.parcel with Some p -> jstr p | None -> "null"));
-      ( "waiting",
-        match r.waiting with
-        | Some c -> jstr (Cond.to_string c)
-        | None -> "null" );
-      ("ss", jstr (Sync.to_string r.ss));
-      ("cc", (match r.cc with None -> "null" | Some b -> string_of_bool b));
-      ("sset", jlist (List.map string_of_int r.sset)) ]
-
-let json_of_hazard (e : M.Hazard.event) =
-  jobj
-    [ ("cycle", string_of_int e.cycle);
-      ("hazard", jstr (M.Hazard.to_string e.hazard)) ]
-
-let json_of_fault (e : M.Fault.event) =
-  jobj
-    [ ("at", string_of_int e.at);
-      ("kind", jstr (M.Fault.kind_name e.kind));
-      ("target", string_of_int e.target) ]
+(* JSON rendering                                                      *)
 
 let to_json t =
-  jobj
-    [ ("outcome", json_of_outcome t.outcome);
-      ("cycle", string_of_int t.cycle);
-      ("fus", jlist (List.map json_of_fu t.fus));
-      ("hazards", jlist (List.map json_of_hazard t.hazards));
-      ("faults", jlist (List.map json_of_fault t.faults)) ]
+  let open Ximd_json in
+  let option f = function Some x -> f x | None -> Null in
+  let fu r =
+    Obj
+      [ ("fu", Int r.fu);
+        ("halted", Bool r.halted);
+        ("pc", Int r.pc);
+        ("parcel", option (fun p -> String p) r.parcel);
+        ("waiting", option (fun c -> String (Cond.to_string c)) r.waiting);
+        ("ss", String (Sync.to_string r.ss));
+        ("cc", option (fun b -> Bool b) r.cc);
+        ("sset", List (List.map (fun i -> Int i) r.sset)) ]
+  in
+  let hazard (e : M.Hazard.event) =
+    Obj
+      [ ("cycle", Int e.cycle);
+        ("hazard", String (M.Hazard.to_string e.hazard)) ]
+  in
+  let fault (e : M.Fault.event) =
+    Obj
+      [ ("at", Int e.at);
+        ("kind", String (M.Fault.kind_name e.kind));
+        ("target", Int e.target) ]
+  in
+  Obj
+    [ ("outcome", Core.Run.to_json t.outcome);
+      ("cycle", Int t.cycle);
+      ("fus", List (List.map fu t.fus));
+      ("hazards", List (List.map hazard t.hazards));
+      ("faults", List (List.map fault t.faults)) ]

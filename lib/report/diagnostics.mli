@@ -8,7 +8,7 @@
     fired fault-injection events.
 
     The report renders two ways: {!pp} for humans and {!to_json} for
-    scripts and CI — a hand-rolled, dependency-free JSON encoder. *)
+    scripts and CI. *)
 
 type fu_report = {
   fu : int;
@@ -41,7 +41,7 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable postmortem: outcome line, per-FU table, hazard and
     fault listings. *)
 
-val to_json : t -> string
+val to_json : t -> Ximd_json.t
 (** The same report as a single JSON object:
     [{"outcome": ..., "cycle": ..., "fus": [...], "hazards": [...],
       "faults": [...]}]. *)

@@ -173,6 +173,8 @@ let test_spec_validation () =
     (contains
        (expect_error {|{"workload":"minmax","file":"x.xasm"}|})
        "exactly one");
+  Alcotest.(check string) "duplicate key rejected" {|duplicate key "model"|}
+    (expect_error {|{"workload":"minmax","model":"xsim","model":"vsim"}|});
   Alcotest.(check bool) "bad model" true
     (contains (expect_error {|{"workload":"minmax","model":"qsim"}|}) "model");
   Alcotest.(check bool) "bad budget" true
@@ -183,7 +185,7 @@ let test_spec_validation () =
   let records, _ =
     run_lines ~domains:1 [ {|{"workload":"minmax","id":"rt"}|} ]
   in
-  match F.Json.parse (F.Record.to_json_string (List.hd records)) with
+  match Ximd_json.parse (F.Record.to_json_string (List.hd records)) with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "record line is not valid JSON: %s" e
 

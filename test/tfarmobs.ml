@@ -232,7 +232,7 @@ let test_chrome_export () =
   Obs.Farmobs.on_complete o ~seq:1 ~id:"bad-job" ~result:bad ~attempts:1 ();
   Obs.Farmobs.on_emit o ~seq:1;
   let trace = Obs.Farmobs.chrome_json o in
-  (match F.Json.parse trace with
+  (match Ximd_json.parse trace with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "chrome trace is not valid JSON: %s" e);
   let contains needle =
@@ -278,7 +278,9 @@ let test_events_dropped_metric () =
     go 0
   in
   Alcotest.(check bool) "events_dropped in ximd-metrics/1 registry" true
-    (contains (Obs.Sink.metrics_json sink) "\"events_dropped\":16");
+    (contains
+       (Ximd_json.to_string (Obs.Sink.metrics_json sink))
+       "\"events_dropped\":16");
   (* a campaign merge carries the loss figure along *)
   let merged = Obs.Metrics.create () in
   Obs.Metrics.merge ~into:merged (Obs.Sink.metrics sink);

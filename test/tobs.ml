@@ -100,117 +100,16 @@ let test_timeline_survivor_stays_open () =
 let test_timeline_empty () =
   check_timeline "empty" [] (Obs.Timeline.reconstruct ~final_cycle:9 [])
 
-(* --- A minimal JSON well-formedness check -------------------------------- *)
+(* --- JSON helpers (the shared parser) ----------------------------------- *)
 
-exception Bad_json of string
+let parse_json s =
+  match Ximd_json.parse s with
+  | Ok json -> json
+  | Error e -> Alcotest.failf "invalid JSON: %s" e
 
-let validate_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if peek () = Some c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let literal lit =
-    String.iter
-      (fun c -> if peek () = Some c then advance () else fail "bad literal")
-      lit
-  in
-  let string_ () =
-    expect '"';
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-         | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-         | Some 'u' ->
-           advance ();
-           for _ = 1 to 4 do
-             match peek () with
-             | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-             | _ -> fail "bad unicode escape"
-           done
-         | _ -> fail "bad escape");
-        go ()
-      | Some _ ->
-        advance ();
-        go ()
-    in
-    go ()
-  in
-  let number () =
-    if peek () = Some '-' then advance ();
-    let digits = ref 0 in
-    let rec go () =
-      match peek () with
-      | Some ('0' .. '9' | '.' | 'e' | 'E' | '+' | '-') ->
-        incr digits;
-        advance ();
-        go ()
-      | _ -> if !digits = 0 then fail "bad number"
-    in
-    go ()
-  in
-  let rec value () =
-    skip_ws ();
-    (match peek () with
-     | Some '{' ->
-       advance ();
-       skip_ws ();
-       if peek () = Some '}' then advance ()
-       else
-         let rec members () =
-           skip_ws ();
-           string_ ();
-           skip_ws ();
-           expect ':';
-           value ();
-           skip_ws ();
-           match peek () with
-           | Some ',' ->
-             advance ();
-             members ()
-           | _ -> expect '}'
-         in
-         members ()
-     | Some '[' ->
-       advance ();
-       skip_ws ();
-       if peek () = Some ']' then advance ()
-       else
-         let rec elements () =
-           value ();
-           skip_ws ();
-           match peek () with
-           | Some ',' ->
-             advance ();
-             elements ()
-           | _ -> expect ']'
-         in
-         elements ()
-     | Some '"' -> string_ ()
-     | Some 't' -> literal "true"
-     | Some 'f' -> literal "false"
-     | Some 'n' -> literal "null"
-     | Some _ -> number ()
-     | None -> fail "empty value");
-    skip_ws ()
-  in
-  value ();
-  if !pos <> n then fail "trailing garbage"
+let check_schema schema s =
+  Alcotest.(check (option string)) schema (Some schema)
+    (Option.bind (Ximd_json.member "schema" (parse_json s)) Ximd_json.to_str)
 
 (* --- Chrome trace golden (Figure 10 program) ----------------------------- *)
 
@@ -231,9 +130,7 @@ let test_chrome_trace_stable_and_valid () =
   let json1 = Obs.Chrome.to_string sink1 in
   let json2 = Obs.Chrome.to_string sink2 in
   Alcotest.(check string) "byte-stable across runs" json1 json2;
-  (match validate_json json1 with
-   | () -> ()
-   | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
+  ignore (parse_json json1);
   List.iter
     (fun needle ->
       if not (contains_substring json1 needle) then
@@ -269,12 +166,11 @@ let test_partition_track_matches_tracer () =
 
 let test_metrics_json_valid () =
   let sink, _ = observed_paper_run () in
-  let json = Obs.Sink.metrics_json sink in
-  (match validate_json json with
-   | () -> ()
-   | exception Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
+  let json = Ximd_json.to_string (Obs.Sink.metrics_json sink) in
+  check_schema "ximd-metrics/1" json;
   let sink2, _ = observed_paper_run () in
-  Alcotest.(check string) "byte-stable" json (Obs.Sink.metrics_json sink2)
+  Alcotest.(check string) "byte-stable" json
+    (Ximd_json.to_string (Obs.Sink.metrics_json sink2))
 
 (* --- Zero interference: observed run = unobserved run -------------------- *)
 
@@ -370,12 +266,12 @@ let test_sink_reset_reuse () =
       ()
   in
   let _ = W.Workload.run ~obs:sink variant in
-  let first = Obs.Sink.metrics_json sink in
+  let first = Ximd_json.to_string (Obs.Sink.metrics_json sink) in
   Obs.Sink.reset sink;
   check_int "events cleared" 0 (List.length (Obs.Sink.events sink));
   let _ = W.Workload.run ~obs:sink variant in
   Alcotest.(check string) "identical after reset+rerun" first
-    (Obs.Sink.metrics_json sink)
+    (Ximd_json.to_string (Obs.Sink.metrics_json sink))
 
 let suite =
   [ ( "obs",

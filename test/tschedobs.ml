@@ -3,7 +3,7 @@
 
 open Ximd_isa
 module C = Ximd_compiler
-module Json = Ximd_farm.Json
+module Json = Ximd_json
 module Gen = QCheck2.Gen
 
 let to_alcotest = QCheck_alcotest.to_alcotest
@@ -27,11 +27,7 @@ let compile_observed ?(width = 4) source =
 let test_dot_sched_golden () =
   let obs, _ = compile_observed (dot_source ()) in
   let json = C.Schedobs.to_json obs in
-  (match Tobs.validate_json json with
-   | () -> ()
-   | exception Tobs.Bad_json msg -> Alcotest.failf "invalid JSON: %s" msg);
-  if not (Tobs.contains_substring json "\"schema\":\"ximd-sched/1\"") then
-    Alcotest.fail "missing schema tag";
+  Tobs.check_schema "ximd-sched/1" json;
   check_str "sched golden" (read_file "goldens/dot.sched.json") (json ^ "\n")
 
 let test_dot_explain_golden () =

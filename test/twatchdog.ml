@@ -245,7 +245,7 @@ let test_postmortem () =
   let text = Format.asprintf "%a" Ximd_report.Diagnostics.pp report in
   Alcotest.(check bool) "text mentions deadlock" true
     (contains ~affix:"deadlocked" text);
-  let json = Ximd_report.Diagnostics.to_json report in
+  let json = Ximd_json.to_string (Ximd_report.Diagnostics.to_json report) in
   Alcotest.(check bool) "json carries the outcome kind" true
     (contains ~affix:"\"kind\":\"deadlocked\"" json);
   Alcotest.(check bool) "json lists spinning FUs" true
