@@ -93,23 +93,36 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
            ~progress:prerr_endline ~clock:Unix.gettimeofday ())
     else None
   in
+  (* SIGPIPE is ignored, so a reader that hangs up surfaces as a
+     [Sys_error] from the write.  That only stops the writing: [emit]
+     runs with the pool lock held, so the reader loop below is what
+     stops submitting and interrupts the farm. *)
+  let reader_gone = Atomic.make false in
+  let write_line line =
+    if not (Atomic.get reader_gone) then
+      try
+        output_string output line;
+        output_char output '\n';
+        flush output
+      with Sys_error _ -> Atomic.set reader_gone true
+  in
   let records = ref [] in
   let emit record =
     records := record :: !records;
-    output_string output (Ximd_farm.Record.to_json_string record);
-    output_char output '\n';
-    flush output
+    write_line (Ximd_farm.Record.to_json_string record)
   in
   let farm = Farm.Farm.create ~domains ~queue_bound ?obs ~emit () in
   let interrupted = ref false in
   (try
      let rec loop () =
-       match input_line input with
-       | "" -> loop ()
-       | line ->
-         ignore (Farm.Farm.submit_line farm line);
-         loop ()
-       | exception End_of_file -> ()
+       if Atomic.get reader_gone then Farm.Farm.interrupt farm
+       else
+         match input_line input with
+         | "" -> loop ()
+         | line ->
+           ignore (Farm.Farm.submit_line farm line);
+           loop ()
+         | exception (End_of_file | Sys_error _) -> ()
      in
      loop ()
    with Sys.Break ->
@@ -132,9 +145,7 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
           Ximd_obs.Metrics.to_json (Ximd_obs.Farmobs.merged_metrics o))
         obs
     in
-    output_string output (Farm.Record.summary_to_json_string ?metrics s);
-    output_char output '\n';
-    flush output
+    write_line (Farm.Record.summary_to_json_string ?metrics s)
   end;
   (match obs with
    | None -> ()
@@ -161,7 +172,13 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
   if !interrupted then 130 else s.Farm.Record.max_exit_code
 
 let serve_stdin ~domains ~queue_bound ~summary ~campaign =
-  run_campaign ~domains ~queue_bound ~summary ~campaign stdin stdout
+  let code =
+    run_campaign ~domains ~queue_bound ~summary ~campaign stdin stdout
+  in
+  (* After a reader hangs up, the buffer holds bytes no one can take;
+     closing drops them, so the flush at exit does not raise. *)
+  close_out_noerr stdout;
+  code
 
 let serve_socket ~domains ~queue_bound ~summary ~campaign path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -183,11 +200,11 @@ let serve_socket ~domains ~queue_bound ~summary ~campaign path =
       let code =
         try run_campaign ~domains ~queue_bound ~summary ~campaign input output
         with Sys.Break ->
-          (try close_out output with Sys_error _ -> ());
+          close_out_noerr output;
           cleanup ();
           raise Sys.Break
       in
-      (try close_out output with Sys_error _ -> ());
+      close_out_noerr output;
       accept_loop (max worst code)
   in
   (try accept_loop 0
@@ -211,6 +228,7 @@ let run domains queue_bound socket no_summary trace_out report_out
   end;
   Printexc.record_backtrace true;
   Sys.catch_break true;
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let summary = not no_summary in
   let campaign = { trace_out; report_out; progress_every } in
   let code =

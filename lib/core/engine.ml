@@ -1,7 +1,7 @@
 open Ximd_isa
 module M = Ximd_machine
 
-(* One allocation-free cycle pipeline for all three machine models.  The
+(* One cycle pipeline for all three machine models.  The
    paper's subsumption argument (§2, Figure 3) — a VLIW is the
    degenerate XIMD with one global sequencer, the TRACE/500 the
    two-sequencer point in between — is encoded structurally: the only
@@ -10,10 +10,11 @@ module M = Ximd_machine
 
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
-   §5).  The loop works entirely in the preallocated [state.scratch]
-   buffers: a steady-state cycle allocates nothing beyond the boxed ALU
-   results and, when the control signatures changed, a fresh
-   partition. *)
+   §5).  The loop keeps its per-cycle buffers in the preallocated
+   [state.scratch], yet a cycle still allocates (boxed ALU results,
+   helper tuples and options, and on xsim and t500 a fresh partition
+   nearly every cycle); [ledger.exe trace] counts the words per cycle
+   and per phase as [engine.M.*_words]. *)
 
 type model = Per_fu | Global | Banked
 

@@ -31,10 +31,13 @@
     through this one pipeline via inline hook helpers, each costing a
     single predictable branch when off; no per-engine copy exists.
 
-    The hot loop is allocation-free: it works entirely in the
-    preallocated [state.scratch] buffers, and a steady-state cycle
-    allocates nothing beyond boxed ALU results and — only when the
-    control signatures changed — a fresh partition. *)
+    The hot loop keeps its per-cycle buffers in the preallocated
+    [state.scratch], but it is not allocation-free: boxed ALU results,
+    helper tuples and options, and (under [Per_fu] and [Banked]) control
+    signatures and a fresh partition on nearly every cycle.
+    [ledger.exe trace] (bench/ledger/README.md) reports the minor words
+    per cycle as [engine.M.step_words] and per phase as
+    [engine.M.<phase>_words]. *)
 
 type model =
   | Per_fu  (** one sequencer per FU: the XIMD machine ({!Xsim}) *)

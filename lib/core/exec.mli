@@ -5,10 +5,12 @@
     start-of-cycle state; all writes (registers, memory, condition codes)
     are staged and applied by {!commit_cycle}.
 
-    The per-cycle path is allocation-free: condition evaluation builds no
-    closures or mask lists, condition-code updates go through the
-    preallocated buffer in [state.scratch], and pipelined results live in
-    the growable parallel arrays of [state.inflight]. *)
+    Condition evaluation builds no closures or mask lists, condition-code
+    updates go through the preallocated buffer in [state.scratch], and
+    pipelined results live in the growable arrays of [state.inflight],
+    so {!commit_cycle} allocates nothing.  {!exec_data} allocates a boxed
+    [int32] per ALU result; [ledger.exe trace] counts both per cycle as
+    [engine.M.exec_words] and [engine.M.commit_words]. *)
 
 open Ximd_isa
 

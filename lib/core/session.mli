@@ -6,8 +6,9 @@
     reallocated), then the caller's [setup], then {!Engine.run}.  For
     short programs the state construction dominates a one-shot run, so
     sweeps, benchmarks and repeated CLI runs ([--repeat]) go
-    substantially faster on a session; see [minmax/xsim-session] in
-    BENCH_simulator.json.
+    substantially faster on a session; [ledger.exe trace]
+    (bench/ledger/README.md) reports the split as [session.create_us],
+    [session.reset_us], [session.setup_us] and [session.run_us].
 
     The configuration (and with it every arena size) is fixed when the
     session is created; the program may change between runs via

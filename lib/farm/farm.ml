@@ -41,10 +41,10 @@ let make_ctx ~telemetry _index =
     workloads = lazy (Ximd_workloads.Suite.all ());
     telemetry }
 
-(* Account-only sink: no event ring traffic, no hot-PC sampling — per
-   the farm-throughput bench rows the whole-campaign overhead must stay
-   within 1.1x, and slot accounting is one array increment per fu×cycle
-   slot.  [code_len] only sizes the (disabled) profiler. *)
+(* Account-only sink: no event ring traffic, no hot-PC sampling, to keep
+   the whole-campaign overhead (the ledger's campaign [trace_overhead])
+   small; slot accounting is one array increment per fu×cycle slot.
+   [code_len] only sizes the (disabled) profiler. *)
 let new_sink ctx ~config ~program =
   if not ctx.telemetry then None
   else begin

@@ -35,7 +35,9 @@ type ('ctx, 'job, 'res) t = {
    The probe fires after [emit] so an observer counting emissions sees
    the record already in the stream.  Probe callbacks never take the
    pool lock (documented contract), so pool-lock -> observer-lock is
-   the only ordering that occurs. *)
+   the only ordering that occurs.  If [emit] raises, the lock is
+   released before the exception leaves, so the other domains and the
+   submitter are not left waiting on it forever. *)
 let stash t seq res =
   Hashtbl.replace t.pending seq res;
   let rec flush () =
@@ -45,7 +47,11 @@ let stash t seq res =
       let seq = t.next_emit in
       Hashtbl.remove t.pending seq;
       t.next_emit <- seq + 1;
-      t.emit res;
+      (match t.emit res with
+       | () -> ()
+       | exception e ->
+         Mutex.unlock t.mutex;
+         raise e);
       (match t.probe with None -> () | Some p -> p.p_emit ~seq);
       flush ()
   in
@@ -148,12 +154,15 @@ let interrupt t =
   Mutex.lock t.mutex;
   if not t.interrupted then begin
     t.interrupted <- true;
-    (* drain: queued jobs keep their sequence slots, so the dropped
-       records interleave at the right places in the result stream *)
-    Queue.iter (fun (seq, job) -> stash t seq (t.dropped ~seq job)) t.queue;
-    Queue.clear t.queue;
     Condition.broadcast t.not_full;
-    Condition.broadcast t.not_empty
+    Condition.broadcast t.not_empty;
+    (* drain: queued jobs keep their sequence slots, so the dropped
+       records interleave at the right places in the result stream;
+       popping first means a raising [emit] cannot answer a job twice *)
+    while not (Queue.is_empty t.queue) do
+      let seq, job = Queue.pop t.queue in
+      stash t seq (t.dropped ~seq job)
+    done
   end;
   Mutex.unlock t.mutex
 

@@ -21,7 +21,10 @@
     the key an external observer correlates lifecycle events with.
 
     [emit] is called with the pool's lock held: it must not call back
-    into the pool and should be cheap (write a line, stash in a list). *)
+    into the pool and should be cheap (write a line, stash in a list).
+    If it raises, the pool releases its lock and the exception
+    propagates to the caller that triggered the emission: it ends that
+    worker domain (and {!join} re-raises it) or leaves {!interrupt}. *)
 
 type probe = {
   p_enqueue : seq:int -> depth:int -> unit;

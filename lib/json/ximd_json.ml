@@ -294,9 +294,15 @@ let keys = function
   | Obj fields -> List.map fst fields
   | Null | Bool _ | Int _ | Float _ | Fixed _ | String _ | List _ -> []
 
+(* [min_int] is a power of two, so it and its negation are exact floats;
+   [int_of_float] is unspecified outside [min_int, -min_int). *)
 let to_int = function
   | Int i -> Some i
-  | (Float f | Fixed (_, f)) when Float.is_integer f -> Some (int_of_float f)
+  | (Float f | Fixed (_, f))
+    when Float.is_integer f
+         && f >= Float.of_int min_int
+         && f < -.Float.of_int min_int ->
+    Some (int_of_float f)
   | Null | Bool _ | Float _ | Fixed _ | String _ | List _ | Obj _ -> None
 
 let to_str = function

@@ -48,7 +48,8 @@ val keys : t -> string list
 (** Field names of an [Obj], in order; [[]] on anything else. *)
 
 val to_int : t -> int option
-(** [Int n] (and an integral [Float]/[Fixed]) as an int. *)
+(** [Int n] (and an integral [Float]/[Fixed] an [int] can hold) as an
+    int; [None] for anything else, including a float out of range. *)
 
 val to_str : t -> string option
 val to_bool : t -> bool option

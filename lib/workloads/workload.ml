@@ -19,18 +19,12 @@ type t = {
 
 let model = function Ximd -> Engine.Per_fu | Vliw -> Engine.Global
 
-let session ?obs variant =
-  Session.create ~config:variant.config ?obs ~model:(model variant.sim)
-    variant.program
-
-let run_session ?tracer ?watchdog session (variant : variant) =
-  Session.run ?tracer ?watchdog ~setup:variant.setup session
-
-(* One-shot run: a session used once behaves exactly like the historical
-   create/setup/run sequence. *)
 let run ?tracer ?watchdog ?obs variant =
-  let s = session ?obs variant in
-  let outcome = run_session ?tracer ?watchdog s variant in
+  let s =
+    Session.create ~config:variant.config ?obs ~model:(model variant.sim)
+      variant.program
+  in
+  let outcome = Session.run ?tracer ?watchdog ~setup:variant.setup s in
   (outcome, Session.state s)
 
 let run_checked ?tracer ?watchdog ?obs variant =

@@ -25,22 +25,6 @@ type t = {
   vliw : variant option;
 }
 
-val model : simulator -> Engine.model
-(** The sequencing model a variant's simulator selects: {!Engine.Per_fu}
-    for [Ximd], {!Engine.Global} for [Vliw]. *)
-
-val session : ?obs:Ximd_obs.Sink.t -> variant -> Session.t
-(** A reusable {!Session} for the variant — state construction is paid
-    once, each {!run_session} rewinds and re-runs.  When [obs] is given,
-    every run feeds events and metrics into the sink (which is reset at
-    the start of each run). *)
-
-val run_session :
-  ?tracer:Tracer.t -> ?watchdog:Watchdog.t -> Session.t -> variant -> Run.outcome
-(** One run of [variant] on the session: rewind, apply the variant's
-    [setup], run.  The session must have been built by {!session} on a
-    variant with the same program and configuration. *)
-
 val run :
   ?tracer:Tracer.t ->
   ?watchdog:Watchdog.t ->
@@ -48,7 +32,7 @@ val run :
   variant ->
   Run.outcome * State.t
 (** Creates a state, applies [setup], and runs the variant on its
-    simulator (a one-shot {!session}).  When [watchdog] is given, wedged
+    simulator (a one-shot {!Session}).  When [watchdog] is given, wedged
     runs classify as {!Run.Deadlocked} instead of burning their fuel.
     When [obs] is given, the run feeds events and metrics into the sink
     (see {!Ximd_obs.Sink}). *)

@@ -181,6 +181,25 @@ let test_spec_validation () =
     (contains (expect_error {|{"workload":"minmax","budget":0}|}) "budget");
   Alcotest.(check bool) "bad JSON" true
     (contains (expect_error {|{"workload": |}) "bad JSON");
+  (* a number an int cannot hold is rejected by key, never wrapped *)
+  List.iter
+    (fun (line, error) ->
+      Alcotest.(check string) line error (expect_error line))
+    [ ( {|{"workload":"minmax","seed":1e300}|},
+        {|key "seed": expected an integer|} );
+      ( {|{"workload":"minmax","deadline_ms":1e300}|},
+        {|key "deadline_ms": expected an integer|} );
+      ( {|{"workload":"minmax","seed":4611686018427387904.0}|},
+        {|key "seed": expected an integer|} );
+      ( {|{"workload":"minmax","budget":1e300}|},
+        {|key "budget": expected an integer|} );
+      ( {|{"workload":"minmax","regs":{"r1":1e300}}|},
+        {|key "regs": r1 wants an integer|} );
+      ( {|{"workload":"minmax","mem":{"16":-1e300}}|},
+        {|key "mem": bad entry "16"|} ) ];
+  Alcotest.(check int) "min_int seed accepted" min_int
+    (job_of_line ~index:0
+       {|{"workload":"minmax","seed":-4611686018427387904.0}|}).F.Job.seed;
   (* a record line round-trips through the JSON layer *)
   let records, _ =
     run_lines ~domains:1 [ {|{"workload":"minmax","id":"rt"}|} ]
@@ -247,6 +266,31 @@ let test_pool_orders_and_drains () =
   in
   Alcotest.(check bool) "queue drained as dropped" true (dropped >= 8);
   List.iteri (fun i (j, _) -> Alcotest.(check int) "order kept" i j) results
+
+(* --- Pool: a raising emit releases the lock ------------------------------- *)
+
+let test_pool_emit_raises () =
+  let emitted = ref [] in
+  let pool =
+    F.Pool.create ~domains:1
+      ~init:(fun _ -> ())
+      ~work:(fun () ~seq:_ i -> i)
+      ~crashed:(fun ~seq:_ i ~exn:_ ~backtrace:_ -> i)
+      ~dropped:(fun ~seq:_ i -> i)
+      ~emit:(fun i -> if i = 3 then raise Exit else emitted := i :: !emitted)
+      ()
+  in
+  for i = 0 to 9 do
+    ignore (F.Pool.submit pool i)
+  done;
+  (* join re-raises what ended the worker; a lock still held would
+     block it or [crashes] forever *)
+  (match F.Pool.join pool with
+   | () -> Alcotest.fail "emit's exception was lost"
+   | exception Exit -> ());
+  Alcotest.(check int) "lock free again" 0 (F.Pool.crashes pool);
+  Alcotest.(check (list int)) "emitted before the raise" [ 0; 1; 2 ]
+    (List.rev !emitted)
 
 (* --- QCheck: determinism for generated campaigns -------------------------- *)
 
@@ -371,6 +415,8 @@ let suite =
           test_spec_validation;
         Alcotest.test_case "pool orders results and drains on interrupt"
           `Quick test_pool_orders_and_drains;
+        Alcotest.test_case "pool releases its lock when emit raises" `Quick
+          test_pool_emit_raises;
         Alcotest.test_case "1000-job adversarial sweep is deterministic"
           `Slow test_acceptance_sweep;
         to_alcotest prop_campaign_deterministic ] ) ]

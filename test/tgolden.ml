@@ -71,6 +71,23 @@ let test_tproc_vliw_parity () =
   | Ok (speedup, _, _) ->
     Alcotest.(check (float 0.0001)) "parity" 1.0 speedup
 
+(* Every experiment bench/main.exe regenerates, except the "all" and
+   "ablations" aggregates, which only run the others in turn. *)
+let test_experiments_run () =
+  List.iter
+    (fun (id, run) ->
+      if id <> "all" && id <> "ablations" then
+        match Format.asprintf "@[<v>%t@]" run with
+        | exception e ->
+          Alcotest.failf "experiment %s raised %s" id (Printexc.to_string e)
+        | text ->
+          if id = "e2" then
+            Alcotest.(check bool) "e2 reproduces figure 10" true
+              (List.exists
+                 (String.starts_with ~prefix:"figure-10 agreement: EXACT")
+                 (String.split_on_char '\n' text)))
+    (Ximd_report.Experiments.known @ Ximd_report.Ablations.known)
+
 let suite =
   [ ( "golden",
       [ Alcotest.test_case "figure 10: MINMAX address trace" `Quick
@@ -82,4 +99,6 @@ let suite =
         Alcotest.test_case "tproc runs in 5 cycles" `Quick
           test_tproc_five_cycles;
         Alcotest.test_case "tproc ximd/vliw parity" `Quick
-          test_tproc_vliw_parity ] ) ]
+          test_tproc_vliw_parity;
+        Alcotest.test_case "every paper experiment and ablation runs" `Quick
+          test_experiments_run ] ) ]
