@@ -243,16 +243,22 @@ let parse_statement ln line =
 
 type prow = { row_line : int; parcels : pparcel list (* ascending fu *) }
 
+(* Labels go into a hashtable as well as the ordered symbol list, and
+   rows are counted as they close, so grouping and resolution stay
+   linear in the number of labels. *)
 let group_rows statements =
   let n_fus = ref None in
   let rows = ref [] in
+  let n_rows = ref 0 in
   let labels = ref [] in
+  let addresses = Hashtbl.create 64 in
   let current = ref [] in
   let flush () =
     match List.rev !current with
     | [] -> ()
     | first :: _ as parcels ->
       rows := { row_line = first.line; parcels } :: !rows;
+      incr n_rows;
       current := []
   in
   List.iter
@@ -265,8 +271,9 @@ let group_rows statements =
         else n_fus := Some n
       | Slabel (ln, name) ->
         flush ();
-        if List.mem_assoc name !labels then fail ln "duplicate label %S" name;
-        labels := (name, List.length !rows) :: !labels
+        if Hashtbl.mem addresses name then fail ln "duplicate label %S" name;
+        Hashtbl.add addresses name !n_rows;
+        labels := (name, !n_rows) :: !labels
       | Sparcel p ->
         let n =
           match !n_fus with
@@ -285,25 +292,25 @@ let group_rows statements =
   | None -> fail 0 "missing .fus directive"
   | Some n ->
     if !rows = [] then fail 0 "program has no instruction rows";
-    (n, List.rev !rows, List.rev !labels)
+    (n, List.rev !rows, List.rev !labels, addresses)
 
-let resolve_target ~labels ~n_rows ln = function
+let resolve_target ~addresses ~n_rows ln = function
   | Tfall -> Control.Fallthrough
   | Taddr a ->
     if a < 0 || a >= n_rows then fail ln "absolute target %d out of range" a
     else Control.Addr a
   | Tlabel name -> (
-    match List.assoc_opt name labels with
+    match Hashtbl.find_opt addresses name with
     | Some a -> Control.Addr a
     | None -> fail ln "undefined label %S" name)
 
-let resolve_ctl ~labels ~n_rows ~n_fus ln = function
+let resolve_ctl ~addresses ~n_rows ~n_fus ln = function
   | PHalt -> Control.Halt
   | PGoto t ->
-    let target = resolve_target ~labels ~n_rows ln t in
+    let target = resolve_target ~addresses ~n_rows ln t in
     Control.Branch { cond = Cond.Always1; t1 = target; t2 = target }
   | PGoto2 t ->
-    let target = resolve_target ~labels ~n_rows ln t in
+    let target = resolve_target ~addresses ~n_rows ln t in
     Control.Branch { cond = Cond.Always2; t1 = target; t2 = target }
   | PIf (cond, t1, t2) ->
     let check_fu j =
@@ -325,8 +332,8 @@ let resolve_ctl ~labels ~n_rows ~n_fus ln = function
     in
     Control.Branch
       { cond;
-        t1 = resolve_target ~labels ~n_rows ln t1;
-        t2 = resolve_target ~labels ~n_rows ln t2 }
+        t1 = resolve_target ~addresses ~n_rows ln t1;
+        t2 = resolve_target ~addresses ~n_rows ln t2 }
 
 let assemble text =
   let lines = String.split_on_char '\n' text in
@@ -342,7 +349,7 @@ let assemble text =
              | None -> [])
          lines)
   in
-  let n_fus, prows, labels = group_rows statements in
+  let n_fus, prows, labels, addresses = group_rows statements in
   let n_rows = List.length prows in
   let build_row { row_line; parcels } =
     let filler_ctl =
@@ -354,10 +361,10 @@ let assemble text =
       match List.find_opt (fun p -> p.fu = fu) parcels with
       | Some p ->
         Parcel.make ~sync:p.sync p.data
-          (resolve_ctl ~labels ~n_rows ~n_fus p.line p.ctl)
+          (resolve_ctl ~addresses ~n_rows ~n_fus p.line p.ctl)
       | None ->
         Parcel.make Parcel.Dnop
-          (resolve_ctl ~labels ~n_rows ~n_fus row_line filler_ctl))
+          (resolve_ctl ~addresses ~n_rows ~n_fus row_line filler_ctl))
   in
   let rows = Array.of_list (List.map build_row prows) in
   Ximd_core.Program.make ~symbols:labels ~n_fus rows

@@ -10,11 +10,14 @@ module M = Ximd_machine
 
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
-   §5).  The loop keeps its per-cycle buffers in the preallocated
-   [state.scratch], yet a cycle still allocates (boxed ALU results,
-   helper tuples and options, and on xsim and t500 a fresh partition
-   nearly every cycle); [ledger.exe trace] counts the words per cycle
-   and per phase as [engine.M.*_words]. *)
+   §5).  The loop keeps its per-cycle buffers, the partition's label
+   vector included, in the preallocated [state.scratch], and machine
+   values are immediate ints, so the data path and an unchanged
+   partition allocate nothing.  A cycle still allocates: the
+   [stream_bounds] tuples, the [Control.resolve] option, the closure in
+   [State.all_halted], and a new partition when the grouping changes;
+   [ledger.exe trace] counts the words per cycle as
+   [engine.M.step_words]. *)
 
 type model = Per_fu | Global | Banked
 
@@ -272,21 +275,68 @@ let[@inline] halt_fu model (state : State.t) ~fu =
   hook_halt state ~fu
 
 (* ------------------------------------------------------------------ *)
-(* Partition update from control signatures.  Spin loops re-execute the
-   same signatures for many cycles, so reuse the previous partition when
-   nothing changed. *)
+(* Partition recompute.  The partition lives in [state.scratch.labels]
+   as each FU's lowest SSET-mate, rewritten in place every cycle; the
+   list form in [state.partition] is rebuilt only when a label moves, so
+   a grouping that holds (one synchronous stream, a spin loop) costs
+   no allocation. *)
 
-let rec sigs_equal (a : Control.t array) b fu n =
-  fu >= n || (Control.equal a.(fu) b.(fu) && sigs_equal a b (fu + 1) n)
-
-let update_partition (state : State.t) n =
-  let s = state.scratch in
-  let sigs = s.sigs in
-  if not (s.prev_sigs_valid && sigs_equal sigs s.prev_sigs 0 n) then begin
-    state.partition <- Partition.of_signatures sigs;
-    Array.blit sigs 0 s.prev_sigs 0 n;
-    s.prev_sigs_valid <- true
+let[@inline] relabel (labels : int array) fu l changed =
+  if labels.(fu) <> l then begin
+    labels.(fu) <- l;
+    true
   end
+  else changed
+
+(* The control operation an FU executed this cycle: a halted slot
+   executed [Halt]. *)
+let[@inline] executed (s : State.scratch) fu =
+  if s.was_live.(fu) then s.parcels.(fu).control else Control.Halt
+
+(* The lowest FU below [fu] that leads an SSET and executed a control
+   operation with [fu]'s normalised signature; [fu] itself if none. *)
+let rec first_mate (s : State.scratch) fu j =
+  if j >= fu then fu
+  else if
+    s.labels.(j) = j
+    && Control.same_signature (executed s j) ~pc_a:s.old_pcs.(j)
+         (executed s fu) ~pc_b:s.old_pcs.(fu)
+  then j
+  else first_mate s fu (j + 1)
+
+(* Per-FU sequencers: FUs whose executed control operations have equal
+   normalised signatures share an SSET (see {!Partition}). *)
+let label_per_fu (s : State.scratch) n =
+  let changed = ref false in
+  for fu = 0 to n - 1 do
+    changed := relabel s.labels fu (first_mate s fu 0) !changed
+  done;
+  !changed
+
+(* A bank's next PC, or -1 once its leader halted or the PC left the
+   program. *)
+let[@inline] bank_next (state : State.t) ~len leader =
+  let pc = state.pcs.(leader) in
+  if state.halted.(leader) || pc < 0 || pc >= len then -1 else pc
+
+(* Two banks: each bank is one SSET, and the banks merge when their
+   next PCs are equal (two stopped banks count as equal). *)
+let label_banked (state : State.t) n ~len =
+  let half = n / 2 in
+  let upper =
+    if bank_next state ~len 0 = bank_next state ~len half then 0 else half
+  in
+  let changed = ref false in
+  for fu = 0 to n - 1 do
+    changed :=
+      relabel state.scratch.labels fu (if fu < half then 0 else upper)
+        !changed
+  done;
+  !changed
+
+let[@inline] repartition (state : State.t) changed =
+  if changed then state.partition <- Partition.of_labels state.scratch.labels;
+  Partition.count_live state.partition ~halted:state.halted
 
 (* ------------------------------------------------------------------ *)
 
@@ -426,30 +476,8 @@ let step model ?tracer (state : State.t) =
       | Global ->
         if stats.max_streams < 1 then stats.max_streams <- 1;
         if State.all_halted state then 0 else 1
-      | Per_fu ->
-        let sigs = s.sigs in
-        for fu = 0 to n - 1 do
-          sigs.(fu) <-
-            (if was_live.(fu) then
-               Control.normalised_signature parcels.(fu).control
-                 ~pc:old_pcs.(fu)
-             else Control.Halt)
-        done;
-        update_partition state n;
-        Partition.count_live state.partition ~halted:state.halted
-      | Banked ->
-        let sigs = s.sigs in
-        let half = n / 2 in
-        for fu = 0 to n - 1 do
-          let leader = if fu < half then 0 else half in
-          sigs.(fu) <-
-            (if state.halted.(leader) then Control.Halt
-             else
-               let pc = state.pcs.(leader) in
-               if pc >= 0 && pc < len then Control.goto pc else Control.Halt)
-        done;
-        update_partition state n;
-        Partition.count_live state.partition ~halted:state.halted
+      | Per_fu -> repartition state (label_per_fu s n)
+      | Banked -> repartition state (label_banked state n ~len)
     in
     if live_streams > stats.max_streams then stats.max_streams <- live_streams;
     hook_slots model state;

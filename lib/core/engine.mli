@@ -32,12 +32,15 @@
     single predictable branch when off; no per-engine copy exists.
 
     The hot loop keeps its per-cycle buffers in the preallocated
-    [state.scratch], but it is not allocation-free: boxed ALU results,
-    helper tuples and options, and (under [Per_fu] and [Banked]) control
-    signatures and a fresh partition on nearly every cycle.
-    [ledger.exe trace] (bench/ledger/README.md) reports the minor words
-    per cycle as [engine.M.step_words] and per phase as
-    [engine.M.<phase>_words]. *)
+    [state.scratch].  Under [Per_fu] and [Banked] the partition lives
+    there as a label vector (each FU's lowest SSET-mate), recomputed in
+    place every cycle; [state.partition] is rebuilt only when a label
+    changes.  Machine values are immediate ints, so execute and commit
+    allocate nothing.  The loop is still not allocation-free: the
+    [stream_bounds] tuples, the [Control.resolve] option, the closure in
+    [State.all_halted], and a new partition whenever the grouping
+    changes.  [ledger.exe trace] (bench/ledger/README.md) reports the
+    minor words per cycle as [engine.M.step_words]. *)
 
 type model =
   | Per_fu  (** one sequencer per FU: the XIMD machine ({!Xsim}) *)

@@ -150,25 +150,24 @@ let exec_data (state : State.t) ~fu (data : Parcel.data) =
   | Parcel.Dload { a; b; d } ->
     stats.mem_ops <- stats.mem_ops + 1;
     let addr =
-      Int32.to_int
-        (Int32.add
-           (Value.to_int32 (operand_value state a))
-           (Value.to_int32 (operand_value state b)))
+      (Value.of_int
+         ((operand_value state a :> int) + (operand_value state b :> int))
+        :> int)
     in
     stage_reg_write state ~fu d
       (M.Memory.read state.mem ~fu ~cycle:state.cycle ~log:state.log addr)
   | Parcel.Dstore { a; b } ->
     stats.mem_ops <- stats.mem_ops + 1;
-    let addr = Int32.to_int (Value.to_int32 (operand_value state b)) in
+    let addr = (operand_value state b :> int) in
     stage_mem_write state ~fu addr (operand_value state a)
   | Parcel.Din { port; d } ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = Int32.to_int (Value.to_int32 (operand_value state port)) in
+    let port = (operand_value state port :> int) in
     stage_reg_write state ~fu d
       (M.Ioport.read state.io ~fu ~cycle:state.cycle ~log:state.log port)
   | Parcel.Dout { a; port } ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = Int32.to_int (Value.to_int32 (operand_value state port)) in
+    let port = (operand_value state port :> int) in
     M.Ioport.write state.io ~fu ~cycle:state.cycle ~log:state.log port
       (operand_value state a)
 

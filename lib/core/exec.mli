@@ -6,10 +6,13 @@
     are staged and applied by {!commit_cycle}.
 
     Condition evaluation builds no closures or mask lists, condition-code
-    updates go through the preallocated buffer in [state.scratch], and
+    updates go through the preallocated buffer in [state.scratch],
     pipelined results live in the growable arrays of [state.inflight],
-    so {!commit_cycle} allocates nothing.  {!exec_data} allocates a boxed
-    [int32] per ALU result; [ledger.exe trace] counts both per cycle as
+    and values are immediate ints, so neither {!exec_data} nor
+    {!commit_cycle} allocates on the hazard-free path.  A hazard report
+    allocates its event, and so do the first store to an untouched
+    memory page and the growth of the in-flight queue or the store
+    stage.  [ledger.exe trace] counts both phases per cycle as
     [engine.M.exec_words] and [engine.M.commit_words]. *)
 
 open Ximd_isa

@@ -10,22 +10,37 @@ let normalise groups =
   let groups = List.map (List.sort_uniq Int.compare) groups in
   List.sort (fun a b -> Int.compare (List.hd a) (List.hd b)) groups
 
+(* Labels name each FU's SSET by its lowest member, so the SSETs come
+   out sorted and ordered by smallest member, with no sort. *)
+let of_labels labels =
+  let n = Array.length labels in
+  if n = 0 then invalid_arg "Partition.of_labels";
+  let members = Array.make n [] in
+  for fu = n - 1 downto 0 do
+    let l = labels.(fu) in
+    if l < 0 || l > fu || labels.(l) <> l then
+      invalid_arg
+        (Printf.sprintf "Partition.of_labels: FU %d has label %d" fu l);
+    members.(l) <- fu :: members.(l)
+  done;
+  let groups = ref [] in
+  for l = n - 1 downto 0 do
+    match members.(l) with
+    | [] -> ()
+    | sset -> groups := sset :: !groups
+  done;
+  !groups
+
 let of_signatures signatures =
   let n = Array.length signatures in
   if n = 0 then invalid_arg "Partition.of_signatures";
-  (* Group FUs by signature equality, preserving first-seen order. *)
-  let groups = ref [] in
-  for fu = n - 1 downto 0 do
-    let sig_ = signatures.(fu) in
-    let rec insert = function
-      | [] -> [ (sig_, [ fu ]) ]
-      | (s, members) :: rest ->
-        if Ximd_isa.Control.equal s sig_ then (s, fu :: members) :: rest
-        else (s, members) :: insert rest
-    in
-    groups := insert !groups
-  done;
-  normalise (List.map snd !groups)
+  of_labels
+    (Array.init n (fun fu ->
+       let rec first j =
+         if Ximd_isa.Control.equal signatures.(j) signatures.(fu) then j
+         else first (j + 1)
+       in
+       first 0))
 
 let of_ssets groups =
   if groups = [] || List.exists (fun g -> g = []) groups then

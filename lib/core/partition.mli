@@ -23,9 +23,19 @@ val initial : n:int -> t
 (** All FUs in one SSET — "all functional units begin execution together
     at address 00:" (Figure 9 note). *)
 
+val of_labels : int array -> t
+(** [of_labels labels] is the partition in which FU [i] belongs to the
+    SSET whose lowest member is [labels.(i)] — the label vector the
+    engine keeps in [state.scratch] and rewrites in place every cycle.
+    @raise Invalid_argument if [labels] is empty or some label is not
+    the lowest FU carrying it ([labels.(i) <= i] and
+    [labels.(labels.(i)) = labels.(i)]). *)
+
 val of_signatures : Ximd_isa.Control.t array -> t
-(** Groups FUs by normalised-control-signature equality.  The array must
-    already contain normalised signatures (index = FU). *)
+(** Groups FUs by normalised-control-signature equality: each FU's label
+    is the lowest FU with an {!Ximd_isa.Control.equal} signature, and
+    {!of_labels} builds the partition.  The array must already contain
+    normalised signatures (index = FU). *)
 
 val of_ssets : int list list -> t
 (** Builds a partition from explicit SSETs; they must form an exact

@@ -5,9 +5,7 @@ type scratch = {
   was_live : bool array;
   taken : bool array;
   old_pcs : int array;
-  sigs : Control.t array;
-  prev_sigs : Control.t array;
-  mutable prev_sigs_valid : bool;
+  labels : int array;
   str_live : bool array;
   ctrl : Parcel.t array;
   spun : bool array;
@@ -105,9 +103,7 @@ let create ?(config = Config.default) ?faults ?obs program =
         was_live = Array.make n false;
         taken = Array.make n false;
         old_pcs = Array.make n 0;
-        sigs = Array.make n Control.Halt;
-        prev_sigs = Array.make n Control.Halt;
-        prev_sigs_valid = false;
+        labels = Array.make n 0;
         str_live = Array.make n false;
         ctrl = Array.make n Parcel.halted;
         spun = Array.make n false;
@@ -150,7 +146,7 @@ let reset ?program t =
   Array.fill t.sss 0 n Sync.Busy;
   Array.fill t.halted 0 n false;
   t.partition <- Partition.initial ~n;
-  t.scratch.prev_sigs_valid <- false;
+  Array.fill t.scratch.labels 0 n 0;
   t.scratch.cc_len <- 0;
   Array.fill t.scratch.spun 0 n false;
   Array.fill t.scratch.ss_edge 0 n false;

@@ -21,10 +21,13 @@ type scratch = {
   was_live : bool array;     (** liveness at start of cycle *)
   taken : bool array;        (** branch-condition outcomes *)
   old_pcs : int array;       (** PCs at start of cycle *)
-  sigs : Control.t array;    (** normalised control signatures *)
-  prev_sigs : Control.t array;
-      (** previous cycle's signatures, for partition reuse *)
-  mutable prev_sigs_valid : bool;
+  labels : int array;
+      (** the partition as a label vector: FU [i]'s SSET is named by its
+          lowest member, [labels.(i)].  {!Engine} rewrites it in place
+          every cycle and replaces [partition] with
+          [Partition.of_labels labels] only when a label changed, so
+          [partition] is a new value exactly when the grouping changes.
+          All zeros (one SSET) after {!create} and {!reset}. *)
   str_live : bool array;     (** per-stream liveness ({!Engine}) *)
   ctrl : Parcel.t array;     (** per-stream control parcels ({!Engine}) *)
   spun : bool array;         (** per-stream: branch re-selected its PC *)
@@ -33,8 +36,8 @@ type scratch = {
   cc_val : bool array;       (** …with their new values *)
   mutable cc_len : int;
 }
-(** Per-cycle scratch buffers, sized [n_fus], reused every cycle so the
-    simulators allocate nothing per step. *)
+(** Per-cycle scratch buffers, sized [n_fus], reused every cycle instead
+    of allocated per step. *)
 
 type inflight = {
   mutable ifl_len : int;

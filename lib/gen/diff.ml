@@ -82,7 +82,8 @@ let observe_engine model program (config : Core.Config.t) =
           { Observation.cycle = r.cycle;
             pcs = r.pcs;
             ccs = r.ccs;
-            sss = r.sss })
+            sss = r.sss;
+            ssets = Core.Partition.ssets r.partition })
         (Core.Tracer.rows tracer) }
 
 let observe_reference model program config =

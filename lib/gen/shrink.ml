@@ -71,7 +71,8 @@ let delete_row (c : Proggen.case) =
    keep the candidate only if the mask stays non-empty; [Cc]/[Ss] of the
    dropped FU reject the candidate outright (remapping would change
    which signal the branch reads, hiding the divergence more often than
-   not). *)
+   not).  Distributed memory drops its last words as needed to split
+   evenly among the FUs left (the banks move either way). *)
 let drop_fu (c : Proggen.case) =
   let config = c.Proggen.config in
   let n = config.Config.n_fus in
@@ -109,14 +110,16 @@ let drop_fu (c : Proggen.case) =
     in
     if not !ok then []
     else
-      let mem_organisation =
+      let mem_organisation, mem_words =
         match config.Config.mem_organisation with
-        | Ximd_machine.Memory.Shared -> Ximd_machine.Memory.Shared
+        | Ximd_machine.Memory.Shared ->
+          (Ximd_machine.Memory.Shared, config.Config.mem_words)
         | Ximd_machine.Memory.Distributed _ ->
-          Ximd_machine.Memory.Distributed { n_fus = dropped }
+          ( Ximd_machine.Memory.Distributed { n_fus = dropped },
+            config.Config.mem_words - (config.Config.mem_words mod dropped) )
       in
       let config =
-        Config.make ~n_fus:dropped ~mem_words:config.Config.mem_words
+        Config.make ~n_fus:dropped ~mem_words
           ~mem_organisation ~n_ports:config.Config.n_ports
           ~hazard_policy:config.Config.hazard_policy
           ~max_cycles:config.Config.max_cycles

@@ -5,10 +5,16 @@
     32-bit containers; the operation executed decides the interpretation.
     A value is therefore represented as a raw 32-bit pattern, with integer
     and float views.  Float conversions round through IEEE-754 single
-    precision so that bit-level behaviour matches a real 32-bit datapath. *)
+    precision so that bit-level behaviour matches a real 32-bit datapath.
 
-type t
-(** A 32-bit bit pattern. *)
+    A value is an immediate [int] holding the pattern sign-extended to
+    the native width, so registers, memory words and ALU results are
+    never boxed.  This needs 63-bit native ints; the module refuses to
+    load on a narrower platform. *)
+
+type t = private int
+(** A 32-bit bit pattern, sign-extended: bits 31 and up are equal.  The
+    coercion [(v :> int)] is the signed-integer view, like {!to_int}. *)
 
 val zero : t
 val one : t

@@ -4,64 +4,66 @@ type fault = Division_by_zero
 
 exception Fault of fault
 
-let int_op f a b = Value.of_int32 (f (Value.to_int32 a) (Value.to_int32 b))
+(* Operands are {!Value.t}s, native ints holding sign-extended 32-bit
+   patterns, so integer operations compute on the ints and
+   [Value.of_int] wraps the result back to 32 bits.  The float views
+   stay inside this module: returned from a function in another module
+   (built without cross-module inlining), a float is boxed. *)
 
-let float_op f a b =
-  Value.of_float (f (Value.to_float a) (Value.to_float b))
+let[@inline] to_float (v : Value.t) =
+  Int32.float_of_bits (Int32.of_int (v :> int))
 
-let shift f a b =
-  let amount = Int32.to_int (Value.to_int32 b) land 31 in
-  Value.of_int32 (f (Value.to_int32 a) amount)
+let[@inline] of_float f = Value.of_int (Int32.to_int (Int32.bits_of_float f))
 
-let eval_bin_exn (op : Opcode.binop) a b =
+let eval_bin_exn (op : Opcode.binop) (a : Value.t) (b : Value.t) =
+  let x = (a :> int) and y = (b :> int) in
   match op with
-  | Iadd -> int_op Int32.add a b
-  | Isub -> int_op Int32.sub a b
-  | Imult -> int_op Int32.mul a b
+  | Iadd -> Value.of_int (x + y)
+  | Isub -> Value.of_int (x - y)
+  | Imult -> Value.of_int (x * y)
   | Idiv ->
-    if Value.equal b Value.zero then raise (Fault Division_by_zero)
-    else int_op Int32.div a b
+    if y = 0 then raise (Fault Division_by_zero) else Value.of_int (x / y)
   | Imod ->
-    if Value.equal b Value.zero then raise (Fault Division_by_zero)
-    else int_op Int32.rem a b
-  | And -> int_op Int32.logand a b
-  | Or -> int_op Int32.logor a b
-  | Xor -> int_op Int32.logxor a b
-  | Shl -> shift Int32.shift_left a b
-  | Shr -> shift Int32.shift_right_logical a b
-  | Sar -> shift Int32.shift_right a b
-  | Fadd -> float_op ( +. ) a b
-  | Fsub -> float_op ( -. ) a b
-  | Fmult -> float_op ( *. ) a b
-  | Fdiv -> float_op ( /. ) a b
+    if y = 0 then raise (Fault Division_by_zero) else Value.of_int (x mod y)
+  | And -> Value.of_int (x land y)
+  | Or -> Value.of_int (x lor y)
+  | Xor -> Value.of_int (x lxor y)
+  | Shl -> Value.of_int (x lsl (y land 31))
+  | Shr -> Value.of_int ((x land 0xffff_ffff) lsr (y land 31))
+  | Sar -> Value.of_int (x asr (y land 31))
+  | Fadd -> of_float (to_float a +. to_float b)
+  | Fsub -> of_float (to_float a -. to_float b)
+  | Fmult -> of_float (to_float a *. to_float b)
+  | Fdiv -> of_float (to_float a /. to_float b)
 
 let eval_bin op a b =
   match eval_bin_exn op a b with
   | v -> Ok v
   | exception Fault f -> Error f
 
-let eval_un (op : Opcode.unop) a =
+let eval_un (op : Opcode.unop) (a : Value.t) =
   match op with
   | Mov -> a
-  | Ineg -> Value.of_int32 (Int32.neg (Value.to_int32 a))
-  | Not -> Value.of_int32 (Int32.lognot (Value.to_int32 a))
-  | Fneg -> Value.of_float (-.Value.to_float a)
-  | Itof -> Value.of_float (Int32.to_float (Value.to_int32 a))
-  | Ftoi -> Value.of_int32 (Int32.of_float (Value.to_float a))
+  | Ineg -> Value.of_int (-(a :> int))
+  | Not -> Value.of_int (lnot (a :> int))
+  | Fneg -> of_float (-.to_float a)
+  | Itof -> of_float (float_of_int (a :> int))
+  | Ftoi -> Value.of_int (Int32.to_int (Int32.of_float (to_float a)))
 
-let eval_cmp (op : Opcode.cmpop) a b =
-  let ic f = f (Int32.compare (Value.to_int32 a) (Value.to_int32 b)) 0 in
-  let fc f = f (compare (Value.to_float a) (Value.to_float b)) 0 in
+(* Float comparisons keep [Float.compare]'s total order, in which NaN
+   equals itself and sorts below every other float. *)
+let eval_cmp (op : Opcode.cmpop) (a : Value.t) (b : Value.t) =
+  let x = (a :> int) and y = (b :> int) in
   match op with
-  | Eq -> ic ( = )
-  | Ne -> ic ( <> )
-  | Lt -> ic ( < )
-  | Le -> ic ( <= )
-  | Gt -> ic ( > )
-  | Ge -> ic ( >= )
-  | Feq -> fc ( = )
-  | Fne -> fc ( <> )
-  | Flt -> fc ( < )
-  | Fle -> fc ( <= )
-  | Fgt -> fc ( > )
-  | Fge -> fc ( >= )
+  | Eq -> x = y
+  | Ne -> x <> y
+  | Lt -> x < y
+  | Le -> x <= y
+  | Gt -> x > y
+  | Ge -> x >= y
+  | Feq -> Float.compare (to_float a) (to_float b) = 0
+  | Fne -> Float.compare (to_float a) (to_float b) <> 0
+  | Flt -> Float.compare (to_float a) (to_float b) < 0
+  | Fle -> Float.compare (to_float a) (to_float b) <= 0
+  | Fgt -> Float.compare (to_float a) (to_float b) > 0
+  | Fge -> Float.compare (to_float a) (to_float b) >= 0

@@ -12,7 +12,13 @@
 
     Float semantics: operands are reinterpreted as IEEE-754 single
     precision, the operation is computed, and the result is rounded back
-    to single precision, matching a 32-bit hardware datapath. *)
+    to single precision, matching a 32-bit hardware datapath.  Float
+    compares use [Float.compare]'s order (NaN equals NaN and sorts
+    first).
+
+    Operands and results are {!Ximd_isa.Value.t}s, immediate ints, and
+    the float views never leave this module, so no evaluation
+    allocates except a fault. *)
 
 open Ximd_isa
 

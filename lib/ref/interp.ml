@@ -33,6 +33,7 @@ module Run = Ximd_core.Run
       sequencer, where sync signals have no architectural role), a
       branching stream's FUs drive the sync values of their parcels and
       all receive the selected next PC.
+   6. The SSETs for the next cycle form (DESIGN.md §5).
 
    After the last FU halts, remaining pipeline results drain in issue
    order, one cycle per write-back stage.
@@ -67,6 +68,7 @@ type machine = {
   mutable pending : pending_write list;  (* issue order *)
   mutable hazards : (int * Hazard.t) list;  (* chronological *)
   mutable trace : Observation.row list;  (* chronological *)
+  mutable ssets : int list list;  (* the partition in effect *)
 }
 
 let hazard m h = m.hazards <- m.hazards @ [ (m.cycle, h) ]
@@ -366,6 +368,50 @@ let commit_cycle m ~staged ~compares =
   List.iter (fun (fu, value) -> m.ccs.(fu) <- Some value) compares
 
 (* ------------------------------------------------------------------ *)
+(* SSETs (DESIGN.md §5), restated here instead of taken from the
+   engine's [Partition], so the lockstep check judges the engine's
+   partition too.  Two FUs share an SSET when their control states
+   provably move together: under per-FU sequencers, when the control
+   operations they executed lead to the same next state; under two
+   banks, when the banks go to the same address; under the global
+   sequencer, always. *)
+
+(* Where an executed control operation leads, its targets resolved
+   against its PC.  A branch whose two targets coincide jumps, whatever
+   its condition. *)
+type successor =
+  | Stopped  (* the FU halted, now or before *)
+  | Jump of int
+  | Fork of Cond.t * int * int  (* condition, taken, not taken *)
+
+let successor ~pc (control : Control.t) =
+  match control with
+  | Control.Halt -> Stopped
+  | Control.Branch { cond; t1; t2 } -> (
+    let resolve = function
+      | Control.Addr a -> a
+      | Control.Fallthrough -> pc + 1
+    in
+    let a1 = resolve t1 and a2 = resolve t2 in
+    if a1 = a2 then Jump a1
+    else
+      match cond with
+      | Cond.Always1 -> Jump a1
+      | Cond.Always2 -> Jump a2
+      | Cond.Cc _ | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ ->
+        Fork (cond, a1, a2))
+
+(* FUs with equal keys share an SSET; members ascending, SSETs ordered
+   by lowest member. *)
+let group_by n key =
+  let fus = List.init n (fun fu -> fu) in
+  List.filter_map
+    (fun fu ->
+      if List.exists (fun j -> j < fu && key j = key fu) fus then None
+      else Some (List.filter (fun j -> key j = key fu) fus))
+    fus
+
+(* ------------------------------------------------------------------ *)
 (* One machine cycle                                                   *)
 
 let record_trace m =
@@ -375,7 +421,8 @@ let record_trace m =
         Array.init m.n (fun fu ->
           if m.halted.(fu) then None else Some m.pcs.(fu));
       ccs = Array.copy m.ccs;
-      sss = Array.copy m.sss }
+      sss = Array.copy m.sss;
+      ssets = m.ssets }
   in
   m.trace <- m.trace @ [ row ]
 
@@ -462,6 +509,16 @@ let step model m =
       compares := !compares @ exec_compare m ~fu data
     end
   done;
+  (* Under per-FU sequencers, where each FU's executed control operation
+     leads, read before step 5 moves the PCs. *)
+  let executed =
+    Array.init m.n (fun fu ->
+      match model with
+      | Per_fu when live_member fu fu ->
+        let _, _, parcels = List.nth fetched fu in
+        successor ~pc:m.pcs.(fu) parcels.(fu).Parcel.control
+      | Per_fu | Global | Banked -> Stopped)
+  in
   (* 4. End-of-cycle commit. *)
   commit_cycle m ~staged:!staged ~compares:!compares;
   (* 5. Control commit, one stream at a time: halts stop member FUs
@@ -499,6 +556,19 @@ let step model m =
              done
            | None -> assert false))
     taken;
+  (* 6. The SSETs for the next cycle.  Every halted FU is [Stopped], so
+     they share one SSET; two stopped banks merge. *)
+  (match model with
+   | Global -> ()
+   | Per_fu -> m.ssets <- group_by m.n (fun fu -> executed.(fu))
+   | Banked ->
+     let half = m.n / 2 in
+     let next leader =
+       let pc = m.pcs.(leader) in
+       if m.halted.(leader) || pc < 0 || pc >= program_length then Stopped
+       else Jump pc
+     in
+     m.ssets <- group_by m.n (fun fu -> next (if fu < half then 0 else half)));
   m.cycle <- m.cycle + 1
 
 (* ------------------------------------------------------------------ *)
@@ -555,7 +625,8 @@ let create config program =
     cycle = 0;
     pending = [];
     hazards = [];
-    trace = [] }
+    trace = [];
+    ssets = [ List.init n (fun fu -> fu) ] }
 
 (* Drain the datapath pipeline after the last FU halts: remaining
    results commit in issue order over the following "cycles". *)

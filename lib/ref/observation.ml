@@ -12,6 +12,9 @@ type row = {
   pcs : int option array;  (* per FU; [None] = halted at top of cycle *)
   ccs : bool option array;
   sss : Sync.t array;
+  ssets : int list list;
+      (* the partition in effect: members ascending, SSETs ordered by
+         lowest member *)
 }
 
 type t = {
@@ -41,6 +44,7 @@ let row_equal a b =
   && Array.for_all2 (Option.equal Int.equal) a.pcs b.pcs
   && Array.for_all2 (Option.equal Bool.equal) a.ccs b.ccs
   && Array.for_all2 Sync.equal a.sss b.sss
+  && List.equal (List.equal Int.equal) a.ssets b.ssets
 
 let equal a b =
   outcome_string a.outcome = outcome_string b.outcome
@@ -59,7 +63,7 @@ let equal a b =
   && List.equal row_equal a.trace b.trace
 
 let pp_row fmt r =
-  Format.fprintf fmt "cycle %-3d pc=[%s] cc=[%s] ss=[%s]" r.cycle
+  Format.fprintf fmt "cycle %-3d pc=[%s] cc=[%s] ss=[%s] ssets=%s" r.cycle
     (String.concat " "
        (Array.to_list
           (Array.map
@@ -75,6 +79,11 @@ let pp_row fmt r =
           (Array.map
              (fun s -> if Sync.equal s Sync.Done then "D" else "B")
              r.sss)))
+    (String.concat ""
+       (List.map
+          (fun sset ->
+            "{" ^ String.concat "," (List.map string_of_int sset) ^ "}")
+          r.ssets))
 
 (* Byte-stable plain-text summary: the sidecar format of the conformance
    suites.  Deliberately omits the trace (which scales with cycle count)

@@ -8,6 +8,9 @@ type row = {
   pcs : int option array;  (** per FU; [None] = halted at top of cycle *)
   ccs : bool option array;
   sss : Sync.t array;
+  ssets : int list list;
+      (** the partition in effect at the top of the cycle: SSETs with
+          members ascending, ordered by lowest member *)
 }
 
 type t = {
@@ -24,6 +27,8 @@ val outcome_string : Ximd_core.Run.outcome -> string
 val row_equal : row -> row -> bool
 val equal : t -> t -> bool
 val pp_row : Format.formatter -> row -> unit
+(** One trace row, with the SSETs in the paper's notation
+    ([ssets={0,1}{2}]). *)
 
 val summary : t -> string
 (** Byte-stable plain-text summary (without the trace): the sidecar

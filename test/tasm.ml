@@ -151,6 +151,44 @@ let test_source_roundtrip_bitcount () =
   Alcotest.(check bool) "roundtrip" true
     (Ximd_core.Program.equal_code original reparsed)
 
+(* [rows] labelled rows on one FU, each branching to the next label (the
+   last back to the first). *)
+let labelled_chain rows =
+  let buf = Buffer.create (rows * 24) in
+  Buffer.add_string buf ".fus 1\n";
+  for r = 0 to rows - 1 do
+    Printf.bprintf buf "l%d:\n  [0] nop | -> l%d\n" r ((r + 1) mod rows)
+  done;
+  Buffer.contents buf
+
+(* Parsing must stay linear in the label count: 4x the labelled rows may
+   take well under 16x the time (on a 2-vCPU VM a quadratic parser took
+   14-19x, a linear one 4-5x).  Each size is the median of five parses;
+   the sizes alternate, so a burst of load on the host hits both
+   alike. *)
+let test_parse_linear_in_labels () =
+  let parse rows text =
+    let t0 = Unix.gettimeofday () in
+    let p = parse_ok text in
+    let dt = Unix.gettimeofday () -. t0 in
+    for r = 0 to rows - 1 do
+      match Ximd_core.Program.fetch p ~fu:0 ~addr:r with
+      | Some { control; _ } ->
+        if not (Control.equal control (Control.goto ((r + 1) mod rows))) then
+          Alcotest.failf "row %d of %d: wrong target" r rows
+      | None -> Alcotest.failf "row %d of %d missing" r rows
+    done;
+    dt
+  in
+  let small = labelled_chain 4096 and large = labelled_chain 16384 in
+  let times = List.init 5 (fun _ -> (parse 4096 small, parse 16384 large)) in
+  let median xs = List.nth (List.sort Float.compare xs) 2 in
+  let small = median (List.map fst times)
+  and large = median (List.map snd times) in
+  if large >= 8. *. small then
+    Alcotest.failf "4x the labels took %.1fx as long (%.4fs vs %.4fs)"
+      (large /. small) large small
+
 (* --- Builder ----------------------------------------------------------- *)
 
 let test_builder_forward_labels () =
@@ -237,6 +275,8 @@ let suite =
           test_source_roundtrip;
         Alcotest.test_case "bitcount source roundtrip" `Quick
           test_source_roundtrip_bitcount;
+        Alcotest.test_case "parse linear in label count" `Quick
+          test_parse_linear_in_labels;
         Alcotest.test_case "builder forward labels" `Quick
           test_builder_forward_labels;
         Alcotest.test_case "builder errors" `Quick test_builder_errors;

@@ -139,6 +139,27 @@ let test_shrink_reaches_minimum () =
   let shrunk = Shrink.minimise ~predicate:(fun _ -> true) case in
   Alcotest.(check int) "one parcel left" 1 (Shrink.parcels shrunk)
 
+let test_shrink_drop_fu_distributed () =
+  (* 256 distributed words do not split among 3 FUs: dropping an FU from
+     4 must also trim the memory, or every candidate the shrinker runs
+     on the engine raises. *)
+  let config =
+    Ximd_core.Config.make ~n_fus:4 ~mem_words:256
+      ~mem_organisation:(Ximd_machine.Memory.Distributed { n_fus = 4 }) ()
+  in
+  let case =
+    { Proggen.program =
+        Ximd_core.Program.of_rows ~n_fus:4
+          [ List.init 4 (fun _ -> Ximd_isa.Parcel.halted) ];
+      config }
+  in
+  let runs (c : Proggen.case) =
+    ignore (Ximd_core.State.create ~config:c.config c.program);
+    true
+  in
+  let shrunk = Shrink.minimise ~predicate:runs case in
+  Alcotest.(check int) "one FU left" 1 shrunk.config.n_fus
+
 (* --- Conformance plumbing ------------------------------------------------ *)
 
 let test_directives_roundtrip () =
@@ -214,6 +235,8 @@ let suite =
         Alcotest.test_case "applicable models" `Quick test_applicable_models;
         Alcotest.test_case "shrink to minimum" `Quick
           test_shrink_reaches_minimum;
+        Alcotest.test_case "shrink drops FUs of distributed memory" `Quick
+          test_shrink_drop_fu_distributed;
         Alcotest.test_case "conf directives" `Quick test_directives_roundtrip;
         Alcotest.test_case "conf directives: malformed are structured errors"
           `Quick test_directives_malformed ]

@@ -73,7 +73,12 @@ let test_tproc_vliw_parity () =
 
 (* Every experiment bench/main.exe regenerates, except the "all" and
    "ablations" aggregates, which only run the others in turn. *)
+(* Every experiment runs, e2 reproduces Figure 10, and the whole report
+   — partitions, cycle counts and speed-ups included — is byte for byte
+   what [bench/main.exe] (which runs [all] then [ablations]) printed
+   when goldens/experiments.txt was pinned. *)
 let test_experiments_run () =
+  let known = Ximd_report.Experiments.known @ Ximd_report.Ablations.known in
   List.iter
     (fun (id, run) ->
       if id <> "all" && id <> "ablations" then
@@ -86,7 +91,11 @@ let test_experiments_run () =
               (List.exists
                  (String.starts_with ~prefix:"figure-10 agreement: EXACT")
                  (String.split_on_char '\n' text)))
-    (Ximd_report.Experiments.known @ Ximd_report.Ablations.known)
+    known;
+  let report id = Format.asprintf "@[<v>%t@]@." (List.assoc id known) in
+  check "all and ablations match the golden"
+    (In_channel.with_open_text "goldens/experiments.txt" In_channel.input_all)
+    (report "all" ^ report "ablations")
 
 let suite =
   [ ( "golden",

@@ -137,6 +137,118 @@ let prop_partition_of_signatures_sound =
         (Ximd_core.Partition.ssets p)
       && Ximd_core.Partition.n_fus p = Array.length signatures)
 
+(* Controls over a tiny address space, so that signatures collide:
+   every condition constructor, [Addr] and [Fallthrough] targets, equal
+   and distinct target pairs.  Half the pairs re-spell one control for
+   the other: [Fallthrough] and the address it resolves to swapped, at
+   the same PC. *)
+let gen_signature_pair =
+  let open Gen in
+  let pc = int_range 0 3 in
+  let target =
+    oneof
+      [ map (fun a -> Control.Addr a) (int_range 0 4);
+        pure Control.Fallthrough ]
+  in
+  let cond =
+    oneof
+      [ pure Cond.Always1; pure Cond.Always2;
+        map (fun j -> Cond.Cc j) (int_bound 1);
+        map (fun j -> Cond.Ss j) (int_bound 1);
+        map (fun m -> Cond.All_ss m) (int_range 1 3);
+        map (fun m -> Cond.Any_ss m) (int_range 1 3) ]
+  in
+  let control =
+    frequency
+      [ (1, pure Control.Halt);
+        ( 6,
+          map3
+            (fun cond t1 t2 -> Control.Branch { cond; t1; t2 })
+            cond target target );
+        ( 2,
+          map2
+            (fun cond t -> Control.Branch { cond; t1 = t; t2 = t })
+            cond target ) ]
+  in
+  let respell ~pc (c : Control.t) =
+    let swap : Control.target -> Control.target = function
+      | Control.Fallthrough -> Control.Addr (pc + 1)
+      | Control.Addr a when a = pc + 1 -> Control.Fallthrough
+      | Control.Addr _ as t -> t
+    in
+    match c with
+    | Control.Halt -> c
+    | Control.Branch { cond; t1; t2 } ->
+      Control.Branch { cond; t1 = swap t1; t2 = swap t2 }
+  in
+  pair control pc >>= fun (a, pc_a) ->
+  bool >>= fun respelt ->
+  if respelt then pure (a, pc_a, respell ~pc:pc_a a, pc_a)
+  else map2 (fun b pc_b -> (a, pc_a, b, pc_b)) control pc
+
+let prop_same_signature =
+  QCheck2.Test.make ~count:2000 ~name:"same_signature = equal of normalised"
+    gen_signature_pair (fun (a, pc_a, b, pc_b) ->
+      Control.same_signature a ~pc_a b ~pc_b
+      = Control.equal
+          (Control.normalised_signature a ~pc:pc_a)
+          (Control.normalised_signature b ~pc:pc_b))
+
+(* After every step, the engine's partition is the one the step's
+   signatures define (each executed control operation normalised at its
+   PC under per-FU sequencers, each bank's next PC under two banks), and
+   it is a new value exactly when the grouping changed. *)
+let prop_partition_per_step =
+  QCheck2.Test.make ~count:150 ~name:"engine partition per step"
+    Ximd_gen.Proggen.case (fun (c : Ximd_gen.Proggen.case) ->
+      let program = c.program in
+      let n = Ximd_core.Program.n_fus program in
+      let len = Ximd_core.Program.length program in
+      let in_range pc = pc >= 0 && pc < len in
+      let check model =
+        let state = Ximd_core.State.create ~config:c.config program in
+        let ok = ref true in
+        while
+          !ok
+          && (not (Ximd_core.State.all_halted state))
+          && state.cycle < c.config.max_cycles
+        do
+          let pcs = Array.copy state.pcs
+          and halted = Array.copy state.halted
+          and before = state.partition in
+          Ximd_core.Engine.step model state;
+          let signature fu : Control.t =
+            match model with
+            | Ximd_core.Engine.Banked ->
+              let leader = if fu < n / 2 then 0 else n / 2 in
+              let pc = state.pcs.(leader) in
+              if state.halted.(leader) || not (in_range pc) then Control.Halt
+              else Control.goto pc
+            | Ximd_core.Engine.Per_fu | Ximd_core.Engine.Global ->
+              if halted.(fu) || not (in_range pcs.(fu)) then Control.Halt
+              else
+                Control.normalised_signature
+                  (Ximd_core.Program.row program pcs.(fu)).(fu).control
+                  ~pc:pcs.(fu)
+          in
+          let expected =
+            Ximd_core.Partition.of_signatures (Array.init n signature)
+          in
+          ok :=
+            Ximd_core.Partition.equal state.partition expected
+            && state.partition != before
+               = not (Ximd_core.Partition.equal state.partition before)
+        done;
+        !ok
+      in
+      List.for_all
+        (fun (m : Ximd_gen.Diff.model) ->
+          match m with
+          | Per_fu -> check Ximd_core.Engine.Per_fu
+          | Banked -> check Ximd_core.Engine.Banked
+          | Global -> true)
+        (Ximd_gen.Diff.applicable_models program))
+
 (* --- ALU ------------------------------------------------------------------ *)
 
 let gen_value = Gen.map Value.of_int (Gen.int_range (-1 lsl 31) ((1 lsl 31) - 1))
@@ -182,6 +294,117 @@ let prop_alu_shift_mask =
     (Gen.pair gen_value (Gen.int_range 0 200)) (fun (a, s) ->
       let sh n = Ximd_machine.Alu.eval_bin Opcode.Shl a (Value.of_int n) in
       sh s = sh (s land 31))
+
+(* The data path computes on immediate ints.  It must agree, bit for
+   bit, with the plain int32 formulas, restated here. *)
+module Old_alu = struct
+  let fl = Int32.float_of_bits
+  let of_fl = Int32.bits_of_float
+
+  (* [None]: division by zero. *)
+  let bin (op : Opcode.binop) a b =
+    let shift f = Some (f a (Int32.to_int b land 31)) in
+    let div f = if Int32.equal b 0l then None else Some (f a b) in
+    match op with
+    | Iadd -> Some (Int32.add a b)
+    | Isub -> Some (Int32.sub a b)
+    | Imult -> Some (Int32.mul a b)
+    | Idiv -> div Int32.div
+    | Imod -> div Int32.rem
+    | And -> Some (Int32.logand a b)
+    | Or -> Some (Int32.logor a b)
+    | Xor -> Some (Int32.logxor a b)
+    | Shl -> shift Int32.shift_left
+    | Shr -> shift Int32.shift_right_logical
+    | Sar -> shift Int32.shift_right
+    | Fadd -> Some (of_fl (fl a +. fl b))
+    | Fsub -> Some (of_fl (fl a -. fl b))
+    | Fmult -> Some (of_fl (fl a *. fl b))
+    | Fdiv -> Some (of_fl (fl a /. fl b))
+
+  let un (op : Opcode.unop) a =
+    match op with
+    | Mov -> a
+    | Ineg -> Int32.neg a
+    | Not -> Int32.lognot a
+    | Fneg -> of_fl (-.fl a)
+    | Itof -> of_fl (Int32.to_float a)
+    | Ftoi -> Int32.of_float (fl a)
+
+  let cmp (op : Opcode.cmpop) a b =
+    let ic rel = rel (Int32.compare a b) 0 in
+    let fc rel = rel (compare (fl a) (fl b)) 0 in
+    match op with
+    | Eq -> ic ( = )
+    | Ne -> ic ( <> )
+    | Lt -> ic ( < )
+    | Le -> ic ( <= )
+    | Gt -> ic ( > )
+    | Ge -> ic ( >= )
+    | Feq -> fc ( = )
+    | Fne -> fc ( <> )
+    | Flt -> fc ( < )
+    | Fle -> fc ( <= )
+    | Fgt -> fc ( > )
+    | Fge -> fc ( >= )
+end
+
+let edge_patterns =
+  [ 0l; 1l; -1l; Int32.min_int; Int32.max_int; 31l; 32l; 63l;
+    Int32.bits_of_float Float.nan; 0x7fc0_0001l (* another NaN *);
+    Int32.bits_of_float Float.infinity; Int32.bits_of_float Float.neg_infinity;
+    1l (* smallest denormal *); 0x807f_ffffl (* largest negative denormal *);
+    Int32.bits_of_float 1.5; Int32.bits_of_float (-3e9);
+    Int32.bits_of_float 3e9 ]
+
+let gen_pattern =
+  Gen.(frequency [ (1, oneofl edge_patterns); (2, int32) ])
+
+let all_binops : Opcode.binop list =
+  [ Iadd; Isub; Imult; Idiv; Imod; And; Or; Xor; Shl; Shr; Sar;
+    Fadd; Fsub; Fmult; Fdiv ]
+
+let all_unops : Opcode.unop list = [ Mov; Ineg; Not; Fneg; Itof; Ftoi ]
+
+let all_cmpops : Opcode.cmpop list =
+  [ Eq; Ne; Lt; Le; Gt; Ge; Feq; Fne; Flt; Fle; Fgt; Fge ]
+
+let prop_alu_matches_int32 =
+  QCheck2.Test.make ~count:2000 ~name:"ALU agrees with the int32 formulas"
+    (Gen.pair gen_pattern gen_pattern) (fun (a, b) ->
+      let va = Value.of_int32 a and vb = Value.of_int32 b in
+      List.for_all
+        (fun op ->
+          match
+            (Old_alu.bin op a b, Ximd_machine.Alu.eval_bin_exn op va vb)
+          with
+          | Some r, v -> Int32.equal r (Value.to_int32 v)
+          | None, _ -> false
+          | exception Ximd_machine.Alu.Fault Division_by_zero ->
+            Old_alu.bin op a b = None)
+        all_binops
+      && List.for_all
+           (fun op ->
+             Int32.equal (Old_alu.un op a)
+               (Value.to_int32 (Ximd_machine.Alu.eval_un op va)))
+           all_unops
+      && List.for_all
+           (fun op ->
+             Old_alu.cmp op a b = Ximd_machine.Alu.eval_cmp op va vb)
+           all_cmpops)
+
+let prop_value_int32_views =
+  QCheck2.Test.make ~count:1000 ~name:"value round-trips and prints as int32"
+    (Gen.pair gen_pattern Gen.int) (fun (a, n) ->
+      let v = Value.of_int32 a in
+      Int32.equal (Value.to_int32 v) a
+      && Value.to_int v = Int32.to_int a
+      && Value.equal (Value.of_int n) (Value.of_int32 (Int32.of_int n))
+      && Value.to_string v = Int32.to_string a
+      && Format.asprintf "%a" Value.pp v = Printf.sprintf "%ld" a
+      && Format.asprintf "%a" Value.pp_hex v = Printf.sprintf "0x%08lx" a
+      && Format.asprintf "%a" Value.pp_float v
+         = Printf.sprintf "%h" (Int32.float_of_bits a))
 
 (* --- Scheduler -------------------------------------------------------------- *)
 
@@ -492,6 +715,10 @@ let suite =
           prop_alu_sub_add_inverse;
           prop_alu_compare_trichotomy;
           prop_alu_shift_mask;
+          prop_alu_matches_int32;
+          prop_value_int32_views;
+          prop_same_signature;
+          prop_partition_per_step;
           prop_listsched_valid;
           prop_pipeliner_valid;
           prop_compile_matches_interp;
