@@ -1,6 +1,7 @@
 (* Shared plumbing for the command-line tools: the xsim/vsim simulators
-   use the full run pipeline; xcc reuses [exits] (the canonical
-   Run.exit_codes table rendered for cmdliner) and [write_output]. *)
+   use the full run pipeline; xcc reuses [run_and_report], [exits] (the
+   canonical Run.exit_codes table rendered for cmdliner) and
+   [write_output]. *)
 
 open Cmdliner
 open Ximd_isa
@@ -242,8 +243,6 @@ let postmortem_arg =
               $(b,json).  Without this option a text postmortem is \
               printed only when the run deadlocks.")
 
-type simulator = Xsim | Vsim | T500
-
 (* Writes [contents] to [path], "-" meaning stdout. *)
 let write_output path contents =
   if path = "-" then print_string contents
@@ -256,12 +255,39 @@ let write_output path contents =
 (* A one-line JSON document, newline-terminated. *)
 let write_json path json = write_output path (Ximd_json.to_string json ^ "\n")
 
+(* The steps every CLI run shares.  [run ()] runs the program (more
+   than once under --repeat): a hazard under the [Raise] policy prints
+   "hazard: ..." and exits 2, a program its model rejects exits 1.
+   Then the tracer's Figure 10 table and the outcome are printed,
+   [report] prints what the tool adds, and the process exits with the
+   outcome's code; the call returns only when that code is 0.  The
+   canonical table lives in {!Ximd_core.Run.exit_codes}; --help's EXIT
+   STATUS section and the README document the same values. *)
+let run_and_report ?tracer ~report run =
+  let outcome =
+    try run () with
+    | Ximd_machine.Hazard.Error event ->
+      Printf.eprintf "hazard: %s\n"
+        (Format.asprintf "%a" Ximd_machine.Hazard.pp_event event);
+      exit 2
+    | Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 1
+  in
+  (match tracer with
+   | Some t ->
+     Format.printf "%a@." (Ximd_core.Tracer.pp_figure10 ?comments:None) t
+   | None -> ());
+  Format.printf "%a@." Ximd_core.Run.pp outcome;
+  report outcome;
+  match Ximd_core.Run.exit_code outcome with 0 -> () | code -> exit code
+
 (* --compare short-circuits the normal run: both sides execute inside
    {!Ximd_report.Compare} sessions with accounting sinks attached, and
    the process exits with the worse of the two outcomes' codes. *)
-let run_compare sim program compare_path compare_json ~max_cycles
+let run_compare model program compare_path compare_json ~max_cycles
     ~record_hazards ~reg_inits ~mem_inits =
-  if sim <> Xsim then begin
+  if model <> Ximd_core.Engine.Per_fu then begin
     Printf.eprintf "--compare is only available on xsim\n";
     exit 1
   end;
@@ -305,7 +331,7 @@ let run_compare sim program compare_path compare_json ~max_cycles
             (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.ximd.outcome)
             (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.vliw.outcome)))
 
-let run_simulator sim path trace listing stats max_cycles cycle_budget
+let run_simulator model path trace listing stats max_cycles cycle_budget
     record_hazards
     detect_deadlock deadlock_window inject repeat postmortem trace_events
     metrics_file profile timeline account_file critical_path profile_folded
@@ -326,7 +352,7 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
   | Ok program ->
     (match compare_file with
      | Some compare_path ->
-       run_compare sim program compare_path compare_json ~max_cycles
+       run_compare model program compare_path compare_json ~max_cycles
          ~record_hazards ~reg_inits ~mem_inits
      | None -> ());
     let config =
@@ -369,12 +395,6 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
              ())
       else None
     in
-    let model =
-      match sim with
-      | Xsim -> Ximd_core.Engine.Per_fu
-      | Vsim -> Ximd_core.Engine.Global
-      | T500 -> Ximd_core.Engine.Banked
-    in
     let session =
       try Ximd_core.Session.create ~config ?faults ?obs ~model program
       with Invalid_argument msg ->
@@ -399,19 +419,10 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
       else None
     in
     let run_once ?tracer () =
-      try
-        Ximd_core.Session.run ?tracer ?watchdog ?budget:cycle_budget ~setup
-          session
-      with
-      | Ximd_machine.Hazard.Error event ->
-        Printf.eprintf "hazard: %s\n"
-          (Format.asprintf "%a" Ximd_machine.Hazard.pp_event event);
-        exit 2
-      | Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
+      Ximd_core.Session.run ?tracer ?watchdog ?budget:cycle_budget ~setup
+        session
     in
-    let outcome =
+    let run () =
       if repeat = 1 then run_once ?tracer ()
       else begin
         (* The tracer (and every other diagnostic) reflects the final
@@ -431,144 +442,138 @@ let run_simulator sim path trace listing stats max_cycles cycle_budget
         !last
       end
     in
-    (match tracer with
-     | Some t -> Format.printf "%a@." (Ximd_core.Tracer.pp_figure10 ?comments:None) t
-     | None -> ());
-    Format.printf "%a@." Ximd_core.Run.pp outcome;
-    (match dump_regs with
-     | None -> ()
-     | Some spec ->
-       String.split_on_char ',' spec
-       |> List.iter (fun name ->
-            match Reg.of_string (String.trim name) with
-            | Some r ->
-              Format.printf "%a = %a@." Reg.pp r Value.pp
-                (Ximd_machine.Regfile.read state.regs r)
-            | None -> Printf.eprintf "bad register %s\n" name));
-    (match dump_mem with
-     | None -> ()
-     | Some (addr, len) ->
-       for a = addr to addr + len - 1 do
-         Format.printf "M[%d] = %a@." a Value.pp
-           (Ximd_core.State.mem_get state a)
-       done);
-    if stats then Format.printf "%a@." Ximd_core.Stats.pp state.stats;
-    (match obs with
-     | None -> ()
-     | Some sink ->
-       let dropped = Ximd_obs.Sink.dropped_events sink in
-       if dropped > 0 then
-         Printf.eprintf
-           "warning: %d observability events dropped (ring overflow, \
-            oldest first); raise the ring capacity or narrow the run\n%!"
-           dropped;
-       let pc_label pc = Ximd_core.Program.label_at program pc in
-       (match trace_events with
-        | None -> ()
-        | Some path ->
-          write_output path (Ximd_obs.Chrome.to_string ~pc_label sink));
-       (match metrics_file with
-        | None -> ()
-        | Some path ->
-          write_json path (Ximd_obs.Sink.metrics_json sink));
-       if profile then begin
-         match Ximd_obs.Sink.profile sink with
-         | None -> ()
-         | Some prof ->
-           let describe pc =
-             let label =
-               match pc_label pc with Some l -> l ^ ":" | None -> ""
-             in
-             if pc < 0 || pc >= Ximd_core.Program.length program then label
-             else begin
-               let row = Ximd_core.Program.row program pc in
-               let ops =
-                 Array.to_list row
-                 |> List.filter_map (fun (p : Ximd_isa.Parcel.t) ->
-                      if Ximd_isa.Parcel.is_nop p.data then None
-                      else
-                        Some
-                          (Format.asprintf "%a" Ximd_isa.Parcel.pp_data
-                             p.data))
-               in
-               match ops with
-               | [] -> label
-               | _ ->
-                 (if label = "" then "" else label ^ " ")
-                 ^ String.concat "; " ops
-             end
-           in
-           Format.printf "%a@." (Ximd_obs.Profile.pp ~describe) prof
-       end;
-       if timeline then begin
-         Format.printf "SSET timeline (cycle range, members):@.%a@."
-           Ximd_obs.Timeline.pp
-           (Ximd_obs.Sink.timeline sink);
-         Format.printf "%a@." Ximd_obs.Sink.pp_summary sink
-       end;
-       (match profile_folded with
-        | None -> ()
-        | Some out ->
-          (match Ximd_obs.Sink.profile sink with
+    let report outcome =
+      (match dump_regs with
+       | None -> ()
+       | Some spec ->
+         String.split_on_char ',' spec
+         |> List.iter (fun name ->
+              match Reg.of_string (String.trim name) with
+              | Some r ->
+                Format.printf "%a = %a@." Reg.pp r Value.pp
+                  (Ximd_machine.Regfile.read state.regs r)
+              | None -> Printf.eprintf "bad register %s\n" name));
+      (match dump_mem with
+       | None -> ()
+       | Some (addr, len) ->
+         for a = addr to addr + len - 1 do
+           Format.printf "M[%d] = %a@." a Value.pp
+             (Ximd_core.State.mem_get state a)
+         done);
+      if stats then Format.printf "%a@." Ximd_core.Stats.pp state.stats;
+      (match obs with
+       | None -> ()
+       | Some sink ->
+         let dropped = Ximd_obs.Sink.dropped_events sink in
+         if dropped > 0 then
+           Printf.eprintf
+             "warning: %d observability events dropped (ring overflow, \
+              oldest first); raise the ring capacity or narrow the run\n%!"
+             dropped;
+         let pc_label pc = Ximd_core.Program.label_at program pc in
+         (match trace_events with
+          | None -> ()
+          | Some path ->
+            write_output path (Ximd_obs.Chrome.to_string ~pc_label sink));
+         (match metrics_file with
+          | None -> ()
+          | Some path ->
+            write_json path (Ximd_obs.Sink.metrics_json sink));
+         if profile then begin
+           match Ximd_obs.Sink.profile sink with
            | None -> ()
            | Some prof ->
              let describe pc =
-               match pc_label pc with Some l -> l | None -> ""
+               let label =
+                 match pc_label pc with Some l -> l ^ ":" | None -> ""
+               in
+               if pc < 0 || pc >= Ximd_core.Program.length program then label
+               else begin
+                 let row = Ximd_core.Program.row program pc in
+                 let ops =
+                   Array.to_list row
+                   |> List.filter_map (fun (p : Ximd_isa.Parcel.t) ->
+                        if Ximd_isa.Parcel.is_nop p.data then None
+                        else
+                          Some
+                            (Format.asprintf "%a" Ximd_isa.Parcel.pp_data
+                               p.data))
+                 in
+                 match ops with
+                 | [] -> label
+                 | _ ->
+                   (if label = "" then "" else label ^ " ")
+                   ^ String.concat "; " ops
+               end
              in
-             write_output out (Ximd_obs.Profile.to_folded ~describe prof)));
-       let realised = state.stats.Ximd_core.Stats.cycles in
-       (match account_file with
-        | None -> ()
-        | Some out ->
-          (match Ximd_obs.Sink.account sink with
-           | None -> ()
-           | Some acct ->
-             write_json out (Ximd_obs.Account.to_json acct ~cycles:realised);
-             if out <> "-" then
-               Format.printf "%a@."
-                 (fun fmt a -> Ximd_obs.Account.pp fmt a ~cycles:realised)
-                 acct));
-       (match critical_path with
-        | None -> ()
-        | Some out ->
-          (match Ximd_obs.Sink.critpath sink with
-           | None -> ()
-           | Some crit ->
-             write_json out (Ximd_obs.Critpath.to_json crit ~realised);
-             if out <> "-" then
-               Format.printf "%a@."
-                 (fun fmt c -> Ximd_obs.Critpath.pp fmt c ~realised)
-                 crit)));
-    let hazards = Ximd_core.State.hazards state in
-    if hazards <> [] then begin
-      Format.printf "%d hazards recorded:@." (List.length hazards);
-      List.iter
-        (fun e -> Format.printf "  %a@." Ximd_machine.Hazard.pp_event e)
-        hazards
-    end;
-    let deadlocked =
-      match outcome with Ximd_core.Run.Deadlocked _ -> true | _ -> false
-    in
-    (match postmortem with
-     | Some `Json ->
-       write_json "-"
-         (Ximd_report.Diagnostics.to_json
-            (Ximd_report.Diagnostics.collect state ~outcome))
-     | Some `Text ->
-       Format.printf "%a@."
-         Ximd_report.Diagnostics.pp
-         (Ximd_report.Diagnostics.collect state ~outcome)
-     | None ->
-       if deadlocked then
+             Format.printf "%a@." (Ximd_obs.Profile.pp ~describe) prof
+         end;
+         if timeline then begin
+           Format.printf "SSET timeline (cycle range, members):@.%a@."
+             Ximd_obs.Timeline.pp
+             (Ximd_obs.Sink.timeline sink);
+           Format.printf "%a@." Ximd_obs.Sink.pp_summary sink
+         end;
+         (match profile_folded with
+          | None -> ()
+          | Some out ->
+            (match Ximd_obs.Sink.profile sink with
+             | None -> ()
+             | Some prof ->
+               let describe pc =
+                 match pc_label pc with Some l -> l | None -> ""
+               in
+               write_output out (Ximd_obs.Profile.to_folded ~describe prof)));
+         let realised = state.stats.Ximd_core.Stats.cycles in
+         (match account_file with
+          | None -> ()
+          | Some out ->
+            (match Ximd_obs.Sink.account sink with
+             | None -> ()
+             | Some acct ->
+               write_json out (Ximd_obs.Account.to_json acct ~cycles:realised);
+               if out <> "-" then
+                 Format.printf "%a@."
+                   (fun fmt a -> Ximd_obs.Account.pp fmt a ~cycles:realised)
+                   acct));
+         (match critical_path with
+          | None -> ()
+          | Some out ->
+            (match Ximd_obs.Sink.critpath sink with
+             | None -> ()
+             | Some crit ->
+               write_json out (Ximd_obs.Critpath.to_json crit ~realised);
+               if out <> "-" then
+                 Format.printf "%a@."
+                   (fun fmt c -> Ximd_obs.Critpath.pp fmt c ~realised)
+                   crit)));
+      let hazards = Ximd_core.State.hazards state in
+      if hazards <> [] then begin
+        Format.printf "%d hazards recorded:@." (List.length hazards);
+        List.iter
+          (fun e -> Format.printf "  %a@." Ximd_machine.Hazard.pp_event e)
+          hazards
+      end;
+      let deadlocked =
+        match outcome with Ximd_core.Run.Deadlocked _ -> true | _ -> false
+      in
+      (match postmortem with
+       | Some `Json ->
+         write_json "-"
+           (Ximd_report.Diagnostics.to_json
+              (Ximd_report.Diagnostics.collect state ~outcome))
+       | Some `Text ->
          Format.printf "%a@."
            Ximd_report.Diagnostics.pp
-           (Ximd_report.Diagnostics.collect state ~outcome));
-    (* The canonical table lives in {!Ximd_core.Run.exit_codes}; --help's
-       EXIT STATUS section and the README document the same values. *)
-    (match Ximd_core.Run.exit_code outcome with
-     | 0 -> ()
-     | code -> exit code);
-    if hazards <> [] then exit 5
+           (Ximd_report.Diagnostics.collect state ~outcome)
+       | None ->
+         if deadlocked then
+           Format.printf "%a@."
+             Ximd_report.Diagnostics.pp
+             (Ximd_report.Diagnostics.collect state ~outcome))
+    in
+    run_and_report ?tracer ~report run;
+    if Ximd_core.State.hazards state <> [] then exit 5
 
 let exits =
   List.map

@@ -14,6 +14,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "vsim" ~doc ~man ~exits:Cli_common.exits)
-    (Cli_common.simulator_term (Term.const Cli_common.Vsim))
+    (Cli_common.simulator_term (Term.const Ximd_core.Engine.Global))
 
 let () = exit (Cmd.eval cmd)

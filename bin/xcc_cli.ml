@@ -62,37 +62,28 @@ let compile_and_go path width emit_asm run_args listing trace explain
            (List.length compiled.param_regs)
            (List.length args);
        let config = Ximd_core.Config.make ~n_fus:width () in
-       let state = Ximd_core.State.create ~config compiled.program in
-       List.iter2
-         (fun (_, reg) v ->
-           Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-         compiled.param_regs args;
+       let session =
+         Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+           compiled.program
+       in
+       let setup (state : Ximd_core.State.t) =
+         List.iter2
+           (fun (_, reg) v ->
+             Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
+           compiled.param_regs args
+       in
        let tracer =
          if trace then Some (Ximd_core.Tracer.create ()) else None
        in
-       let outcome =
-         match Ximd_core.Xsim.run ?tracer state with
-         | outcome -> outcome
-         | exception Ximd_machine.Hazard.Error event ->
-           Printf.eprintf "hazard: %s\n"
-             (Format.asprintf "%a" Ximd_machine.Hazard.pp_event event);
-           exit 2
-       in
-       (match tracer with
-        | Some t ->
-          Format.printf "%a@." (Ximd_core.Tracer.pp_figure10 ?comments:None) t
-        | None -> ());
-       Format.printf "%a@." Ximd_core.Run.pp outcome;
-       List.iteri
-         (fun i (_, reg) ->
-           Format.printf "result %d = %a@." i Value.pp
-             (Ximd_machine.Regfile.read state.regs reg))
-         compiled.result_regs;
-       (* The canonical table lives in Ximd_core.Run.exit_codes; --help's
-          EXIT STATUS section documents the same values. *)
-       (match Ximd_core.Run.exit_code outcome with
-        | 0 -> ()
-        | code -> exit code))
+       let state = Ximd_core.Session.state session in
+       Cli_common.run_and_report ?tracer
+         ~report:(fun _ ->
+           List.iteri
+             (fun i (_, reg) ->
+               Format.printf "result %d = %a@." i Value.pp
+                 (Ximd_machine.Regfile.read state.regs reg))
+             compiled.result_regs)
+         (fun () -> Ximd_core.Session.run ?tracer ~setup session))
 
 let file_arg =
   Arg.(

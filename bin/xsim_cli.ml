@@ -27,7 +27,8 @@ let cmd =
   in
   let sim_term =
     Term.(
-      const (fun t500 -> if t500 then Cli_common.T500 else Cli_common.Xsim)
+      const (fun t500 ->
+          if t500 then Ximd_core.Engine.Banked else Ximd_core.Engine.Per_fu)
       $ t500_flag)
   in
   Cmd.v

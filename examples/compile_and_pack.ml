@@ -34,11 +34,17 @@ let run_width width x =
   | Error errors -> failwith (String.concat "; " errors)
   | Ok compiled ->
     let config = Ximd_core.Config.make ~n_fus:width () in
-    let state = Ximd_core.State.create ~config compiled.program in
-    (match compiled.param_regs with
-     | [ (_, r) ] -> Ximd_machine.Regfile.set state.regs r (Value.of_int x)
-     | _ -> assert false);
-    let outcome = Ximd_core.Xsim.run state in
+    let session =
+      Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+        compiled.program
+    in
+    let setup (state : Ximd_core.State.t) =
+      match compiled.param_regs with
+      | [ (_, r) ] -> Ximd_machine.Regfile.set state.regs r (Value.of_int x)
+      | _ -> assert false
+    in
+    let outcome = Ximd_core.Session.run ~setup session in
+    let state = Ximd_core.Session.state session in
     let result =
       match compiled.result_regs with
       | [ (_, r) ] -> Ximd_machine.Regfile.read state.regs r

@@ -46,15 +46,20 @@ let () =
   Format.printf "program listing:@.%a@." Ximd_core.Program.pp_listing program;
 
   let config = Ximd_core.Config.make ~n_fus:2 () in
-  let state = Ximd_core.State.create ~config program in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
   (* n1 = 6 -> triangular 21;  n2 = 5 -> factorial 120. *)
-  Ximd_machine.Regfile.set state.regs n1 (Value.of_int 6);
-  Ximd_machine.Regfile.set state.regs acc1 (Value.of_int 0);
-  Ximd_machine.Regfile.set state.regs n2 (Value.of_int 5);
-  Ximd_machine.Regfile.set state.regs acc2 (Value.of_int 1);
+  let setup (state : Ximd_core.State.t) =
+    Ximd_machine.Regfile.set state.regs n1 (Value.of_int 6);
+    Ximd_machine.Regfile.set state.regs acc1 (Value.of_int 0);
+    Ximd_machine.Regfile.set state.regs n2 (Value.of_int 5);
+    Ximd_machine.Regfile.set state.regs acc2 (Value.of_int 1)
+  in
 
   let tracer = Ximd_core.Tracer.create () in
-  let outcome = Ximd_core.Xsim.run ~tracer state in
+  let outcome = Ximd_core.Session.run ~tracer ~setup session in
+  let state = Ximd_core.Session.state session in
 
   Format.printf "@.%a@.@." (Ximd_core.Tracer.pp_figure10 ?comments:None)
     tracer;

@@ -11,8 +11,8 @@
     slot the compare was assigned to.
 
     The generated program is control-consistent, so it runs identically
-    under {!Ximd_core.Vsim} and (as a single-SSET program) under
-    {!Ximd_core.Xsim} — the paper's "VLIW-style program can then execute
+    under the VLIW model ([Engine.Global]) and (as a single-SSET
+    program) under the XIMD model ([Engine.Per_fu]) — the paper's "VLIW-style program can then execute
     just as efficiently on the XIMD as on a VLIW machine" (§3.1). *)
 
 open Ximd_isa

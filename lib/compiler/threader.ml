@@ -369,27 +369,34 @@ let run ?config t ~args =
     | Some c -> c
     | None -> Ximd_core.Config.make ~n_fus:t.n_fus ()
   in
-  let state = Ximd_core.State.create ~config t.program in
-  let rec install = function
-    | [] -> Ok ()
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu t.program
+  in
+  (* Each thread's arguments, bound to its parameter registers. *)
+  let rec bind inits = function
+    | [] -> Ok inits
     | (name, values) :: rest -> (
       match placement t name with
       | None -> Error ("no thread " ^ name)
       | Some p ->
         if List.length values > List.length p.param_regs then
           Error (name ^ ": too many arguments")
-        else begin
-          List.iteri
-            (fun i v ->
-              let _, reg = List.nth p.param_regs i in
-              Ximd_machine.Regfile.set state.regs reg v)
-            values;
-          install rest
-        end)
+        else
+          bind
+            (inits
+            @ List.mapi (fun i v -> (snd (List.nth p.param_regs i), v)) values)
+            rest)
   in
-  match install args with
+  match bind [] args with
   | Error msg -> Error msg
-  | Ok () -> Ok (Ximd_core.Xsim.run state, state)
+  | Ok inits ->
+    let setup (state : Ximd_core.State.t) =
+      List.iter
+        (fun (reg, v) -> Ximd_machine.Regfile.set state.regs reg v)
+        inits
+    in
+    let outcome = Ximd_core.Session.run ~setup session in
+    Ok (outcome, Ximd_core.Session.state session)
 
 let results t state =
   List.map

@@ -67,9 +67,10 @@ val run :
   t ->
   args:(string * Ximd_isa.Value.t list) list ->
   (Ximd_core.Run.outcome * Ximd_core.State.t, string) result
-(** Creates a state, installs each thread's arguments into its parameter
-    registers (wired parameters may be omitted — they are overwritten by
-    glue moves anyway), and runs {!Ximd_core.Xsim}. *)
+(** Runs the program on a fresh {!Ximd_core.Session} under
+    [Engine.Per_fu], with each thread's arguments installed in its
+    parameter registers (wired parameters may be omitted — they are
+    overwritten by glue moves anyway). *)
 
 val results : t -> Ximd_core.State.t -> (string * Ximd_isa.Value.t list) list
 (** Final values of every thread's result registers. *)

@@ -6,7 +6,8 @@ module M = Ximd_machine
    degenerate XIMD with one global sequencer, the TRACE/500 the
    two-sequencer point in between — is encoded structurally: the only
    thing a {!model} changes is how FUs group into sequencer-led streams
-   and what the sequencer drives (SS discipline, partition rule).
+   and what the sequencer drives (SS discipline, partition rule).  The
+   loop that runs a program to completion is {!Session.run}.
 
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
@@ -20,6 +21,19 @@ module M = Ximd_machine
    [engine.M.step_words]. *)
 
 type model = Per_fu | Global | Banked
+
+(* The one spelling of the models' names (and its inverse, which
+   returns constants, so parsing a job allocates nothing). *)
+let model_name = function
+  | Per_fu -> "xsim"
+  | Global -> "vsim"
+  | Banked -> "t500"
+
+let model_of_name = function
+  | "xsim" -> Some Per_fu
+  | "vsim" -> Some Global
+  | "t500" -> Some Banked
+  | _ -> None
 
 let n_streams model ~n =
   match model with Per_fu -> n | Global -> 1 | Banked -> 2
@@ -63,21 +77,19 @@ let bank_consistent program =
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* Cross-cutting hooks.  The tracer, observability sink and fault
-   injector are threaded through the pipeline exactly once, here: each
-   helper costs one predictable branch when its facility is off (the
+(* Cross-cutting hooks.  The observability sink and fault injector
+   are threaded through the pipeline exactly once, here: each helper
+   costs one predictable branch when its facility is off (the
    single-branch-when-[None] discipline of [state.faults]/[state.obs]),
    and no engine-specific copy exists to drift. *)
 
-let[@inline] hook_cycle_top ?tracer (state : State.t) =
-  (match tracer with
-   | Some t -> Tracer.record t (Tracer.snapshot state)
-   | None -> ());
+let[@inline] hook_cycle_top (state : State.t) =
   (match state.obs with
    | None -> ()
    | Some obs ->
-     (* same timing as the tracer snapshot: the partition in effect at
-        the top of the cycle, before faults land *)
+     (* same timing as the tracer row {!Session.run} records just
+        before the step: the partition in effect at the top of the
+        cycle, before faults land *)
      Ximd_obs.Sink.on_partition obs ~cycle:state.cycle
        ~ssets:(Partition.ssets state.partition));
   match state.faults with
@@ -118,17 +130,6 @@ let[@inline] hook_cycle_end (state : State.t) ~live_streams =
   match state.obs with
   | None -> ()
   | Some obs -> Ximd_obs.Sink.on_cycle_end obs ~cycle:state.cycle ~live_streams
-
-let[@inline] hook_watchdog (state : State.t) w =
-  match state.obs with
-  | None -> ()
-  | Some obs ->
-    Ximd_obs.Sink.on_watchdog obs ~cycle:state.cycle ~quiet:(Watchdog.window w)
-
-let[@inline] hook_finish (state : State.t) =
-  match state.obs with
-  | None -> ()
-  | Some obs -> Ximd_obs.Sink.finish obs ~cycle:state.cycle
 
 (* ------------------------------------------------------------------ *)
 (* Why-analysis sampling (DESIGN.md §9).  The engine is the only place
@@ -340,10 +341,10 @@ let[@inline] repartition (state : State.t) changed =
 
 (* ------------------------------------------------------------------ *)
 
-let step model ?tracer (state : State.t) =
+let step model (state : State.t) =
   if State.all_halted state then ()
   else begin
-    hook_cycle_top ?tracer state;
+    hook_cycle_top state;
     let n = State.n_fus state in
     let stats = state.stats in
     let s = state.scratch in
@@ -485,66 +486,3 @@ let step model ?tracer (state : State.t) =
     state.cycle <- state.cycle + 1;
     stats.cycles <- state.cycle
   end
-
-(* Model-specific structural requirements, checked by [run] (not [step],
-   matching the pre-unification simulators). *)
-let validate model (state : State.t) =
-  match model with
-  | Per_fu -> ()
-  | Global ->
-    if not (Program.control_consistent state.program) then
-      invalid_arg
-        "Vsim.run: program is not control-consistent (VLIW programs must \
-         duplicate the control fields in every parcel of a row)"
-  | Banked ->
-    let n = State.n_fus state in
-    if n < 2 || n mod 2 <> 0 then
-      invalid_arg "T500.run: the two-sequencer model needs an even FU count";
-    if not (bank_consistent state.program) then
-      invalid_arg
-        "T500.run: program is not bank-consistent (each bank has a single \
-         sequencer; XIMD programs with finer partitions cannot run)"
-
-(* How often [run]'s supervision poll fires, in cycles.  A power of two
-   so the check is one mask on the hot path; the first poll lands on
-   cycle 0, before any work, so a poll that raises (a wall-clock
-   deadline already in the past) stops even a one-cycle run. *)
-let poll_interval = 512
-
-let run model ?tracer ?watchdog ?budget ?poll (state : State.t) =
-  validate model state;
-  let fuel = state.config.max_cycles in
-  (* The budget is a per-run limit below the configured fuel; a budget
-     at or above the fuel never fires (fuel wins, as before). *)
-  let budget_limit =
-    match budget with
-    | None -> max_int
-    | Some b ->
-      if b < 1 then invalid_arg "Engine.run: budget must be positive";
-      b
-  in
-  let rec loop () =
-    if State.all_halted state then begin
-      Exec.drain_pipeline state;
-      state.stats.cycles <- state.cycle;
-      Run.Halted { cycles = state.cycle }
-    end
-    else if state.cycle >= fuel then
-      Run.Fuel_exhausted { cycles = state.cycle }
-    else if state.cycle >= budget_limit then
-      Run.Budget_exceeded { cycles = state.cycle; budget = budget_limit }
-    else begin
-      (match poll with
-       | Some f when state.cycle land (poll_interval - 1) = 0 -> f ()
-       | Some _ | None -> ());
-      step model ?tracer state;
-      match watchdog with
-      | Some w when Watchdog.observe w state ->
-        hook_watchdog state w;
-        Watchdog.deadlocked state
-      | Some _ | None -> loop ()
-    end
-  in
-  let outcome = loop () in
-  hook_finish state;
-  outcome

@@ -4,10 +4,10 @@
     degenerate case of an XIMD — one global sequencer versus one
     sequencer per functional unit (§2, Figure 3) — with the proposed
     Multiflow TRACE/500 (§1.4) sitting in between at exactly two.  This
-    module encodes the claim directly: {!Xsim}, {!Vsim} and {!T500} are
-    thin adapters that pass a {!model} to the same fetch → condition
-    evaluation → execute → commit pipeline, and the model parameter only
-    controls how FUs group into sequencer-led {e streams}:
+    module encodes the claim directly: there is one fetch → condition
+    evaluation → execute → commit pipeline, {!step}, and a {!model}
+    parameter that only controls how FUs group into sequencer-led
+    {e streams}:
 
     {t
       | {!model}   | streams            | leaders      | SS role | partition |
@@ -21,15 +21,16 @@
     row and evaluates one branch condition against start-of-cycle CC/SS
     state; member FUs fetch and execute their own data parcels; all
     results commit at end of cycle; then the sequencer installs the next
-    PC into every member (or halts them).  A live stream whose PC leaves
-    the program reports {!Ximd_machine.Hazard.Fell_off_end} attributed
-    to its sequencer's FU — for the global sequencer, the lowest FU
-    still issuing — and the stream halts.
+    PC into every member (or halts them).
 
-    Cross-cutting concerns (the {!Tracer}, the {!Ximd_obs.Sink}, the
-    {!Ximd_machine.Fault} injector, the {!Watchdog}) are threaded
-    through this one pipeline via inline hook helpers, each costing a
-    single predictable branch when off; no per-engine copy exists.
+    This module executes one cycle; {!Session.run} runs a program to
+    completion on top of it and is the only way to do so.  Attachments
+    follow one rule: the per-cycle ones (the {!Ximd_obs.Sink} in
+    [state.obs], the {!Ximd_machine.Fault} injector in [state.faults])
+    live on the state and are fed from inline hook helpers here, each
+    costing a single predictable branch when off; the per-run ones (the
+    {!Tracer}, the {!Watchdog}, the cycle budget and the supervision
+    poll) are arguments of {!Session.run}.
 
     The hot loop keeps its per-cycle buffers in the preallocated
     [state.scratch].  Under [Per_fu] and [Banked] the partition lives
@@ -43,11 +44,53 @@
     minor words per cycle as [engine.M.step_words]. *)
 
 type model =
-  | Per_fu  (** one sequencer per FU: the XIMD machine ({!Xsim}) *)
-  | Global  (** one global sequencer: the VLIW baseline ({!Vsim}) *)
+  | Per_fu
+      (** One sequencer per FU: the XIMD machine, the paper's [xsim]
+          (§4.1).  An FU that executes a [Halt] control stops and its
+          synchronisation signal is driven to DONE from then on, so
+          barriers spanning finished FUs still complete.  An FU whose
+          PC leaves the program reports
+          {!Ximd_machine.Hazard.Fell_off_end} against itself and
+          halts. *)
+  | Global
+      (** One global sequencer: the VLIW baseline, the paper's
+          companion [vsim] (§4.1), "a VLIW processor with similar
+          characteristics".  All FUs share one program counter and one
+          control operation per cycle, driven by FU 0's parcel, so
+          programs must be {e control-consistent} (every parcel in a
+          row carries identical control fields and sync signals — the
+          VLIW coding convention of §3.1; see
+          {!Program.control_consistent}).  Synchronisation signals have
+          no architectural role: their fields are ignored and a halt
+          leaves them as they were.  The partition is always the single
+          full SSET.  A fell-off-end hazard is attributed to the lowest
+          FU still issuing, which is FU 0 unless a fault has stuck it
+          halted. *)
   | Banked
-      (** two sequencers over fixed FU halves: the TRACE/500
-          restriction ({!T500}) *)
+      (** Two sequencers over fixed FU halves: the Multiflow TRACE/500
+          (§1.4).  "The proposed Multiflow TRACE/500 architecture
+          contains two sequencers, one for each set of 14 functional
+          units.  The two sequencers can execute in lock-step or
+          independently.  This allows two processes to run concurrently
+          when neither requires more than half of the machine.  XIMD is
+          a generalization and formalization of this concept."  The FUs
+          split into a low and a high bank, each driven by its leader's
+          control fields (FU 0 and FU n/2), so the FU count must be
+          even and programs must be {e bank-consistent} (see
+          {!bank_consistent}) — precisely the structural restriction
+          XIMD lifts: a program like MINMAX, whose partition holds
+          three SSETs, is rejected here but runs under [Per_fu]
+          unchanged.  A halt drives every member's sync signal to DONE,
+          as under [Per_fu]; a bank that falls off the end reports the
+          hazard against its leader.  The two banks form one SSET while
+          their next PCs are equal (lock-step mode). *)
+
+val model_name : model -> string
+(** ["xsim"], ["vsim"] and ["t500"]: the one spelling of the models'
+    names, shared by the job spec, the farm's records and the fuzzer. *)
+
+val model_of_name : string -> model option
+(** Inverse of {!model_name}. *)
 
 val n_streams : model -> n:int -> int
 (** Number of sequencer-led streams on an [n]-FU machine: [n], [1] and
@@ -61,35 +104,9 @@ val stream_bounds : model -> n:int -> int -> int * int
 val bank_consistent : Program.t -> bool
 (** Whether every row's parcels agree with their bank leader's control
     fields and sync signal — the structural restriction the [Banked]
-    model requires (re-exported as {!T500.bank_consistent}). *)
+    model requires. *)
 
-val step : model -> ?tracer:Tracer.t -> State.t -> unit
+val step : model -> State.t -> unit
 (** Executes one cycle under the given sequencing model (a no-op if all
-    FUs have halted).  When [tracer] is given, the start-of-cycle state
-    is recorded first. *)
-
-val poll_interval : int
-(** Cycles between consecutive [poll] calls in {!run} (a power of two;
-    the first poll fires at cycle 0). *)
-
-val run :
-  model ->
-  ?tracer:Tracer.t ->
-  ?watchdog:Watchdog.t ->
-  ?budget:int ->
-  ?poll:(unit -> unit) ->
-  State.t ->
-  Run.outcome
-(** Steps until all FUs halt, the configured fuel runs out, the
-    optional per-run cycle [budget] is exceeded, or (when [watchdog] is
-    given) a deadlock is established — see {!Watchdog}.  [budget] is a
-    resource limit below the configured [max_cycles]: when it elapses
-    first the outcome is {!Run.Budget_exceeded} (a budget at or above
-    the fuel never fires).  [poll], when given, is called every
-    {!poll_interval} cycles (first at cycle 0) so a supervisor can
-    enforce wall-clock deadlines — whatever it raises escapes [run]
-    unchanged.  Checks the model's structural requirements first:
-    @raise Invalid_argument under [Global] if the program is not
-    control-consistent, under [Banked] if the FU count is odd or
-    below 2 or the program is not bank-consistent, or if [budget] is
-    not positive. *)
+    FUs have halted).  It checks none of the model's structural
+    requirements: {!Session.run} does that once per run. *)

@@ -1,7 +1,7 @@
 (** Shared execution engine for one cycle's data operations.
 
-    Both simulators (XIMD {!Xsim} and the VLIW baseline {!Vsim}) use this
-    module: they differ only in their control paths.  All reads observe
+    Every sequencing model of the {!Engine} uses this module: the
+    models differ only in their control paths.  All reads observe
     start-of-cycle state; all writes (registers, memory, condition codes)
     are staged and applied by {!commit_cycle}.
 

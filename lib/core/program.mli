@@ -47,7 +47,8 @@ val control_consistent : t -> bool
 (** True if every row's parcels share identical control fields and sync
     signals — the VLIW coding convention ("the control path instruction
     fields must be duplicated in each instruction parcel", §3.1).
-    {!Vsim} warns when running a program that is not control-consistent. *)
+    {!Session.run} rejects a program that is not control-consistent
+    under the global sequencer ([Engine.Global]). *)
 
 val encode : t -> bytes
 (** Bit-level program image: a 16-byte header (magic "XIMD", version,

@@ -1,23 +1,25 @@
-(** Reusable run sessions: amortise state construction across runs.
+(** Run sessions: the one way to run a program to completion.
 
     A session owns one {!State.t} and a sequencing {!Engine.model}, and
     {!run} executes a complete program run on it — {!State.reset} (so
     the flat register/memory/scratch arenas are reused rather than
-    reallocated), then the caller's [setup], then {!Engine.run}.  For
-    short programs the state construction dominates a one-shot run, so
-    sweeps, benchmarks and repeated CLI runs ([--repeat]) go
-    substantially faster on a session; [ledger.exe trace]
-    (bench/ledger/README.md) reports the split as [session.create_us],
-    [session.reset_us], [session.setup_us] and [session.run_us].
+    reallocated), then the caller's [setup], then {!Engine.step} until
+    the run stops.  A one-shot run is a fresh session and one {!run};
+    for short programs the state construction dominates such a run, so
+    sweeps, benchmarks and repeated CLI runs ([--repeat]) reuse one
+    session instead.  [ledger.exe trace] (bench/ledger/README.md)
+    reports the split as [session.create_us], [session.reset_us],
+    [session.setup_us] and [session.run_us].
 
     The configuration (and with it every arena size) is fixed when the
     session is created; the program may change between runs via
     [?program], so a sweep over many programs on one machine shape pays
     construction once.
 
-    (This is the run-session layer of the engine refactor; it lives in
-    its own module rather than under {!Run} because {!Run} sits below
-    {!State} in the dependency order.) *)
+    Attachments follow one rule (see {!Engine}): the per-cycle ones, a
+    fault injector and an observability sink, are fixed on the session's
+    state at {!create}; the per-run ones — tracer, watchdog, cycle
+    budget and supervision poll — are arguments of {!run}. *)
 
 type t
 
@@ -46,17 +48,34 @@ val run :
 (** One complete run: {!State.reset} (swapping in [program] if given),
     then [setup] (register/memory/port initialisation — the state is
     freshly zeroed, so initialisation must be reapplied on every run),
-    then {!Engine.run} under the session's model.  [budget] and [poll]
-    are the per-run resource-limit and supervision hooks of
-    {!Engine.run}.  A run on a session is indistinguishable from a run
-    on a freshly created state.
-    @raise Invalid_argument as {!State.reset} and {!Engine.run}. *)
+    then the model's structural checks, then {!Engine.step} until one of
+    these stops the run, tested in this order before each cycle:
+    - every FU has halted: the result pipeline drains and the outcome
+      is {!Run.Halted};
+    - the configured fuel ([max_cycles]) is spent:
+      {!Run.Fuel_exhausted};
+    - the per-run cycle [budget] is spent: {!Run.Budget_exceeded}.  It
+      is a resource limit below the fuel, so a budget at or above the
+      fuel never fires.
+
+    Before each step, [poll] (when given) is called every 512 cycles,
+    first at cycle 0, so a supervisor can enforce a wall-clock deadline:
+    whatever it raises escapes [run] unchanged, and a poll that raises
+    at once stops even a one-cycle run.  Then [tracer] (when given)
+    records the start-of-cycle row, so its rows are cycles 0 to k−1 for
+    a run of k steps.  After each step, [watchdog] (when given)
+    observes the machine; once it establishes a deadlock the run stops
+    with {!Run.Deadlocked} (see {!Watchdog}).  An attached sink sees the
+    watchdog's verdict and, on every stop that returns, its
+    {!Ximd_obs.Sink.finish} at the final cycle.
+
+    A run on a session is indistinguishable from a run on a freshly
+    created session.
+    @raise Invalid_argument as {!State.reset}; under [Global] if the
+    program is not control-consistent; under [Banked] if the FU count
+    is odd or below 2 or the program is not bank-consistent; or if
+    [budget] is not positive. *)
 
 val state : t -> State.t
 (** The session's state — inspect registers, stats or hazards after a
     run.  Contents are rewound by the next {!run}. *)
-
-val model : t -> Engine.model
-
-val runs : t -> int
-(** Number of completed {!run} calls. *)

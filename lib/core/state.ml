@@ -161,28 +161,7 @@ let reset ?program t =
 let n_fus t = t.config.n_fus
 let all_halted t = Array.for_all Fun.id t.halted
 
-let live_fu_count t =
-  let n = ref 0 in
-  Array.iter (fun h -> if not h then incr n) t.halted;
-  !n
-
-let iter_live_fus t f =
-  for fu = 0 to n_fus t - 1 do
-    if not t.halted.(fu) then f fu
-  done
-
-let live_fus t =
-  let rec go fu acc =
-    if fu < 0 then acc
-    else go (fu - 1) (if t.halted.(fu) then acc else fu :: acc)
-  in
-  go (n_fus t - 1) []
-
 let in_flight_count t = t.inflight.ifl_len
-
-let cc t i = t.ccs.(i)
-let ss t i = t.sss.(i)
-let pc t i = t.pcs.(i)
 
 let reg t i = Ximd_machine.Regfile.read t.regs (Reg.make i)
 let set_reg t i v = Ximd_machine.Regfile.set t.regs (Reg.make i) v

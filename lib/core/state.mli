@@ -10,7 +10,7 @@
     signals start at BUSY.
 
     The [scratch] and [inflight] fields are preallocated working storage
-    for the simulator hot loop ({!Xsim}, {!Vsim}, {!Exec}); they carry no
+    for the simulator hot loop ({!Engine}, {!Exec}); they carry no
     architectural state between cycles and other clients should ignore
     them. *)
 
@@ -111,24 +111,8 @@ val reset : ?program:Program.t -> t -> unit
 val n_fus : t -> int
 val all_halted : t -> bool
 
-val live_fus : t -> int list
-(** The indices of FUs that have not halted.  Allocates the result list;
-    per-cycle code should use {!iter_live_fus} or {!live_fu_count}
-    instead. *)
-
-val live_fu_count : t -> int
-(** Number of FUs that have not halted, without allocating. *)
-
-val iter_live_fus : t -> (int -> unit) -> unit
-(** [iter_live_fus t f] applies [f] to each live FU index in ascending
-    order, without allocating. *)
-
 val in_flight_count : t -> int
 (** Number of pipelined results awaiting write-back. *)
-
-val cc : t -> int -> bool option
-val ss : t -> int -> Sync.t
-val pc : t -> int -> int
 
 val reg : t -> int -> Value.t
 (** Convenience register read by index. *)

@@ -9,8 +9,7 @@ type row = {
 }
 
 type t = {
-  mutable rows : row list; (* reverse order, at most [limit] long *)
-  mutable n : int; (* rows currently held *)
+  rows : row Queue.t; (* oldest first, at most [limit] long *)
   mutable dropped : int;
   limit : int; (* max_int = unbounded *)
 }
@@ -23,27 +22,20 @@ let create ?limit () =
       if l < 1 then invalid_arg "Tracer.create: limit must be positive";
       l
   in
-  { rows = []; n = 0; dropped = 0; limit }
+  { rows = Queue.create (); dropped = 0; limit }
 
 (* Bounded tracers keep the newest [limit] rows: the tail of a wedged or
-   budget-busted run is the diagnostic part.  Dropping the oldest row is
-   O(n) list surgery, but it only triggers past the limit — the
-   unbounded default never pays it. *)
-let rec drop_last = function
-  | [] | [ _ ] -> []
-  | r :: rest -> r :: drop_last rest
-
+   budget-busted run is the diagnostic part.  Dropping the oldest row
+   is one pop, so a bounded tracer costs what an unbounded one does. *)
 let record t row =
-  if t.n = t.limit then begin
-    t.rows <- drop_last t.rows;
-    t.n <- t.n - 1;
+  if Queue.length t.rows = t.limit then begin
+    ignore (Queue.take t.rows);
     t.dropped <- t.dropped + 1
   end;
-  t.rows <- row :: t.rows;
-  t.n <- t.n + 1
+  Queue.push row t.rows
 
-let rows t = List.rev t.rows
-let length t = t.n
+let rows t = List.of_seq (Queue.to_seq t.rows)
+let length t = Queue.length t.rows
 let dropped t = t.dropped
 
 let snapshot (state : State.t) =

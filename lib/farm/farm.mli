@@ -6,11 +6,11 @@
     times per domain.  Around each run the farm enforces the job's
     supervision spec:
 
-    - {b cycle budget} ([budget]) via {!Ximd_core.Engine.run}'s budget
+    - {b cycle budget} ([budget]) via {!Ximd_core.Session.run}'s budget
       limit — deterministic, lands in the record as
       [Budget_exceeded];
-    - {b wall-clock deadline} ([deadline_ms]) via the engine's poll
-      hook — an overrun aborts the attempt and, with [retries] left,
+    - {b wall-clock deadline} ([deadline_ms]) via {!Ximd_core.Session.run}'s
+      poll hook — an overrun aborts the attempt and, with [retries] left,
       re-runs it after a seed-deterministic backoff;
     - {b crash isolation} — an attempt that raises becomes a [Crashed]
       record carrying the exception, a backtrace and the job spec for

@@ -28,10 +28,7 @@ type t = {
   raw : string;
 }
 
-let model_name = function
-  | Core.Engine.Per_fu -> "xsim"
-  | Core.Engine.Global -> "vsim"
-  | Core.Engine.Banked -> "t500"
+let model_name = Core.Engine.model_name
 
 let known_keys =
   [ "id"; "source"; "file"; "workload"; "model"; "seed"; "fault";
@@ -153,15 +150,16 @@ let of_line ~index line =
         let* model = str_field json "model" in
         let* model =
           match model with
-          | None | Some "xsim" -> Ok Core.Engine.Per_fu
-          | Some "vsim" -> Ok Core.Engine.Global
-          | Some "t500" -> Ok Core.Engine.Banked
-          | Some other ->
-            Error
-              (Printf.sprintf
-                 "key \"model\": expected \"xsim\", \"vsim\" or \"t500\" \
-                  (got %S)"
-                 other)
+          | None -> Ok Core.Engine.Per_fu
+          | Some name -> (
+            match Core.Engine.model_of_name name with
+            | Some model -> Ok model
+            | None ->
+              Error
+                (Printf.sprintf
+                   "key \"model\": expected \"xsim\", \"vsim\" or \"t500\" \
+                    (got %S)"
+                   name))
         in
         let* seed = int_field json "seed" in
         let seed = Option.value seed ~default:0 in
@@ -218,7 +216,7 @@ let to_json t =
     (List.concat
        [ [ ("id", Json.String t.id);
            payload_field;
-           ("model", Json.String (model_name t.model));
+           ("model", Json.String (Core.Engine.model_name t.model));
            ("seed", Json.Int t.seed) ];
          opt "fault" t.fault (fun s -> Json.String s);
          opt "max_cycles" t.max_cycles int;

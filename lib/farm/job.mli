@@ -54,3 +54,5 @@ val to_json : t -> Json.t
     verbatim. *)
 
 val model_name : Ximd_core.Engine.model -> string
+(** {!Ximd_core.Engine.model_name}: an alias kept only for
+    [bench/ledger]. *)

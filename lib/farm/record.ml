@@ -84,7 +84,7 @@ let to_json t =
        [ [ ("schema", Json.String "ximd-result/1");
            ("id", Json.String t.job.Job.id);
            ("index", Json.Int t.job.Job.index);
-           ("model", Json.String (Job.model_name t.job.Job.model));
+           ("model", Json.String (Core.Engine.model_name t.job.Job.model));
            ("seed", Json.Int t.job.Job.seed);
            ("status", json_of_status t.status);
            ("attempts", Json.Int t.attempts);

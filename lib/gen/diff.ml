@@ -17,23 +17,18 @@ module Observation = Ximd_ref.Observation
 
 type model = Interp.model = Per_fu | Global | Banked
 
-let model_name = function
-  | Per_fu -> "xsim"
-  | Global -> "vsim"
-  | Banked -> "t500"
-
-let model_of_name = function
-  | "xsim" -> Some Per_fu
-  | "vsim" -> Some Global
-  | "t500" -> Some Banked
-  | _ -> None
-
-let all_models = [ Per_fu; Global; Banked ]
-
+(* The oracle keeps its own model type (lib/ref shares no definitions
+   with the engine); this is the one place the two meet. *)
 let engine_model = function
   | Per_fu -> Core.Engine.Per_fu
   | Global -> Core.Engine.Global
   | Banked -> Core.Engine.Banked
+
+let all_models = [ Per_fu; Global; Banked ]
+let model_name model = Core.Engine.model_name (engine_model model)
+
+let model_of_name name =
+  List.find_opt (fun m -> model_name m = name) all_models
 
 (* The models a program can structurally run under (mirrors the
    engine's and the reference's validation). *)
@@ -53,9 +48,12 @@ let observe_engine model program (config : Core.Config.t) =
   let config =
     { config with Core.Config.hazard_policy = Ximd_machine.Hazard.Record }
   in
-  let state = Core.State.create ~config program in
+  let session =
+    Core.Session.create ~config ~model:(engine_model model) program
+  in
   let tracer = Core.Tracer.create () in
-  let outcome = Core.Engine.run (engine_model model) ~tracer state in
+  let outcome = Core.Session.run ~tracer session in
+  let state = Core.Session.state session in
   let memory = ref [] in
   for addr = config.mem_words - 1 downto 0 do
     let v = Core.State.mem_get state addr in

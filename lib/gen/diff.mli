@@ -4,7 +4,7 @@
 type model = Ximd_ref.Interp.model = Per_fu | Global | Banked
 
 val model_name : model -> string
-(** ["xsim"], ["vsim"], ["t500"]. *)
+(** The engine's name for the model ({!Ximd_core.Engine.model_name}). *)
 
 val model_of_name : string -> model option
 val all_models : model list

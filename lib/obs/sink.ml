@@ -36,11 +36,13 @@ type t = {
 
 let default_ring_capacity = 1 lsl 16
 
-let default_n_regs = 256
+(* The architectural register count, which sizes the critical-path
+   register table. *)
+let n_regs = 256
 
 let create ?(ring_capacity = default_ring_capacity) ?(trace = true)
-    ?(profile = true) ?(account = true) ?(critpath = false)
-    ?(n_regs = default_n_regs) ~n_fus ~code_len () =
+    ?(profile = true) ?(account = true) ?(critpath = false) ~n_fus ~code_len
+    () =
   if n_fus < 1 || n_fus > 64 then
     invalid_arg "Sink.create: n_fus must be in [1, 64]";
   let registry = Metrics.create () in

@@ -8,7 +8,7 @@
     branch per emission site and allocates nothing (the same discipline
     as fault injection).
 
-    The [on_*] hooks are called by [Exec]/[Xsim]/[Vsim]/[T500] at the
+    The [on_*] hooks are called by [Exec]/[Engine]/[Session] at the
     architectural points they describe; everything derived (spin-streak
     histograms, barrier-wait attribution, per-FU utilisation, SSET
     width) is computed here so the simulators stay oblivious to what is
@@ -32,7 +32,6 @@ val create :
   ?profile:bool ->
   ?account:bool ->
   ?critpath:bool ->
-  ?n_regs:int ->
   n_fus:int ->
   code_len:int ->
   unit ->
@@ -42,9 +41,8 @@ val create :
     to [true]; [account] (per-slot cycle accounting, one array
     increment per fu×cycle slot) defaults to [true]; [critpath]
     (dynamic dependence graph — allocates a node per committing op)
-    defaults to [false].  [n_regs] sizes the critical-path register
-    table (default 256, the architectural register count).  Metrics
-    are always on — they are the cheap part.
+    defaults to [false] and tracks the 256 architectural registers.
+    Metrics are always on — they are the cheap part.
     @raise Invalid_argument if [n_fus] is not in [1, 64]. *)
 
 val n_fus : t -> int
@@ -112,7 +110,7 @@ val cp_end_cycle : t -> unit
 
 val finish : t -> cycle:int -> unit
 (** End of run: closes open spin streaks and fixes the timeline's final
-    cycle.  Idempotent; the simulators call it once per [run]. *)
+    cycle.  Idempotent; [Session.run] calls it once per run. *)
 
 (** {1 Results} *)
 

@@ -180,13 +180,19 @@ let a5_exposed_pipeline fmt =
           let config =
             Ximd_core.Config.make ~n_fus:4 ~result_latency:latency ()
           in
-          let state = Ximd_core.State.create ~config compiled.program in
-          List.iter2
-            (fun (_, reg) v ->
-              Ximd_machine.Regfile.set state.regs reg
-                (Ximd_isa.Value.of_int v))
-            compiled.param_regs [ 20; 8 ];
-          match Ximd_core.Xsim.run state with
+          let session =
+            Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+              compiled.program
+          in
+          let setup (state : Ximd_core.State.t) =
+            List.iter2
+              (fun (_, reg) v ->
+                Ximd_machine.Regfile.set state.regs reg
+                  (Ximd_isa.Value.of_int v))
+              compiled.param_regs [ 20; 8 ]
+          in
+          let state = Ximd_core.Session.state session in
+          match Ximd_core.Session.run ~setup session with
           | Ximd_core.Run.Halted { cycles } ->
             let got =
               match compiled.result_regs with

@@ -16,13 +16,16 @@ let parse src =
   | Error e -> Alcotest.failf "parse: %a" Ximd_asm.Source.pp_error e
 
 let observed_run ?(config = fun n_fus -> Core.Config.make ~n_fus ())
-    ?(sim = fun s -> Core.Xsim.run s) program =
+    ?(model = Core.Engine.Per_fu) program =
   let n_fus = Core.Program.n_fus program in
   let sink =
     Obs.Sink.create ~n_fus ~code_len:(Core.Program.length program) ()
   in
-  let state = Core.State.create ~config:(config n_fus) ~obs:sink program in
-  let outcome = sim state in
+  let session =
+    Core.Session.create ~config:(config n_fus) ~obs:sink ~model program
+  in
+  let outcome = Core.Session.run session in
+  let state = Core.Session.state session in
   let acct =
     match Obs.Sink.account sink with
     | Some a -> a
@@ -101,7 +104,7 @@ fin:
 |}
   in
   let outcome, state, acct =
-    observed_run ~sim:(fun s -> Core.Vsim.run s) program
+    observed_run ~model:Core.Engine.Global program
   in
   (match outcome with
    | Core.Run.Halted _ -> ()

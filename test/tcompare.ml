@@ -99,8 +99,11 @@ let test_pipeline_account_critpath_goldens () =
       ~critpath:true ()
   in
   let config = Core.Config.make ~n_fus () in
-  let state = Core.State.create ~config ~obs:sink program in
-  (match Core.Xsim.run state with
+  let session =
+    Core.Session.create ~config ~obs:sink ~model:Core.Engine.Per_fu program
+  in
+  let state = Core.Session.state session in
+  (match Core.Session.run session with
    | Core.Run.Halted _ -> ()
    | _ -> Alcotest.fail "expected halt");
   let cycles = state.Core.State.stats.cycles in
@@ -116,15 +119,15 @@ let test_pipeline_account_critpath_goldens () =
 (* The VLIW recoding is the same computation: both codings halt and
    agree on every result register. *)
 let test_pipeline_codings_agree () =
-  let run sim program =
+  let run model program =
     let config = Core.Config.make ~n_fus:(Core.Program.n_fus program) () in
-    let state = Core.State.create ~config program in
-    match sim state with
-    | Core.Run.Halted _ -> state
+    let session = Core.Session.create ~config ~model program in
+    match Core.Session.run session with
+    | Core.Run.Halted _ -> Core.Session.state session
     | _ -> Alcotest.fail "expected halt"
   in
-  let sx = run (fun s -> Core.Xsim.run s) (parse_file pipeline_ximd) in
-  let sv = run (fun s -> Core.Vsim.run s) (parse_file pipeline_vliw) in
+  let sx = run Core.Engine.Per_fu (parse_file pipeline_ximd) in
+  let sv = run Core.Engine.Global (parse_file pipeline_vliw) in
   List.iter
     (fun r ->
       let get (state : Core.State.t) =

@@ -13,16 +13,20 @@ let run_compiled ?(sim = `Vliw) (compiled : C.Codegen.compiled) ~args
   let config =
     Ximd_core.Config.make ~n_fus:compiled.width ~max_cycles:200_000 ()
   in
-  let state = Ximd_core.State.create ~config compiled.program in
-  List.iter2
-    (fun (_, reg) arg -> Ximd_machine.Regfile.set state.regs reg arg)
-    compiled.param_regs args;
-  List.iter (fun (addr, v) -> Ximd_core.State.mem_set state addr v) mem;
-  let outcome =
+  let model =
     match sim with
-    | `Vliw -> Ximd_core.Vsim.run state
-    | `Ximd -> Ximd_core.Xsim.run state
+    | `Vliw -> Ximd_core.Engine.Global
+    | `Ximd -> Ximd_core.Engine.Per_fu
   in
+  let session = Ximd_core.Session.create ~config ~model compiled.program in
+  let setup (state : Ximd_core.State.t) =
+    List.iter2
+      (fun (_, reg) arg -> Ximd_machine.Regfile.set state.regs reg arg)
+      compiled.param_regs args;
+    List.iter (fun (addr, v) -> Ximd_core.State.mem_set state addr v) mem
+  in
+  let outcome = Ximd_core.Session.run ~setup session in
+  let state = Ximd_core.Session.state session in
   (match outcome with
    | Ximd_core.Run.Halted _ -> ()
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _

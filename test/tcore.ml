@@ -138,9 +138,11 @@ let run_rows ?(n_fus = 2) ?(config = None) build =
     | Some c -> c
     | None -> Ximd_core.Config.make ~n_fus ~max_cycles:10_000 ()
   in
-  let state = Ximd_core.State.create ~config program in
-  let outcome = Ximd_core.Xsim.run state in
-  (outcome, state, regs)
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  let outcome = Ximd_core.Session.run session in
+  (outcome, Ximd_core.Session.state session, regs)
 
 let test_cc_visible_next_cycle () =
   (* A compare and a branch on its result in the SAME row must use the
@@ -221,8 +223,11 @@ let test_fell_off_end () =
     Ximd_core.Config.make ~n_fus:1 ~sequencer:Ximd_core.Config.Prototype
       ~hazard_policy:Ximd_machine.Hazard.Record ~max_cycles:100 ()
   in
-  let state = Ximd_core.State.create ~config program in
-  let outcome = Ximd_core.Xsim.run state in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  let outcome = Ximd_core.Session.run session in
+  let state = Ximd_core.Session.state session in
   Alcotest.(check bool) "halted via hazard" true
     (Ximd_core.Run.completed outcome);
   match Ximd_core.State.hazards state with
@@ -239,8 +244,11 @@ let test_undefined_cc_hazard () =
     Ximd_core.Config.make ~n_fus:1
       ~hazard_policy:Ximd_machine.Hazard.Record ()
   in
-  let state = Ximd_core.State.create ~config program in
-  ignore (Ximd_core.Xsim.run state);
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  ignore (Ximd_core.Session.run session);
+  let state = Ximd_core.Session.state session in
   match Ximd_core.State.hazards state with
   | [ { hazard = Ximd_machine.Hazard.Undefined_cc { cc = 0; fu = 0 }; _ } ] ->
     ()
@@ -256,8 +264,11 @@ let test_multiwrite_detected_in_simulation () =
     Ximd_core.Config.make ~n_fus:2
       ~hazard_policy:Ximd_machine.Hazard.Record ()
   in
-  let state = Ximd_core.State.create ~config program in
-  ignore (Ximd_core.Xsim.run state);
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  ignore (Ximd_core.Session.run session);
+  let state = Ximd_core.Session.state session in
   Alcotest.(check int) "one hazard" 1
     (List.length (Ximd_core.State.hazards state))
 
@@ -292,8 +303,11 @@ let test_prototype_sequencer_runs () =
   let config =
     Ximd_core.Config.make ~n_fus:1 ~sequencer:Ximd_core.Config.Prototype ()
   in
-  let state = Ximd_core.State.create ~config program in
-  let outcome = Ximd_core.Xsim.run state in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  let outcome = Ximd_core.Session.run session in
+  let state = Ximd_core.Session.state session in
   Alcotest.(check bool) "completed" true (Ximd_core.Run.completed outcome);
   Alcotest.check value "sequenced" (Value.of_int 6)
     (Ximd_machine.Regfile.read state.regs r)
@@ -311,8 +325,11 @@ let test_max_streams_tracked () =
     [ 0; 1; 2; 3 ];
   let program = B.build t in
   let config = Ximd_core.Config.make ~n_fus:4 () in
-  let state = Ximd_core.State.create ~config program in
-  ignore (Ximd_core.Xsim.run state);
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  ignore (Ximd_core.Session.run session);
+  let state = Ximd_core.Session.state session in
   Alcotest.(check int) "four streams" 4 state.stats.max_streams
 
 (* --- Vsim ---------------------------------------------------------------- *)
@@ -320,9 +337,11 @@ let test_max_streams_tracked () =
 let test_vsim_requires_consistency () =
   let program = (Ximd_workloads.Minmax.make ()).ximd.program in
   let config = Ximd_core.Config.make ~n_fus:4 () in
-  let state = Ximd_core.State.create ~config program in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Global program
+  in
   Alcotest.(check bool) "rejected" true
-    (match Ximd_core.Vsim.run state with
+    (match Ximd_core.Session.run session with
      | exception Invalid_argument _ -> true
      | _ -> false)
 

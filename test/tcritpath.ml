@@ -24,9 +24,11 @@ let run_observed ?(result_latency = 1) program =
     Obs.Sink.create ~n_fus ~code_len:(Core.Program.length program)
       ~critpath:true ()
   in
-  let state = Core.State.create ~config ~obs:sink program in
-  let outcome = Core.Xsim.run state in
-  (outcome, state, Option.get (Obs.Sink.critpath sink))
+  let session =
+    Core.Session.create ~config ~obs:sink ~model:Core.Engine.Per_fu program
+  in
+  let outcome = Core.Session.run session in
+  (outcome, Core.Session.state session, Option.get (Obs.Sink.critpath sink))
 
 let kind_sum cp kind = List.assoc kind (CP.breakdown cp)
 
@@ -110,8 +112,11 @@ let prop_critpath_sound =
           ~hazard_policy:Ximd_machine.Hazard.Record ()
       in
       let bare =
-        let state = Core.State.create ~config program in
-        let outcome = Core.Xsim.run state in
+        let session =
+          Core.Session.create ~config ~model:Core.Engine.Per_fu program
+        in
+        let outcome = Core.Session.run session in
+        let state = Core.Session.state session in
         (outcome, Core.Stats.copy state.stats,
          Ximd_machine.Regfile.dump state.regs)
       in
@@ -120,8 +125,12 @@ let prop_critpath_sound =
           Obs.Sink.create ~n_fus ~code_len:(Core.Program.length program)
             ~critpath:true ()
         in
-        let state = Core.State.create ~config ~obs:sink program in
-        let outcome = Core.Xsim.run state in
+        let session =
+          Core.Session.create ~config ~obs:sink ~model:Core.Engine.Per_fu
+            program
+        in
+        let outcome = Core.Session.run session in
+        let state = Core.Session.state session in
         let cp = Option.get (Obs.Sink.critpath sink) in
         ( (outcome, Core.Stats.copy state.stats,
            Ximd_machine.Regfile.dump state.regs),

@@ -14,17 +14,21 @@ let run_pipelined (k : C.Kernelgen.t) ~trip ~inputs ~mem =
   let config =
     Ximd_core.Config.make ~n_fus:k.width ~max_cycles:100_000 ()
   in
-  let state = Ximd_core.State.create ~config k.program in
-  Ximd_machine.Regfile.set state.regs k.trip_reg (Value.of_int trip);
-  List.iter
-    (fun (v, value) ->
-      match List.assoc_opt v k.live_in_regs with
-      | Some reg -> Ximd_machine.Regfile.set state.regs reg value
-      | None -> Alcotest.failf "v%d is not live-in" v)
-    inputs;
-  List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem;
-  match Ximd_core.Xsim.run state with
-  | Ximd_core.Run.Halted _ -> state
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu k.program
+  in
+  let setup (state : Ximd_core.State.t) =
+    Ximd_machine.Regfile.set state.regs k.trip_reg (Value.of_int trip);
+    List.iter
+      (fun (v, value) ->
+        match List.assoc_opt v k.live_in_regs with
+        | Some reg -> Ximd_machine.Regfile.set state.regs reg value
+        | None -> Alcotest.failf "v%d is not live-in" v)
+      inputs;
+    List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem
+  in
+  match Ximd_core.Session.run ~setup session with
+  | Ximd_core.Run.Halted _ -> Ximd_core.Session.state session
   | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
     Alcotest.fail "pipelined loop hung"

@@ -16,15 +16,21 @@ let run ?(mem = []) compiled args =
     Ximd_core.Config.make ~n_fus:compiled.C.Codegen.width ~max_cycles:200_000
       ()
   in
-  let state = Ximd_core.State.create ~config compiled.C.Codegen.program in
-  List.iter2
-    (fun (_, reg) v ->
-      Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-    compiled.C.Codegen.param_regs args;
-  List.iter
-    (fun (a, v) -> Ximd_core.State.mem_set state a (Value.of_int v))
-    mem;
-  (match Ximd_core.Xsim.run state with
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+      compiled.C.Codegen.program
+  in
+  let setup (state : Ximd_core.State.t) =
+    List.iter2
+      (fun (_, reg) v ->
+        Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
+      compiled.C.Codegen.param_regs args;
+    List.iter
+      (fun (a, v) -> Ximd_core.State.mem_set state a (Value.of_int v))
+      mem
+  in
+  let state = Ximd_core.Session.state session in
+  (match Ximd_core.Session.run ~setup session with
    | Ximd_core.Run.Halted _ -> ()
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->

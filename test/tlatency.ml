@@ -34,15 +34,21 @@ let run_on ~result_latency (compiled : C.Codegen.compiled) args =
     Ximd_core.Config.make ~n_fus:compiled.width ~result_latency
       ~max_cycles:200_000 ()
   in
-  let state = Ximd_core.State.create ~config compiled.program in
-  List.iter2
-    (fun (_, reg) v ->
-      Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-    compiled.param_regs args;
-  List.iter
-    (fun a -> Ximd_core.State.mem_set state a (Value.of_int ((a * 3) + 1)))
-    [ 320; 321 ];
-  (match Ximd_core.Xsim.run state with
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+      compiled.program
+  in
+  let setup (state : Ximd_core.State.t) =
+    List.iter2
+      (fun (_, reg) v ->
+        Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
+      compiled.param_regs args;
+    List.iter
+      (fun a -> Ximd_core.State.mem_set state a (Value.of_int ((a * 3) + 1)))
+      [ 320; 321 ]
+  in
+  let state = Ximd_core.Session.state session in
+  (match Ximd_core.Session.run ~setup session with
    | Ximd_core.Run.Halted { cycles } -> ignore cycles
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->

@@ -17,9 +17,11 @@ let test_tracer_rows_order () =
   B.halt_row t;
   let program = B.build t in
   let config = Ximd_core.Config.make ~n_fus:1 () in
-  let state = Ximd_core.State.create ~config program in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
   let tracer = Ximd_core.Tracer.create () in
-  ignore (Ximd_core.Xsim.run ~tracer state);
+  ignore (Ximd_core.Session.run ~tracer session);
   let rows = Ximd_core.Tracer.rows tracer in
   Alcotest.(check int) "three rows" 3 (List.length rows);
   List.iteri
@@ -27,6 +29,45 @@ let test_tracer_rows_order () =
       Alcotest.(check int) "cycle order" i row.cycle)
     rows;
   Alcotest.(check int) "length" 3 (Ximd_core.Tracer.length tracer)
+
+(* A bounded tracer keeps exactly the unbounded trace's last [limit]
+   rows, counts the rest as dropped, and costs no more minor words per
+   cycle than an unbounded one (dropping the oldest row is O(1)). *)
+let test_tracer_limit_keeps_tail () =
+  let data = Array.init 2000 (fun i -> ((i * 7919) mod 20011) - 10005) in
+  let variant = (Ximd_workloads.Minmax.make ~data ()).ximd in
+  let session =
+    Ximd_core.Session.create ~config:variant.config
+      ~model:Ximd_core.Engine.Per_fu variant.program
+  in
+  let traced tracer =
+    let before = Gc.minor_words () in
+    let outcome =
+      Ximd_core.Session.run ~tracer ~setup:variant.setup session
+    in
+    (Ximd_core.Run.cycles outcome, Gc.minor_words () -. before)
+  in
+  ignore (traced (Ximd_core.Tracer.create ()));
+  let full = Ximd_core.Tracer.create () in
+  let cycles, full_words = traced full in
+  let limit = 64 in
+  let tail = Ximd_core.Tracer.create ~limit () in
+  let _, tail_words = traced tail in
+  let render t =
+    List.map (Format.asprintf "%a" Ximd_core.Tracer.pp_row)
+      (Ximd_core.Tracer.rows t)
+  in
+  Alcotest.(check int) "one row per cycle" cycles
+    (Ximd_core.Tracer.length full);
+  Alcotest.(check (list string)) "the last rows"
+    (List.filteri (fun i _ -> i >= cycles - limit) (render full))
+    (render tail);
+  Alcotest.(check int) "dropped" (cycles - limit)
+    (Ximd_core.Tracer.dropped tail);
+  if tail_words > full_words then
+    Alcotest.failf "bounded tracer: %.1f minor words per cycle, unbounded %.1f"
+      (tail_words /. float_of_int cycles)
+      (full_words /. float_of_int cycles)
 
 let test_figure10_render_contains () =
   let tracer = Ximd_core.Tracer.create () in
@@ -64,8 +105,11 @@ let test_stats_accounting () =
   B.halt_row t;
   let program = B.build t in
   let config = Ximd_core.Config.make ~n_fus:2 ~hazard_policy:Ximd_machine.Hazard.Record () in
-  let state = Ximd_core.State.create ~config program in
-  ignore (Ximd_core.Xsim.run state);
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  ignore (Ximd_core.Session.run session);
+  let state = Ximd_core.Session.state session in
   let s = state.stats in
   Alcotest.(check int) "cycles" 2 s.cycles;
   Alcotest.(check int) "data ops" 2 s.data_ops;
@@ -135,4 +179,6 @@ let suite =
         Alcotest.test_case "run outcomes" `Quick test_run_outcomes;
         Alcotest.test_case "config validation" `Quick test_config_validation;
         Alcotest.test_case "program listing" `Quick
-          test_program_listing_smoke ] ) ]
+          test_program_listing_smoke;
+        Alcotest.test_case "tracer limit keeps the tail" `Quick
+          test_tracer_limit_keeps_tail ] ) ]

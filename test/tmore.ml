@@ -138,12 +138,18 @@ let test_trace_store_not_speculated () =
     Alcotest.(check (list string)) "trace" [ "entry"; "hot" ] result.trace;
     (* Drive the COLD path; memory must stay untouched. *)
     let config = Ximd_core.Config.make ~n_fus:4 () in
-    let state = Ximd_core.State.create ~config result.compiled.program in
-    (match result.compiled.param_regs with
-     | [ (_, r) ] ->
-       Ximd_machine.Regfile.set state.regs r (Value.of_int (-5))
-     | _ -> Alcotest.fail "one param");
-    (match Ximd_core.Xsim.run state with
+    let session =
+      Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+        result.compiled.program
+    in
+    let setup (state : Ximd_core.State.t) =
+      match result.compiled.param_regs with
+      | [ (_, r) ] ->
+        Ximd_machine.Regfile.set state.regs r (Value.of_int (-5))
+      | _ -> Alcotest.fail "one param"
+    in
+    let state = Ximd_core.Session.state session in
+    (match Ximd_core.Session.run ~setup session with
      | Ximd_core.Run.Halted _ -> ()
      | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->

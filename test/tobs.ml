@@ -184,8 +184,11 @@ let prop_obs_transparent =
           ~hazard_policy:Ximd_machine.Hazard.Record ()
       in
       let run obs =
-        let state = Core.State.create ~config ?obs program in
-        let outcome = Core.Xsim.run state in
+        let session =
+          Core.Session.create ~config ?obs ~model:Core.Engine.Per_fu program
+        in
+        let outcome = Core.Session.run session in
+        let state = Core.Session.state session in
         (outcome, Core.Stats.copy state.stats,
          Ximd_machine.Regfile.dump state.regs)
       in

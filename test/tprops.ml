@@ -62,19 +62,21 @@ let prop_asm_source_roundtrip =
 let prop_xsim_equals_vsim =
   QCheck2.Test.make ~count:200 ~name:"xsim = vsim on VLIW-style programs"
     gen_forward_program (fun (program, n_fus) ->
-      let run sim =
+      let run model =
         let config = Ximd_core.Config.make ~n_fus ~max_cycles:1000 () in
-        let state = Ximd_core.State.create ~config program in
-        match sim state with
+        let session = Ximd_core.Session.create ~config ~model program in
+        match Ximd_core.Session.run session with
         | Ximd_core.Run.Halted { cycles } ->
-          Some (cycles, Ximd_machine.Regfile.dump state.regs)
+          Some
+            ( cycles,
+              Ximd_machine.Regfile.dump (Ximd_core.Session.state session).regs
+            )
         | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
           None
       in
       match
-        (run (fun s -> Ximd_core.Xsim.run s),
-         run (fun s -> Ximd_core.Vsim.run s))
+        (run Ximd_core.Engine.Per_fu, run Ximd_core.Engine.Global)
       with
       | Some (xc, xregs), Some (vc, vregs) ->
         xc = vc && Array.for_all2 Value.equal xregs vregs
@@ -503,12 +505,18 @@ let prop_compile_matches_interp =
         | Error _ -> false
         | Ok compiled -> (
           let config = Ximd_core.Config.make ~n_fus:width () in
-          let state = Ximd_core.State.create ~config compiled.program in
-          List.iter2
-            (fun (_, reg) v -> Ximd_machine.Regfile.set state.regs reg v)
-            compiled.param_regs args;
-          List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem;
-          match Ximd_core.Vsim.run state with
+          let session =
+            Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Global
+              compiled.program
+          in
+          let setup (state : Ximd_core.State.t) =
+            List.iter2
+              (fun (_, reg) v -> Ximd_machine.Regfile.set state.regs reg v)
+              compiled.param_regs args;
+            List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem
+          in
+          let state = Ximd_core.Session.state session in
+          match Ximd_core.Session.run ~setup session with
           | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
             false
@@ -582,15 +590,21 @@ let prop_kernelgen_matches_rolled =
         let config =
           Ximd_core.Config.make ~n_fus:width ~max_cycles:100_000 ()
         in
-        let state = Ximd_core.State.create ~config k.program in
-        Ximd_machine.Regfile.set state.regs k.trip_reg (Value.of_int trip);
-        List.iter
-          (fun (v, value) ->
-            match List.assoc_opt v k.live_in_regs with
-            | Some reg -> Ximd_machine.Regfile.set state.regs reg value
-            | None -> ())
-          inputs;
-        match Ximd_core.Xsim.run state with
+        let session =
+          Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
+            k.program
+        in
+        let setup (state : Ximd_core.State.t) =
+          Ximd_machine.Regfile.set state.regs k.trip_reg (Value.of_int trip);
+          List.iter
+            (fun (v, value) ->
+              match List.assoc_opt v k.live_in_regs with
+              | Some reg -> Ximd_machine.Regfile.set state.regs reg value
+              | None -> ())
+            inputs
+        in
+        let state = Ximd_core.Session.state session in
+        match Ximd_core.Session.run ~setup session with
         | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
           false

@@ -14,10 +14,12 @@ let run ?(latency = 3) ?(n_fus = 1) build =
   let config =
     Ximd_core.Config.make ~n_fus ~result_latency:latency ~max_cycles:1000 ()
   in
-  let state = Ximd_core.State.create ~config program in
-  let outcome = Ximd_core.Xsim.run state in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  let outcome = Ximd_core.Session.run session in
   Alcotest.(check bool) "completed" true (Ximd_core.Run.completed outcome);
-  (state, regs)
+  (Ximd_core.Session.state session, regs)
 
 let test_exposed_latency_stale_read () =
   (* Back-to-back dependent ops read the stale value: no interlocks. *)
@@ -127,8 +129,11 @@ let test_prototype_config_runs () =
   B.halt_row t;
   let program = B.build t in
   let config = Ximd_core.Config.prototype () in
-  let state = Ximd_core.State.create ~config program in
-  let outcome = Ximd_core.Xsim.run state in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu program
+  in
+  let outcome = Ximd_core.Session.run session in
+  let state = Ximd_core.Session.state session in
   Alcotest.(check bool) "completed" true (Ximd_core.Run.completed outcome);
   Alcotest.check value "r = 9" (Value.of_int 9)
     (Ximd_machine.Regfile.read state.regs r)

@@ -81,11 +81,13 @@ let setup state (sa, na, sb, nb) =
 let test_two_processes_run () =
   let program, regs = two_process_program () in
   Alcotest.(check bool) "bank consistent" true
-    (Ximd_core.T500.bank_consistent program);
+    (Ximd_core.Engine.bank_consistent program);
   let config = Ximd_core.Config.make ~n_fus:4 ~max_cycles:10_000 () in
-  let state = Ximd_core.State.create ~config program in
-  setup state regs;
-  (match Ximd_core.T500.run state with
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Banked program
+  in
+  let state = Ximd_core.Session.state session in
+  (match Ximd_core.Session.run ~setup:(fun s -> setup s regs) session with
    | Ximd_core.Run.Halted _ -> ()
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
@@ -101,19 +103,18 @@ let test_same_cycles_as_xsim () =
   (* XIMD subsumes the two-sequencer model: the same program takes the
      same cycles under the general simulator. *)
   let program, regs = two_process_program () in
-  let run sim =
+  let run model =
     let config = Ximd_core.Config.make ~n_fus:4 ~max_cycles:10_000 () in
-    let state = Ximd_core.State.create ~config program in
-    setup state regs;
-    match sim state with
+    let session = Ximd_core.Session.create ~config ~model program in
+    match Ximd_core.Session.run ~setup:(fun s -> setup s regs) session with
     | Ximd_core.Run.Halted { cycles } -> cycles
     | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
       Alcotest.fail "hung"
   in
   Alcotest.(check int) "cycles equal"
-    (run (fun s -> Ximd_core.Xsim.run s))
-    (run (fun s -> Ximd_core.T500.run s))
+    (run Ximd_core.Engine.Per_fu)
+    (run Ximd_core.Engine.Banked)
 
 let test_rejects_finer_partitions () =
   (* MINMAX needs three streams; the two-sequencer machine cannot host
@@ -121,11 +122,13 @@ let test_rejects_finer_partitions () =
      conditions). *)
   let program = (Ximd_workloads.Minmax.make ()).ximd.program in
   Alcotest.(check bool) "not bank consistent" false
-    (Ximd_core.T500.bank_consistent program);
+    (Ximd_core.Engine.bank_consistent program);
   let config = Ximd_core.Config.make ~n_fus:4 () in
-  let state = Ximd_core.State.create ~config program in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Banked program
+  in
   Alcotest.(check bool) "rejected" true
-    (match Ximd_core.T500.run state with
+    (match Ximd_core.Session.run session with
      | exception Invalid_argument _ -> true
      | _ -> false)
 
@@ -135,11 +138,13 @@ let test_lockstep_vliw_programs_ok () =
   let workload = Ximd_workloads.Tproc.make () in
   let program = workload.ximd.program in
   Alcotest.(check bool) "bank consistent" true
-    (Ximd_core.T500.bank_consistent program);
+    (Ximd_core.Engine.bank_consistent program);
   let config = Ximd_core.Config.make ~n_fus:4 () in
-  let state = Ximd_core.State.create ~config program in
-  workload.ximd.setup state;
-  (match Ximd_core.T500.run state with
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Banked program
+  in
+  let state = Ximd_core.Session.state session in
+  (match Ximd_core.Session.run ~setup:workload.ximd.setup session with
    | Ximd_core.Run.Halted _ -> ()
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
@@ -153,9 +158,11 @@ let test_odd_fu_count_rejected () =
   B.halt_row t;
   let program = B.build t in
   let config = Ximd_core.Config.make ~n_fus:3 () in
-  let state = Ximd_core.State.create ~config program in
+  let session =
+    Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Banked program
+  in
   Alcotest.(check bool) "odd rejected" true
-    (match Ximd_core.T500.run state with
+    (match Ximd_core.Session.run session with
      | exception Invalid_argument _ -> true
      | _ -> false)
 

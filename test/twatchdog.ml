@@ -47,19 +47,19 @@ let producer_consumer ~broken =
   B.halt_row t;
   (B.build t, r0, r1)
 
-let state_of ?faults ?(policy = M.Hazard.Raise) ?(max_cycles = 2_000) program
-    =
+let session_of ?faults ?(policy = M.Hazard.Raise) ?(max_cycles = 2_000)
+    program =
   let config =
     Core.Config.make
       ~n_fus:(Core.Program.n_fus program)
       ~max_cycles ~hazard_policy:policy ()
   in
-  Core.State.create ~config ?faults program
+  Core.Session.create ~config ?faults ~model:Core.Engine.Per_fu program
 
 let run_watched ?faults ?policy ?max_cycles ?window program =
-  let state = state_of ?faults ?policy ?max_cycles program in
+  let session = session_of ?faults ?policy ?max_cycles program in
   let watchdog = Core.Watchdog.create ?window () in
-  (Core.Xsim.run ~watchdog state, state)
+  (Core.Session.run ~watchdog session, Core.Session.state session)
 
 (* --- Watchdog classification ------------------------------------------- *)
 
@@ -82,8 +82,8 @@ let test_cross_wait_deadlock () =
     Alcotest.failf "expected deadlock, got %a" Core.Run.pp outcome
 
 let test_fuel_without_watchdog () =
-  let state = state_of ~max_cycles:300 (cross_wait ()) in
-  match Core.Xsim.run state with
+  let session = session_of ~max_cycles:300 (cross_wait ()) in
+  match Core.Session.run session with
   | Core.Run.Fuel_exhausted { cycles } ->
     Alcotest.(check int) "burned all fuel" 300 cycles
   | outcome -> Alcotest.failf "expected fuel out, got %a" Core.Run.pp outcome
@@ -127,9 +127,9 @@ let test_no_false_positives () =
     (W.Suite.all ())
 
 let test_small_window () =
-  let state = state_of (cross_wait ()) in
+  let session = session_of (cross_wait ()) in
   let watchdog = Core.Watchdog.create ~window:8 () in
-  match Core.Xsim.run ~watchdog state with
+  match Core.Session.run ~watchdog session with
   | Core.Run.Deadlocked { cycles; _ } ->
     Alcotest.(check bool) "classified quickly" true (cycles <= 16)
   | outcome -> Alcotest.failf "expected deadlock, got %a" Core.Run.pp outcome
@@ -168,8 +168,9 @@ let test_drop_write () =
   let faults =
     M.Fault.create [ { at = 0; kind = M.Fault.Drop_write; target = 0 } ]
   in
-  let state = state_of ~faults fixed in
-  (match Core.Xsim.run state with
+  let session = session_of ~faults fixed in
+  let state = Core.Session.state session in
+  (match Core.Session.run session with
    | Core.Run.Halted _ -> ()
    | outcome -> Alcotest.failf "must still halt, got %a" Core.Run.pp outcome);
   Alcotest.(check bool)
@@ -181,8 +182,9 @@ let test_dup_write_hazard () =
   let faults =
     M.Fault.create [ { at = 0; kind = M.Fault.Dup_write; target = 0 } ]
   in
-  let state = state_of ~faults ~policy:M.Hazard.Record fixed in
-  (match Core.Xsim.run state with
+  let session = session_of ~faults ~policy:M.Hazard.Record fixed in
+  let state = Core.Session.state session in
+  (match Core.Session.run session with
    | Core.Run.Halted _ -> ()
    | outcome -> Alcotest.failf "must still halt, got %a" Core.Run.pp outcome);
   match Core.State.hazards state with
@@ -283,10 +285,13 @@ let prop_faulted_runs_classify =
           Core.Config.make ~n_fus ~max_cycles:400
             ~hazard_policy:M.Hazard.Record ()
         in
-        let state = Core.State.create ~config ~faults program in
+        let session =
+          Core.Session.create ~config ~faults ~model:Core.Engine.Per_fu
+            program
+        in
         let watchdog = Core.Watchdog.create ~window:16 () in
-        let outcome = Core.Xsim.run ~watchdog state in
-        (outcome, M.Regfile.dump state.regs)
+        let outcome = Core.Session.run ~watchdog session in
+        (outcome, M.Regfile.dump (Core.Session.state session).regs)
       in
       let outcome1, regs1 = run () in
       let outcome2, regs2 = run () in

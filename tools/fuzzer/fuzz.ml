@@ -10,13 +10,12 @@ let usage =
    sequencing model (xsim/vsim/t500); any observable difference —\n\
    trace, registers, memory, I/O, hazards, outcome — is a failure.\n\n\
    commands:\n\
-  \  run     --seed S --count N [--artifacts DIR]   fuzz N cases, shrink\n\
-  \          and report the first divergence (exit 1)\n\
-  \  sweep   --seed S --count N [--domains D]       fuzz N cases on the\n\
-  \          supervised run farm: D worker domains, crash-isolated (a\n\
-  \          case that kills the checker is reported, not fatal), all\n\
-  \          divergences reported in deterministic index order;\n\
-  \          [--campaign-trace FILE] Chrome trace of the sweep,\n\
+  \  run     --seed S --count N [--domains D] [--artifacts DIR]\n\
+  \          fuzz N cases on the supervised run farm (D worker domains,\n\
+  \          default 1; a case that kills the checker is reported, not\n\
+  \          fatal); report every divergence and crash in index order,\n\
+  \          then shrink the lowest-index divergence (exit 1);\n\
+  \          [--campaign-trace FILE] Chrome trace of the run,\n\
   \          [--campaign-report FILE] ximd-campaign/1 rollup,\n\
   \          [--progress-every N] ximd-progress/1 heartbeat to stderr\n\
   \  one     --seed S --index I [--dump]            check one case\n\
@@ -98,13 +97,11 @@ let write_file path content =
   Out_channel.with_open_text path (fun oc ->
     Out_channel.output_string oc content)
 
-let report_divergence ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
-  Printf.printf "DIVERGENCE at seed %d index %d (%s, model %s)\n" seed index
-    (describe_config c) (Gen.Diff.model_name d.model);
-  print_string (Gen.Diff.divergence_to_string d);
-  print_newline ();
+(* Shrinks a divergent case and reports the repro: as files under
+   [artifacts], or with the command that lands it in the corpus. *)
+let shrink_and_report ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
   let shrunk = Gen.Shrink.minimise ~predicate:diverges c in
-  Printf.printf "shrunk repro (%d parcels, was %d):\n%s\n"
+  Printf.printf "shrunk repro of index %d (%d parcels, was %d):\n%s\n" index
     (Gen.Shrink.parcels shrunk) (Gen.Shrink.parcels c) (case_source shrunk);
   match artifacts with
   | None ->
@@ -123,47 +120,14 @@ let report_divergence ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
     write_file (base ^ ".original.xasm") (case_source c);
     Printf.printf "artifacts written under %s\n" dir
 
+(* Fuzzing on the supervised pool: each case is one pool job, so a
+   checker crash on one case becomes a report instead of taking the run
+   down, and reports land in index order whatever the domain count.
+   Every case is checked; the lowest-index divergence is then shrunk. *)
 let cmd_run args =
-  let seed = ref 0 and count = ref 1000 and artifacts = ref None in
-  let _ =
-    parse_options
-      [ ("--seed", `Int (( := ) seed));
-        ("--count", `Int (( := ) count));
-        ("--artifacts", `String (fun d -> artifacts := Some d)) ]
-      args
-  in
-  let divergences = ref 0 in
-  let checked = ref 0 in
-  let t0 = Unix.gettimeofday () in
-  (try
-     for index = 0 to !count - 1 do
-       let c = case_at ~seed:!seed ~index in
-       incr checked;
-       match Gen.Diff.check_case c with
-       | Gen.Diff.Agree _ -> ()
-       | Gen.Diff.Diverge d ->
-         incr divergences;
-         report_divergence ~seed:!seed ~index ~artifacts:!artifacts c d;
-         raise Exit
-     done
-   with Exit -> ());
-  let dt = Unix.gettimeofday () -. t0 in
-  Printf.printf "fuzz: %d/%d cases, %d divergence%s, seed %d, %.1fs\n"
-    !checked !count !divergences
-    (if !divergences = 1 then "" else "s")
-    !seed dt;
-  exit (if !divergences > 0 then 1 else 0)
-
-(* --- sweep ------------------------------------------------------------ *)
-
-(* Multicore fuzzing on the supervised pool: each case is one pool job,
-   so a checker crash on one case becomes a report instead of taking
-   the sweep down, and reports land in index order whatever the domain
-   count.  Unlike `run`, a sweep checks every case (no stop-at-first,
-   no shrinking — use `fuzz shrink` on a reported index). *)
-let cmd_sweep args =
-  let seed = ref 0 and count = ref 1000 and domains = ref 2 in
-  let trace_out = ref None
+  let seed = ref 0 and count = ref 1000 and domains = ref 1 in
+  let artifacts = ref None
+  and trace_out = ref None
   and report_out = ref None
   and progress_every = ref 0 in
   let _ =
@@ -171,6 +135,7 @@ let cmd_sweep args =
       [ ("--seed", `Int (( := ) seed));
         ("--count", `Int (( := ) count));
         ("--domains", `Int (( := ) domains));
+        ("--artifacts", `String (fun d -> artifacts := Some d));
         ("--campaign-trace", `String (fun f -> trace_out := Some f));
         ("--campaign-report", `String (fun f -> report_out := Some f));
         ("--progress-every", `Int (( := ) progress_every)) ]
@@ -205,13 +170,17 @@ let cmd_sweep args =
           p_emit = (fun ~seq -> Ximd_obs.Farmobs.on_emit o ~seq) })
       obs
   in
-  let divergences = ref 0 and crashes = ref 0 in
+  let divergences = ref 0 and crashes = ref 0 and first = ref None in
   let emit (index, verdict) =
     match verdict with
     | `Agree -> ()
-    | `Diverge report ->
+    | `Diverge (c, (d : Gen.Diff.divergence)) ->
       incr divergences;
-      Printf.printf "DIVERGENCE at seed %d index %d %s\n" !seed index report
+      if !first = None then first := Some (index, c, d);
+      Printf.printf "DIVERGENCE at seed %d index %d (%s, model %s)\n%s\n"
+        !seed index (describe_config c)
+        (Gen.Diff.model_name d.model)
+        (Gen.Diff.divergence_to_string d)
     | `Crash exn ->
       incr crashes;
       Printf.printf "CRASH at seed %d index %d: %s\n" !seed index exn
@@ -228,11 +197,7 @@ let cmd_sweep args =
           (index, `Agree)
         | Gen.Diff.Diverge d ->
           complete ~seq "diverge" Ximd_obs.Span.Bad;
-          ( index,
-            `Diverge
-              (Printf.sprintf "(%s, model %s)\n%s" (describe_config c)
-                 (Gen.Diff.model_name d.model)
-                 (Gen.Diff.divergence_to_string d)) ))
+          (index, `Diverge (c, d)))
       ~crashed:(fun ~seq index ~exn ~backtrace:_ ->
         complete ~seq "crash" Ximd_obs.Span.Bad;
         (index, `Crash exn))
@@ -245,6 +210,7 @@ let cmd_sweep args =
     ignore (Ximd_farm.Pool.submit pool index)
   done;
   Ximd_farm.Pool.join pool;
+  let dt = Unix.gettimeofday () -. t0 in
   (match obs with
    | None -> ()
    | Some o ->
@@ -258,9 +224,12 @@ let cmd_sweep args =
          write_file path (Ximd_obs.Farmobs.rollup_json o);
          Printf.eprintf "campaign report written to %s\n%!" path)
        !report_out);
-  let dt = Unix.gettimeofday () -. t0 in
+  (match !first with
+   | None -> ()
+   | Some (index, c, d) ->
+     shrink_and_report ~seed:!seed ~index ~artifacts:!artifacts c d);
   Printf.printf
-    "sweep: %d cases on %d domain%s, %d divergence%s, %d crash%s, seed %d, \
+    "fuzz: %d cases on %d domain%s, %d divergence%s, %d crash%s, seed %d, \
      %.1fs\n"
     !count !domains
     (if !domains = 1 then "" else "s")
@@ -406,7 +375,6 @@ let cmd_suites args =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "run" :: args -> cmd_run args
-  | _ :: "sweep" :: args -> cmd_sweep args
   | _ :: "one" :: args -> cmd_one args
   | _ :: "shrink" :: args -> cmd_shrink args
   | _ :: "save" :: args -> cmd_save args
