@@ -1,7 +1,8 @@
 (* Shared plumbing for the command-line tools: the xsim/vsim simulators
    use the full run pipeline; xcc reuses [run_and_report], [exits] (the
-   canonical Run.exit_codes table rendered for cmdliner) and
-   [write_output]. *)
+   canonical Run.exit_codes table rendered for cmdliner), [read_input]
+   and [write_output]; xasm and ximd-serve read and write files through
+   the last two as well. *)
 
 open Cmdliner
 open Ximd_isa
@@ -243,17 +244,37 @@ let postmortem_arg =
               $(b,json).  Without this option a text postmortem is \
               printed only when the run deadlocks.")
 
+(* A path a tool cannot read or write is bad input: one
+   "TOOL: PATH: REASON" line and exit 1, never an uncaught [Sys_error].
+   [msg] is the [Sys_error] text, which may already start with the
+   path. *)
+let io_failure ~tool path msg =
+  let prefix = path ^ ": " in
+  let reason =
+    if String.starts_with ~prefix msg then
+      String.sub msg (String.length prefix)
+        (String.length msg - String.length prefix)
+    else msg
+  in
+  Printf.eprintf "%s: %s: %s\n" tool path reason;
+  exit 1
+
+let read_input ~tool path =
+  try In_channel.with_open_bin path In_channel.input_all
+  with Sys_error msg -> io_failure ~tool path msg
+
 (* Writes [contents] to [path], "-" meaning stdout. *)
-let write_output path contents =
+let write_output ~tool path contents =
   if path = "-" then print_string contents
-  else begin
-    let oc = open_out path in
-    output_string oc contents;
-    close_out oc
-  end
+  else
+    try
+      Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc contents)
+    with Sys_error msg -> io_failure ~tool path msg
 
 (* A one-line JSON document, newline-terminated. *)
-let write_json path json = write_output path (Ximd_json.to_string json ^ "\n")
+let write_json ~tool path json =
+  write_output ~tool path (Ximd_json.to_string json ^ "\n")
 
 (* The steps every CLI run shares.  [run ()] runs the program (more
    than once under --repeat): a hazard under the [Raise] policy prints
@@ -285,7 +306,7 @@ let run_and_report ?tracer ~report run =
 (* --compare short-circuits the normal run: both sides execute inside
    {!Ximd_report.Compare} sessions with accounting sinks attached, and
    the process exits with the worse of the two outcomes' codes. *)
-let run_compare model program compare_path compare_json ~max_cycles
+let run_compare ~tool model program compare_path compare_json ~max_cycles
     ~record_hazards ~reg_inits ~mem_inits =
   if model <> Ximd_core.Engine.Per_fu then begin
     Printf.eprintf "--compare is only available on xsim\n";
@@ -325,13 +346,13 @@ let run_compare model program compare_path compare_json ~max_cycles
        (match compare_json with
         | None -> ()
         | Some out ->
-          write_json out (Ximd_report.Compare.to_json cmp));
+          write_json ~tool out (Ximd_report.Compare.to_json cmp));
        exit
          (max
             (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.ximd.outcome)
             (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.vliw.outcome)))
 
-let run_simulator model path trace listing stats max_cycles cycle_budget
+let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     record_hazards
     detect_deadlock deadlock_window inject repeat postmortem trace_events
     metrics_file profile timeline account_file critical_path profile_folded
@@ -352,7 +373,7 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
   | Ok program ->
     (match compare_file with
      | Some compare_path ->
-       run_compare model program compare_path compare_json ~max_cycles
+       run_compare ~tool model program compare_path compare_json ~max_cycles
          ~record_hazards ~reg_inits ~mem_inits
      | None -> ());
     let config =
@@ -468,17 +489,18 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
          if dropped > 0 then
            Printf.eprintf
              "warning: %d observability events dropped (ring overflow, \
-              oldest first); raise the ring capacity or narrow the run\n%!"
+              oldest first); the event trace covers only the end of the \
+              run\n%!"
              dropped;
          let pc_label pc = Ximd_core.Program.label_at program pc in
          (match trace_events with
           | None -> ()
           | Some path ->
-            write_output path (Ximd_obs.Chrome.to_string ~pc_label sink));
+            write_output ~tool path (Ximd_obs.Chrome.to_string ~pc_label sink));
          (match metrics_file with
           | None -> ()
           | Some path ->
-            write_json path (Ximd_obs.Sink.metrics_json sink));
+            write_json ~tool path (Ximd_obs.Sink.metrics_json sink));
          if profile then begin
            match Ximd_obs.Sink.profile sink with
            | None -> ()
@@ -523,7 +545,8 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
                let describe pc =
                  match pc_label pc with Some l -> l | None -> ""
                in
-               write_output out (Ximd_obs.Profile.to_folded ~describe prof)));
+               write_output ~tool out
+                 (Ximd_obs.Profile.to_folded ~describe prof)));
          let realised = state.stats.Ximd_core.Stats.cycles in
          (match account_file with
           | None -> ()
@@ -531,7 +554,8 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
             (match Ximd_obs.Sink.account sink with
              | None -> ()
              | Some acct ->
-               write_json out (Ximd_obs.Account.to_json acct ~cycles:realised);
+               write_json ~tool out
+                 (Ximd_obs.Account.to_json acct ~cycles:realised);
                if out <> "-" then
                  Format.printf "%a@."
                    (fun fmt a -> Ximd_obs.Account.pp fmt a ~cycles:realised)
@@ -542,7 +566,7 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
             (match Ximd_obs.Sink.critpath sink with
              | None -> ()
              | Some crit ->
-               write_json out (Ximd_obs.Critpath.to_json crit ~realised);
+               write_json ~tool out (Ximd_obs.Critpath.to_json crit ~realised);
                if out <> "-" then
                  Format.printf "%a@."
                    (fun fmt c -> Ximd_obs.Critpath.pp fmt c ~realised)
@@ -559,7 +583,7 @@ let run_simulator model path trace listing stats max_cycles cycle_budget
       in
       (match postmortem with
        | Some `Json ->
-         write_json "-"
+         write_json ~tool "-"
            (Ximd_report.Diagnostics.to_json
               (Ximd_report.Diagnostics.collect state ~outcome))
        | Some `Text ->
@@ -580,9 +604,9 @@ let exits =
     (fun (code, doc) -> Cmd.Exit.info code ~doc)
     Ximd_core.Run.exit_codes
 
-let simulator_term sim_term =
+let simulator_term ~tool sim_term =
   Term.(
-    const run_simulator
+    const (run_simulator ~tool)
     $ sim_term $ file_arg $ trace_flag $ listing_flag $ stats_flag
     $ max_cycles_arg $ cycle_budget_arg $ record_hazards_flag
     $ detect_deadlock_flag

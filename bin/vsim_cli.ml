@@ -14,6 +14,7 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "vsim" ~doc ~man ~exits:Cli_common.exits)
-    (Cli_common.simulator_term (Term.const Ximd_core.Engine.Global))
+    (Cli_common.simulator_term ~tool:"vsim"
+       (Term.const Ximd_core.Engine.Global))
 
 let () = exit (Cmd.eval cmd)

@@ -15,18 +15,14 @@ let assemble input output listing =
      | None -> ()
      | Some path ->
        let image = Ximd_core.Program.encode program in
-       Out_channel.with_open_bin path (fun oc ->
-         Out_channel.output_bytes oc image);
+       Cli_common.write_output ~tool:"xasm" path (Bytes.to_string image);
        Printf.printf "wrote %d bytes (%d rows x %d FUs, 192-bit parcels)\n"
          (Bytes.length image)
          (Ximd_core.Program.length program)
          (Ximd_core.Program.n_fus program))
 
 let disassemble input =
-  let image =
-    In_channel.with_open_bin input (fun ic ->
-      Bytes.of_string (In_channel.input_all ic))
-  in
+  let image = Bytes.of_string (Cli_common.read_input ~tool:"xasm" input) in
   match Ximd_core.Program.decode image with
   | Error msg ->
     Printf.eprintf "%s: %s\n" input msg;

@@ -18,9 +18,11 @@ let bad_input fmt =
       exit 1)
     fmt
 
+let tool = "xcc"
+
 let compile_and_go path width emit_asm run_args listing trace explain
     sched_json sched_trace =
-  let source = In_channel.with_open_text path In_channel.input_all in
+  let source = Cli_common.read_input ~tool path in
   let obs =
     if explain || sched_json <> None || sched_trace <> None then
       Some (C.Schedobs.create ~clock:Unix.gettimeofday ())
@@ -37,10 +39,12 @@ let compile_and_go path width emit_asm run_args listing trace explain
        if explain then Format.printf "%a@." C.Schedobs.pp_explain t;
        (match sched_json with
         | None -> ()
-        | Some path -> Cli_common.write_output path (C.Schedobs.to_json t ^ "\n"));
+        | Some path ->
+          Cli_common.write_output ~tool path (C.Schedobs.to_json t ^ "\n"));
        (match sched_trace with
         | None -> ()
-        | Some path -> Cli_common.write_output path (C.Schedobs.to_chrome t)));
+        | Some path ->
+          Cli_common.write_output ~tool path (C.Schedobs.to_chrome t)));
     if listing then
       Format.printf "%a@." Ximd_core.Program.pp_listing compiled.program;
     if emit_asm then

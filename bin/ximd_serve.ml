@@ -73,10 +73,6 @@ type campaign_opts = {
   progress_every : int;
 }
 
-let write_file path content =
-  Out_channel.with_open_text path (fun oc ->
-    Out_channel.output_string oc content)
-
 (* One campaign: job lines from [input], result lines to [output].
    Returns the worst exit code seen, or 130 if interrupted.  Telemetry
    is per-campaign: in socket mode each connection gets a fresh
@@ -151,10 +147,14 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
    | None -> ()
    | Some o ->
      Option.iter
-       (fun path -> write_file path (Ximd_obs.Farmobs.chrome_json o))
+       (fun path ->
+         Cli_common.write_output ~tool:"ximd-serve" path
+           (Ximd_obs.Farmobs.chrome_json o))
        campaign.trace_out;
      Option.iter
-       (fun path -> write_file path (Ximd_obs.Farmobs.rollup_json o))
+       (fun path ->
+         Cli_common.write_output ~tool:"ximd-serve" path
+           (Ximd_obs.Farmobs.rollup_json o))
        campaign.report_out;
      let dropped =
        let c =

@@ -33,6 +33,6 @@ let cmd =
   in
   Cmd.v
     (Cmd.info "xsim" ~doc ~man ~exits:Cli_common.exits)
-    (Cli_common.simulator_term sim_term)
+    (Cli_common.simulator_term ~tool:"xsim" sim_term)
 
 let () = exit (Cmd.eval cmd)

@@ -77,72 +77,46 @@ let bank_consistent program =
   !ok
 
 (* ------------------------------------------------------------------ *)
-(* Cross-cutting hooks.  The observability sink and fault injector
-   are threaded through the pipeline exactly once, here: each helper
-   costs one predictable branch when its facility is off (the
-   single-branch-when-[None] discipline of [state.faults]/[state.obs]),
-   and no engine-specific copy exists to drift. *)
+(* The top of the cycle: the sink samples the partition in effect, the
+   same timing as the tracer row {!Session.run} records just before
+   the step, and then faults land, so a flipped SS/CC bit is visible to
+   this cycle's branch evaluation and a stuck halt takes effect before
+   fetch.  Each costs one predictable branch when off. *)
 
 let[@inline] hook_cycle_top (state : State.t) =
   (match state.obs with
    | None -> ()
    | Some obs ->
-     (* same timing as the tracer row {!Session.run} records just
-        before the step: the partition in effect at the top of the
-        cycle, before faults land *)
      Ximd_obs.Sink.on_partition obs ~cycle:state.cycle
        ~ssets:(Partition.ssets state.partition));
   match state.faults with
   | None -> ()
   | Some f -> Exec.apply_faults state f
 
-let[@inline] hook_fetch (state : State.t) ~fu ~pc =
-  match state.obs with
-  | None -> ()
-  | Some obs -> Ximd_obs.Sink.on_fetch obs ~cycle:state.cycle ~fu ~pc
-
-(* Set an FU's sync signal, reporting the edge (not the level) to the
-   sink. *)
-let[@inline] set_ss (state : State.t) ~fu sync =
-  let old_ss = state.sss.(fu) in
-  state.sss.(fu) <- sync;
-  match state.obs with
-  | None -> ()
-  | Some obs ->
-    if not (Sync.equal old_ss sync) then begin
-      state.scratch.ss_edge.(fu) <- true;
-      Ximd_obs.Sink.on_ss obs ~cycle:state.cycle ~fu
-        ~to_done:(Sync.equal sync Sync.Done)
-    end
-
-let[@inline] hook_halt (state : State.t) ~fu =
-  match state.obs with
-  | None -> ()
-  | Some obs -> Ximd_obs.Sink.on_halt obs ~cycle:state.cycle ~fu
-
-let[@inline] hook_control (state : State.t) ~fu ~pc ~spinning ~sync =
-  match state.obs with
-  | None -> ()
-  | Some obs ->
-    Ximd_obs.Sink.on_control obs ~cycle:state.cycle ~fu ~pc ~spinning ~sync
-
-let[@inline] hook_cycle_end (state : State.t) ~live_streams =
-  match state.obs with
-  | None -> ()
-  | Some obs -> Ximd_obs.Sink.on_cycle_end obs ~cycle:state.cycle ~live_streams
-
 (* ------------------------------------------------------------------ *)
-(* Why-analysis sampling (DESIGN.md §9).  The engine is the only place
-   that knows why a slot was idle, so it classifies every fu×cycle slot
-   for {!Ximd_obs.Account} and feeds the realised dependences to
-   {!Ximd_obs.Critpath} — both behind the same single-[match]-on-[obs]
-   discipline as every other hook, so a detached run pays nothing. *)
+(* The observation point (DESIGN.md §7, §9).  The phases of {!step} do
+   machine work only; once the cycle is finished, [report] reads it
+   back from the state and [state.scratch] and hands the sink its facts
+   in the order the event ring records them (the exporters' goldens pin
+   it): fetches, the commit's results and condition codes, then per
+   stream its sync edges, halts and branch resolution, then every
+   slot's class for {!Ximd_obs.Account} and the committing ops'
+   dependence nodes for {!Ximd_obs.Critpath}.  A sync edge is a level
+   that differs from [scratch.ss_before], the levels the branch
+   evaluation read.  Fault drop masks stay armed until the next cycle
+   begins, so a dropped write still classifies as lost here. *)
 
 let[@inline] stream_of model ~n fu =
   match model with
   | Per_fu -> fu
   | Global -> 0
   | Banked -> if fu < n / 2 then 0 else 1
+
+let[@inline] leader_of model ~n fu =
+  match model with
+  | Per_fu -> fu
+  | Global -> 0
+  | Banked -> if fu < n / 2 then 0 else n / 2
 
 (* Only operations that stage a register or memory write can lose their
    result to an armed drop-write fault (I/O writes and compares bypass
@@ -168,112 +142,126 @@ let issue_args = function
   | Parcel.Din { port; d } -> (op_reg port, -1, Reg.index d, false)
   | Parcel.Dout { a; port } -> (op_reg a, op_reg port, -1, false)
 
-(* Bind a conditional branch's control producers for every issuing
-   member of its stream, as of start-of-cycle state — called from the
-   branch-evaluation phase, before any of this cycle's issues. *)
-let bind_stream (state : State.t) obs ~leader ~last cond =
-  let was_live = state.scratch.was_live in
-  for fu = leader to last do
-    if was_live.(fu) then
-      match (cond : Cond.t) with
-      | Cond.Cc j -> Ximd_obs.Sink.cp_bind_cc obs ~fu ~j
-      | Cond.Ss j -> Ximd_obs.Sink.cp_bind_ss obs ~fu ~j
-      | Cond.All_ss mask -> Ximd_obs.Sink.cp_bind_all obs ~fu ~mask
-      | Cond.Any_ss mask ->
-        let dm = ref 0 in
-        for j = 0 to State.n_fus state - 1 do
-          if mask land (1 lsl j) <> 0 && Sync.equal state.sss.(j) Sync.Done
-          then dm := !dm lor (1 lsl j)
-        done;
-        Ximd_obs.Sink.cp_bind_any obs ~fu ~done_mask:!dm
-      | Cond.Always1 | Cond.Always2 -> ()
-  done
-
-let[@inline] hook_bind model (state : State.t) ~ns =
-  match state.obs with
-  | None -> ()
-  | Some obs ->
-    if Ximd_obs.Sink.wants_critpath obs then begin
-      let n = State.n_fus state in
-      let s = state.scratch in
-      for k = 0 to ns - 1 do
-        if s.str_live.(k) then
-          match s.ctrl.(k).control with
-          | Control.Branch { cond; _ } when not (Cond.is_unconditional cond)
-            ->
-            let leader, last = stream_bounds model ~n k in
-            bind_stream state obs ~leader ~last cond
-          | Control.Branch _ | Control.Halt -> ()
-      done
-    end
-
-(* Classify every slot of the cycle (see {!Ximd_obs.Account} for the
-   taxonomy and priority) and create the committing ops' dependence
-   nodes.  Runs after control commit, so [spun]/[ss_edge] reflect this
-   cycle; fault drop masks stay armed until the next cycle begins. *)
-let slot_accounting model (state : State.t) obs =
-  let n = State.n_fus state in
+(* An fu×cycle slot's class (see {!Ximd_obs.Account} for the taxonomy
+   and its priority). *)
+let slot_class model (state : State.t) ~n fu : Ximd_obs.Account.cls =
   let s = state.scratch in
-  let wants_cp = Ximd_obs.Sink.wants_critpath obs in
-  let latency = state.config.result_latency in
-  for fu = 0 to n - 1 do
-    let cls : Ximd_obs.Account.cls =
-      if not s.was_live.(fu) then Halted
-      else begin
-        let data = s.parcels.(fu).data in
-        let spun = s.spun.(stream_of model ~n fu) in
-        if Parcel.is_nop data then
-          if not spun then Nop_padding
-          else
-            match s.ctrl.(stream_of model ~n fu).control with
-            | Control.Branch { cond = Cond.Ss _; _ } -> Spin_ss
-            | Control.Branch { cond = Cond.All_ss _ | Cond.Any_ss _; _ } ->
-              Barrier_wait
-            | Control.Branch { cond = Cond.Cc _; _ } -> Spin_cc
-            | Control.Branch { cond = Cond.Always1 | Cond.Always2; _ }
-            | Control.Halt ->
-              (* unreachable: a spinning stream executed a conditional *)
-              Nop_padding
-        else if spun then Squashed
-        else
-          let dropped =
-            match state.faults with
-            | Some f -> M.Fault.drops f ~fu && droppable data
-            | None -> false
-          in
-          if dropped then Fault_lost else Commit
-      end
-    in
-    Ximd_obs.Sink.on_slot obs ~fu cls;
-    if wants_cp && cls = Commit then begin
-      let r1, r2, w, sets_cc = issue_args s.parcels.(fu).data in
-      Ximd_obs.Sink.cp_issue obs ~cycle:state.cycle ~fu ~pc:s.old_pcs.(fu)
-        ~r1 ~r2 ~w ~sets_cc ~latency
-    end
-  done;
-  if wants_cp then begin
-    for fu = 0 to n - 1 do
-      if s.ss_edge.(fu) then begin
-        s.ss_edge.(fu) <- false;
-        Ximd_obs.Sink.cp_ss_mark obs ~fu
-      end
-    done;
-    Ximd_obs.Sink.cp_end_cycle obs
+  if not s.was_live.(fu) then Halted
+  else begin
+    let data = s.parcels.(fu).data in
+    let k = stream_of model ~n fu in
+    let spun = s.spun.(k) in
+    if Parcel.is_nop data then
+      if not spun then Nop_padding
+      else
+        match s.ctrl.(k).control with
+        | Control.Branch { cond = Cond.Ss _; _ } -> Spin_ss
+        | Control.Branch { cond = Cond.All_ss _ | Cond.Any_ss _; _ } ->
+          Barrier_wait
+        | Control.Branch { cond = Cond.Cc _; _ } -> Spin_cc
+        | Control.Branch { cond = Cond.Always1 | Cond.Always2; _ }
+        | Control.Halt ->
+          (* unreachable: a spinning stream executed a conditional *)
+          Nop_padding
+    else if spun then Squashed
+    else
+      let dropped =
+        match state.faults with
+        | Some f -> M.Fault.drops f ~fu && droppable data
+        | None -> false
+      in
+      if dropped then Fault_lost else Commit
   end
 
-let[@inline] hook_slots model (state : State.t) =
-  match state.obs with
-  | None -> ()
-  | Some obs -> slot_accounting model state obs
+(* Bind [fu]'s conditional branch to its control producers, as of the
+   sync levels its evaluation read. *)
+let bind_branch crit (s : State.scratch) ~n ~fu (cond : Cond.t) =
+  match cond with
+  | Cond.Cc j -> Ximd_obs.Critpath.bind_cc crit ~fu ~j
+  | Cond.Ss j -> Ximd_obs.Critpath.bind_ss crit ~fu ~j
+  | Cond.All_ss mask -> Ximd_obs.Critpath.bind_all crit ~fu ~mask
+  | Cond.Any_ss mask ->
+    let dm = ref 0 in
+    for j = 0 to n - 1 do
+      if mask land (1 lsl j) <> 0 && Sync.equal s.ss_before.(j) Sync.Done
+      then dm := !dm lor (1 lsl j)
+    done;
+    Ximd_obs.Critpath.bind_any crit ~fu ~done_mask:!dm
+  | Cond.Always1 | Cond.Always2 -> ()
+
+let report model (state : State.t) obs ~live_streams =
+  let module Sink = Ximd_obs.Sink in
+  let n = State.n_fus state in
+  let s = state.scratch in
+  let cycle = state.cycle in
+  for fu = 0 to n - 1 do
+    if s.was_live.(fu) then begin
+      Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(leader_of model ~n fu);
+      if not (Parcel.is_nop s.parcels.(fu).data) then Sink.on_data_op obs ~fu
+    end
+  done;
+  if s.commit_results > 0 then
+    Sink.on_commit obs ~cycle ~results:s.commit_results;
+  for k = 0 to s.commit_ccs - 1 do
+    Sink.on_cc obs ~cycle ~fu:s.cc_fu.(k) ~value:s.cc_val.(k)
+  done;
+  for fu = 0 to n - 1 do
+    let k = stream_of model ~n fu in
+    if s.was_live.(fu) then begin
+      let ss = state.sss.(fu) in
+      if not (Sync.equal ss s.ss_before.(fu)) then
+        Sink.on_ss obs ~cycle ~fu ~to_done:(Sync.equal ss Sync.Done);
+      match s.ctrl.(k).control with
+      | Control.Halt -> Sink.on_halt obs ~cycle ~fu
+      | Control.Branch _ -> ()
+    end;
+    (* a stream's branch resolution follows its last member's edges *)
+    if s.str_live.(k) && (fu = n - 1 || stream_of model ~n (fu + 1) <> k)
+    then
+      match s.ctrl.(k).control with
+      | Control.Branch { cond; _ } ->
+        let leader = leader_of model ~n fu in
+        Sink.on_control obs ~cycle ~fu:leader ~pc:s.old_pcs.(leader)
+          ~spinning:s.spun.(k) ~sync:(Cond.is_sync cond)
+      | Control.Halt -> ()
+  done;
+  let acct = Sink.account obs and crit = Sink.critpath obs in
+  let latency = state.config.result_latency in
+  for fu = 0 to n - 1 do
+    let cls = slot_class model state ~n fu in
+    (match acct with None -> () | Some a -> Ximd_obs.Account.tally a ~fu cls);
+    match crit with
+    | None -> ()
+    | Some c -> (
+      (if s.was_live.(fu) then
+         match s.ctrl.(stream_of model ~n fu).control with
+         | Control.Branch { cond; _ } -> bind_branch c s ~n ~fu cond
+         | Control.Halt -> ());
+      match cls with
+      | Commit ->
+        let r1, r2, w, sets_cc = issue_args s.parcels.(fu).data in
+        Ximd_obs.Critpath.issue c ~cycle ~fu ~pc:s.old_pcs.(fu) ~r1 ~r2 ~w
+          ~sets_cc ~latency
+      | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
+      | Halted -> ())
+  done;
+  (match crit with
+   | None -> ()
+   | Some c ->
+     for fu = 0 to n - 1 do
+       if not (Sync.equal state.sss.(fu) s.ss_before.(fu)) then
+         Ximd_obs.Critpath.ss_mark c ~fu
+     done;
+     Ximd_obs.Critpath.end_cycle c);
+  Sink.on_cycle_end obs ~cycle ~live_streams
 
 (* A finished stream reads as DONE (DESIGN.md §5) — except under the
    global sequencer, where sync signals have no architectural role. *)
 let[@inline] halt_fu model (state : State.t) ~fu =
   state.halted.(fu) <- true;
-  (match model with
-   | Per_fu | Banked -> set_ss state ~fu Sync.Done
-   | Global -> ());
-  hook_halt state ~fu
+  match model with
+  | Per_fu | Banked -> state.sss.(fu) <- Sync.Done
+  | Global -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Partition recompute.  The partition lives in [state.scratch.labels]
@@ -391,8 +379,7 @@ let step model (state : State.t) =
           end
           else begin
             was_live.(fu) <- true;
-            parcels.(fu) <- (if in_range then row.(fu) else Parcel.halted);
-            hook_fetch state ~fu ~pc
+            parcels.(fu) <- (if in_range then row.(fu) else Parcel.halted)
           end
         done
       end
@@ -409,9 +396,6 @@ let step model (state : State.t) =
           let leader, last = stream_bounds model ~n k in
           Exec.eval_cond state ~fu:(seq_fu model state ~leader ~last) cond
     done;
-    (* Critical-path only: bind conditional branches' control producers
-       against the same start-of-cycle state the evaluation read. *)
-    hook_bind model state ~ns;
     (* Data operations: every issuing FU executes; an idle slot is a
        halted slot. *)
     for fu = 0 to n - 1 do
@@ -419,6 +403,10 @@ let step model (state : State.t) =
       else stats.halted_slots <- stats.halted_slots + 1
     done;
     Exec.commit_cycle state;
+    (* The sync levels the branch evaluation read, kept for {!report}. *)
+    (match state.obs with
+     | None -> ()
+     | Some _ -> Array.blit state.sss 0 s.ss_before 0 n);
     (* Control commit: sync signals, next PCs, halts; spin and branch
        statistics (branches charged once per sequencer, spin slots once
        per issuing member). *)
@@ -438,7 +426,7 @@ let step model (state : State.t) =
            | Global -> () (* sync signals have no architectural role *)
            | Per_fu | Banked ->
              for fu = leader to last do
-               if was_live.(fu) then set_ss state ~fu parcels.(fu).sync
+               if was_live.(fu) then state.sss.(fu) <- parcels.(fu).sync
              done);
           if not (Cond.is_unconditional cond) then
             stats.cond_branches <- stats.cond_branches + 1;
@@ -458,9 +446,7 @@ let step model (state : State.t) =
                done;
              for fu = leader to last do
                state.pcs.(fu) <- next
-             done;
-             hook_control state ~fu:leader ~pc ~spinning
-               ~sync:(Cond.is_sync cond)
+             done
            | None -> assert false)
       end
     done;
@@ -481,8 +467,10 @@ let step model (state : State.t) =
       | Banked -> repartition state (label_banked state n ~len)
     in
     if live_streams > stats.max_streams then stats.max_streams <- live_streams;
-    hook_slots model state;
-    hook_cycle_end state ~live_streams;
+    (* The finished cycle goes to the sink from one place. *)
+    (match state.obs with
+     | None -> ()
+     | Some obs -> report model state obs ~live_streams);
     state.cycle <- state.cycle + 1;
     stats.cycles <- state.cycle
   end

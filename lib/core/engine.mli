@@ -27,10 +27,17 @@
     completion on top of it and is the only way to do so.  Attachments
     follow one rule: the per-cycle ones (the {!Ximd_obs.Sink} in
     [state.obs], the {!Ximd_machine.Fault} injector in [state.faults])
-    live on the state and are fed from inline hook helpers here, each
-    costing a single predictable branch when off; the per-run ones (the
-    {!Tracer}, the {!Watchdog}, the cycle budget and the supervision
-    poll) are arguments of {!Session.run}.
+    live on the state; the per-run ones (the {!Tracer}, the
+    {!Watchdog}, the cycle budget and the supervision poll) are
+    arguments of {!Session.run}.  Faults land at the top of the cycle.
+    The sink sees the partition there, and the rest of the cycle from
+    one function at the end of {!step} that reads the finished cycle
+    back from the state and [state.scratch]: fetches, the commit's
+    results and condition codes, each stream's sync edges, halts and
+    branch resolution, every slot's class and the critical path's
+    nodes.  The phases in between do machine work only, so a cycle with
+    nothing attached tests [state.obs] three times and pays nothing
+    else.
 
     The hot loop keeps its per-cycle buffers in the preallocated
     [state.scratch].  Under [Per_fu] and [Banked] the partition lives

@@ -115,12 +115,7 @@ let push_cc (state : State.t) ~fu value =
 
 let exec_data (state : State.t) ~fu (data : Parcel.data) =
   let stats = state.stats in
-  if not (Parcel.is_nop data) then begin
-    stats.data_ops <- stats.data_ops + 1;
-    match state.obs with
-    | None -> ()
-    | Some obs -> Ximd_obs.Sink.on_data_op obs ~fu
-  end;
+  if not (Parcel.is_nop data) then stats.data_ops <- stats.data_ops + 1;
   match data with
   | Parcel.Dnop -> stats.nops <- stats.nops + 1
   | Parcel.Dbin { op; a; b; d } ->
@@ -220,15 +215,8 @@ let commit_cycle (state : State.t) =
     committed
   with
   | committed ->
-    (match state.obs with
-     | None -> ()
-     | Some obs ->
-       if committed > 0 then
-         Ximd_obs.Sink.on_commit obs ~cycle:state.cycle ~results:committed;
-       for k = 0 to s.cc_len - 1 do
-         Ximd_obs.Sink.on_cc obs ~cycle:state.cycle ~fu:s.cc_fu.(k)
-           ~value:s.cc_val.(k)
-       done);
+    s.commit_results <- committed;
+    s.commit_ccs <- s.cc_len;
     for k = 0 to s.cc_len - 1 do
       state.ccs.(s.cc_fu.(k)) <-
         (if s.cc_val.(k) then some_true else some_false)
@@ -287,15 +275,22 @@ let apply_faults (state : State.t) faults =
 (* Drain the datapath pipeline after the last FU halts: remaining
    results commit in issue order over the following "cycles".  Every
    drained cycle is a halted slot on every FU, so the per-slot cycle
-   accounting stays conserved against [stats.cycles]. *)
+   accounting stays conserved against [stats.cycles].  Nothing issues
+   while draining, so no condition code commits. *)
 let drain_pipeline (state : State.t) =
   while state.inflight.ifl_len > 0 do
     state.cycle <- state.cycle + 1;
     commit_cycle state;
     match state.obs with
     | None -> ()
-    | Some obs ->
-      for fu = 0 to State.n_fus state - 1 do
-        Ximd_obs.Sink.on_slot obs ~fu Ximd_obs.Account.Halted
-      done
+    | Some obs -> (
+      let results = state.scratch.commit_results in
+      if results > 0 then
+        Ximd_obs.Sink.on_commit obs ~cycle:state.cycle ~results;
+      match Ximd_obs.Sink.account obs with
+      | None -> ()
+      | Some a ->
+        for fu = 0 to State.n_fus state - 1 do
+          Ximd_obs.Account.tally a ~fu Halted
+        done)
   done

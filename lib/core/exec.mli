@@ -13,7 +13,13 @@
     allocates its event, and so do the first store to an untouched
     memory page and the growth of the in-flight queue or the store
     stage.  [ledger.exe trace] counts both phases per cycle as
-    [engine.M.exec_words] and [engine.M.commit_words]. *)
+    [engine.M.exec_words] and [engine.M.commit_words].
+
+    Neither reports to the observability sink: {!Engine.step} reads
+    what they did back from the state and [state.scratch] at the end
+    of the cycle.  Only {!apply_faults} (the faults that fired) and
+    {!drain_pipeline} (the drained commits and halted slots) call the
+    sink, since neither runs inside a cycle's report. *)
 
 open Ximd_isa
 
@@ -30,8 +36,10 @@ val exec_data : State.t -> fu:int -> Parcel.data -> unit
 val commit_cycle : State.t -> unit
 (** Commits staged register and memory writes (including in-flight
     pipelined results whose write-back stage is this cycle) and applies
-    the condition-code updates buffered in [state.scratch].  Does not
-    advance PCs or the cycle counter — that is the control path's job. *)
+    the condition-code updates buffered in [state.scratch], leaving the
+    number of results and of condition codes committed in
+    [scratch.commit_results] and [scratch.commit_ccs].  Does not advance
+    PCs or the cycle counter — that is the control path's job. *)
 
 val apply_faults : State.t -> Ximd_machine.Fault.t -> unit
 (** Fires the fault events due this cycle: control-plane faults (SS/CC

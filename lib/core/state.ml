@@ -9,10 +9,12 @@ type scratch = {
   str_live : bool array;
   ctrl : Parcel.t array;
   spun : bool array;
-  ss_edge : bool array;
+  ss_before : Sync.t array;
   cc_fu : int array;
   cc_val : bool array;
   mutable cc_len : int;
+  mutable commit_results : int;
+  mutable commit_ccs : int;
 }
 
 type inflight = {
@@ -46,7 +48,7 @@ type t = {
       (* [None] in the common case: the simulators and [Exec] test this
          field with a single branch and touch nothing else *)
   obs : Ximd_obs.Sink.t option;
-      (* observability sink, same single-branch discipline as [faults] *)
+      (* observability sink: [Engine.step] tests it three times a cycle *)
 }
 
 (* Program.validate walks every parcel of the program.  Benchmarks and
@@ -107,10 +109,12 @@ let create ?(config = Config.default) ?faults ?obs program =
         str_live = Array.make n false;
         ctrl = Array.make n Parcel.halted;
         spun = Array.make n false;
-        ss_edge = Array.make n false;
+        ss_before = Array.make n Sync.Busy;
         cc_fu = Array.make n 0;
         cc_val = Array.make n false;
-        cc_len = 0 };
+        cc_len = 0;
+        commit_results = 0;
+        commit_ccs = 0 };
     inflight =
       (let cap = max 16 (n * config.result_latency) in
        { ifl_len = 0;
@@ -149,7 +153,6 @@ let reset ?program t =
   Array.fill t.scratch.labels 0 n 0;
   t.scratch.cc_len <- 0;
   Array.fill t.scratch.spun 0 n false;
-  Array.fill t.scratch.ss_edge 0 n false;
   t.inflight.ifl_len <- 0;
   (match t.faults with
    | None -> ()

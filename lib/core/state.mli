@@ -31,10 +31,16 @@ type scratch = {
   str_live : bool array;     (** per-stream liveness ({!Engine}) *)
   ctrl : Parcel.t array;     (** per-stream control parcels ({!Engine}) *)
   spun : bool array;         (** per-stream: branch re-selected its PC *)
-  ss_edge : bool array;      (** per-FU: sync signal changed this cycle *)
+  ss_before : Sync.t array;
+      (** per-FU sync levels the branch evaluation read, copied only
+          when a sink is attached; [sss] differs where an edge fired *)
   cc_fu : int array;         (** staged condition-code updates… *)
   cc_val : bool array;       (** …with their new values *)
   mutable cc_len : int;
+  mutable commit_results : int;  (** results the last commit moved… *)
+  mutable commit_ccs : int;
+      (** …of which condition codes: the first [commit_ccs] entries of
+          [cc_fu]/[cc_val] *)
 }
 (** Per-cycle scratch buffers, sized [n_fus], reused every cycle instead
     of allocated per step. *)
@@ -74,9 +80,10 @@ type t = {
           simulators a single branch per cycle and nothing else *)
   obs : Ximd_obs.Sink.t option;
       (** observability sink (see {!Ximd_obs.Sink}); [None] (the
-          default) costs the simulators a single predictable branch per
-          emission site and nothing else — the same discipline as
-          [faults] *)
+          default) costs {!Engine.step} three predictable branches a
+          cycle and nothing else: at the top of the cycle, before the
+          control phase, and at the end, where one function reports
+          the finished cycle *)
 }
 
 val create :

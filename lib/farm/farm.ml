@@ -54,11 +54,9 @@ let new_sink ctx ~config ~program =
     match List.assoc_opt key ctx.sinks with
     | Some sink -> Some sink
     | None ->
-      (* trace:false never pushes the ring, so a 1-slot ring avoids
-         the default 64Ki allocation. *)
       let sink =
-        Obs.Sink.create ~ring_capacity:1 ~trace:false ~profile:false
-          ~account:true ~n_fus ~code_len ()
+        Obs.Sink.create ~trace:false ~profile:false ~account:true ~n_fus
+          ~code_len ()
       in
       ctx.sinks <- (key, sink) :: ctx.sinks;
       Some sink

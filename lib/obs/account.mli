@@ -1,8 +1,8 @@
 (** Exhaustive per-slot cycle accounting.
 
     Every fu×cycle slot of a run is classified into exactly one category
-    of a closed taxonomy, sampled by the engine at its hook sites (the
-    engine is the only place that knows {e why} a slot was idle — an SS
+    of a closed taxonomy, classified by the engine's end-of-cycle report
+    (the engine is the only place that knows {e why} a slot was idle — an SS
     spin and a structural nop look identical from the outside).  The
     categories are conserved: they sum to [cycles × n_fus], which the
     test suite checks as a QCheck property.

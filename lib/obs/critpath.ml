@@ -1,6 +1,6 @@
-(* Dynamic-dependence critical path, built online from the engine hook
-   sites (the drop-oldest event ring cannot be replayed soundly — see
-   DESIGN.md §9).  Nodes are committing data operations; edges are the
+(* Dynamic-dependence critical path, built online by the engine's
+   end-of-cycle report (the drop-oldest event ring cannot be replayed
+   soundly — see DESIGN.md §9).  Nodes are committing data operations; edges are the
    realised dependences that constrained their issue cycle:
 
      seq      same-FU program order                 latency 1

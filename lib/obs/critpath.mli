@@ -7,8 +7,8 @@
     same latencies?".  The report is [lower bound N, realised M, gap
     decomposition] (head / per-edge-kind slack / tail).
 
-    Fed online from the engine hook sites rather than by replaying the
-    event ring: the ring drops its oldest events under pressure, which
+    Fed online by the engine's end-of-cycle report rather than by
+    replaying the event ring: the ring drops its oldest events under pressure, which
     would make a replayed graph unsound (DESIGN.md §9).  Only
     {e realised} dependences become edges — e.g. a register use that
     issued before the def's result arrived read the older value and
@@ -37,7 +37,7 @@ val create : n_fus:int -> n_regs:int -> t
 val n_fus : t -> int
 val reset : t -> unit
 
-(** {1 Hooks (called by the engine)} *)
+(** {1 Feeding the graph (called by the engine)} *)
 
 val bind_cc : t -> fu:int -> j:int -> unit
 val bind_ss : t -> fu:int -> j:int -> unit

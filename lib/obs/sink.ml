@@ -34,19 +34,22 @@ type t = {
   mutable finished : bool;
 }
 
-let default_ring_capacity = 1 lsl 16
+(* The ring holds the newest 65,536 events; a sink that records none
+   gets a one-slot ring nothing pushes to. *)
+let ring_capacity = 1 lsl 16
 
 (* The architectural register count, which sizes the critical-path
    register table. *)
 let n_regs = 256
 
-let create ?(ring_capacity = default_ring_capacity) ?(trace = true)
-    ?(profile = true) ?(account = true) ?(critpath = false) ~n_fus ~code_len
-    () =
+let create ?(trace = true) ?(profile = true) ?(account = true)
+    ?(critpath = false) ~n_fus ~code_len () =
   if n_fus < 1 || n_fus > 64 then
     invalid_arg "Sink.create: n_fus must be in [1, 64]";
   let registry = Metrics.create () in
-  { ring = Ring.create ~capacity:ring_capacity ~dummy:Event.dummy;
+  { ring =
+      Ring.create ~capacity:(if trace then ring_capacity else 1)
+        ~dummy:Event.dummy;
     trace;
     registry;
     m_cycles = Metrics.counter registry "cycles";
@@ -163,38 +166,6 @@ let on_fault t ~cycle ~kind ~target =
 
 let on_watchdog t ~cycle ~quiet =
   emit t (Event.Watchdog_window { cycle; quiet })
-
-(* Per-slot cycle accounting (engine-classified; see {!Account}). *)
-let on_slot t ~fu cls =
-  match t.acct with None -> () | Some a -> Account.tally a ~fu cls
-
-(* Critical-path hooks; each is one branch when critpath is off.  The
-   engine additionally guards the decomposition work behind
-   [wants_critpath]. *)
-let wants_critpath t = t.crit <> None
-
-let cp_bind_cc t ~fu ~j =
-  match t.crit with None -> () | Some c -> Critpath.bind_cc c ~fu ~j
-
-let cp_bind_ss t ~fu ~j =
-  match t.crit with None -> () | Some c -> Critpath.bind_ss c ~fu ~j
-
-let cp_bind_all t ~fu ~mask =
-  match t.crit with None -> () | Some c -> Critpath.bind_all c ~fu ~mask
-
-let cp_bind_any t ~fu ~done_mask =
-  match t.crit with None -> () | Some c -> Critpath.bind_any c ~fu ~done_mask
-
-let cp_issue t ~cycle ~fu ~pc ~r1 ~r2 ~w ~sets_cc ~latency =
-  match t.crit with
-  | None -> ()
-  | Some c -> Critpath.issue c ~cycle ~fu ~pc ~r1 ~r2 ~w ~sets_cc ~latency
-
-let cp_ss_mark t ~fu =
-  match t.crit with None -> () | Some c -> Critpath.ss_mark c ~fu
-
-let cp_end_cycle t =
-  match t.crit with None -> () | Some c -> Critpath.end_cycle c
 
 let finish t ~cycle =
   if not t.finished then begin

@@ -1,18 +1,21 @@
 (** The event sink the simulators feed.
 
     A sink bundles the {!Event} ring, the {!Metrics} registry, the
-    {!Profile} hot-PC histogram and the partition history the
-    {!Timeline} is reconstructed from.  It is threaded through the
-    machine as [State.t.obs : Sink.t option] — [None] in the common
-    case, so a run without observability pays exactly one predictable
-    branch per emission site and allocates nothing (the same discipline
-    as fault injection).
+    {!Profile} hot-PC histogram, the optional {!Account} and {!Critpath}
+    analyses and the partition history the {!Timeline} is reconstructed
+    from.  It is threaded through the machine as
+    [State.t.obs : Sink.t option] — [None] in the common case, so a run
+    without observability pays three predictable branches a cycle and
+    allocates nothing (the same discipline as fault injection).
 
-    The [on_*] hooks are called by [Exec]/[Engine]/[Session] at the
-    architectural points they describe; everything derived (spin-streak
-    histograms, barrier-wait attribution, per-FU utilisation, SSET
-    width) is computed here so the simulators stay oblivious to what is
-    being measured.  All hooks take the *current* (pre-increment) cycle.
+    [Engine.step] calls {!on_partition} at the top of a cycle and the
+    other per-cycle hooks from one function at its end, which also
+    feeds {!account} and {!critpath} directly; [Exec] reports fired
+    faults and drained commits, [Session] the watchdog and {!finish}.
+    Everything derived (spin-streak histograms, barrier-wait
+    attribution, per-FU utilisation, SSET width) is computed here so the
+    simulators stay oblivious to what is being measured.  All hooks take
+    the *current* (pre-increment) cycle.
 
     Metric names exposed through {!metrics}:
     - counters [cycles], [commits], [cc_broadcasts], [ss_transitions],
@@ -27,7 +30,6 @@
 type t
 
 val create :
-  ?ring_capacity:int ->
   ?trace:bool ->
   ?profile:bool ->
   ?account:bool ->
@@ -36,8 +38,9 @@ val create :
   code_len:int ->
   unit ->
   t
-(** [ring_capacity] defaults to 65536 events; [trace] (record events in
-    the ring) defaults to [true]; [profile] (hot-PC sampling) defaults
+(** [trace] (record events in a ring that keeps the newest 65,536; the
+    ring is allocated only when [trace] is on) defaults to [true];
+    [profile] (hot-PC sampling) defaults
     to [true]; [account] (per-slot cycle accounting, one array
     increment per fu×cycle slot) defaults to [true]; [critpath]
     (dynamic dependence graph — allocates a node per committing op)
@@ -76,38 +79,6 @@ val on_cycle_end : t -> cycle:int -> live_streams:int -> unit
 val on_fault : t -> cycle:int -> kind:string -> target:int -> unit
 val on_watchdog : t -> cycle:int -> quiet:int -> unit
 
-val on_slot : t -> fu:int -> Account.cls -> unit
-(** One fu×cycle slot, classified by the engine (see {!Account} for the
-    taxonomy and priority).  Called for every slot of every cycle when
-    accounting is on. *)
-
-(** {2 Critical-path hooks}
-
-    No-ops unless the sink was created with [~critpath:true]; the
-    engine checks {!wants_critpath} before doing any decomposition
-    work (computing masks, extracting register indices). *)
-
-val wants_critpath : t -> bool
-val cp_bind_cc : t -> fu:int -> j:int -> unit
-val cp_bind_ss : t -> fu:int -> j:int -> unit
-val cp_bind_all : t -> fu:int -> mask:int -> unit
-val cp_bind_any : t -> fu:int -> done_mask:int -> unit
-
-val cp_issue :
-  t ->
-  cycle:int ->
-  fu:int ->
-  pc:int ->
-  r1:int ->
-  r2:int ->
-  w:int ->
-  sets_cc:bool ->
-  latency:int ->
-  unit
-
-val cp_ss_mark : t -> fu:int -> unit
-val cp_end_cycle : t -> unit
-
 val finish : t -> cycle:int -> unit
 (** End of run: closes open spin streaks and fixes the timeline's final
     cycle.  Idempotent; [Session.run] calls it once per run. *)
@@ -126,8 +97,15 @@ val dropped_events : t -> int
     qualifies. *)
 val metrics : t -> Metrics.t
 val profile : t -> Profile.t option
+
 val account : t -> Account.t option
+(** The per-slot accounting, [None] when created with [~account:false];
+    the engine tallies every slot of every cycle into it. *)
+
 val critpath : t -> Critpath.t option
+(** The dependence graph, [None] unless created with [~critpath:true];
+    the engine feeds it directly. *)
+
 val partition_history : t -> (int * int list list) list
 (** Chronological [(cycle, ssets)] change points. *)
 

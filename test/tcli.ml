@@ -1,0 +1,220 @@
+(* The command-line tools as processes.  Their observability exports,
+   Figure 10 address traces and campaign rollup are compared byte for
+   byte with committed goldens: a change to when or in what order the
+   engine reports a cycle changes these bytes even where two runs of
+   one build still agree with each other.  A path a tool cannot read
+   or write must end in one "TOOL: PATH: REASON" line and exit 1,
+   never in an uncaught exception. *)
+
+(* Tests run in the build's test directory; the tools run from the
+   build root, where the example paths below (and the campaign's
+   relative "file" payloads) resolve, as they do from a checkout. *)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let spawn ?(stdin = Unix.stdin) ~stdout ~stderr exe args =
+  let out =
+    Unix.openfile stdout [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  and err =
+    Unix.openfile stderr [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let here = Sys.getcwd () in
+  Sys.chdir "..";
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir here;
+      Unix.close out;
+      Unix.close err)
+    (fun () ->
+      let pid =
+        Unix.create_process exe (Array.of_list (exe :: args)) stdin out err
+      in
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED code -> code
+      | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+        Alcotest.failf "%s killed by signal %d" exe s)
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "ximd-cli" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter
+        (fun name -> Sys.remove (Filename.concat dir name))
+        (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let check_golden golden path =
+  Alcotest.(check string) golden (read_file golden) (read_file path)
+
+(* Runs [exe args] from the build root, checks its exit code and
+   returns what it printed on stdout. *)
+let run_tool dir ?stdin ~code exe args =
+  let stdout = Filename.concat dir "stdout"
+  and stderr = Filename.concat dir "stderr" in
+  let got = spawn ?stdin ~stdout ~stderr exe args in
+  if got <> code then
+    Alcotest.failf "%s %s: exit %d, expected %d; stderr:\n%s" exe
+      (String.concat " " args) got code (read_file stderr);
+  read_file stdout
+
+(* --- Observability exports ---------------------------------------------- *)
+
+let xsim = "bin/xsim_cli.exe"
+let vsim = "bin/vsim_cli.exe"
+let xcc = "bin/xcc_cli.exe"
+let xasm = "bin/xasm_cli.exe"
+let serve = "bin/ximd_serve.exe"
+
+let minmax_data =
+  [ "-r"; "r5=4"; "-m"; "256=5"; "-m"; "257=3"; "-m"; "258=4"; "-m"; "259=7" ]
+
+(* Each run writes the four exports of one sink (Chrome trace, metrics,
+   slot accounting, critical path) into goldens/obs/NAME.*.json.  The
+   rand:42:5 schedule draws its cycles from [0, 10000), after MINMAX's
+   data-less 5-cycle run halts, so minmax_fired adds the paper's data
+   and a 16-cycle window in which ss, cc and drop faults fire. *)
+let export_runs =
+  [ ("minmax", xsim, [ "examples/asm/minmax.xasm" ]);
+    ( "minmax_faults",
+      xsim,
+      [ "examples/asm/minmax.xasm"; "--record-hazards"; "--detect-deadlock";
+        "--inject"; "rand:42:5" ] );
+    ( "minmax_fired",
+      xsim,
+      [ "examples/asm/minmax.xasm"; "--record-hazards"; "--detect-deadlock";
+        "--inject"; "rand:42:5:16" ]
+      @ minmax_data );
+    ("tproc_vsim", vsim, [ "examples/asm/tproc.xasm" ]);
+    ("tproc_t500", xsim, [ "--t500"; "examples/asm/tproc.xasm" ]);
+    ("anybarrier", xsim, [ "examples/asm/anybarrier.xasm" ]) ]
+
+let exports = [ ("--trace-events", "trace"); ("--metrics", "metrics");
+                ("--account", "account"); ("--critical-path", "critpath") ]
+
+let test_exports (name, exe, args) () =
+  with_temp_dir (fun dir ->
+    let out kind = Filename.concat dir (kind ^ ".json") in
+    let flags =
+      List.concat_map (fun (flag, kind) -> [ flag; out kind ]) exports
+    in
+    ignore (run_tool dir ~code:0 exe (args @ flags));
+    List.iter
+      (fun (_, kind) ->
+        check_golden (Printf.sprintf "goldens/obs/%s.%s.json" name kind)
+          (out kind))
+      exports)
+
+(* Line 2 of the campaign rollup is its logical view, byte-stable across
+   runs and domain counts. *)
+let test_campaign_rollup () =
+  with_temp_dir (fun dir ->
+    let report = Filename.concat dir "rollup.json" in
+    let jobs =
+      Unix.openfile "../examples/jobs/campaign.jsonl" [ Unix.O_RDONLY ] 0
+    in
+    Fun.protect
+      ~finally:(fun () -> Unix.close jobs)
+      (fun () ->
+        ignore
+          (run_tool dir ~stdin:jobs ~code:6 serve
+             [ "--domains"; "2"; "--campaign-report"; report ]));
+    match String.split_on_char '\n' (read_file report) with
+    | _ :: logical :: _ ->
+      Alcotest.(check string) "logical view"
+        (read_file "goldens/obs/campaign.logical.json")
+        (logical ^ "\n")
+    | _ -> Alcotest.fail "rollup has fewer than two lines")
+
+(* --- Figure 10 CLI parity traces ---------------------------------------- *)
+
+let parity_runs =
+  [ ("minmax.xsim.trace", xsim,
+     [ "--trace"; "--stats"; "examples/asm/minmax.xasm" ]);
+    ("tproc.vsim.trace", vsim,
+     [ "--trace"; "--stats"; "examples/asm/tproc.xasm" ]);
+    ("tproc.t500.trace", xsim,
+     [ "--t500"; "--trace"; "--stats"; "examples/asm/tproc.xasm" ]);
+    ("gcd.xcc.trace", xcc,
+     [ "examples/xc/gcd.xc"; "--run"; "48,18"; "--trace" ]) ]
+
+let test_parity (golden, exe, args) () =
+  with_temp_dir (fun dir ->
+    Alcotest.(check string) golden
+      (read_file ("goldens/" ^ golden))
+      (run_tool dir ~code:0 exe args))
+
+(* --- Unreadable inputs and unwritable outputs --------------------------- *)
+
+(* Every command must exit 1 with exactly one line on stderr naming the
+   tool and the path.  [missing] is a path under a directory that does
+   not exist; the temporary directory itself stands in for a directory
+   given where a file is expected. *)
+let test_bad_paths () =
+  with_temp_dir (fun dir ->
+    let missing name = Filename.concat (Filename.concat dir "missing") name in
+    let minmax = "examples/asm/minmax.xasm" in
+    let commands =
+      List.map
+        (fun flag ->
+          (xsim, [ minmax; flag; missing "out" ], "xsim", missing "out"))
+        [ "--metrics"; "--trace-events"; "--account"; "--critical-path";
+          "--profile-folded" ]
+      @ [ ( xsim,
+            [ "examples/asm/pipeline.xasm"; "--compare";
+              "examples/asm/pipeline_vliw.xasm"; "--compare-json";
+              missing "c.json" ],
+            "xsim", missing "c.json" );
+          (vsim, [ "examples/asm/tproc.xasm"; "--metrics"; missing "m.json" ],
+           "vsim", missing "m.json");
+          (xcc, [ "examples/xc/dot.xc"; "--sched-json"; missing "x.json" ],
+           "xcc", missing "x.json");
+          (xcc, [ dir ], "xcc", dir);
+          (xasm, [ minmax; "-o"; missing "x.img" ], "xasm", missing "x.img");
+          (xasm, [ "-d"; dir ], "xasm", dir) ]
+    in
+    let stderr = Filename.concat dir "stderr" in
+    List.iter
+      (fun (exe, args, tool, path) ->
+        let what = String.concat " " (tool :: args) in
+        let code =
+          spawn ~stdout:(Filename.concat dir "stdout") ~stderr exe args
+        in
+        Alcotest.(check int) (what ^ ": exit code") 1 code;
+        let prefix = Printf.sprintf "%s: %s: " tool path in
+        match String.split_on_char '\n' (read_file stderr) with
+        | [ line; "" ] when String.starts_with ~prefix line -> ()
+        | _ -> Alcotest.failf "%s: stderr is not one %S line:\n%s" what prefix
+                 (read_file stderr))
+      commands;
+    (* ximd-serve reaches the report only after the whole campaign *)
+    let jobs =
+      Unix.openfile "../examples/jobs/campaign.jsonl" [ Unix.O_RDONLY ] 0
+    in
+    let code =
+      Fun.protect
+        ~finally:(fun () -> Unix.close jobs)
+        (fun () ->
+          spawn ~stdin:jobs ~stdout:(Filename.concat dir "stdout") ~stderr
+            serve [ "--campaign-report"; missing "r.json" ])
+    in
+    Alcotest.(check int) "ximd-serve --campaign-report: exit code" 1 code;
+    Alcotest.(check string) "ximd-serve: one line"
+      (Printf.sprintf "ximd-serve: %s: No such file or directory\n"
+         (missing "r.json"))
+      (read_file stderr))
+
+let suite =
+  [ ( "cli",
+      List.map
+        (fun ((name, _, _) as run) ->
+          Alcotest.test_case (name ^ " exports golden") `Quick
+            (test_exports run))
+        export_runs
+      @ [ Alcotest.test_case "campaign rollup logical line golden" `Quick
+            test_campaign_rollup ]
+      @ List.map
+          (fun ((golden, _, _) as run) ->
+            Alcotest.test_case (golden ^ " golden") `Quick (test_parity run))
+          parity_runs
+      @ [ Alcotest.test_case "bad paths exit 1 with one line" `Quick
+            test_bad_paths ] ) ]

@@ -257,16 +257,26 @@ let test_chrome_export () =
 
 (* --- events_dropped: ring overflow surfaces as a metric ------------------ *)
 
+(* A one-FU spin loop fetches once a cycle, so a 70,000-cycle run
+   pushes 70,001 events (its fetches and the initial partition) through
+   the sink's 65,536-event ring. *)
 let test_events_dropped_metric () =
-  let sink =
-    Obs.Sink.create ~ring_capacity:4 ~profile:false ~account:false ~n_fus:1
-      ~code_len:8 ()
+  let program =
+    match Ximd_asm.Source.parse ".fus 1\nspin:\n  [0] nop | -> spin\n" with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %a" Ximd_asm.Source.pp_error e
   in
-  for cycle = 0 to 19 do
-    Obs.Sink.on_fetch sink ~cycle ~fu:0 ~pc:0
-  done;
+  let sink =
+    Obs.Sink.create ~profile:false ~account:false ~n_fus:1 ~code_len:1 ()
+  in
+  let session =
+    Ximd_core.Session.create
+      ~config:(Ximd_core.Config.make ~n_fus:1 ~max_cycles:70_000 ())
+      ~obs:sink ~model:Ximd_core.Engine.Per_fu program
+  in
+  ignore (Ximd_core.Session.run session);
   let dropped = Obs.Sink.dropped_events sink in
-  Alcotest.(check int) "ring dropped oldest" 16 dropped;
+  Alcotest.(check int) "ring dropped oldest" 4_465 dropped;
   let c = Obs.Metrics.counter (Obs.Sink.metrics sink) "events_dropped" in
   Alcotest.(check int) "metric mirrors the ring" dropped
     c.Obs.Metrics.c_value;
@@ -280,7 +290,7 @@ let test_events_dropped_metric () =
   Alcotest.(check bool) "events_dropped in ximd-metrics/1 registry" true
     (contains
        (Ximd_json.to_string (Obs.Sink.metrics_json sink))
-       "\"events_dropped\":16");
+       "\"events_dropped\":4465");
   (* a campaign merge carries the loss figure along *)
   let merged = Obs.Metrics.create () in
   Obs.Metrics.merge ~into:merged (Obs.Sink.metrics sink);

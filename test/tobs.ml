@@ -172,32 +172,87 @@ let test_metrics_json_valid () =
   Alcotest.(check string) "byte-stable" json
     (Ximd_json.to_string (Obs.Sink.metrics_json sink2))
 
-(* --- Zero interference: observed run = unobserved run -------------------- *)
+(* --- Zero interference: an attached run = the bare run ------------------- *)
 
-let prop_obs_transparent =
-  QCheck2.Test.make ~count:150
-    ~name:"attaching a sink never changes outcome or stats"
-    Tprops.gen_valid_program (fun program ->
-      let n_fus = Core.Program.n_fus program in
-      let config =
-        Core.Config.make ~n_fus ~max_cycles:300
-          ~hazard_policy:Ximd_machine.Hazard.Record ()
+(* What a run leaves behind: its outcome, statistics, registers, memory
+   and hazard log, plus the tracer's rows when a tracer is attached. *)
+let observe ?obs ?faults ?watchdog ?budget ?tracer ~model
+    (case : Ximd_gen.Proggen.case) =
+  let session =
+    Core.Session.create ~config:case.config ?obs ?faults ~model case.program
+  in
+  let outcome = Core.Session.run ?tracer ?watchdog ?budget session in
+  let state = Core.Session.state session in
+  ( ( outcome,
+      Core.Stats.copy state.stats,
+      Ximd_machine.Regfile.dump state.regs,
+      Ximd_machine.Memory.(dump_block state.mem ~addr:0 ~len:(words state.mem)),
+      Core.State.hazards state ),
+    Option.map Core.Tracer.rows tracer )
+
+(* Every per-cycle and per-run attachment, freshly built: name, sink,
+   fault session, watchdog.  The fault is armed for a cycle no run
+   reaches. *)
+let attachments (case : Ximd_gen.Proggen.case) =
+  let n_fus = case.config.n_fus
+  and code_len = Core.Program.length case.program in
+  [ ("a full sink with critpath",
+     Some (Obs.Sink.create ~critpath:true ~n_fus ~code_len ()), None, None);
+    ("an account-only sink",
+     Some (Obs.Sink.create ~trace:false ~profile:false ~n_fus ~code_len ()),
+     None, None);
+    ("a watchdog", None, None, Some (Core.Watchdog.create ~window:8 ()));
+    ("an armed fault that never fires", None,
+     Some
+       (Ximd_machine.Fault.create
+          [ { at = 1 lsl 40; kind = Ximd_machine.Fault.Flip_ss; target = 0 } ]),
+     None) ]
+
+(* A tracer must leave the bare run as it was, and every other
+   attachment must leave the traced run as it was, rows included.  A
+   watchdog may stop a wedged run early; up to that cycle the run must
+   match the bare run under a budget of the same length. *)
+let prop_attachments_transparent =
+  QCheck2.Test.make ~count:120
+    ~name:
+      "attaching a sink never changes a run (nor a tracer, watchdog or \
+       armed fault)"
+    Ximd_gen.Proggen.case (fun case ->
+      let models =
+        List.filter_map
+          (fun m -> Core.Engine.model_of_name (Ximd_gen.Diff.model_name m))
+          (Ximd_gen.Diff.applicable_models case.program)
       in
-      let run obs =
-        let session =
-          Core.Session.create ~config ?obs ~model:Core.Engine.Per_fu program
-        in
-        let outcome = Core.Session.run session in
-        let state = Core.Session.state session in
-        (outcome, Core.Stats.copy state.stats,
-         Ximd_machine.Regfile.dump state.regs)
-      in
-      let o1, s1, r1 = run None in
-      let sink =
-        Obs.Sink.create ~n_fus ~code_len:(Core.Program.length program) ()
-      in
-      let o2, s2, r2 = run (Some sink) in
-      o1 = o2 && s1 = s2 && Array.for_all2 Ximd_isa.Value.equal r1 r2)
+      List.iter
+        (fun model ->
+          let fail what =
+            QCheck2.Test.fail_reportf "%s changes the run under %s" what
+              (Core.Engine.model_name model)
+          in
+          let bare, _ = observe ~model case in
+          let traced = observe ~tracer:(Core.Tracer.create ()) ~model case in
+          if fst traced <> bare then fail "a tracer";
+          List.iter
+            (fun (what, obs, faults, watchdog) ->
+              let tracer = Core.Tracer.create () in
+              let (outcome, stats, regs, mem, hazards), rows =
+                observe ?obs ?faults ?watchdog ~tracer ~model case
+              in
+              let expected =
+                match outcome with
+                | Core.Run.Deadlocked { cycles; _ } when watchdog <> None ->
+                  let (_, s, r, m, h), rows =
+                    observe ~budget:cycles ~tracer:(Core.Tracer.create ())
+                      ~model case
+                  in
+                  ((outcome, s, r, m, h), rows)
+                | _ -> traced
+              in
+              if ((outcome, stats, regs, mem, hazards), rows) <> expected then
+                fail what)
+            (attachments case))
+        models;
+      true)
 
 (* --- effective_utilisation ----------------------------------------------- *)
 
@@ -299,4 +354,4 @@ let suite =
         Alcotest.test_case "outcome exit codes" `Quick
           test_exit_code_of_outcome;
         Alcotest.test_case "sink reset reuse" `Quick test_sink_reset_reuse;
-        QCheck_alcotest.to_alcotest prop_obs_transparent ] ) ]
+        QCheck_alcotest.to_alcotest prop_attachments_transparent ] ) ]
