@@ -21,21 +21,26 @@ let default =
     sequencer = Research;
     result_latency = 1 }
 
+let validate t =
+  if t.n_fus < 1 || t.n_fus > 16 then
+    invalid_arg "Config.make: n_fus must be in [1, 16]";
+  if t.mem_words <= 0 then
+    invalid_arg "Config.make: mem_words must be positive";
+  if t.n_ports <= 0 then invalid_arg "Config.make: n_ports must be positive";
+  if t.max_cycles <= 0 then
+    invalid_arg "Config.make: max_cycles must be positive";
+  if t.result_latency < 1 || t.result_latency > 8 then
+    invalid_arg "Config.make: result_latency must be in [1, 8]";
+  t
+
 let make ?(n_fus = default.n_fus) ?(mem_words = default.mem_words)
     ?(mem_organisation = default.mem_organisation)
     ?(n_ports = default.n_ports) ?(hazard_policy = default.hazard_policy)
     ?(max_cycles = default.max_cycles) ?(sequencer = default.sequencer)
     ?(result_latency = default.result_latency) () =
-  if n_fus < 1 || n_fus > 16 then
-    invalid_arg "Config.make: n_fus must be in [1, 16]";
-  if mem_words <= 0 then invalid_arg "Config.make: mem_words must be positive";
-  if n_ports <= 0 then invalid_arg "Config.make: n_ports must be positive";
-  if max_cycles <= 0 then
-    invalid_arg "Config.make: max_cycles must be positive";
-  if result_latency < 1 || result_latency > 8 then
-    invalid_arg "Config.make: result_latency must be in [1, 8]";
-  { n_fus; mem_words; mem_organisation; n_ports; hazard_policy; max_cycles;
-    sequencer; result_latency }
+  validate
+    { n_fus; mem_words; mem_organisation; n_ports; hazard_policy;
+      max_cycles; sequencer; result_latency }
 
 let prototype () =
   make ~n_fus:8

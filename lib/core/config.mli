@@ -50,6 +50,11 @@ val make :
 (** @raise Invalid_argument if [n_fus] is outside [1, 16], sizes are
     non-positive, or [result_latency] is outside [1, 8]. *)
 
+val validate : t -> t
+(** The configuration itself when {!make} would accept its fields — for
+    a configuration built by updating another one's fields.
+    @raise Invalid_argument as {!make}, with the same messages. *)
+
 val prototype : unit -> t
 (** The §4.3 hardware-prototype configuration: 8 FUs, distributed
     memory, the traditional sequencer, and the 3-stage pipelined

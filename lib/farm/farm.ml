@@ -85,13 +85,14 @@ let session_for ctx ~config ~model ~faults program =
       (session, sink, false))
 
 (* ------------------------------------------------------------------ *)
-(* Payload resolution: job spec -> program + config + setup + check.
-   Everything that can go wrong here is the submitter's fault, so it
-   returns [Error reason] (-> Rejected), never raises. *)
+(* Payload resolution: job spec -> program + config + faults + setup +
+   check.  Everything that can go wrong here is the submitter's fault,
+   so it returns [Error reason] (-> Rejected), never raises. *)
 
 type resolved = {
   r_program : Core.Program.t;
   r_config : Core.Config.t;
+  r_faults : M.Fault.t option;
   r_setup : Core.State.t -> unit;
   r_check : (Core.State.t -> (unit, string) result) option;
 }
@@ -100,56 +101,61 @@ let apply_inits (job : Job.t) (state : Core.State.t) =
   List.iter (fun (r, v) -> M.Regfile.set state.regs r v) job.Job.reg_inits;
   List.iter (fun (a, v) -> Core.State.mem_set state a v) job.Job.mem_inits
 
-(* The job's machine-shape overrides on top of a base configuration.
-   Hazards are always recorded: a batch run reports per-job hazard
-   counts instead of dying on the first hazardous job. *)
-let override_config (job : Job.t) (base : Core.Config.t) =
-  { base with
-    Core.Config.hazard_policy = M.Hazard.Record;
-    max_cycles =
-      Option.value job.Job.max_cycles ~default:base.Core.Config.max_cycles }
-
-let config_of_program (job : Job.t) program =
-  let n_fus = Core.Program.n_fus program in
+(* Every job's machine config: its shape keys over the payload's base
+   config, validated as [Config.make] validates, so a shape it refuses
+   is a rejection whatever the payload.  Hazards are always recorded: a
+   batch run reports per-job hazard counts instead of dying on the
+   first hazardous job. *)
+let job_config (job : Job.t) (base : Core.Config.t) =
+  let key value default = Option.value value ~default in
   match
-    Core.Config.make ~n_fus ~hazard_policy:M.Hazard.Record
-      ?max_cycles:job.Job.max_cycles ?result_latency:job.Job.latency
-      ?mem_words:job.Job.mem_words ?n_ports:job.Job.ports
-      ?sequencer:job.Job.sequencer
-      ?mem_organisation:
-        (if job.Job.distributed then
-           Some (M.Memory.Distributed { n_fus })
-         else None)
-      ()
+    Core.Config.validate
+      { base with
+        hazard_policy = M.Hazard.Record;
+        max_cycles = key job.Job.max_cycles base.max_cycles;
+        result_latency = key job.Job.latency base.result_latency;
+        mem_words = key job.Job.mem_words base.mem_words;
+        n_ports = key job.Job.ports base.n_ports;
+        sequencer = key job.Job.sequencer base.sequencer;
+        mem_organisation =
+          (if job.Job.distributed then
+             M.Memory.Distributed { n_fus = base.n_fus }
+           else base.mem_organisation) }
   with
   | config -> Ok config
   | exception Invalid_argument msg -> Error msg
 
+let faults_of (job : Job.t) (config : Core.Config.t) =
+  match job.Job.fault with
+  | None -> Ok None
+  | Some spec -> (
+    match M.Fault.parse ~n_fus:config.n_fus spec with
+    | Ok events -> Ok (Some (M.Fault.create events))
+    | Error msg -> Error ("fault: " ^ msg))
+
+(* A payload's program, base config, setup and check, resolved with
+   the job's config and faults. *)
+let resolve_payload (job : Job.t) r_program base r_setup r_check =
+  match job_config job base with
+  | Error _ as e -> e
+  | Ok r_config -> (
+    match faults_of job r_config with
+    | Error _ as e -> e
+    | Ok r_faults -> Ok { r_program; r_config; r_faults; r_setup; r_check })
+
+(* An assembled program runs on the default machine at its own width. *)
+let assembled (job : Job.t) what = function
+  | Error e ->
+    Error (Format.asprintf "%s: %a" what Ximd_asm.Source.pp_error e)
+  | Ok program ->
+    resolve_payload job program
+      { Core.Config.default with n_fus = Core.Program.n_fus program }
+      (apply_inits job) None
+
 let resolve ctx (job : Job.t) =
   match job.Job.payload with
-  | Job.Source text -> (
-    match Ximd_asm.Source.parse text with
-    | Error e -> Error (Format.asprintf "source: %a" Ximd_asm.Source.pp_error e)
-    | Ok program ->
-      Result.map
-        (fun config ->
-          { r_program = program;
-            r_config = config;
-            r_setup = apply_inits job;
-            r_check = None })
-        (config_of_program job program))
-  | Job.File path -> (
-    match Ximd_asm.Source.parse_file path with
-    | Error e ->
-      Error (Format.asprintf "%s: %a" path Ximd_asm.Source.pp_error e)
-    | Ok program ->
-      Result.map
-        (fun config ->
-          { r_program = program;
-            r_config = config;
-            r_setup = apply_inits job;
-            r_check = None })
-        (config_of_program job program))
+  | Job.Source text -> assembled job "source" (Ximd_asm.Source.parse text)
+  | Job.File path -> assembled job path (Ximd_asm.Source.parse_file path)
   | Job.Workload name -> (
     let workloads = Lazy.force ctx.workloads in
     match
@@ -167,24 +173,17 @@ let resolve ctx (job : Job.t) =
     | Some w -> (
       let variant =
         match job.Job.model with
-        | Core.Engine.Global -> (
-          match w.vliw with
-          | Some v -> Ok v
-          | None ->
-            Error (Printf.sprintf "workload %S has no VLIW variant" name))
-        | Core.Engine.Per_fu | Core.Engine.Banked -> Ok w.ximd
+        | Core.Engine.Global -> w.vliw
+        | Core.Engine.Per_fu | Core.Engine.Banked -> Some w.ximd
       in
       match variant with
-      | Error _ as e -> e
-      | Ok v ->
-        Ok
-          { r_program = v.Ximd_workloads.Workload.program;
-            r_config = override_config job v.Ximd_workloads.Workload.config;
-            r_setup =
-              (fun state ->
-                v.Ximd_workloads.Workload.setup state;
-                apply_inits job state);
-            r_check = Some v.Ximd_workloads.Workload.check }))
+      | None -> Error (Printf.sprintf "workload %S has no VLIW variant" name)
+      | Some v ->
+        resolve_payload job v.program v.config
+          (fun state ->
+            v.setup state;
+            apply_inits job state)
+          (Some v.check)))
 
 (* ------------------------------------------------------------------ *)
 (* Retry backoff: deterministic in (seed, attempt) via splitmix64, so a
@@ -213,10 +212,10 @@ let backoff_s ~seed ~attempt =
 (* ------------------------------------------------------------------ *)
 (* Campaign telemetry plumbing.  Every record path funnels through
    [completed], so the observer sees exactly one on_complete per job
-   whatever its fate; sink merging happens only for records that
-   finished a run — a timed-out or rejected attempt leaves partial,
-   timing-dependent tallies in the sink that must not pollute the
-   deterministic campaign aggregates. *)
+   whatever its fate.  Only a run that finished passes its [sink]: a
+   timed-out or rejected attempt leaves partial, timing-dependent
+   tallies in the sink that must not pollute the deterministic campaign
+   aggregates. *)
 
 let quality_of label =
   match label with
@@ -238,144 +237,123 @@ let completed ?obs ~seq ?sink ?n_fus (record : Record.t) =
          (Option.map (fun (s : Record.stats) -> s.Record.cycles)
             record.Record.stats)
        ?n_fus ();
-     match (record.Record.status, sink) with
-     | Record.Finished _, Some sink ->
-       (match Obs.Sink.account sink with
-        | Some acct -> Obs.Farmobs.merge_account o acct
-        | None -> ());
-       Obs.Farmobs.merge_metrics o (Obs.Sink.metrics sink)
-     | _ -> ());
+     Option.iter
+       (fun sink ->
+         Option.iter (Obs.Farmobs.merge_account o) (Obs.Sink.account sink);
+         Obs.Farmobs.merge_metrics o (Obs.Sink.metrics sink))
+       sink);
   record
+
+(* The record of a job that never finished a run — rejected, crashed,
+   dropped or out of wall-clock time — carries no machine state. *)
+let unfinished ?(attempts = 0) job status =
+  { Record.job;
+    status;
+    attempts;
+    stats = None;
+    hazards = 0;
+    check = None;
+    regs = [] }
 
 (* ------------------------------------------------------------------ *)
 
-let run_job ?hook ?obs ?(seq = -1) ctx (job : Job.t) =
+let run_job ?hook ?obs ~seq ctx (job : Job.t) =
   (match hook with None -> () | Some f -> f job);
   let rejected reason =
-    completed ?obs ~seq
-      { Record.job;
-        status = Record.Rejected { reason };
-        attempts = 0;
-        stats = None;
-        hazards = 0;
-        check = None;
-        regs = [] }
+    completed ?obs ~seq (unfinished job (Record.Rejected { reason }))
   in
   match resolve ctx job with
   | Error reason -> rejected reason
-  | Ok { r_program; r_config; r_setup; r_check } -> (
-    let faults =
-      match job.Job.fault with
-      | None -> Ok None
-      | Some spec -> (
-        match
-          M.Fault.parse ~n_fus:r_config.Core.Config.n_fus spec
-        with
-        | Ok events -> Ok (Some (M.Fault.create events))
-        | Error msg -> Error ("fault: " ^ msg))
-    in
-    match faults with
-    | Error reason -> rejected reason
-    | Ok faults -> (
-      match
-        session_for ctx ~config:r_config ~model:job.Job.model ~faults
-          r_program
-      with
-      | exception Invalid_argument msg ->
-        (* model/program structural mismatch (e.g. a non-consistent
-           program under vsim) is a rejection, not a crash *)
-        rejected msg
-      | session, sink, cache_hit ->
-        (match obs with
-         | None -> ()
-         | Some o -> Obs.Farmobs.on_session_ready o ~seq ~cache_hit);
-        let n_fus = r_config.Core.Config.n_fus in
-        let watchdog =
-          if job.Job.detect_deadlock then Some ctx.watchdog else None
+  | Ok { r_program; r_config; r_faults; r_setup; r_check } -> (
+    match
+      session_for ctx ~config:r_config ~model:job.Job.model ~faults:r_faults
+        r_program
+    with
+    | exception Invalid_argument msg ->
+      (* model/program structural mismatch (e.g. a non-consistent
+         program under vsim) is a rejection, not a crash *)
+      rejected msg
+    | session, sink, cache_hit -> (
+      (match obs with
+       | None -> ()
+       | Some o -> Obs.Farmobs.on_session_ready o ~seq ~cache_hit);
+      let watchdog =
+        if job.Job.detect_deadlock then Some ctx.watchdog else None
+      in
+      let attempt_once () =
+        (match watchdog with
+         | Some w -> Core.Watchdog.reset w
+         | None -> ());
+        let poll =
+          match job.Job.deadline_ms with
+          | None -> None
+          | Some ms ->
+            let deadline =
+              Unix.gettimeofday () +. (float_of_int ms /. 1000.)
+            in
+            Some
+              (fun () ->
+                if Unix.gettimeofday () >= deadline then raise Wall_deadline)
         in
-        let attempt_once () =
-          (match watchdog with
-           | Some w -> Core.Watchdog.reset w
-           | None -> ());
-          let poll =
-            match job.Job.deadline_ms with
-            | None -> None
-            | Some ms ->
-              let deadline =
-                Unix.gettimeofday () +. (float_of_int ms /. 1000.)
-              in
+        Core.Session.run ?watchdog ?budget:job.Job.budget ?poll
+          ~program:r_program ~setup:r_setup session
+      in
+      let rec attempt n =
+        match attempt_once () with
+        | outcome -> (Record.Finished outcome, n)
+        | exception Invalid_argument msg ->
+          (* some model/program mismatches surface only when the run
+             starts (e.g. a bank-inconsistent program under t500);
+             they are spec errors, not crashes *)
+          (Record.Rejected { reason = msg }, 0)
+        | exception Wall_deadline ->
+          if n <= job.Job.retries then begin
+            (match obs with
+             | None -> ()
+             | Some o -> Obs.Farmobs.on_retry o ~seq ~attempt:n);
+            Unix.sleepf (backoff_s ~seed:job.Job.seed ~attempt:n);
+            attempt (n + 1)
+          end
+          else
+            ( Record.Deadline_exceeded
+                { deadline_ms = Option.get job.Job.deadline_ms },
+              n )
+        (* any other exception escapes to the pool boundary: the
+           worker's session cache is rebuilt and the job becomes a
+           Crashed record *)
+      in
+      match attempt 1 with
+      | (Record.Finished _ as status), attempts ->
+        let state = Core.Session.state session in
+        let stats = state.Core.State.stats in
+        let check =
+          match r_check with
+          | None -> None
+          | Some check -> (
+            match check state with Ok () -> None | Error msg -> Some msg)
+        in
+        completed ?obs ~seq ?sink ~n_fus:r_config.Core.Config.n_fus
+          { Record.job;
+            status;
+            attempts;
+            stats =
               Some
-                (fun () ->
-                  if Unix.gettimeofday () >= deadline then
-                    raise Wall_deadline)
-          in
-          Core.Session.run ?watchdog ?budget:job.Job.budget ?poll
-            ~program:r_program ~setup:r_setup session
-        in
-        let rec attempt n =
-          match attempt_once () with
-          | outcome -> (Record.Finished outcome, n)
-          | exception Invalid_argument msg ->
-            (* some model/program mismatches surface only when the run
-               starts (e.g. a bank-inconsistent program under t500);
-               they are spec errors, not crashes *)
-            (Record.Rejected { reason = msg }, 0)
-          | exception Wall_deadline ->
-            if n <= job.Job.retries then begin
-              (match obs with
-               | None -> ()
-               | Some o -> Obs.Farmobs.on_retry o ~seq ~attempt:n);
-              Unix.sleepf (backoff_s ~seed:job.Job.seed ~attempt:n);
-              attempt (n + 1)
-            end
-            else
-              ( Record.Deadline_exceeded
-                  { deadline_ms = Option.get job.Job.deadline_ms },
-                n )
-          (* any other exception escapes to the pool boundary: the
-             worker's session cache is rebuilt and the job becomes a
-             Crashed record *)
-        in
-        let status, attempts = attempt 1 in
-        (match status with
-         | Record.Deadline_exceeded _ | Record.Rejected _ ->
-           (* a timed-out attempt stops mid-run (partial stats and
-              registers are timing-dependent) and a run-time rejection
-              never ran, so neither record carries state *)
-           completed ?obs ~seq ?sink
-             { Record.job;
-               status;
-               attempts;
-               stats = None;
-               hazards = 0;
-               check = None;
-               regs = [] }
-         | _ ->
-           let state = Core.Session.state session in
-           let stats = state.Core.State.stats in
-           let check =
-             match r_check with
-             | None -> None
-             | Some check -> (
-               match check state with Ok () -> None | Error msg -> Some msg)
-           in
-           completed ?obs ~seq ?sink ~n_fus
-             { Record.job;
-               status;
-               attempts;
-               stats =
-                 Some
-                   { Record.cycles = stats.Core.Stats.cycles;
-                     data_ops = stats.Core.Stats.data_ops;
-                     spin_slots = stats.Core.Stats.spin_slots;
-                     max_streams = stats.Core.Stats.max_streams;
-                     commit_ops = stats.Core.Stats.commit_ops };
-               hazards = List.length (Core.State.hazards state);
-               check;
-               regs =
-                 List.map
-                   (fun r -> (r, M.Regfile.read state.Core.State.regs r))
-                   job.Job.dump_regs })))
+                { Record.cycles = stats.Core.Stats.cycles;
+                  data_ops = stats.Core.Stats.data_ops;
+                  spin_slots = stats.Core.Stats.spin_slots;
+                  max_streams = stats.Core.Stats.max_streams;
+                  commit_ops = stats.Core.Stats.commit_ops };
+            hazards = List.length (Core.State.hazards state);
+            check;
+            regs =
+              List.map
+                (fun r -> (r, M.Regfile.read state.Core.State.regs r))
+                job.Job.dump_regs }
+      | status, attempts ->
+        (* a timed-out attempt stops mid-run (partial stats and
+           registers are timing-dependent) and a run-time rejection
+           never ran, so neither record carries state *)
+        completed ?obs ~seq (unfinished ~attempts job status)))
 
 (* ------------------------------------------------------------------ *)
 (* The farm: a pool of [ctx] workers running [run_job], with rejection
@@ -392,64 +370,27 @@ type t = {
   mutable lines : int;  (* submit_line's index counter (producer-side) *)
 }
 
-let rejected job reason =
-  { Record.job;
-    status = Record.Rejected { reason };
-    attempts = 0;
-    stats = None;
-    hazards = 0;
-    check = None;
-    regs = [] }
-
 let create ?domains ?queue_bound ?hook ?obs ~emit () =
-  let work ctx ~seq = function
+  let unrun ~seq ?attempts item status =
+    let job = match item with Run job | Pre_rejected (job, _) -> job in
+    completed ?obs ~seq (unfinished ?attempts job status)
+  in
+  let work ctx ~seq item =
+    match item with
     | Run job -> run_job ?hook ?obs ~seq ctx job
-    | Pre_rejected (job, reason) ->
-      completed ?obs ~seq (rejected job reason)
+    | Pre_rejected (_, reason) -> unrun ~seq item (Record.Rejected { reason })
   in
   let crashed ~seq item ~exn ~backtrace =
-    let job =
-      match item with Run job | Pre_rejected (job, _) -> job
-    in
-    completed ?obs ~seq
-      { Record.job;
-        status = Record.Crashed { exn; backtrace };
-        attempts = 1;
-        stats = None;
-        hazards = 0;
-        check = None;
-        regs = [] }
+    unrun ~seq ~attempts:1 item (Record.Crashed { exn; backtrace })
   in
   let dropped ~seq item =
-    let job =
-      match item with Run job | Pre_rejected (job, _) -> job
-    in
-    completed ?obs ~seq
-      { Record.job;
-        status = Record.Dropped { reason = "farm interrupted before run" };
-        attempts = 0;
-        stats = None;
-        hazards = 0;
-        check = None;
-        regs = [] }
-  in
-  let probe =
-    Option.map
-      (fun o ->
-        { Pool.p_enqueue = (fun ~seq ~depth -> Obs.Farmobs.on_enqueue o ~seq ~depth);
-          p_dequeue =
-            (fun ~seq ~domain ~depth ->
-              Obs.Farmobs.on_dequeue o ~seq ~domain ~depth);
-          p_emit = (fun ~seq -> Obs.Farmobs.on_emit o ~seq) })
-      obs
+    unrun ~seq item (Record.Dropped { reason = "farm interrupted before run" })
   in
   { pool =
-      Pool.create ?domains ?queue_bound ?probe
+      Pool.create ?domains ?queue_bound ?obs
         ~init:(make_ctx ~telemetry:(obs <> None))
         ~work ~crashed ~dropped ~emit ();
     lines = 0 }
-
-let submit t job = Pool.submit t.pool (Run job)
 
 (* A line that fails to parse still needs a Job.t to hang its record
    on: a placeholder carrying the raw line for replay. *)
@@ -478,23 +419,10 @@ let placeholder_job ~index raw =
 let submit_line t line =
   let index = t.lines in
   t.lines <- t.lines + 1;
-  match Job.of_line ~index line with
-  | Ok job -> Pool.submit t.pool (Run job)
-  | Error reason ->
-    Pool.submit t.pool (Pre_rejected (placeholder_job ~index line, reason))
+  Pool.submit t.pool
+    (match Job.of_line ~index line with
+     | Ok job -> Run job
+     | Error reason -> Pre_rejected (placeholder_job ~index line, reason))
 
 let interrupt t = Pool.interrupt t.pool
 let join t = Pool.join t.pool
-let crashes t = Pool.crashes t.pool
-
-let run_list ?domains ?queue_bound ?hook ?obs jobs =
-  let acc = ref [] in
-  let farm =
-    create ?domains ?queue_bound ?hook ?obs
-      ~emit:(fun r -> acc := r :: !acc)
-      ()
-  in
-  List.iter (fun job -> ignore (submit farm job)) jobs;
-  join farm;
-  let records = List.rev !acc in
-  (records, Record.summarise records)

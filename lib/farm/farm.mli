@@ -27,14 +27,15 @@
     count — see {!Pool}.
 
     {b Campaign telemetry.}  Pass [?obs] to observe the whole campaign:
-    the farm installs a {!Pool.probe} and reports each job's lifecycle
-    to the {!Ximd_obs.Farmobs} aggregator — session cache hits, retry
-    attempts, the final outcome class ({!Record.class_label}) — and,
-    for jobs that finished a run, folds the per-job slot taxonomy and
-    metrics from an account-only {!Ximd_obs.Sink} attached to each
-    session into the campaign aggregates.  Without [?obs] no sink is
-    created and every instrumentation site is one [match] on [None] —
-    the result stream is byte-identical either way. *)
+    the farm hands it to its {!Pool}, which reports enqueue, dequeue
+    and emission, and reports each job's session cache hit, retry
+    attempts and final outcome class ({!Record.class_label}) to the
+    {!Ximd_obs.Farmobs} aggregator itself.  For jobs that finished a
+    run it also folds the per-job slot taxonomy and metrics from an
+    account-only {!Ximd_obs.Sink} attached to each session into the
+    campaign aggregates.  Without [?obs] no sink is created and every
+    instrumentation site is one [match] on [None] — the result stream
+    is byte-identical either way. *)
 
 type t
 
@@ -46,33 +47,23 @@ val create :
   emit:(Record.t -> unit) ->
   unit ->
   t
-(** [hook] runs at the start of every job attempt on the worker domain —
-    the test suite plants failures there; leave it unset otherwise.
+(** [hook] runs at the start of every job on the worker domain, before
+    its first attempt — the test suite plants failures there; leave it
+    unset otherwise.
     [emit] is called in submission order with the pool lock held (keep
     it cheap, don't call back into the farm). *)
 
-val submit : t -> Job.t -> bool
-(** [false] means the farm is interrupted/closed and the job was not
-    accepted. *)
-
 val submit_line : t -> string -> bool
-(** Parses one [ximd-job/1] line and submits it; a malformed line is
-    accepted as a pre-rejected job so its [Rejected] record still
-    appears at the right stream position. *)
+(** Parses one [ximd-job/1] line and submits it — the one way a job
+    enters the farm.  A malformed line is accepted as a pre-rejected
+    job so its [Rejected] record still appears at the right stream
+    position.  [false] means the farm is interrupted or closed and the
+    line was not accepted. *)
 
 val interrupt : t -> unit
 (** Graceful shutdown: queued jobs become [Dropped] records, in-flight
     jobs finish, the result stream stays complete. *)
 
 val join : t -> unit
-val crashes : t -> int
-
-val run_list :
-  ?domains:int ->
-  ?queue_bound:int ->
-  ?hook:(Job.t -> unit) ->
-  ?obs:Ximd_obs.Farmobs.t ->
-  Job.t list ->
-  Record.t list * Record.summary
-(** Convenience: run the jobs, collect the records in submission order,
-    summarise. *)
+(** Closes the farm and returns once every accepted job's record has
+    been emitted. *)

@@ -2,11 +2,7 @@
    emission cursor.  Workers hold it only to dequeue and to emit —
    simulator runs (the expensive part) happen outside the lock. *)
 
-type probe = {
-  p_enqueue : seq:int -> depth:int -> unit;
-  p_dequeue : seq:int -> domain:int -> depth:int -> unit;
-  p_emit : seq:int -> unit;
-}
+module Farmobs = Ximd_obs.Farmobs
 
 type ('ctx, 'job, 'res) t = {
   mutex : Mutex.t;
@@ -25,19 +21,19 @@ type ('ctx, 'job, 'res) t = {
   crashed : seq:int -> 'job -> exn:string -> backtrace:string -> 'res;
   dropped : seq:int -> 'job -> 'res;
   emit : 'res -> unit;
-  probe : probe option;
+  obs : Farmobs.t option;
   mutable workers : unit Domain.t array;
   mutable joined : bool;
 }
 
 (* Called with the lock held.  Results emit strictly in sequence order;
    a result whose predecessors are still running parks in [pending].
-   The probe fires after [emit] so an observer counting emissions sees
-   the record already in the stream.  Probe callbacks never take the
-   pool lock (documented contract), so pool-lock -> observer-lock is
-   the only ordering that occurs.  If [emit] raises, the lock is
-   released before the exception leaves, so the other domains and the
-   submitter are not left waiting on it forever. *)
+   The observer hears of an emission after [emit], so it sees the
+   record already in the stream.  Farmobs never takes the pool lock,
+   so pool-lock -> observer-lock is the only ordering that occurs.  If
+   [emit] raises, the lock is released before the exception leaves, so
+   the other domains and the submitter are not left waiting on it
+   forever. *)
 let stash t seq res =
   Hashtbl.replace t.pending seq res;
   let rec flush () =
@@ -52,7 +48,7 @@ let stash t seq res =
        | exception e ->
          Mutex.unlock t.mutex;
          raise e);
-      (match t.probe with None -> () | Some p -> p.p_emit ~seq);
+      (match t.obs with None -> () | Some o -> Farmobs.on_emit o ~seq);
       flush ()
   in
   flush ()
@@ -67,9 +63,10 @@ let worker t index =
     if Queue.is_empty t.queue then Mutex.unlock t.mutex
     else begin
       let seq, job = Queue.pop t.queue in
-      (match t.probe with
+      (match t.obs with
        | None -> ()
-       | Some p -> p.p_dequeue ~seq ~domain:index ~depth:(Queue.length t.queue));
+       | Some o ->
+         Farmobs.on_dequeue o ~seq ~domain:index ~depth:(Queue.length t.queue));
       Condition.signal t.not_full;
       Mutex.unlock t.mutex;
       let res =
@@ -93,7 +90,7 @@ let worker t index =
   in
   loop ()
 
-let create ?(domains = 1) ?(queue_bound = 256) ?probe ~init ~work ~crashed
+let create ?(domains = 1) ?(queue_bound = 256) ?obs ~init ~work ~crashed
     ~dropped ~emit () =
   if domains < 1 then invalid_arg "Pool.create: domains must be positive";
   if domains > 64 then invalid_arg "Pool.create: at most 64 domains";
@@ -120,7 +117,7 @@ let create ?(domains = 1) ?(queue_bound = 256) ?probe ~init ~work ~crashed
       crashed;
       dropped;
       emit;
-      probe;
+      obs;
       workers = [||];
       joined = false }
   in
@@ -142,9 +139,9 @@ let submit t job =
     let seq = t.next_seq in
     Queue.add (seq, job) t.queue;
     t.next_seq <- seq + 1;
-    (match t.probe with
+    (match t.obs with
      | None -> ()
-     | Some p -> p.p_enqueue ~seq ~depth:(Queue.length t.queue));
+     | Some o -> Farmobs.on_enqueue o ~seq ~depth:(Queue.length t.queue));
     Condition.signal t.not_empty;
     Mutex.unlock t.mutex;
     true

@@ -18,34 +18,28 @@
 
     Every callback receives the job's submission sequence number
     ([seq]), which is also its position in the emitted result stream —
-    the key an external observer correlates lifecycle events with.
+    the key an observer correlates lifecycle events with.
 
     [emit] is called with the pool's lock held: it must not call back
     into the pool and should be cheap (write a line, stash in a list).
     If it raises, the pool releases its lock and the exception
     propagates to the caller that triggered the emission: it ends that
-    worker domain (and {!join} re-raises it) or leaves {!interrupt}. *)
+    worker domain (and {!join} re-raises it) or leaves {!interrupt}.
 
-type probe = {
-  p_enqueue : seq:int -> depth:int -> unit;
-      (** after the job entered the queue; [depth] includes it *)
-  p_dequeue : seq:int -> domain:int -> depth:int -> unit;
-      (** a worker picked the job up; [depth] is what remains queued *)
-  p_emit : seq:int -> unit;
-      (** the job's result just left the reorder buffer via [emit] *)
-}
-(** Telemetry taps on the job lifecycle.  All three fire with the pool
-    lock held: they must be cheap and must never call back into the
-    pool (they may take their own locks — pool lock -> observer lock is
-    then the only ordering that occurs).  When no probe is installed
-    the cost is one branch per event. *)
+    {b Campaign telemetry.}  Given [?obs], the pool reports each job's
+    enqueue, dequeue and emission to the {!Ximd_obs.Farmobs} observer
+    itself ({!Ximd_obs.Farmobs.on_enqueue}, [on_dequeue], [on_emit]
+    after [emit] returns).  It calls them with its lock held; Farmobs
+    takes only its own lock and never calls back, so pool lock →
+    observer lock is the only order that occurs.  Without [?obs] each
+    event costs one branch. *)
 
 type ('ctx, 'job, 'res) t
 
 val create :
   ?domains:int ->
   ?queue_bound:int ->
-  ?probe:probe ->
+  ?obs:Ximd_obs.Farmobs.t ->
   init:(int -> 'ctx) ->
   work:('ctx -> seq:int -> 'job -> 'res) ->
   crashed:(seq:int -> 'job -> exn:string -> backtrace:string -> 'res) ->

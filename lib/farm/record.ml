@@ -171,11 +171,3 @@ let summary_to_json_string ?metrics s =
           ("retried", Json.Int s.retried);
           ("max_exit_code", Json.Int s.max_exit_code) ]
        @ metrics_field))
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "%d jobs: %d ok, %d hazardous, %d fuel-exhausted, %d deadlocked, %d \
-     budget-exceeded, %d crashed, %d rejected, %d dropped (%d check \
-     failures, %d retried)"
-    s.jobs s.ok s.hazardous s.fuel_exhausted s.deadlocked s.budget_exceeded
-    s.crashed s.rejected s.dropped s.check_failed s.retried

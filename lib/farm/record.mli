@@ -84,5 +84,3 @@ val summary_to_json_string : ?metrics:Json.t -> summary -> string
 (** One [ximd-summary/1] line, no trailing newline.  [metrics], when
     given (e.g. a campaign's merged {!Ximd_obs.Metrics.to_json}), is
     embedded as a ["metrics"] field. *)
-
-val pp_summary : Format.formatter -> summary -> unit

@@ -234,12 +234,6 @@ let expected_content case =
     case.models;
   Buffer.contents buf
 
-let write_expect case =
-  let path = expect_path case.path in
-  Out_channel.with_open_text path (fun oc ->
-    Out_channel.output_string oc (expected_content case));
-  path
-
 (* --- Checking --------------------------------------------------------- *)
 
 (* A conformance case passes when (1) the reference's summary matches

@@ -40,9 +40,6 @@ val expected_content : case -> string
 (** The sidecar content the case should have: one [== model] section
     per selected model, each the reference's {!Ximd_ref.Observation.summary}. *)
 
-val write_expect : case -> string
-(** Writes the sidecar next to the program; returns its path. *)
-
 val check_case : case -> (unit, string) result
 (** Reference summary must equal the sidecar byte-for-byte, and the
     engine must agree with the reference in lockstep, for every

@@ -283,11 +283,11 @@ let queue_depth_high_water t = locked t (fun () -> t.queue_hwm)
 let session_cache_stats t =
   locked t (fun () -> (t.cache_hits, t.cache_misses))
 
-let account_totals t =
-  locked t (fun () ->
-    List.mapi
-      (fun i cls -> (Account.name cls, t.account_totals.(i)))
-      Account.all)
+(* Callers must hold the lock. *)
+let named_account_totals t =
+  List.mapi (fun i cls -> (Account.name cls, t.account_totals.(i))) Account.all
+
+let account_totals t = locked t (fun () -> named_account_totals t)
 
 let account_slots t = locked t (fun () -> t.account_slots)
 let merged_metrics t = t.merged_metrics
@@ -315,11 +315,7 @@ let logical t =
       ("total_cycles", Int t.total_cycles);
       ("retry_histogram", counts retries);
       ( "account",
-        counts
-          (List.mapi
-             (fun i cls -> (Account.name cls, t.account_totals.(i)))
-             Account.all
-          @ [ ("slots", t.account_slots) ]) );
+        counts (named_account_totals t @ [ ("slots", t.account_slots) ]) );
       ("metrics", Metrics.to_json t.merged_metrics);
       ( "per_job",
         List
@@ -479,14 +475,3 @@ let chrome_json t =
     ~other_data:
       [ ("jobs", Int (List.length spans));
         ("queue_depth_high_water", Int queue_hwm) ]
-
-let pp_summary fmt t =
-  let spans = spans t in
-  let hits, misses = session_cache_stats t in
-  Format.pp_open_vbox fmt 0;
-  Format.fprintf fmt "campaign telemetry: %d jobs, queue high-water %d@,"
-    (List.length spans)
-    (queue_depth_high_water t);
-  Format.fprintf fmt "  session cache: %d hits / %d misses@," hits misses;
-  List.iter (fun s -> Format.fprintf fmt "  %a@," Span.pp s) spans;
-  Format.pp_close_box fmt ()

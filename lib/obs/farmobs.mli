@@ -1,8 +1,11 @@
 (** Campaign telemetry aggregator for the run farm.
 
-    One [Farmobs.t] observes one campaign: the pool and farm call the
-    hook functions below at each lifecycle boundary of each job
-    (enqueue → dequeue → session ready → run end → emit), and the
+    One [Farmobs.t] observes one campaign, passed as [?obs] to
+    [Ximd_farm.Pool.create] (and through [Ximd_farm.Farm.create]).  The
+    pool calls {!on_enqueue}, {!on_dequeue} and {!on_emit} itself; its
+    job layer — the farm, or [tools/fuzz run] — calls the session,
+    retry and completion hooks.  From these lifecycle boundaries of
+    each job (enqueue → dequeue → session ready → run end → emit) the
     aggregator assembles a {!Span.t} per job plus merged
     campaign-level aggregates.  All hooks are thread-safe (one internal
     mutex) and none of them calls back into the pool, so they are safe
@@ -131,6 +134,3 @@ val chrome_json : t -> string
     domain with outcome-coloured job slices (session/run sub-slices,
     retry and failure instants), a queue-depth counter track, and one
     async lane per job spanning enqueue → emit. *)
-
-val pp_summary : Format.formatter -> t -> unit
-(** Human-readable digest: campaign counters then one line per span. *)

@@ -86,30 +86,31 @@ let create ?(trace = true) ?(profile = true) ?(account = true)
 
 let n_fus t = t.n_fus
 
-let emit t e = if t.trace then Ring.push t.ring e
-
 (* ------------------------------------------------------------------ *)
-(* Hooks *)
+(* Hooks.  Each tests [t.trace] before it builds an event, so a sink
+   without a ring allocates none. *)
 
 let on_fetch t ~cycle ~fu ~pc =
   Metrics.incr t.m_fu_live.(fu);
   (match t.prof with None -> () | Some p -> Profile.sample p ~fu ~pc);
-  emit t (Event.Fetch { cycle; fu; pc })
+  if t.trace then Ring.push t.ring (Event.Fetch { cycle; fu; pc })
 
 let on_data_op t ~fu = Metrics.incr t.m_fu_ops.(fu)
 
 let on_commit t ~cycle ~results =
   Metrics.add t.m_commits results;
   Metrics.observe t.h_commit_batch results;
-  emit t (Event.Commit { cycle; results })
+  if t.trace then Ring.push t.ring (Event.Commit { cycle; results })
 
 let on_cc t ~cycle ~fu ~value =
   Metrics.incr t.m_cc;
-  emit t (Event.Cc_broadcast { cycle; fu; value })
+  if t.trace then
+    Ring.push t.ring (Event.Cc_broadcast { cycle; fu; value })
 
 let on_ss t ~cycle ~fu ~to_done =
   Metrics.incr t.m_ss;
-  emit t (Event.Ss_transition { cycle; fu; to_done })
+  if t.trace then
+    Ring.push t.ring (Event.Ss_transition { cycle; fu; to_done })
 
 let close_streak t ~cycle fu =
   let pc = t.spin_pc.(fu) in
@@ -125,7 +126,8 @@ let close_streak t ~cycle fu =
         | None -> (0, 0)
       in
       Hashtbl.replace t.barriers pc (entries + 1, total + waited);
-      emit t (Event.Barrier_exit { cycle; fu; pc; waited })
+      if t.trace then
+        Ring.push t.ring (Event.Barrier_exit { cycle; fu; pc; waited })
     end
   end
 
@@ -136,7 +138,8 @@ let on_control t ~cycle ~fu ~pc ~spinning ~sync =
       t.spin_pc.(fu) <- pc;
       t.spin_start.(fu) <- cycle;
       t.spin_sync.(fu) <- sync;
-      if sync then emit t (Event.Barrier_enter { cycle; fu; pc })
+      if sync && t.trace then
+        Ring.push t.ring (Event.Barrier_enter { cycle; fu; pc })
     end
   end
   else close_streak t ~cycle fu
@@ -144,14 +147,15 @@ let on_control t ~cycle ~fu ~pc ~spinning ~sync =
 let on_halt t ~cycle ~fu =
   close_streak t ~cycle fu;
   Metrics.incr t.m_halts;
-  emit t (Event.Halt { cycle; fu })
+  if t.trace then Ring.push t.ring (Event.Halt { cycle; fu })
 
 let on_partition t ~cycle ~ssets =
   if ssets <> t.last_part then begin
     t.last_part <- ssets;
     t.parts_rev <- (cycle, ssets) :: t.parts_rev;
     Metrics.incr t.m_partitions;
-    emit t (Event.Partition_change { cycle; ssets })
+    if t.trace then
+      Ring.push t.ring (Event.Partition_change { cycle; ssets })
   end
 
 let on_cycle_end t ~cycle ~live_streams =
@@ -162,10 +166,12 @@ let on_cycle_end t ~cycle ~live_streams =
 
 let on_fault t ~cycle ~kind ~target =
   Metrics.incr t.m_faults;
-  emit t (Event.Fault_fired { cycle; kind; target })
+  if t.trace then
+    Ring.push t.ring (Event.Fault_fired { cycle; kind; target })
 
 let on_watchdog t ~cycle ~quiet =
-  emit t (Event.Watchdog_window { cycle; quiet })
+  if t.trace then
+    Ring.push t.ring (Event.Watchdog_window { cycle; quiet })
 
 let finish t ~cycle =
   if not t.finished then begin

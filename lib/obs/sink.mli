@@ -39,7 +39,8 @@ val create :
   unit ->
   t
 (** [trace] (record events in a ring that keeps the newest 65,536; the
-    ring is allocated only when [trace] is on) defaults to [true];
+    ring is allocated, and events are built, only when [trace] is on)
+    defaults to [true];
     [profile] (hot-PC sampling) defaults
     to [true]; [account] (per-slot cycle accounting, one array
     increment per fu×cycle slot) defaults to [true]; [critpath]

@@ -40,14 +40,3 @@ let queue_wait t = t.dequeue_t -. t.enqueue_t
 let session_time t = t.session_t -. t.dequeue_t
 let run_time t = t.run_end_t -. t.session_t
 let reorder_wait t = t.emit_t -. t.run_end_t
-let total t = t.emit_t -. t.enqueue_t
-
-let pp fmt t =
-  Format.fprintf fmt
-    "#%d %s: %s on domain %d, %d attempt%s, %d cycles (queue %.0fus, run \
-     %.0fus)"
-    t.seq t.id t.result.label t.domain t.attempts
-    (if t.attempts = 1 then "" else "s")
-    t.cycles
-    (queue_wait t *. 1e6)
-    (run_time t *. 1e6)

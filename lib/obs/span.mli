@@ -56,7 +56,3 @@ val reorder_wait : t -> float
 (** Time between the run finishing and the record emitting — jobs
     whose stream predecessors are still running park in the pool's
     reorder buffer for exactly this long. *)
-
-val total : t -> float
-
-val pp : Format.formatter -> t -> unit

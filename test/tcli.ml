@@ -3,8 +3,8 @@
    byte with committed goldens: a change to when or in what order the
    engine reports a cycle changes these bytes even where two runs of
    one build still agree with each other.  A path a tool cannot read
-   or write must end in one "TOOL: PATH: REASON" line and exit 1,
-   never in an uncaught exception. *)
+   or write must end in one "TOOL: PATH: REASON" line and exit 1 (2
+   for fuzz), never in an uncaught exception. *)
 
 (* Tests run in the build's test directory; the tools run from the
    build root, where the example paths below (and the campaign's
@@ -64,6 +64,7 @@ let vsim = "bin/vsim_cli.exe"
 let xcc = "bin/xcc_cli.exe"
 let xasm = "bin/xasm_cli.exe"
 let serve = "bin/ximd_serve.exe"
+let fuzz = "tools/fuzzer/fuzz.exe"
 
 let minmax_data =
   [ "-r"; "r5=4"; "-m"; "256=5"; "-m"; "257=3"; "-m"; "258=4"; "-m"; "259=7" ]
@@ -145,10 +146,11 @@ let test_parity (golden, exe, args) () =
 
 (* --- Unreadable inputs and unwritable outputs --------------------------- *)
 
-(* Every command must exit 1 with exactly one line on stderr naming the
-   tool and the path.  [missing] is a path under a directory that does
-   not exist; the temporary directory itself stands in for a directory
-   given where a file is expected. *)
+(* Every command must exit 1 (fuzz: 2, its code for bad usage) with
+   exactly one line on stderr naming the tool and the path.  [missing]
+   is a path under a directory that does not exist; the temporary
+   directory itself stands in for a directory given where a file is
+   expected. *)
 let test_bad_paths () =
   with_temp_dir (fun dir ->
     let missing name = Filename.concat (Filename.concat dir "missing") name in
@@ -170,7 +172,15 @@ let test_bad_paths () =
            "xcc", missing "x.json");
           (xcc, [ dir ], "xcc", dir);
           (xasm, [ minmax; "-o"; missing "x.img" ], "xasm", missing "x.img");
-          (xasm, [ "-d"; dir ], "xasm", dir) ]
+          (xasm, [ "-d"; dir ], "xasm", dir);
+          ( fuzz,
+            [ "run"; "--seed"; "1"; "--count"; "2"; "--campaign-report";
+              missing "x.json" ],
+            "fuzz", missing "x.json" );
+          ( fuzz,
+            [ "save"; "--seed"; "1"; "--index"; "0"; "--name"; "foo";
+              "--dir"; Filename.concat dir "missing" ],
+            "fuzz", missing "foo.xasm" ) ]
     in
     let stderr = Filename.concat dir "stderr" in
     List.iter
@@ -179,7 +189,9 @@ let test_bad_paths () =
         let code =
           spawn ~stdout:(Filename.concat dir "stdout") ~stderr exe args
         in
-        Alcotest.(check int) (what ^ ": exit code") 1 code;
+        Alcotest.(check int) (what ^ ": exit code")
+          (if exe = fuzz then 2 else 1)
+          code;
         let prefix = Printf.sprintf "%s: %s: " tool path in
         match String.split_on_char '\n' (read_file stderr) with
         | [ line; "" ] when String.starts_with ~prefix line -> ()

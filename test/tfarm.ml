@@ -10,8 +10,6 @@ let job_of_line line ~index =
   | Ok job -> job
   | Error e -> Alcotest.failf "job %d: %s" index e
 
-let jobs_of_lines lines = List.mapi (fun index -> job_of_line ~index) lines
-
 (* A tiny program that wedges immediately: FU 0 waits forever on its
    own BUSY signal. *)
 let deadlock_source = ".fus 1\nloop:\n  [0] nop | if ss0 loop : loop\n"
@@ -44,8 +42,17 @@ let mixed_lines =
 let serialise records =
   String.concat "\n" (List.map F.Record.to_json_string records)
 
+(* Submits job lines the one way the farm takes them and returns the
+   records in stream order with their summary. *)
 let run_lines ?hook ~domains lines =
-  F.Farm.run_list ~domains ?hook (jobs_of_lines lines)
+  let acc = ref [] in
+  let farm =
+    F.Farm.create ~domains ?hook ~emit:(fun r -> acc := r :: !acc) ()
+  in
+  List.iter (fun line -> ignore (F.Farm.submit_line farm line)) lines;
+  F.Farm.join farm;
+  let records = List.rev !acc in
+  (records, F.Record.summarise records)
 
 (* --- Determinism --------------------------------------------------------- *)
 
@@ -208,6 +215,41 @@ let test_spec_validation () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "record line is not valid JSON: %s" e
 
+(* --- Machine-shape keys apply to every payload ---------------------------- *)
+
+(* A workload job's shape keys reach its machine as a source job's do:
+   each one changes LL1's run, and a shape [Config.make] refuses is a
+   rejection. *)
+let test_workload_shape_keys () =
+  let records, _ =
+    run_lines ~domains:1
+      [ {|{"workload":"ll1"}|};
+        {|{"workload":"ll1","latency":3}|};
+        {|{"workload":"ll1","mem_words":4}|};
+        {|{"workload":"ll1","ports":1,"distributed":true}|};
+        {|{"workload":"ll1","latency":99}|} ]
+  in
+  let run (r : F.Record.t) =
+    (F.Record.class_label r, r.F.Record.stats, r.F.Record.hazards,
+     r.F.Record.check)
+  in
+  match records with
+  | [ plain; latency; mem_words; distributed; bad ] -> (
+    Alcotest.(check string) "plain LL1 halts clean" "ok"
+      (F.Record.class_label plain);
+    List.iter
+      (fun (key, r) ->
+        Alcotest.(check bool) (key ^ " changes the run") false
+          (run r = run plain))
+      [ ("latency", latency); ("mem_words", mem_words);
+        ("ports+distributed", distributed) ];
+    match bad.F.Record.status with
+    | F.Record.Rejected { reason } ->
+      Alcotest.(check string) "latency 99 rejected"
+        "Config.make: result_latency must be in [1, 8]" reason
+    | _ -> Alcotest.fail "latency 99 was not rejected")
+  | rs -> Alcotest.failf "expected 5 records, got %d" (List.length rs)
+
 (* --- Pool: ordering survives crashes, interrupt drains -------------------- *)
 
 let test_pool_orders_and_drains () =
@@ -315,17 +357,7 @@ let prop_campaign_deterministic =
   QCheck.Test.make ~count:10
     ~name:"farm: result stream identical at 1/2/4 domains"
     (QCheck.make ~print:(String.concat "\n") campaign_gen) (fun lines ->
-      let submit domains =
-        let farm_records = ref [] in
-        let farm =
-          F.Farm.create ~domains
-            ~emit:(fun r -> farm_records := r :: !farm_records)
-            ()
-        in
-        List.iter (fun line -> ignore (F.Farm.submit_line farm line)) lines;
-        F.Farm.join farm;
-        serialise (List.rev !farm_records)
-      in
+      let submit domains = serialise (fst (run_lines ~domains lines)) in
       let one = submit 1 in
       let two = submit 2 and four = submit 4 in
       let ok = two = one && four = one in
@@ -371,15 +403,7 @@ let test_acceptance_sweep () =
       && String.sub job.F.Job.id 0 6 = "crash-"
     then failwith "planted crash"
   in
-  let submit domains =
-    let acc = ref [] in
-    let farm = F.Farm.create ~domains ~hook ~emit:(fun r -> acc := r :: !acc) () in
-    List.iter
-      (fun line -> ignore (F.Farm.submit_line farm line))
-      acceptance_lines;
-    F.Farm.join farm;
-    List.rev !acc
-  in
+  let submit domains = fst (run_lines ~hook ~domains acceptance_lines) in
   let one = submit 1 in
   Alcotest.(check int) "one record per job" 1000 (List.length one);
   let s = F.Record.summarise one in
@@ -419,4 +443,6 @@ let suite =
           test_pool_emit_raises;
         Alcotest.test_case "1000-job adversarial sweep is deterministic"
           `Slow test_acceptance_sweep;
-        to_alcotest prop_campaign_deterministic ] ) ]
+        to_alcotest prop_campaign_deterministic;
+        Alcotest.test_case "workload jobs apply machine-shape keys" `Quick
+          test_workload_shape_keys ] ) ]

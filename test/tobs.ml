@@ -331,6 +331,38 @@ let test_sink_reset_reuse () =
   Alcotest.(check string) "identical after reset+rerun" first
     (Ximd_json.to_string (Obs.Sink.metrics_json sink))
 
+(* --- A sink without a ring builds no events ------------------------------ *)
+
+(* An account-only sink, the farm's per-job sink, has no event ring, so
+   it must not build the events it would push there: it adds fewer than
+   64 minor words to an LL1 run under xsim and under vsim. *)
+let test_lean_sink_words () =
+  let ll1 = W.Livermore.loop1 () in
+  List.iter
+    (fun (model, (v : W.Workload.variant)) ->
+      let run_words obs =
+        let session =
+          Core.Session.create ~config:v.config ?obs ~model v.program
+        in
+        let run () = ignore (Core.Session.run ~setup:v.setup session) in
+        run ();
+        let before = Gc.minor_words () in
+        run ();
+        Gc.minor_words () -. before
+      in
+      let lean =
+        Obs.Sink.create ~trace:false ~profile:false ~account:true
+          ~n_fus:v.config.n_fus
+          ~code_len:(Core.Program.length v.program)
+          ()
+      in
+      let added = run_words (Some lean) -. run_words None in
+      if added >= 64. then
+        Alcotest.failf "%s: an account-only sink added %.0f minor words"
+          (Core.Engine.model_name model) added)
+    [ (Core.Engine.Per_fu, ll1.W.Workload.ximd);
+      (Core.Engine.Global, Option.get ll1.W.Workload.vliw) ]
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "ring drops oldest" `Quick test_ring;
@@ -354,4 +386,6 @@ let suite =
         Alcotest.test_case "outcome exit codes" `Quick
           test_exit_code_of_outcome;
         Alcotest.test_case "sink reset reuse" `Quick test_sink_reset_reuse;
-        QCheck_alcotest.to_alcotest prop_attachments_transparent ] ) ]
+        QCheck_alcotest.to_alcotest prop_attachments_transparent;
+        Alcotest.test_case "account-only sink builds no events" `Quick
+          test_lean_sink_words ] ) ]

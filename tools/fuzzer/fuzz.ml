@@ -35,6 +35,21 @@ let die fmt =
       exit 2)
     fmt
 
+(* Every file fuzz writes goes through here.  A path it cannot write is
+   bad usage: one "fuzz: PATH: REASON" line and exit 2, never an
+   uncaught [Sys_error]. *)
+let write_file path content =
+  try
+    Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc content)
+  with Sys_error msg ->
+    let prefix = path ^ ": " in
+    die "%s: %s" path
+      (if String.starts_with ~prefix msg then
+         String.sub msg (String.length prefix)
+           (String.length msg - String.length prefix)
+       else msg)
+
 (* --- Option parsing (flag value pairs, tools/ house style) ------------ *)
 
 let parse_options spec args =
@@ -92,10 +107,6 @@ let shrink_case c =
   else None
 
 (* --- run -------------------------------------------------------------- *)
-
-let write_file path content =
-  Out_channel.with_open_text path (fun oc ->
-    Out_channel.output_string oc content)
 
 (* Shrinks a divergent case and reports the repro: as files under
    [artifacts], or with the command that lands it in the corpus. *)
@@ -159,17 +170,6 @@ let cmd_run args =
         ~result:(Ximd_obs.Span.outcome ~label ~quality)
         ~attempts:1 ()
   in
-  let probe =
-    Option.map
-      (fun o ->
-        { Ximd_farm.Pool.p_enqueue =
-            (fun ~seq ~depth -> Ximd_obs.Farmobs.on_enqueue o ~seq ~depth);
-          p_dequeue =
-            (fun ~seq ~domain ~depth ->
-              Ximd_obs.Farmobs.on_dequeue o ~seq ~domain ~depth);
-          p_emit = (fun ~seq -> Ximd_obs.Farmobs.on_emit o ~seq) })
-      obs
-  in
   let divergences = ref 0 and crashes = ref 0 and first = ref None in
   let emit (index, verdict) =
     match verdict with
@@ -187,7 +187,7 @@ let cmd_run args =
   in
   let t0 = Unix.gettimeofday () in
   let pool =
-    Ximd_farm.Pool.create ~domains:!domains ?probe
+    Ximd_farm.Pool.create ~domains:!domains ?obs
       ~init:(fun _ -> ())
       ~work:(fun () ~seq index ->
         let c = case_at ~seed:!seed ~index in
@@ -292,6 +292,12 @@ let cmd_shrink args =
 
 (* --- save ------------------------------------------------------------- *)
 
+(* Writes a case's sidecar next to its program; returns its path. *)
+let write_expect case =
+  let path = Ximd_gen.Conform.expect_path case.Ximd_gen.Conform.path in
+  write_file path (Ximd_gen.Conform.expected_content case);
+  path
+
 (* The conformance corpus pins the *reference* semantics, so a shrunk
    divergence lands as program + reference-derived sidecar: the case
    fails conformance until the engine is fixed, then pins the fixed
@@ -327,7 +333,7 @@ let cmd_save args =
   write_file path (directives_for c ^ case_source c);
   (match Ximd_gen.Conform.load path with
    | Ok case ->
-     let expect = Ximd_gen.Conform.write_expect case in
+     let expect = write_expect case in
      Printf.printf "wrote %s and %s\n" path expect
    | Error e -> die "saved %s but cannot load it back: %s" path e);
   exit 0
@@ -348,7 +354,7 @@ let cmd_expect args =
       match Ximd_gen.Conform.load path with
       | Error e -> die "%s" e
       | Ok case ->
-        let expect = Ximd_gen.Conform.write_expect case in
+        let expect = write_expect case in
         Printf.printf "wrote %s\n" expect)
     files;
   exit 0
