@@ -14,8 +14,8 @@ let domains_arg =
   Arg.(
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
-        ~doc:"Worker domains (capped to the machine's recommended \
-              domain count).")
+        ~doc:"Worker domains, 1 to 64; the count is honoured even \
+              beyond the machine's core count.")
 
 let queue_bound_arg =
   Arg.(
@@ -216,6 +216,10 @@ let run domains queue_bound socket no_summary trace_out report_out
     progress_every =
   if domains < 1 then begin
     Printf.eprintf "--domains must be at least 1\n";
+    exit 1
+  end;
+  if domains > Farm.Pool.max_domains then begin
+    Printf.eprintf "--domains must be at most %d\n" Farm.Pool.max_domains;
     exit 1
   end;
   if queue_bound < 1 then begin

@@ -10,97 +10,84 @@ type compiled = {
   used_regs : int;
 }
 
+let check_width width =
+  if width < 1 || width > 16 then
+    Error (Printf.sprintf "bad width %d: the machine has 1 to 16 FUs" width)
+  else Ok ()
+
 let operand reg_of = function
   | Ir.V v -> Operand.Reg (reg_of v)
   | Ir.C c -> Operand.Imm (Value.of_int32 c)
   | Ir.Cf f -> Operand.Imm (Value.of_float f)
 
-let data_of_op reg_of (op : Ir.op) =
-  let o = operand reg_of in
+let data_of_op ~use ~def (op : Ir.op) =
+  let o = operand use in
   match op with
-  | Ir.Bin (bop, a, b, d) -> Parcel.Dbin { op = bop; a = o a; b = o b; d = reg_of d }
-  | Ir.Un (uop, a, d) -> Parcel.Dun { op = uop; a = o a; d = reg_of d }
+  | Ir.Bin (bop, a, b, d) -> Parcel.Dbin { op = bop; a = o a; b = o b; d = def d }
+  | Ir.Un (uop, a, d) -> Parcel.Dun { op = uop; a = o a; d = def d }
   | Ir.Cmp (cop, a, b, _) -> Parcel.Dcmp { op = cop; a = o a; b = o b }
-  | Ir.Load (a, b, d) -> Parcel.Dload { a = o a; b = o b; d = reg_of d }
+  | Ir.Load (a, b, d) -> Parcel.Dload { a = o a; b = o b; d = def d }
   | Ir.Store (a, b) -> Parcel.Dstore { a = o a; b = o b }
+
+(* Row and FU slot of the compare that sets a conditional terminator's
+   predicate (the last one in issue order). *)
+let terminator_cmp (sched : Listsched.t) ops term =
+  match term with
+  | Ir.Jump _ | Ir.Return -> None
+  | Ir.Branch (p, _, _) ->
+    let found = ref None in
+    Array.iteri
+      (fun r row ->
+        List.iteri
+          (fun slot i ->
+            match ops.(i) with
+            | Ir.Cmp (_, _, _, q) when q = p -> found := Some (r, slot)
+            | Ir.Cmp _ | Ir.Bin _ | Ir.Un _ | Ir.Load _ | Ir.Store _ -> ())
+          row)
+      sched.rows;
+    !found
 
 (* Rows a block must occupy: the schedule itself, plus room for a
    conditional terminator's compare to commit strictly before the branch
    row, plus — on a pipelined datapath — room for every register/memory
    write to commit before control leaves the block (cross-block flow
    dependences are not in the block-local DDG). *)
-let required_rows ~latency (sched : Listsched.t) ops term =
-  let n_rows = Array.length sched.rows in
-  let cmp_row = ref (-1) in
-  (match term with
-   | Ir.Branch (p, _, _) ->
-     Array.iteri
-       (fun r row ->
-         List.iter
-           (fun i -> if Ir.def_pred ops.(i) = Some p then cmp_row := r)
-           row)
-       sched.rows
-   | Ir.Jump _ | Ir.Return -> ());
-  let writes i =
-    match ops.(i) with
-    | Ir.Store _ -> true
-    | Ir.Bin _ | Ir.Un _ | Ir.Load _ -> true
-    | Ir.Cmp _ -> false
-  in
-  let last_commit = ref (n_rows - 1) in
+let required_rows ~latency (sched : Listsched.t) ops cmp =
+  let last_commit = ref (Array.length sched.rows - 1) in
   Array.iteri
     (fun r row ->
       List.iter
-        (fun i -> if writes i then last_commit := max !last_commit (r + latency - 1))
+        (fun i ->
+          match ops.(i) with
+          | Ir.Cmp _ -> ()
+          | Ir.Bin _ | Ir.Un _ | Ir.Load _ | Ir.Store _ ->
+            last_commit := max !last_commit (r + latency - 1))
         row)
     sched.rows;
   let min_total = max 1 (!last_commit + 1) in
-  let min_total =
-    match term with
-    | Ir.Branch _ -> max min_total (!cmp_row + 2)
-    | Ir.Jump _ | Ir.Return -> min_total
-  in
-  min_total
+  match cmp with Some (r, _) -> max min_total (r + 2) | None -> min_total
 
 (* Emit one scheduled block. *)
 let emit_scheduled ~latency builder reg_of (block : Ir.block)
     (sched : Listsched.t) ops =
-  let n_rows = Array.length sched.rows in
   B.label builder block.label;
-  (* FU slot of the compare defining the terminator's predicate. *)
-  let cmp_slot = ref None in
-  (match block.term with
-   | Ir.Branch (p, _, _) ->
-     Array.iteri
-       (fun _ row ->
-         List.iteri
-           (fun slot i ->
-             if Ir.def_pred ops.(i) = Some p then cmp_slot := Some slot)
-           row)
-       sched.rows
-   | Ir.Jump _ | Ir.Return -> ());
-  let total_rows = required_rows ~latency sched ops block.term in
-  ignore n_rows;
+  let cmp = terminator_cmp sched ops block.term in
+  let total_rows = required_rows ~latency sched ops cmp in
   let n_rows = Array.length sched.rows in
   let terminator_ctl =
-    match block.term with
-    | Ir.Jump l -> B.goto (B.lbl l)
-    | Ir.Return -> B.halt
-    | Ir.Branch (_, t1, t2) ->
-      let slot =
-        match !cmp_slot with
-        | Some s -> s
-        | None ->
-          (* Ir.validate guarantees the compare exists. *)
-          assert false
-      in
-      B.if_cc slot (B.lbl t1) (B.lbl t2)
+    match (block.term, cmp) with
+    | Ir.Jump l, _ -> B.goto (B.lbl l)
+    | Ir.Return, _ -> B.halt
+    | Ir.Branch (_, t1, t2), Some (_, slot) -> B.if_cc slot (B.lbl t1) (B.lbl t2)
+    | Ir.Branch _, None ->
+      (* Ir.validate guarantees the compare exists. *)
+      assert false
   in
   for r = 0 to total_rows - 1 do
     let row_ops = if r < n_rows then sched.rows.(r) else [] in
     let ctl = if r = total_rows - 1 then terminator_ctl else B.goto B.next in
     B.row builder ~ctl
-      (List.map (fun i -> B.d (data_of_op reg_of ops.(i))) row_ops)
+      (List.map (fun i -> B.d (data_of_op ~use:reg_of ~def:reg_of ops.(i))) row_ops)
   done
 
 let emit_block ?(latency = 1) ?obs builder reg_of ~width (block : Ir.block) =
@@ -109,13 +96,13 @@ let emit_block ?(latency = 1) ?obs builder reg_of ~width (block : Ir.block) =
   (match obs with
    | None -> ()
    | Some t ->
-     Schedobs.record_block t ~label:block.label ~latency ~width ~ops sched);
+     Schedobs.record_block t ~label:block.label ~width ~ops sched);
   emit_scheduled ~latency builder reg_of block sched ops
 
 let block_rows ?(latency = 1) ~width (block : Ir.block) =
   let ops = Array.of_list block.body in
   let sched = Listsched.schedule ~latency ~width ops in
-  required_rows ~latency sched ops block.term
+  required_rows ~latency sched ops (terminator_cmp sched ops block.term)
 
 (* Single-block while-loop bodies: a block whose terminator jumps to a
    head block whose branch re-enters it.  Exactly the shape the
@@ -136,9 +123,10 @@ let loop_bodies (func : Ir.func) =
       | Ir.Branch _ | Ir.Return -> false)
     func.blocks
 
-let compile ?(width = 8) ?latency ?reg_base ?obs (func : Ir.func) =
-  if width < 1 || width > 16 then Error [ "Codegen.compile: bad width" ]
-  else begin
+let drive ?reg_base ?obs ~width (func : Ir.func) emit =
+  match check_width width with
+  | Error msg -> Error [ msg ]
+  | Ok () -> (
     (match obs with None -> () | Some t -> Schedobs.set_source t func.name);
     match Schedobs.pass obs "validate" (fun () -> Ir.validate func) with
     | Error errors -> Error errors
@@ -147,36 +135,46 @@ let compile ?(width = 8) ?latency ?reg_base ?obs (func : Ir.func) =
         Schedobs.pass obs "regalloc" (fun () -> Regalloc.trivial ?reg_base func)
       with
       | Error msg -> Error [ "register allocation: " ^ msg ]
-      | Ok assignment ->
+      | Ok assignment -> (
         let builder = B.create ~n_fus:width in
-        Schedobs.pass obs "schedule+emit" (fun () ->
-          List.iter
-            (fun (block : Ir.block) ->
-              emit_block ?latency ?obs builder assignment.reg_of ~width block)
-            func.blocks);
-        (* Modulo-scheduling bound accounting for every while-loop body:
-           analysis only (the emitted code is the blockwise schedule);
-           reports ResMII/RecMII/achieved II per loop. *)
-        (match obs with
-         | None -> ()
-         | Some t ->
-           Schedobs.pass obs "loop-bounds" (fun () ->
-             List.iter
-               (fun (b : Ir.block) ->
-                 ignore
-                   (Pipeliner.schedule ~obs:t
-                      ~label:(func.name ^ "/" ^ b.label)
-                      ~width
-                      (Array.of_list b.body)))
-               (loop_bodies func)));
-        let program = B.build builder in
-        Ok
-          { program;
-            width;
-            param_regs =
-              List.map (fun v -> (v, assignment.reg_of v)) func.params;
-            result_regs =
-              List.map (fun v -> (v, assignment.reg_of v)) func.results;
-            static_rows = Ximd_core.Program.length program;
-            used_regs = assignment.used })
-  end
+        match emit builder assignment.reg_of with
+        | Error errors -> Error errors
+        | Ok extra ->
+          let program = B.build builder in
+          let regs = List.map (fun v -> (v, assignment.reg_of v)) in
+          Ok
+            ( { program;
+                width;
+                param_regs = regs func.params;
+                result_regs = regs func.results;
+                static_rows = Ximd_core.Program.length program;
+                used_regs = assignment.used },
+              extra ))))
+
+let compile ?(width = 8) ?latency ?reg_base ?obs (func : Ir.func) =
+  let emit builder reg_of =
+    Schedobs.pass obs "schedule+emit" (fun () ->
+      List.iter
+        (fun (block : Ir.block) ->
+          emit_block ?latency ?obs builder reg_of ~width block)
+        func.blocks);
+    (* Modulo-scheduling bound accounting for every while-loop body:
+       analysis only (the emitted code is the blockwise schedule);
+       reports ResMII/RecMII/achieved II per loop. *)
+    (match obs with
+     | None -> ()
+     | Some t ->
+       Schedobs.pass obs "loop-bounds" (fun () ->
+         List.iter
+           (fun (b : Ir.block) ->
+             ignore
+               (Pipeliner.schedule ~obs:t
+                  ~label:(func.name ^ "/" ^ b.label)
+                  ~width
+                  (Array.of_list b.body)))
+           (loop_bodies func)));
+    Ok ()
+  in
+  match drive ?reg_base ?obs ~width func emit with
+  | Ok (compiled, ()) -> Ok compiled
+  | Error errors -> Error errors

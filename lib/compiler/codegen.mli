@@ -26,12 +26,18 @@ type compiled = {
   used_regs : int;
 }
 
+val check_width : int -> (unit, string) result
+(** The width check every compile entry point ({!compile},
+    {!Tracesched.compile}, {!Kernelgen.compile}) applies first: a
+    program has 1 to 16 FU columns. *)
+
 val compile :
   ?width:int -> ?latency:int -> ?reg_base:int -> ?obs:Schedobs.t ->
   Ir.func ->
   (compiled, string list) result
 (** [width] defaults to 8 and must be within [1, n_fus] of the intended
-    configuration; the emitted program has exactly [width] FU columns.
+    configuration ({!check_width}); the emitted program has exactly
+    [width] FU columns.
     [reg_base] offsets register allocation so independently compiled
     threads can share the global register file ({!Threader}).
     [latency] (default 1) schedules for a machine whose datapath results
@@ -42,8 +48,22 @@ val compile :
     and — for every single-block while-loop body ({!loop_bodies}) —
     modulo-scheduling bound accounting via {!Pipeliner}. *)
 
-val data_of_op : (Ir.vreg -> Reg.t) -> Ir.op -> Parcel.data
-(** Lower one IR operation to a parcel data operation. *)
+val drive :
+  ?reg_base:int -> ?obs:Schedobs.t -> width:int -> Ir.func ->
+  (Ximd_asm.Builder.t -> (Ir.vreg -> Reg.t) -> ('a, string list) result) ->
+  (compiled * 'a, string list) result
+(** The compile driver {!compile} and {!Tracesched.compile} share:
+    {!check_width}, then {!Ir.validate} and {!Regalloc.trivial} (the
+    ["validate"] and ["regalloc"] passes of [obs]), then [emit] fills a
+    fresh [width]-column builder with the function's code; the result
+    pairs the built program with what [emit] returned. *)
+
+val data_of_op :
+  use:(Ir.vreg -> Reg.t) -> def:(Ir.vreg -> Reg.t) -> Ir.op -> Parcel.data
+(** Lower one IR operation to a parcel data operation: source registers
+    through [use], the destination through [def].  Block code passes one
+    register map for both; the software pipeliner ({!Kernelgen}) renames
+    the two apart. *)
 
 val emit_block :
   ?latency:int -> ?obs:Schedobs.t ->

@@ -1,4 +1,4 @@
-type kind = Flow | Anti | Output | Mem
+type kind = Flow | Anti | Output | Mem | Control
 
 type edge = {
   src : int;
@@ -14,13 +14,18 @@ type t = {
   succs_by : edge list array;
 }
 
-let is_mem = function
-  | Ir.Load _ | Ir.Store _ -> true
-  | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
+(* [rev_edges] lists the edges last first, so prepending each one
+   leaves every node's lists in the given order. *)
+let of_rev_edges n rev_edges =
+  let preds_by = Array.make n [] and succs_by = Array.make n [] in
+  List.iter
+    (fun e ->
+      preds_by.(e.dst) <- e :: preds_by.(e.dst);
+      succs_by.(e.src) <- e :: succs_by.(e.src))
+    rev_edges;
+  { n; edges = List.rev rev_edges; preds_by; succs_by }
 
-let is_store = function
-  | Ir.Store _ -> true
-  | Ir.Load _ | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
+let of_edges n edges = of_rev_edges n (List.rev edges)
 
 let build ?(latency = 1) ops =
   if latency < 1 then invalid_arg "Ddg.build: latency < 1";
@@ -43,34 +48,36 @@ let build ?(latency = 1) ops =
        | Some d -> if List.mem d (Ir.uses ops.(i)) then add i j 0 Anti
        | None -> ());
       (* memory dependencies: conservative, no address analysis *)
-      if is_mem ops.(i) && is_mem ops.(j) && (is_store ops.(i) || is_store ops.(j))
+      if Ir.is_mem ops.(i) && Ir.is_mem ops.(j)
+         && (Ir.is_store ops.(i) || Ir.is_store ops.(j))
       then begin
-        let latency = if is_store ops.(i) then latency else 0 in
+        let latency = if Ir.is_store ops.(i) then latency else 0 in
         add i j latency Mem
       end
     done
   done;
-  let preds_by = Array.make n [] and succs_by = Array.make n [] in
-  List.iter
-    (fun e ->
-      preds_by.(e.dst) <- e :: preds_by.(e.dst);
-      succs_by.(e.src) <- e :: succs_by.(e.src))
-    !edges;
-  { n; edges = List.rev !edges; preds_by; succs_by }
+  of_rev_edges n !edges
 
-let size g = g.n
 let edges g = g.edges
 let preds g i = g.preds_by.(i)
 let succs g i = g.succs_by.(i)
 
-(* Longest path to a sink; the graph is a DAG because all edges go
-   forward in program order. *)
+(* Longest path to a sink, memoised depth first, so edges may run in
+   either direction of the node order (a trace region's do); a path of
+   more than [n] edges can only go round a cycle. *)
 let heights g =
-  let h = Array.make g.n 0 in
-  for i = g.n - 1 downto 0 do
-    List.iter
-      (fun e -> h.(i) <- max h.(i) (e.latency + h.(e.dst)))
-      g.succs_by.(i)
+  let h = Array.make g.n (-1) in
+  let rec height depth i =
+    if depth > g.n then invalid_arg "Ddg.heights: the graph has a cycle";
+    if h.(i) < 0 then
+      h.(i) <-
+        List.fold_left
+          (fun acc e -> max acc (e.latency + height (depth + 1) e.dst))
+          0 g.succs_by.(i);
+    h.(i)
+  in
+  for i = 0 to g.n - 1 do
+    ignore (height 0 i)
   done;
   h
 
@@ -82,6 +89,7 @@ let kind_name = function
   | Anti -> "anti"
   | Output -> "out"
   | Mem -> "mem"
+  | Control -> "ctl"
 
 let pp fmt g =
   Format.fprintf fmt "@[<v>%d nodes" g.n;

@@ -10,9 +10,12 @@
       register are undefined on the machine;
     - memory: store→load and store→store latency 1, load→store latency 0
       (no address analysis; all stores conservatively conflict with all
-      memory operations). *)
+      memory operations).
 
-type kind = Flow | Anti | Output | Mem
+    The same graph type carries a trace region ({!Tracesched}), whose
+    side exits add [Control] edges, so {!Listsched} schedules both. *)
+
+type kind = Flow | Anti | Output | Mem | Control
 
 type edge = {
   src : int;
@@ -30,21 +33,26 @@ val build : ?latency:int -> Ir.op array -> t
     staged writes commit in issue order).  Pass the configured
     [result_latency] when targeting the pipelined prototype datapath. *)
 
-val size : t -> int
+val of_edges : int -> edge list -> t
+(** [of_edges n edges] is the graph on nodes [0 .. n-1] with [edges];
+    {!preds} and {!succs} list each node's edges in the given order. *)
+
 val edges : t -> edge list
 val preds : t -> int -> edge list
 val succs : t -> int -> edge list
 
 val heights : t -> int array
 (** [heights g].(i) is the longest latency-weighted path from node [i]
-    to any sink (the standard list-scheduling priority). *)
+    to any sink (the standard list-scheduling priority), on any acyclic
+    graph.
+    @raise Invalid_argument if the graph has a cycle. *)
 
 val critical_path : t -> int
 (** Longest path through the graph — a lower bound on schedule rows
     minus one. *)
 
 val kind_name : kind -> string
-(** Canonical short name ("flow", "anti", "out", "mem") — shared by
+(** Canonical short name ("flow", "anti", "out", "mem", "ctl") — shared by
     {!pp} and the {!Schedobs} exporters so every artifact spells edge
     kinds the same way. *)
 

@@ -46,25 +46,43 @@ let def_pred = function
   | Cmp (_, _, _, p) -> Some p
   | Bin _ | Un _ | Load _ | Store _ -> None
 
+let is_mem = function
+  | Load _ | Store _ -> true
+  | Bin _ | Un _ | Cmp _ -> false
+
+let is_store = function
+  | Store _ -> true
+  | Load _ | Bin _ | Un _ | Cmp _ -> false
+
+let successors = function
+  | Jump l -> [ l ]
+  | Branch (_, t1, t2) -> [ t1; t2 ]
+  | Return -> []
+
 let block_named func label =
   List.find_opt (fun b -> b.label = label) func.blocks
 
+(* Linear in the size of the function: labels and definitions go into
+   tables sized to it, and errors keep the order of the program text. *)
 let validate func =
   let errors = ref [] in
   let err fmt_str = Printf.ksprintf (fun m -> errors := m :: !errors) fmt_str in
   (match func.blocks with
    | [] -> err "function %s has no blocks" func.name
    | _ :: _ -> ());
-  let labels = List.map (fun b -> b.label) func.blocks in
-  let rec dup_check = function
-    | [] -> ()
-    | l :: rest ->
-      if List.mem l rest then err "duplicate block label %s" l;
-      dup_check rest
-  in
-  dup_check labels;
+  (* Occurrences of each label not yet passed: a label is reported at
+     every occurrence that a later one duplicates. *)
+  let later = Hashtbl.create (List.length func.blocks) in
+  let count l = Option.value (Hashtbl.find_opt later l) ~default:0 in
+  List.iter (fun b -> Hashtbl.replace later b.label (count b.label + 1)) func.blocks;
+  List.iter
+    (fun b ->
+      let k = count b.label - 1 in
+      Hashtbl.replace later b.label k;
+      if k > 0 then err "duplicate block label %s" b.label)
+    func.blocks;
   let target_defined where l =
-    if not (List.mem l labels) then err "%s: undefined branch target %s" where l
+    if not (Hashtbl.mem later l) then err "%s: undefined branch target %s" where l
   in
   List.iter
     (fun b ->
@@ -74,7 +92,9 @@ let validate func =
          target_defined b.label t1;
          target_defined b.label t2;
          let defined =
-           List.exists (fun op -> def_pred op = Some p) b.body
+           List.exists
+             (function Cmp (_, _, _, q) -> q = p | Bin _ | Un _ | Load _ | Store _ -> false)
+             b.body
          in
          if not defined then
            err "%s: branch predicate p%d not defined by a Cmp in the block"
@@ -96,19 +116,20 @@ let validate func =
     func.blocks;
   (* Conservative def-before-use: every used vreg is a parameter or
      defined somewhere in the function. *)
-  let all_defs =
-    func.params
-    @ List.concat_map
-        (fun b -> List.filter_map defs b.body)
-        func.blocks
+  let defined =
+    Hashtbl.create
+      (List.fold_left (fun n b -> n + List.length b.body) 0 func.blocks)
   in
+  let define v = Hashtbl.replace defined v () in
+  List.iter define func.params;
+  List.iter (fun b -> List.iter (fun op -> Option.iter define (defs op)) b.body) func.blocks;
   List.iter
     (fun b ->
       List.iter
         (fun op ->
           List.iter
             (fun v ->
-              if not (List.mem v all_defs) then
+              if not (Hashtbl.mem defined v) then
                 err "%s: v%d used but never defined" b.label v)
             (uses op))
         b.body)

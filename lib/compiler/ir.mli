@@ -50,12 +50,20 @@ val defs : op -> vreg option
 val uses : op -> vreg list
 val def_pred : op -> pred option
 
+val is_mem : op -> bool
+(** [Load] or [Store]. *)
+
+val is_store : op -> bool
+
 val validate : func -> (unit, string list) result
 (** Checks: entry block exists and is first, branch targets defined,
     labels unique, every predicate used by a [Branch] is defined by a
     [Cmp] in the same block before the terminator, every vreg use is
     reachable by some def or parameter (conservative whole-function
     check), no duplicate block labels. *)
+
+val successors : terminator -> string list
+(** The labels a terminator may branch to, then-target first. *)
 
 val block_named : func -> string -> block option
 

@@ -19,15 +19,6 @@ let pos_mod x u = ((x mod u) + u) mod u
 let variant_defs ops =
   Array.to_list ops |> List.filter_map Ir.defs |> List.sort_uniq compare
 
-(* Distance of a use: 0 when a definition precedes the use in the body
-   (same iteration), 1 when the value is carried from the previous
-   iteration. *)
-let use_distance ops idx v =
-  let rec earlier i =
-    i < idx && (Ir.defs ops.(i) = Some v || earlier (i + 1))
-  in
-  if earlier 0 then 0 else 1
-
 let live_in ops =
   let variants = variant_defs ops in
   let found = ref [] in
@@ -36,7 +27,7 @@ let live_in ops =
       List.iter
         (fun v ->
           let carried_or_invariant =
-            (not (List.mem v variants)) || use_distance ops idx v = 1
+            (not (List.mem v variants)) || Pipeliner.use_distance ops idx v = 1
           in
           if carried_or_invariant && not (List.mem v !found) then
             found := v :: !found)
@@ -55,12 +46,14 @@ let has_cmp ops =
 
 let compile ~width ~live_out ops =
   let n = Array.length ops in
-  if n = 0 then Error "empty loop body"
-  else if has_cmp ops then
+  match Codegen.check_width width with
+  | Error _ as e -> e
+  | Ok () when n = 0 -> Error "empty loop body"
+  | Ok () when has_cmp ops ->
     Error
       "loop bodies must not contain compares: the kernel's loop branch \
        owns the condition codes"
-  else
+  | Ok () ->
     match Pipeliner.schedule ~width ops with
     | Error msg -> Error msg
     | Ok sched ->
@@ -70,23 +63,15 @@ let compile ~width ~live_out ops =
       let stage_of o = times.(o) / ii in
       (* MVE degree: overlapping live instances of any variant vreg. *)
       let lifetime v =
-        let def_time =
-          Array.to_list ops
-          |> List.mapi (fun i op -> (i, op))
-          |> List.filter_map (fun (i, op) ->
-               if Ir.defs op = Some v then Some times.(i) else None)
-          |> List.fold_left min max_int
-        in
-        let last_use =
-          Array.to_list ops
-          |> List.mapi (fun i op -> (i, op))
-          |> List.filter_map (fun (i, op) ->
-               if List.mem v (Ir.uses op) then
-                 Some (times.(i) + (ii * use_distance ops i v))
-               else None)
-          |> List.fold_left max def_time
-        in
-        last_use - def_time
+        let def_time = ref max_int and last_use = ref min_int in
+        Array.iteri
+          (fun i op ->
+            if Ir.defs op = Some v then def_time := min !def_time times.(i);
+            if List.mem v (Ir.uses op) then
+              last_use :=
+                max !last_use (times.(i) + (ii * Pipeliner.use_distance ops i v)))
+          ops;
+        max !last_use !def_time - !def_time
       in
       let unroll =
         List.fold_left (fun u v -> max u ((lifetime v / ii) + 1)) 1 variants
@@ -123,24 +108,16 @@ let compile ~width ~live_out ops =
             Reg.make (base + pos_mod (wmod - stage - distance) unroll)
           else Reg.make (List.assoc v invariant_phys)
         in
-        let operand ~wmod ~stage op_idx = function
-          | Ir.V v ->
-            Operand.Reg
-              (phys_of ~wmod ~stage ~distance:(use_distance ops op_idx v) v)
-          | Ir.C c -> Operand.Imm (Value.of_int32 c)
-          | Ir.Cf f -> Operand.Imm (Value.of_float f)
-        in
+        (* An op reads each register from the copy its producing
+           iteration wrote, and writes its own iteration's copy. *)
         let data ~wmod op_idx =
           let stage = stage_of op_idx in
-          let o = operand ~wmod ~stage op_idx in
-          let d v = phys_of ~wmod ~stage ~distance:0 v in
-          match ops.(op_idx) with
-          | Ir.Bin (bop, a, b, dv) ->
-            Parcel.Dbin { op = bop; a = o a; b = o b; d = d dv }
-          | Ir.Un (uop, a, dv) -> Parcel.Dun { op = uop; a = o a; d = d dv }
-          | Ir.Cmp (cop, a, b, _) -> Parcel.Dcmp { op = cop; a = o a; b = o b }
-          | Ir.Load (a, b, dv) -> Parcel.Dload { a = o a; b = o b; d = d dv }
-          | Ir.Store (a, b) -> Parcel.Dstore { a = o a; b = o b }
+          Codegen.data_of_op
+            ~use:(fun v ->
+              phys_of ~wmod ~stage
+                ~distance:(Pipeliner.use_distance ops op_idx v) v)
+            ~def:(phys_of ~wmod ~stage ~distance:0)
+            ops.(op_idx)
         in
         (* Rows of one window: ops filtered by stage, keyed by local
            schedule row. *)

@@ -53,8 +53,8 @@ val compile :
   Ir.op array ->
   (t, string) result
 (** Modulo-schedules the body at [width] and emits the pipelined loop.
-    Errors on empty bodies, unschedulable bodies, or register-file
-    exhaustion. *)
+    Errors on a width {!Codegen.check_width} rejects, empty bodies,
+    unschedulable bodies, or register-file exhaustion. *)
 
 val rolled_reference : trip:Ir.vreg -> induction:Ir.vreg ->
   live_out:Ir.vreg list -> Ir.op array -> Ir.func

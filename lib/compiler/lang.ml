@@ -196,21 +196,23 @@ let parse_cond ps =
   let rhs = parse_expr ps in
   (op, lhs, rhs)
 
+(* "(" cond ")" after [if] or [while] *)
+let parse_header ps =
+  ignore (advance ps);
+  expect ps "(";
+  let cond = parse_cond ps in
+  expect ps ")";
+  cond
+
 let rec parse_stmt ps =
   match peek ps with
   | Some { tok = Tpunct "if"; _ } ->
-    ignore (advance ps);
-    expect ps "(";
-    let cond = parse_cond ps in
-    expect ps ")";
+    let cond = parse_header ps in
     let then_ = parse_block ps in
     let else_ = if accept ps "else" then parse_block ps else [] in
     Sif (cond, then_, else_)
   | Some { tok = Tpunct "while"; _ } ->
-    ignore (advance ps);
-    expect ps "(";
-    let cond = parse_cond ps in
-    expect ps ")";
+    let cond = parse_header ps in
     let body = parse_block ps in
     Swhile (cond, body)
   | Some { tok = Tpunct "return"; _ } ->
@@ -416,17 +418,19 @@ let lower (name, params, body) =
   let blocks = List.rev lw.blocks in
   (* Dead blocks introduced after returns are harmless but noisy; keep
      only blocks reachable from the entry. *)
-  let reachable = Hashtbl.create 17 in
+  let n_blocks = List.length blocks in
+  let by_label = Hashtbl.create n_blocks in
+  List.iter
+    (fun (b : Ir.block) ->
+      if not (Hashtbl.mem by_label b.label) then Hashtbl.add by_label b.label b)
+    blocks;
+  let reachable = Hashtbl.create n_blocks in
   let rec mark label =
     if not (Hashtbl.mem reachable label) then begin
       Hashtbl.replace reachable label ();
-      match List.find_opt (fun (b : Ir.block) -> b.label = label) blocks with
+      match Hashtbl.find_opt by_label label with
       | None -> ()
-      | Some b -> (
-        match b.term with
-        | Ir.Jump l -> mark l
-        | Ir.Branch (_, t1, t2) -> mark t1; mark t2
-        | Ir.Return -> ())
+      | Some b -> List.iter mark (Ir.successors b.term)
     end
   in
   (match blocks with [] -> () | b :: _ -> mark b.label);
@@ -440,23 +444,9 @@ let lower (name, params, body) =
 
 (* ------------------------------------------------------------------ *)
 
-let parse source =
-  match
-    let tokens = lex source in
-    let ps = { toks = tokens } in
-    let ast = parse_func ps in
-    let func = lower ast in
-    match Ir.validate func with
-    | Ok () -> func
-    | Error errors -> fail 0 "lowering produced invalid IR: %s"
-                        (String.concat "; " errors)
-  with
-  | func -> Ok func
-  | exception Fail e -> Error e
-
-(* Observed parse: same stages as [parse], each under a pass timer so
-   the Chrome trace shows where frontend time goes. *)
-let parse_observed obs source =
+(* Each frontend stage runs as a pass of [obs], so an observed compile's
+   Chrome trace shows where frontend time goes. *)
+let parse_with obs source =
   match
     let tokens = Schedobs.pass obs "lex" (fun () -> lex source) in
     let ps = { toks = tokens } in
@@ -472,10 +462,9 @@ let parse_observed obs source =
   | func -> Ok func
   | exception Fail e -> Error e
 
+let parse source = parse_with None source
+
 let compile ?width ?obs source =
-  let parsed =
-    match obs with None -> parse source | Some _ -> parse_observed obs source
-  in
-  match parsed with
+  match parse_with obs source with
   | Error e -> Error [ Format.asprintf "%a" pp_error e ]
   | Ok func -> Codegen.compile ?width ?obs func

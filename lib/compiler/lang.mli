@@ -39,6 +39,8 @@ type error = { line : int; message : string }
 val pp_error : Format.formatter -> error -> unit
 
 val parse : string -> (Ir.func, error) result
+(** Lex, parse, lower and {!Ir.validate}, in time linear in the size of
+    the source. *)
 
 val compile :
   ?width:int -> ?obs:Schedobs.t -> string ->

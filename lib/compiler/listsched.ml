@@ -2,60 +2,69 @@ type t = {
   rows : int list array;
   row_of : int array;
   width : int;
+  graph : Ddg.t;
+  heights : int array;
 }
 
-let schedule ?(latency = 1) ~width ops =
-  if width < 1 then invalid_arg "Listsched.schedule: width < 1";
-  let n = Array.length ops in
-  let g = Ddg.build ~latency ops in
+let schedule_graph g ~cls ~caps =
+  let n = Array.length cls in
+  Array.iter
+    (fun c ->
+      if caps.(c) < 1 then invalid_arg "Listsched.schedule_graph: a class has no slot")
+    cls;
   let heights = Ddg.heights g in
+  (* Priority: longest path to a sink first, then lowest index. *)
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b -> match compare heights.(b) heights.(a) with 0 -> compare a b | c -> c)
+    order;
   let row_of = Array.make n (-1) in
-  let remaining_preds = Array.init n (fun i -> List.length (Ddg.preds g i)) in
+  let waiting = Array.init n (fun i -> List.length (Ddg.preds g i)) in
   (* earliest.(i) = lowest legal row given already-scheduled preds *)
   let earliest = Array.make n 0 in
+  let free = Array.make (Array.length caps) 0 in
   let scheduled = ref 0 in
   let rows = ref [] in
   let cycle = ref 0 in
   while !scheduled < n do
-    (* Ready: all preds issued, earliest row reached. *)
-    let ready =
-      List.init n Fun.id
-      |> List.filter (fun i ->
-           row_of.(i) < 0 && remaining_preds.(i) = 0 && earliest.(i) <= !cycle)
-      |> List.sort (fun a b ->
-           match compare heights.(b) heights.(a) with
-           | 0 -> compare a b
-           | c -> c)
-    in
-    let rec take k acc = function
-      | [] -> List.rev acc
-      | _ when k = 0 -> List.rev acc
-      | x :: rest -> take (k - 1) (x :: acc) rest
-    in
-    let chosen = take width [] ready in
+    (* Ready: all preds issued, earliest row reached.  Each class takes
+       its ready nodes in priority order while it has a free slot. *)
+    Array.blit caps 0 free 0 (Array.length caps);
+    let chosen = ref [] in
+    for k = 0 to n - 1 do
+      let i = order.(k) in
+      let c = cls.(i) in
+      if row_of.(i) < 0 && waiting.(i) = 0 && earliest.(i) <= !cycle && free.(c) > 0
+      then begin
+        free.(c) <- free.(c) - 1;
+        chosen := i :: !chosen
+      end
+    done;
+    let chosen = List.rev !chosen in
     List.iter
       (fun i ->
         row_of.(i) <- !cycle;
         incr scheduled;
         List.iter
           (fun (e : Ddg.edge) ->
-            remaining_preds.(e.dst) <- remaining_preds.(e.dst) - 1;
+            waiting.(e.dst) <- waiting.(e.dst) - 1;
             earliest.(e.dst) <- max earliest.(e.dst) (!cycle + e.latency))
           (Ddg.succs g i))
       chosen;
     rows := chosen :: !rows;
     incr cycle
   done;
-  (* Drop trailing empty rows (possible when the last ready ops issued
-     before the final cycle bump) and any empty rows interleaved by
-     latency stalls are kept — they are real machine rows. *)
-  let rows = Array.of_list (List.rev !rows) in
-  let last_used = ref (Array.length rows - 1) in
-  while !last_used > 0 && rows.(!last_used) = [] do
-    decr last_used
-  done;
-  let rows = Array.sub rows 0 (!last_used + 1) in
-  { rows; row_of; width }
+  { rows = Array.of_list (List.rev !rows);
+    row_of;
+    width = Array.fold_left ( + ) 0 caps;
+    graph = g;
+    heights }
+
+let schedule ?(latency = 1) ~width ops =
+  if width < 1 then invalid_arg "Listsched.schedule: width < 1";
+  schedule_graph (Ddg.build ~latency ops)
+    ~cls:(Array.make (Array.length ops) 0)
+    ~caps:[| width |]
 
 let length t = Array.length t.rows
 
@@ -90,13 +99,3 @@ let verify ?(latency = 1) ops t =
       (Ddg.edges g);
     match !errors with [] -> Ok () | e :: _ -> Error e
   end
-
-let pp ops fmt t =
-  Format.pp_open_vbox fmt 0;
-  Array.iteri
-    (fun r row ->
-      Format.fprintf fmt "row %d:" r;
-      List.iter (fun i -> Format.fprintf fmt "  [%a]" Ir.pp_op ops.(i)) row;
-      Format.pp_print_cut fmt ())
-    t.rows;
-  Format.pp_close_box fmt ()

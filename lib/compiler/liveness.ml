@@ -5,12 +5,6 @@ type t = {
   live_out : (string, VSet.t) Hashtbl.t;
 }
 
-let successors (b : Ir.block) =
-  match b.term with
-  | Ir.Jump l -> [ l ]
-  | Ir.Branch (_, t1, t2) -> [ t1; t2 ]
-  | Ir.Return -> []
-
 (* Backward transfer over one block body. *)
 let transfer (b : Ir.block) out =
   List.fold_right
@@ -43,7 +37,7 @@ let compute (func : Ir.func) =
                 match Hashtbl.find_opt live_in l with
                 | Some s -> VSet.union acc s
                 | None -> acc)
-              VSet.empty (successors b)
+              VSet.empty (Ir.successors b.term)
         in
         let inn = transfer b out in
         let old_in = Hashtbl.find live_in b.label in

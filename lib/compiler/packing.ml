@@ -46,6 +46,14 @@ let area_lower_bound n_fus choices =
   in
   max area_bound length_bound
 
+(* The first tile of a (non-empty) menu that no later tile beats. *)
+let best_tile beats = function
+  | [] -> invalid_arg "Packing.best_tile: empty menu"
+  | first :: rest -> List.fold_left (fun b t -> if beats t b then t else b) first rest
+
+let menu_size choices thread =
+  match List.assoc_opt thread choices with Some menu -> List.length menu | None -> 0
+
 (* Best-fit skyline placement of one rectangle: the x position whose
    supporting height is lowest (ties to the left). *)
 let skyline_place skyline ~width =
@@ -121,26 +129,12 @@ let pack_density ?(n_fus = 8) ?(exhaustive_limit = 20_000) ?obs choices =
       each_combo choices [] consider
     else begin
       (* Heuristic menu choice: smallest area, ties to the shorter. *)
-      let pick menu =
-        List.fold_left
-          (fun acc (t : Tile.t) ->
-            match acc with
-            | None -> Some t
-            | Some (b : Tile.t) ->
-              if
-                Tile.area t < Tile.area b
-                || (Tile.area t = Tile.area b && t.length < b.length)
-              then Some t
-              else acc)
-          None menu
+      let smaller (t : Tile.t) (b : Tile.t) =
+        Tile.area t < Tile.area b
+        || (Tile.area t = Tile.area b && t.length < b.length)
       in
       consider
-        (List.map
-           (fun (thread, menu) ->
-             match pick menu with
-             | Some t -> (thread, t)
-             | None -> assert false)
-           choices)
+        (List.map (fun (thread, menu) -> (thread, best_tile smaller menu)) choices)
     end;
     (match !best with
      | None -> Error "packing produced no result"
@@ -162,52 +156,13 @@ let pack_density ?(n_fus = 8) ?(exhaustive_limit = 20_000) ?obs choices =
                      p_length = p.tile.Tile.length;
                      p_x = p.x;
                      p_y = p.y;
-                     p_menu =
-                       (match List.assoc_opt p.thread choices with
-                        | Some menu -> List.length menu
-                        | None -> 0);
+                     p_menu = menu_size choices p.thread;
                      p_bound = (if p.y = 0 then "free" else "skyline") })
                  placements));
        Ok { placements; n_fus; height; lower_bound })
 
 (* ------------------------------------------------------------------ *)
 (* Execution time (makespan)                                           *)
-
-let toposort names deps =
-  let indeg = Hashtbl.create 17 in
-  List.iter (fun n -> Hashtbl.replace indeg n 0) names;
-  List.iter
-    (fun (_, after) ->
-      match Hashtbl.find_opt indeg after with
-      | Some d -> Hashtbl.replace indeg after (d + 1)
-      | None -> ())
-    deps;
-  let rec loop acc =
-    let ready =
-      List.filter
-        (fun n -> Hashtbl.find_opt indeg n = Some 0 && not (List.mem n acc))
-        names
-    in
-    let fresh = List.filter (fun n -> not (List.mem n acc)) ready in
-    if fresh = [] then
-      if List.length acc = List.length names then Ok acc
-      else Error "dependence cycle among threads"
-    else begin
-      List.iter
-        (fun n ->
-          Hashtbl.remove indeg n;
-          List.iter
-            (fun (before, after) ->
-              if before = n then
-                match Hashtbl.find_opt indeg after with
-                | Some d -> Hashtbl.replace indeg after (d - 1)
-                | None -> ())
-            deps)
-        fresh;
-      loop (acc @ fresh)
-    end
-  in
-  loop []
 
 let pack_time ?(n_fus = 8) ?obs ~deps choices =
   match check_choices n_fus choices with
@@ -223,31 +178,17 @@ let pack_time ?(n_fus = 8) ?obs ~deps choices =
      | Some (a, b) ->
        Error (Printf.sprintf "dependence %s -> %s names unknown thread" a b)
      | None -> (
-       match toposort names deps with
+       match Threader.levels names deps with
        | Error _ as e -> e
-       | Ok order ->
+       | Ok levels ->
+         let order = List.concat levels in
          (* Choose the fastest tile (shortest; ties to the narrower, to
             keep columns free). *)
+         let faster (t : Tile.t) (b : Tile.t) =
+           t.length < b.length || (t.length = b.length && t.width < b.width)
+         in
          let tile_of =
-           List.map
-             (fun (thread, menu) ->
-               let best =
-                 List.fold_left
-                   (fun acc (t : Tile.t) ->
-                     match acc with
-                     | None -> Some t
-                     | Some (b : Tile.t) ->
-                       if
-                         t.length < b.length
-                         || (t.length = b.length && t.width < b.width)
-                       then Some t
-                       else acc)
-                   None menu
-               in
-               match best with
-               | Some t -> (thread, t)
-               | None -> assert false)
-             choices
+           List.map (fun (thread, menu) -> (thread, best_tile faster menu)) choices
          in
          let col_free = Array.make n_fus 0 in
          let finish = Hashtbl.create 17 in
@@ -335,10 +276,7 @@ let pack_time ?(n_fus = 8) ?obs ~deps choices =
                        p_length = tile.length;
                        p_x = x;
                        p_y = y;
-                       p_menu =
-                         (match List.assoc_opt thread choices with
-                          | Some menu -> List.length menu
-                          | None -> 0);
+                       p_menu = menu_size choices thread;
                        p_bound = bound })
                    (List.rev !rationale)));
          Ok { placements; n_fus; height; lower_bound }))

@@ -7,25 +7,35 @@ type t = {
   width : int;
 }
 
-type mod_edge = {
-  src : int;
-  dst : int;
-  latency : int;
-  distance : int;  (* iterations *)
-  kind : Ddg.kind;
+(* The collector's loop edge, so a loop report takes the edges as they
+   are; restated here only to bring its fields into scope. *)
+type mod_edge = Schedobs.loop_edge = {
+  e_src : int;
+  e_dst : int;
+  e_kind : Ddg.kind;
+  e_latency : int;
+  e_distance : int;  (* iterations *)
 }
 
-(* Intra-iteration edges (distance 0) from the block DDG, plus
+(* Iteration distance of the value a use of [v] at body position [j]
+   reads: 0 when an earlier op of the body defines [v], else 1 — the
+   previous iteration's definition. *)
+let use_distance ops j v =
+  let rec defined_before i =
+    i < j && (Ir.defs ops.(i) = Some v || defined_before (i + 1))
+  in
+  if defined_before 0 then 0 else 1
+
+(* Intra-iteration edges (distance 0) from the block DDG [g], plus
    loop-carried flow edges (distance 1): a use with no earlier def in
    the body reads the previous iteration's (last) def. *)
-let mod_edges ops =
+let mod_edges g ops =
   let n = Array.length ops in
-  let g = Ddg.build ops in
   let intra =
     List.map
       (fun (e : Ddg.edge) ->
-        { src = e.src; dst = e.dst; latency = e.latency; distance = 0;
-          kind = e.kind })
+        { e_src = e.src; e_dst = e.dst; e_latency = e.latency;
+          e_distance = 0; e_kind = e.kind })
       (Ddg.edges g)
   in
   let last_def v =
@@ -39,17 +49,11 @@ let mod_edges ops =
   for j = 0 to n - 1 do
     List.iter
       (fun v ->
-        let defined_before =
-          let rec scan i =
-            i < j && (Ir.defs ops.(i) = Some v || scan (i + 1))
-          in
-          scan 0
-        in
-        if not defined_before then
+        if use_distance ops j v = 1 then
           match last_def v with
           | Some i ->
-            carried := { src = i; dst = j; latency = 1; distance = 1;
-                         kind = Ddg.Flow }
+            carried := { e_src = i; e_dst = j; e_latency = 1;
+                         e_distance = 1; e_kind = Ddg.Flow }
                        :: !carried
           | None -> ())
       (Ir.uses ops.(j))
@@ -61,32 +65,25 @@ let mod_edges ops =
     for j = 0 to n - 1 do
       match (Ir.defs ops.(i), Ir.defs ops.(j)) with
       | Some a, Some b when a = b && j <= i ->
-        carried := { src = i; dst = j; latency = 1; distance = 1;
-                     kind = Ddg.Output }
+        carried := { e_src = i; e_dst = j; e_latency = 1;
+                     e_distance = 1; e_kind = Ddg.Output }
                    :: !carried
       | _ -> ()
     done
   done;
   (* Carried memory ordering: a store conflicts with every memory op of
      the next iteration. *)
-  let is_mem = function
-    | Ir.Load _ | Ir.Store _ -> true
-    | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
-  in
-  let is_store = function
-    | Ir.Store _ -> true
-    | Ir.Load _ | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
-  in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       if
-        is_mem ops.(i) && is_mem ops.(j)
-        && (is_store ops.(i) || is_store ops.(j))
+        Ir.is_mem ops.(i) && Ir.is_mem ops.(j)
+        && (Ir.is_store ops.(i) || Ir.is_store ops.(j))
         && j <= i
       then
         carried :=
-          { src = i; dst = j; latency = (if is_store ops.(i) then 1 else 0);
-            distance = 1; kind = Ddg.Mem }
+          { e_src = i; e_dst = j;
+            e_latency = (if Ir.is_store ops.(i) then 1 else 0);
+            e_distance = 1; e_kind = Ddg.Mem }
           :: !carried
     done
   done;
@@ -101,11 +98,7 @@ let mod_edges ops =
    (ROADMAP item 5) drop into the same accounting. *)
 let res_classes ~width ops =
   let n = Array.length ops in
-  let is_mem = function
-    | Ir.Load _ | Ir.Store _ -> true
-    | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
-  in
-  let mem = Array.fold_left (fun a op -> if is_mem op then a + 1 else a) 0 ops in
+  let mem = Array.fold_left (fun a op -> if Ir.is_mem op then a + 1 else a) 0 ops in
   let mii c = if c = 0 then 0 else (c + width - 1) / width in
   [ { Schedobs.cls = "slots"; cls_ops = n; cap = width; cls_mii = mii n };
     { Schedobs.cls = "mem"; cls_ops = mem; cap = width; cls_mii = mii mem } ]
@@ -122,10 +115,10 @@ let positive_cycle n edges ii =
     let dist = Array.make n 0 in
     let pred = Array.make n None in
     let relax e =
-      let w = e.latency - (ii * e.distance) in
-      if dist.(e.src) + w > dist.(e.dst) then begin
-        dist.(e.dst) <- dist.(e.src) + w;
-        pred.(e.dst) <- Some e;
+      let w = e.e_latency - (ii * e.e_distance) in
+      if dist.(e.e_src) + w > dist.(e.e_dst) then begin
+        dist.(e.e_dst) <- dist.(e.e_src) + w;
+        pred.(e.e_dst) <- Some e;
         true
       end
       else false
@@ -136,7 +129,7 @@ let positive_cycle n edges ii =
     let witness =
       List.fold_left
         (fun acc e ->
-          match acc with Some _ -> acc | None -> if relax e then Some e.dst else None)
+          match acc with Some _ -> acc | None -> if relax e then Some e.e_dst else None)
         None edges
     in
     match witness with
@@ -152,7 +145,7 @@ let positive_cycle n edges ii =
           seen.(node) <- true;
           match pred.(node) with
           | None -> None
-          | Some e -> find_entry e.src (steps + 1)
+          | Some e -> find_entry e.e_src (steps + 1)
         end
       in
       (match find_entry v 0 with
@@ -163,7 +156,7 @@ let positive_cycle n edges ii =
            | None -> acc  (* unreachable for a cycle node *)
            | Some e ->
              let acc = e :: acc in
-             if e.src = entry then acc else collect e.src acc
+             if e.e_src = entry then acc else collect e.e_src acc
          in
          Some (collect entry []))
   end
@@ -173,18 +166,18 @@ let circuit_of_edges = function
   | Some (first :: _ as cycle) ->
     Some
       { Schedobs.c_ops =
-          first.src :: List.filter_map
-                         (fun e -> if e.dst = first.src then None else Some e.dst)
+          first.e_src :: List.filter_map
+                         (fun e -> if e.e_dst = first.e_src then None else Some e.e_dst)
                          cycle;
-        c_latency = List.fold_left (fun a e -> a + e.latency) 0 cycle;
-        c_distance = List.fold_left (fun a e -> a + e.distance) 0 cycle }
+        c_latency = List.fold_left (fun a e -> a + e.e_latency) 0 cycle;
+        c_distance = List.fold_left (fun a e -> a + e.e_distance) 0 cycle }
 
 let rec_bound n edges =
   (* All cycles carry distance >= 1 (intra edges go forward in program
      order), so II = total latency + 1 is always feasible: the search
      below terminates. *)
   let max_ii =
-    1 + List.fold_left (fun a e -> a + max 0 e.latency) 0 edges
+    1 + List.fold_left (fun a e -> a + max 0 e.e_latency) 0 edges
   in
   let rec find ii =
     if ii >= max_ii then ii
@@ -210,14 +203,16 @@ let bounds_of ~width ops edges =
   let rec_mii, circuit = rec_bound n edges in
   { Schedobs.res_classes = classes; res_mii; rec_mii; circuit }
 
-let bounds ~width ops = bounds_of ~width ops (mod_edges ops)
+let bounds ~width ops = bounds_of ~width ops (mod_edges (Ddg.build ops) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Scheduling                                                          *)
 
-type fail =
-  | Unplaced of int          (* op with no feasible slot at this II *)
-  | Violated of mod_edge     (* post-validation caught this edge *)
+(* A dependence the flat schedule [times] breaks at [ii], if any. *)
+let violated ~ii times edges =
+  List.find_opt
+    (fun e -> times.(e.e_dst) < times.(e.e_src) + e.e_latency - (ii * e.e_distance))
+    edges
 
 let try_ii ~width ~edges ~priority n ii =
   let times = Array.make n (-1) in
@@ -234,9 +229,9 @@ let try_ii ~width ~edges ~priority n ii =
         let earliest = ref 0 in
         List.iter
           (fun e ->
-            if e.dst = i && times.(e.src) >= 0 then
+            if e.e_dst = i && times.(e.e_src) >= 0 then
               earliest :=
-                max !earliest (times.(e.src) + e.latency - (ii * e.distance)))
+                max !earliest (times.(e.e_src) + e.e_latency - (ii * e.e_distance)))
           edges;
         (* Try II consecutive start times; beyond that the resource
            pattern repeats. *)
@@ -254,7 +249,7 @@ let try_ii ~width ~edges ~priority n ii =
             incr tries
           end
         done;
-        if not !placed then failure := Some (Unplaced i)
+        if not !placed then failure := Some (Schedobs.Unplaced i)
       end)
     order;
   match !failure with
@@ -262,33 +257,20 @@ let try_ii ~width ~edges ~priority n ii =
   | None -> (
     (* Greedy placement without ejection can violate edges into
        already-scheduled ops; validate before accepting. *)
-    let bad =
-      List.find_opt
-        (fun e -> times.(e.dst) < times.(e.src) + e.latency - (ii * e.distance))
-        edges
-    in
-    match bad with
-    | Some e -> Error (Violated e)
+    match violated ~ii times edges with
+    | Some e -> Error (Schedobs.Violated e)
     | None -> Ok times)
-
-let obs_edge (e : mod_edge) =
-  { Schedobs.e_src = e.src; e_dst = e.dst; e_kind = e.kind;
-    e_latency = e.latency; e_distance = e.distance }
-
-let obs_fail = function
-  | Unplaced i -> Schedobs.Unplaced i
-  | Violated e -> Schedobs.Violated (obs_edge e)
 
 let schedule ?obs ?(label = "loop") ~width ops =
   let n = Array.length ops in
   if n = 0 then Error "empty loop body"
   else if width < 1 then Error "width < 1"
   else begin
-    let edges = mod_edges ops in
     let g = Ddg.build ops in
+    let edges = mod_edges g ops in
     let priority = Ddg.heights g in
-    let res_mii = (n + width - 1) / width in
     let bnds = bounds_of ~width ops edges in
+    let res_mii = bnds.Schedobs.res_mii in
     let max_ii = (2 * n) + 4 in
     let stamp () = match obs with Some o -> Schedobs.now o | None -> 0.0 in
     let rec search attempts ii =
@@ -309,7 +291,7 @@ let schedule ?obs ?(label = "loop") ~width ops =
                   :: attempts)
              in
              Schedobs.record_loop o ~label ~width ~ops
-               ~edges:(List.map obs_edge edges) ~bounds:bnds ~attempts ~ii
+               ~edges ~bounds:bnds ~attempts ~ii
                ~stages ~times);
           Ok
             { ii; times; stages; res_mii;
@@ -319,7 +301,7 @@ let schedule ?obs ?(label = "loop") ~width ops =
             match obs with
             | None -> attempts
             | Some _ ->
-              { Schedobs.a_ii = ii; a_outcome = obs_fail f; a_t0 = t0;
+              { Schedobs.a_ii = ii; a_outcome = f; a_t0 = t0;
                 a_t1 = stamp () }
               :: attempts
           in
@@ -333,18 +315,11 @@ let verify ~width ops t =
   let n = Array.length ops in
   if Array.length t.times <> n then Error "times size mismatch"
   else begin
-    let edges = mod_edges ops in
-    let bad_edge =
-      List.find_opt
-        (fun e ->
-          t.times.(e.dst) < t.times.(e.src) + e.latency - (t.ii * e.distance))
-        edges
-    in
-    match bad_edge with
+    match violated ~ii:t.ii t.times (mod_edges (Ddg.build ops) ops) with
     | Some e ->
       Error
-        (Printf.sprintf "dependence %d->%d (lat %d, dist %d) violated" e.src
-           e.dst e.latency e.distance)
+        (Printf.sprintf "dependence %d->%d (lat %d, dist %d) violated" e.e_src
+           e.e_dst e.e_latency e.e_distance)
     | None ->
       let load = Array.make t.ii 0 in
       Array.iter
@@ -354,14 +329,6 @@ let verify ~width ops t =
         Error "kernel row exceeds width"
       else Ok ()
   end
-
-let kernel ops t =
-  let rows = Array.make t.ii [] in
-  Array.iteri
-    (fun i time -> rows.(time mod t.ii) <- i :: rows.(time mod t.ii))
-    t.times;
-  ignore ops;
-  Array.map List.rev rows
 
 let speedup_bound ops t =
   let sequential = Listsched.length (Listsched.schedule ~width:t.width ops) in

@@ -12,9 +12,8 @@
 
     Simplifications versus Rau's full IMS (documented in DESIGN.md): no
     operation ejection/backtracking — if the greedy placement fails at a
-    candidate II, the next II is tried — and kernel code generation is
-    not automated (the workload suite's LL12 shows the hand-generated
-    kernel shape the schedule implies).
+    candidate II, the next II is tried.  Kernel code generation is
+    {!Kernelgen}.
 
     Loop-carried dependences: a use of [v] at body position [j] with no
     prior definition of [v] at positions [< j] reads the value produced
@@ -38,6 +37,11 @@ type t = {
   width : int;
 }
 
+val use_distance : Ir.op array -> int -> Ir.vreg -> int
+(** [use_distance body j v] is the iteration distance of the value the
+    op at position [j] reads from [v]: 0 when an earlier op of the body
+    defines [v], otherwise 1 (the previous iteration's definition). *)
+
 val bounds : width:int -> Ir.op array -> Schedobs.bounds
 (** Lower-bound accounting alone, without scheduling: ResMII per
     resource class, RecMII with a binding recurrence circuit when one
@@ -55,10 +59,6 @@ val verify : width:int -> Ir.op array -> t -> (unit, string) result
 (** Independent validation: every intra- and inter-iteration dependence
     satisfies [time(dst) >= time(src) + latency - II * distance], and no
     more than [width] operations share an issue slot modulo II. *)
-
-val kernel : Ir.op array -> t -> int list array
-(** [kernel ops s] groups op indices by issue row modulo II — the
-    steady-state kernel, one list per kernel row. *)
 
 val speedup_bound : Ir.op array -> t -> float
 (** Sequential-rows / II: throughput gain of the pipelined loop over a

@@ -36,85 +36,3 @@ let trivial ?(reg_base = 0) (func : Ir.func) =
             | Some i -> Reg.make i
             | None ->
               invalid_arg (Printf.sprintf "Regalloc: unknown vreg v%d" v)) }
-
-let linear_scan ops (sched : Listsched.t) ~params ~results =
-  let n = Array.length ops in
-  let n_rows = Array.length sched.rows in
-  (* Live intervals: def row .. last use row (results live to the end;
-     params live from row 0). *)
-  let def_row = Hashtbl.create 61 and last_use = Hashtbl.create 61 in
-  List.iter
-    (fun (v, _) ->
-      Hashtbl.replace def_row v 0;
-      Hashtbl.replace last_use v 0)
-    params;
-  for i = 0 to n - 1 do
-    let r = sched.row_of.(i) in
-    Option.iter (fun v -> Hashtbl.replace def_row v r) (Ir.defs ops.(i));
-    List.iter
-      (fun v ->
-        let prev =
-          match Hashtbl.find_opt last_use v with Some x -> x | None -> -1
-        in
-        Hashtbl.replace last_use v (max prev r))
-      (Ir.uses ops.(i))
-  done;
-  List.iter (fun v -> Hashtbl.replace last_use v n_rows) results;
-  (* Free list excludes the pre-coloured parameter registers. *)
-  let precoloured = List.map (fun (_, r) -> Reg.index r) params in
-  let free = Queue.create () in
-  for i = 0 to Reg.count - 1 do
-    if not (List.mem i precoloured) then Queue.add i free
-  done;
-  let table = Hashtbl.create 61 in
-  List.iter (fun (v, r) -> Hashtbl.replace table v (Reg.index r)) params;
-  let max_used = ref (List.length params) in
-  let live = Hashtbl.length table in
-  let current_live = ref live in
-  let peak = ref live in
-  let error = ref None in
-  (* Walk rows: first free intervals ending before this row's defs need
-     their registers, then colour this row's definitions. *)
-  let expiring = Array.make (n_rows + 2) [] in
-  Hashtbl.iter
-    (fun v r ->
-      if Hashtbl.mem def_row v || List.mem_assoc v params then
-        expiring.(min (r + 1) (n_rows + 1)) <-
-          v :: expiring.(min (r + 1) (n_rows + 1)))
-    last_use;
-  for row = 0 to n_rows - 1 do
-    List.iter
-      (fun v ->
-        match Hashtbl.find_opt table v with
-        | Some phys when not (List.mem phys precoloured) ->
-          Queue.add phys free;
-          decr current_live
-        | Some _ | None -> ())
-      expiring.(row);
-    List.iter
-      (fun i ->
-        match Ir.defs ops.(i) with
-        | None -> ()
-        | Some v ->
-          if not (Hashtbl.mem table v) then begin
-            match Queue.take_opt free with
-            | None -> if !error = None then error := Some "out of registers"
-            | Some phys ->
-              Hashtbl.replace table v phys;
-              incr current_live;
-              peak := max !peak !current_live;
-              max_used := max !max_used (Hashtbl.length table)
-          end)
-      sched.rows.(row)
-  done;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    Ok
-      { used = !peak;
-        reg_of =
-          (fun v ->
-            match Hashtbl.find_opt table v with
-            | Some i -> Reg.make i
-            | None ->
-              invalid_arg (Printf.sprintf "Regalloc: unknown vreg v%d" v)) }

@@ -1,16 +1,9 @@
-(** Register allocation.
-
-    Two allocators:
-    - {!trivial}: one physical register per virtual register, in first-use
-      order with parameters first.  Correct across arbitrary control flow
-      (values live across blocks keep their home), at the cost of
-      pressure; XIMD-1's 256 global registers make this practical for the
-      kernels this compiler targets.
-    - {!linear_scan}: row-indexed linear scan over a single scheduled
-      block, reusing registers whose live interval has ended.  A register
-      freed by a last use in row r may be reassigned to a definition in
-      the same row: the machine reads start-of-cycle values and commits
-      writes at end of cycle, so the reuse is safe. *)
+(** Register allocation: one physical register per virtual register,
+    in first-use order with parameters first.  Correct across arbitrary
+    control flow (values live across blocks keep their home), at the
+    cost of pressure; XIMD-1's 256 global registers make this practical
+    for the kernels this compiler targets.  The software pipeliner
+    ({!Kernelgen}) renames its loop's registers itself. *)
 
 open Ximd_isa
 
@@ -24,12 +17,3 @@ val trivial : ?reg_base:int -> Ir.func -> (assignment, string) result
     base lets several independently compiled threads share the global
     register file without colliding.  Fails if the function would run
     past register 255. *)
-
-val linear_scan :
-  Ir.op array ->
-  Listsched.t ->
-  params:(Ir.vreg * Reg.t) list ->
-  results:Ir.vreg list ->
-  (assignment, string) result
-(** Single-block allocation.  [params] are pre-coloured and live from
-    row 0; [results] stay live to the end of the block. *)

@@ -149,10 +149,9 @@ let render_ops ops = Array.map render_op ops
 (* ------------------------------------------------------------------ *)
 (* Block provenance                                                    *)
 
-let record_block t ~label ?(latency = 1) ~width ~ops (sched : Listsched.t) =
+let record_block t ~label ~width ~ops (sched : Listsched.t) =
   let n = Array.length ops in
-  let g = Ddg.build ~latency ops in
-  let heights = Ddg.heights g in
+  let g = sched.graph and heights = sched.heights in
   let slot_of = Array.make n 0 in
   Array.iter
     (fun row -> List.iteri (fun s i -> slot_of.(i) <- s) row)
@@ -238,7 +237,6 @@ let record_pack t ~objective ~n_fus ~combos ~exhaustive ~height ~lower_bound
       k_placements = placements }
     :: t.rev_packs
 
-let source t = t.src
 let pass_names t = List.rev_map (fun p -> p.ps_name) t.rev_passes
 let blocks t = List.rev t.rev_blocks
 let loops t = List.rev t.rev_loops

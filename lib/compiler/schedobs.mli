@@ -84,11 +84,11 @@ type block_report = {
 }
 
 val record_block :
-  t -> label:string -> ?latency:int -> width:int -> ops:Ir.op array ->
-  Listsched.t -> unit
-(** Derive provenance for a finished list schedule.  Post-hoc: the
-    scheduler's inner loop is not instrumented; the why of each
-    placement is reconstructed from the final rows and the DDG. *)
+  t -> label:string -> width:int -> ops:Ir.op array -> Listsched.t -> unit
+(** Derive provenance for a finished list schedule of [ops].  Post-hoc:
+    the scheduler's inner loop is not instrumented; the why of each
+    placement is reconstructed from the final rows and the DDG the
+    schedule carries. *)
 
 (* ------------------------------------------------------------------ *)
 (* Loops: modulo-scheduling bound accounting                           *)
@@ -197,7 +197,6 @@ val record_pack :
 (* ------------------------------------------------------------------ *)
 (* Accessors (tests) and exports                                       *)
 
-val source : t -> string
 val pass_names : t -> string list
 val blocks : t -> block_report list
 val loops : t -> loop_report list

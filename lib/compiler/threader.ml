@@ -29,7 +29,7 @@ let ( let* ) = Result.bind
 (* ------------------------------------------------------------------ *)
 (* Level assignment: longest path from sources in the dependence DAG.  *)
 
-let compute_levels names deps =
+let levels names deps =
   let level = Hashtbl.create 17 in
   let rec assign ~visiting name =
     if List.mem name visiting then Error "dependence cycle among threads"
@@ -101,14 +101,15 @@ type prepared = {
   p_glue : (Reg.t * Reg.t) list;  (* dst param reg <- src result reg *)
 }
 
+let thread_named threads name =
+  List.find_opt (fun (f : Ir.func) -> f.name = name) threads
+
 let default_width ~n_fus ~threads_in_level =
   max 1 (min 4 (n_fus / threads_in_level))
 
 let build ?(n_fus = 8) ?(widths = []) ~threads ~deps ~wires () =
   let names = List.map (fun (f : Ir.func) -> f.name) threads in
-  let find_thread name =
-    List.find_opt (fun (f : Ir.func) -> f.name = name) threads
-  in
+  let find_thread = thread_named threads in
   (* Wires imply dependences. *)
   let deps =
     deps
@@ -124,7 +125,7 @@ let build ?(n_fus = 8) ?(widths = []) ~threads ~deps ~wires () =
       [ "unknown thread(s) in dependences: "
         ^ String.concat ", " (List.sort_uniq compare unknown) ]
   else
-    match compute_levels names deps with
+    match levels names deps with
     | Error msg -> Error [ msg ]
     | Ok levels ->
       (* Compile each thread with a private register range. *)
@@ -409,9 +410,7 @@ let results t state =
     t.placements
 
 let reference t ~threads ~args =
-  let find_thread name =
-    List.find_opt (fun (f : Ir.func) -> f.name = name) threads
-  in
+  let find_thread = thread_named threads in
   let produced : (string, Value.t list) Hashtbl.t = Hashtbl.create 7 in
   let rec run_levels = function
     | [] ->

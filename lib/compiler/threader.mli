@@ -48,6 +48,14 @@ type t = {
   wires : wire list;
 }
 
+val levels :
+  string list -> (string * string) list -> (string list list, string) result
+(** [levels names deps] groups [names] into the topological strata of
+    the (before, after) dependence pairs [deps]: a thread's level is the
+    longest dependence path that reaches it, and each level lists its
+    threads in [names] order.  Concatenated, the levels are the thread
+    order {!Packing.pack_time} places in.  Errors on a cycle. *)
+
 val build :
   ?n_fus:int ->
   ?widths:(string * int) list ->

@@ -34,7 +34,3 @@ let pareto tiles =
                              || other.length < tile.length))
            tiles))
     tiles
-
-let pp fmt t =
-  Format.fprintf fmt "%s: %d FUs x %d rows (area %d, %d regs)" t.thread
-    t.width t.length (area t) t.compiled.used_regs

@@ -26,5 +26,3 @@ val pareto : t list -> t list
 (** Keeps only non-dominated tiles: tile A dominates B when A is no
     wider and no longer.  This is the "best set of tiles" the paper
     saves per thread. *)
-
-val pp : Format.formatter -> t -> unit

@@ -14,20 +14,16 @@ let predecessors (func : Ir.func) =
   let table = Hashtbl.create 17 in
   List.iter
     (fun (b : Ir.block) ->
-      let add l = Hashtbl.replace table l (b.label :: (match Hashtbl.find_opt table l with Some x -> x | None -> [])) in
-      match b.term with
-      | Ir.Jump l -> add l
-      | Ir.Branch (_, t1, t2) -> add t1; if t1 <> t2 then add t2
-      | Ir.Return -> ())
+      List.iter (fun l -> Hashtbl.add table l b.label) (Ir.successors b.term))
     func.blocks;
-  fun label ->
-    match Hashtbl.find_opt table label with Some l -> l | None -> []
+  Hashtbl.find_all table
+
+(* Probability that a block's branch takes its then-target. *)
+let prob_of prob label =
+  match List.assoc_opt label prob with Some p -> p | None -> 0.5
 
 let select_trace ?(prob = []) (func : Ir.func) =
   let preds = predecessors func in
-  let prob_of label =
-    match List.assoc_opt label prob with Some p -> p | None -> 0.5
-  in
   let rec follow acc (b : Ir.block) =
     let acc = acc @ [ b.label ] in
     let next =
@@ -35,7 +31,7 @@ let select_trace ?(prob = []) (func : Ir.func) =
       | Ir.Return -> None
       | Ir.Jump l -> Some l
       | Ir.Branch (_, t1, t2) ->
-        Some (if prob_of b.label >= 0.5 then t1 else t2)
+        Some (if prob_of prob b.label >= 0.5 then t1 else t2)
     in
     match next with
     | None -> acc
@@ -62,12 +58,11 @@ type node =
   | Exit of { cmp : int; on_trace_is_t1 : bool; off : string; block_pos : int }
   | Final of Ir.terminator * int option  (* cmp node for a final Branch *)
 
-type edge = { src : int; dst : int; latency : int }
+let is_control = function Data _ -> false | Exit _ | Final _ -> true
 
-let is_store = function
-  | Ir.Store _ -> true
-  | Ir.Load _ | Ir.Bin _ | Ir.Un _ | Ir.Cmp _ -> false
-
+(* The region's dependence graph: the DDG of the trace's data ops
+   (nodes [0 .. k-1], in trace order) plus [Control] edges that order
+   the side exits and keep speculation safe. *)
 let build_region (func : Ir.func) trace_labels ~prob =
   let live = Liveness.compute func in
   let blocks =
@@ -79,9 +74,6 @@ let build_region (func : Ir.func) trace_labels ~prob =
       trace_labels
   in
   let n_blocks = List.length blocks in
-  let prob_of label =
-    match List.assoc_opt label prob with Some p -> p | None -> 0.5
-  in
   (* Nodes: data ops in trace order, then control nodes interleaved
      logically via edges (their list position does not matter). *)
   let nodes = ref [] and n_nodes = ref 0 in
@@ -91,8 +83,6 @@ let build_region (func : Ir.func) trace_labels ~prob =
     incr n_nodes;
     id
   in
-  let edges = ref [] in
-  let add_edge src dst latency = edges := { src; dst; latency } :: !edges in
   (* Data nodes; remember (node id, op, block position) and, per block,
      the node of the Cmp feeding its terminator. *)
   let data_nodes = ref [] in
@@ -110,14 +100,13 @@ let build_region (func : Ir.func) trace_labels ~prob =
         b.body)
     blocks;
   let data_nodes = List.rev !data_nodes in
-  (* DDG edges over the concatenated data ops. *)
-  let ops_array = Array.of_list (List.map (fun (_, op, _) -> op) data_nodes) in
-  let ids_array = Array.of_list (List.map (fun (id, _, _) -> id) data_nodes) in
-  let g = Ddg.build ops_array in
-  List.iter
-    (fun (e : Ddg.edge) ->
-      add_edge ids_array.(e.src) ids_array.(e.dst) e.latency)
-    (Ddg.edges g);
+  (* DDG edges over the concatenated data ops, whose node ids are their
+     positions. *)
+  let ops = Array.of_list (List.map (fun (_, op, _) -> op) data_nodes) in
+  let edges = ref (Ddg.edges (Ddg.build ops)) in
+  let add_edge src dst latency =
+    edges := { Ddg.src; dst; latency; kind = Ddg.Control } :: !edges
+  in
   (* Control nodes. *)
   let control_nodes = ref [] in
   List.iteri
@@ -127,7 +116,7 @@ let build_region (func : Ir.func) trace_labels ~prob =
         | Ir.Jump _ -> ()  (* absorbed into the region *)
         | Ir.Return -> invalid_arg "Return inside a trace"
         | Ir.Branch (_, t1, t2) ->
-          let on_t1 = prob_of b.label >= 0.5 in
+          let on_t1 = prob_of prob b.label >= 0.5 in
           let off = if on_t1 then t2 else t1 in
           let cmp = Hashtbl.find cmp_node_for b.label in
           let id = push (Exit { cmp; on_trace_is_t1 = on_t1; off; block_pos = bi }) in
@@ -169,7 +158,7 @@ let build_region (func : Ir.func) trace_labels ~prob =
       | Some off_label ->
         let live_off = Liveness.live_in live off_label in
         let pinned op =
-          is_store op
+          Ir.is_store op
           ||
           match Ir.defs op with
           | Some d -> Liveness.VSet.mem d live_off
@@ -185,89 +174,8 @@ let build_region (func : Ir.func) trace_labels ~prob =
               add_edge id exit_id 0)
           data_nodes)
     control_nodes;
-  (Array.of_list (List.rev !nodes), List.rev !edges)
-
-(* ------------------------------------------------------------------ *)
-(* Region scheduling: list scheduling with at most one control node per
-   row in addition to [width] data operations.                         *)
-
-let schedule_region nodes edges ~width =
-  let n = Array.length nodes in
-  let preds_cnt = Array.make n 0 in
-  let succs = Array.make n [] in
-  List.iter
-    (fun e ->
-      preds_cnt.(e.dst) <- preds_cnt.(e.dst) + 1;
-      succs.(e.src) <- e :: succs.(e.src))
-    edges;
-  (* Heights for priority. *)
-  let heights = Array.make n 0 in
-  let rec height i =
-    if heights.(i) > 0 then heights.(i)
-    else begin
-      let h =
-        List.fold_left
-          (fun acc e -> max acc (e.latency + height e.dst))
-          0 succs.(i)
-      in
-      heights.(i) <- h;
-      h
-    end
-  in
-  for i = 0 to n - 1 do
-    ignore (height i)
-  done;
-  let is_control i =
-    match nodes.(i) with
-    | Exit _ | Final _ -> true
-    | Data _ -> false
-  in
-  let row_of = Array.make n (-1) in
-  let earliest = Array.make n 0 in
-  let remaining = Array.copy preds_cnt in
-  let scheduled = ref 0 in
-  let rows = ref [] in
-  let cycle = ref 0 in
-  while !scheduled < n do
-    let ready =
-      List.init n Fun.id
-      |> List.filter (fun i ->
-           row_of.(i) < 0 && remaining.(i) = 0 && earliest.(i) <= !cycle)
-      |> List.sort (fun a b ->
-           match compare heights.(b) heights.(a) with
-           | 0 -> compare a b
-           | c -> c)
-    in
-    let data_left = ref width and control_left = ref 1 in
-    let chosen =
-      List.filter
-        (fun i ->
-          if is_control i then
-            if !control_left > 0 then (decr control_left; true) else false
-          else if !data_left > 0 then (decr data_left; true)
-          else false)
-        ready
-    in
-    List.iter
-      (fun i ->
-        row_of.(i) <- !cycle;
-        incr scheduled;
-        List.iter
-          (fun e ->
-            remaining.(e.dst) <- remaining.(e.dst) - 1;
-            earliest.(e.dst) <- max earliest.(e.dst) (!cycle + e.latency))
-          succs.(i))
-      chosen;
-    rows := chosen :: !rows;
-    incr cycle
-  done;
-  let rows = Array.of_list (List.rev !rows) in
-  (* Trim trailing empty rows. *)
-  let last = ref (Array.length rows - 1) in
-  while !last > 0 && rows.(!last) = [] do
-    decr last
-  done;
-  (Array.sub rows 0 (!last + 1), row_of)
+  let nodes = Array.of_list (List.rev !nodes) in
+  (nodes, Ddg.of_edges (Array.length nodes) !edges)
 
 (* ------------------------------------------------------------------ *)
 (* Emission                                                            *)
@@ -278,25 +186,12 @@ let emit_region builder reg_of nodes rows =
   let slot_of = Hashtbl.create 17 in
   Array.iter
     (fun row ->
-      let datas =
-        List.filter
-          (fun i ->
-            match nodes.(i) with Data _ -> true | Exit _ | Final _ -> false)
-          row
-      in
+      let datas, control = List.partition (fun i -> not (is_control nodes.(i))) row in
       List.iteri (fun slot i -> Hashtbl.replace slot_of i slot) datas;
-      let control =
-        List.find_opt
-          (fun i ->
-            match nodes.(i) with
-            | Exit _ | Final _ -> true
-            | Data _ -> false)
-          row
-      in
       let ctl =
         match control with
-        | None -> B.goto B.next
-        | Some i -> (
+        | [] -> B.goto B.next
+        | i :: _ -> (
           match nodes.(i) with
           | Data _ -> assert false
           | Exit { cmp; on_trace_is_t1; off; _ } ->
@@ -319,7 +214,7 @@ let emit_region builder reg_of nodes rows =
         List.map
           (fun i ->
             match nodes.(i) with
-            | Data { op; _ } -> B.d (Codegen.data_of_op reg_of op)
+            | Data { op; _ } -> B.d (Codegen.data_of_op ~use:reg_of ~def:reg_of op)
             | Exit _ | Final _ -> assert false)
           datas
       in
@@ -327,62 +222,42 @@ let emit_region builder reg_of nodes rows =
     rows
 
 let compile ?(width = 8) ?(prob = []) ?obs (func : Ir.func) =
-  (match obs with None -> () | Some t -> Schedobs.set_source t func.name);
-  match Schedobs.pass obs "validate" (fun () -> Ir.validate func) with
+  let emit builder reg_of =
+    match Schedobs.pass obs "trace-select" (fun () -> select_trace ~prob func) with
+    | [] -> Error [ "empty function" ]
+    | head :: _ as trace -> (
+      match
+        Schedobs.pass obs "region-build" (fun () -> build_region func trace ~prob)
+      with
+      | exception Invalid_argument msg -> Error [ msg ]
+      | nodes, g ->
+        (* [width] data slots and one control slot per row *)
+        let sched =
+          Schedobs.pass obs "region-schedule" (fun () ->
+            Listsched.schedule_graph g
+              ~cls:(Array.map (fun node -> if is_control node then 1 else 0) nodes)
+              ~caps:[| width; 1 |])
+        in
+        B.label builder head;
+        Schedobs.pass obs "emit" (fun () ->
+          emit_region builder reg_of nodes sched.rows;
+          (* Off-trace blocks, block at a time. *)
+          List.iter
+            (fun (b : Ir.block) ->
+              if not (List.mem b.label trace) then
+                Codegen.emit_block ?obs builder reg_of ~width b)
+            func.blocks);
+        Ok (trace, Listsched.length sched))
+  in
+  match Codegen.drive ?obs ~width func emit with
   | Error errors -> Error errors
-  | Ok () -> (
-    match Schedobs.pass obs "regalloc" (fun () -> Regalloc.trivial func) with
-    | Error msg -> Error [ "register allocation: " ^ msg ]
-    | Ok assignment -> (
-      let trace =
-        Schedobs.pass obs "trace-select" (fun () -> select_trace ~prob func)
-      in
-      match trace with
-      | [] -> Error [ "empty function" ]
-      | head :: _ -> (
-        match
-          Schedobs.pass obs "region-build" (fun () ->
-            build_region func trace ~prob)
-        with
-        | exception Invalid_argument msg -> Error [ msg ]
-        | nodes, edges ->
-          let rows, _ =
-            Schedobs.pass obs "region-schedule" (fun () ->
-              schedule_region nodes edges ~width)
-          in
-          let builder = B.create ~n_fus:width in
-          B.label builder head;
-          Schedobs.pass obs "emit" (fun () ->
-            emit_region builder assignment.reg_of nodes rows;
-            (* Off-trace blocks, block at a time. *)
-            List.iter
-              (fun (b : Ir.block) ->
-                if not (List.mem b.label trace) then
-                  Codegen.emit_block ?obs builder assignment.reg_of ~width b)
-              func.blocks);
-          let program = B.build builder in
-          let blockwise_rows =
-            List.fold_left
-              (fun acc label ->
-                match Ir.block_named func label with
-                | Some b -> acc + Codegen.block_rows ~width b
-                | None -> acc)
-              0 trace
-          in
-          Ok
-            { compiled =
-                { Codegen.program;
-                  width;
-                  param_regs =
-                    List.map
-                      (fun v -> (v, assignment.reg_of v))
-                      func.params;
-                  result_regs =
-                    List.map
-                      (fun v -> (v, assignment.reg_of v))
-                      func.results;
-                  static_rows = Ximd_core.Program.length program;
-                  used_regs = assignment.used };
-              trace;
-              region_rows = Array.length rows;
-              blockwise_rows })))
+  | Ok (compiled, (trace, region_rows)) ->
+    let blockwise_rows =
+      List.fold_left
+        (fun acc label ->
+          match Ir.block_named func label with
+          | Some b -> acc + Codegen.block_rows ~width b
+          | None -> acc)
+        0 trace
+    in
+    Ok { compiled; trace; region_rows; blockwise_rows }

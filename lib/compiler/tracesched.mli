@@ -10,9 +10,11 @@
       block, or a {e side entrance} (a trace block other than the head
       may have no predecessors outside the trace — the classic
       bookkeeping-free restriction).
-    + Region scheduling: the trace's operations are list-scheduled as
-      one region; intermediate branches become in-row conditional side
-      exits (at most one control operation per row).  An operation may
+    + Region scheduling: the trace's operations are scheduled as one
+      region by {!Listsched.schedule_graph}, over the trace's data
+      dependence graph plus [Control] edges for the side exits, with
+      [width] data slots and one control slot per row: intermediate
+      branches become in-row conditional side exits.  An operation may
       move {e above} a side exit only when that is speculation-safe:
       loads and pure arithmetic whose destination is dead on the
       off-trace path (idealised memory cannot fault; a speculatively
@@ -23,7 +25,8 @@
       exit row, since the machine commits a whole row even when the
       branch leaves it.
     + All remaining (off-trace) blocks are compiled block-at-a-time, as
-      in {!Codegen}. *)
+      in {!Codegen}, whose driver ({!Codegen.drive}: width check,
+      validation, register allocation) this compile shares. *)
 
 type result = {
   compiled : Codegen.compiled;
@@ -43,5 +46,7 @@ val compile :
   ?obs:Schedobs.t ->
   Ir.func ->
   (result, string list) Stdlib.result
-(** [obs] pass-times trace selection, region build/schedule and
-    emission, and records block reports for the off-trace blocks. *)
+(** [width] defaults to 8 ({!Codegen.check_width}).  [obs] pass-times
+    validation, register allocation, trace selection, region
+    build/schedule and emission, and records block reports for the
+    off-trace blocks. *)

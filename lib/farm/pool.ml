@@ -90,10 +90,12 @@ let worker t index =
   in
   loop ()
 
+let max_domains = 64
+
 let create ?(domains = 1) ?(queue_bound = 256) ?obs ~init ~work ~crashed
     ~dropped ~emit () =
   if domains < 1 then invalid_arg "Pool.create: domains must be positive";
-  if domains > 64 then invalid_arg "Pool.create: at most 64 domains";
+  if domains > max_domains then invalid_arg "Pool.create: at most 64 domains";
   if queue_bound < 1 then
     invalid_arg "Pool.create: queue_bound must be positive";
   (* The requested count is honoured even beyond the core count: a

@@ -36,6 +36,9 @@
 
 type ('ctx, 'job, 'res) t
 
+val max_domains : int
+(** The most worker domains {!create} spawns: 64. *)
+
 val create :
   ?domains:int ->
   ?queue_bound:int ->
@@ -52,7 +55,7 @@ val create :
     interleaving tests mean what they say on small runners.
     [queue_bound] (default 256) is the backpressure limit on
     queued-not-yet-running jobs.
-    @raise Invalid_argument if [domains] is not in [1..64] or
+    @raise Invalid_argument if [domains] is not in [1..max_domains] or
     [queue_bound] is not positive. *)
 
 val submit : ('ctx, 'job, 'res) t -> 'job -> bool

@@ -215,6 +215,53 @@ let test_bad_paths () =
          (missing "r.json"))
       (read_file stderr))
 
+(* Out-of-range counts are bad usage too: one line on stderr, nothing on
+   stdout, and fuzz's exit 2 or ximd-serve's exit 1 — not a backtrace
+   from the run farm, nor a clean-looking run of no cases. *)
+let test_bad_usage () =
+  with_temp_dir (fun dir ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        List.iter
+          (fun (exe, args, code, message) ->
+            let what = String.concat " " (exe :: args) in
+            let stdout = Filename.concat dir "stdout"
+            and stderr = Filename.concat dir "stderr" in
+            let got = spawn ~stdin:null ~stdout ~stderr exe args in
+            Alcotest.(check int) (what ^ ": exit code") code got;
+            Alcotest.(check string) (what ^ ": stderr") (message ^ "\n")
+              (read_file stderr);
+            Alcotest.(check string) (what ^ ": stdout") "" (read_file stdout))
+          [ ( fuzz, [ "run"; "--count"; "1"; "--domains"; "65" ], 2,
+              "fuzz: --domains must be at most 64" );
+            ( fuzz, [ "run"; "--seed"; "1"; "--count"; "-5" ], 2,
+              "fuzz: --count must be at least 1" );
+            (serve, [ "--domains"; "65" ], 1, "--domains must be at most 64") ]))
+
+(* xcc's scheduler exports, as the CLI writes them: the explain text and
+   the ximd-sched/1 report byte for byte against the goldens, and a
+   Chrome trace that parses with a traceEvents list. *)
+let test_xcc_sched_exports () =
+  with_temp_dir (fun dir ->
+    let json = Filename.concat dir "sched.json"
+    and trace = Filename.concat dir "trace.json" in
+    let explain =
+      run_tool dir ~code:0 xcc
+        [ "examples/xc/dot.xc"; "--width"; "4"; "--sched-json"; json;
+          "--sched-trace"; trace; "--explain" ]
+    in
+    Alcotest.(check string) "explain" (read_file "goldens/dot.explain.txt")
+      explain;
+    check_golden "goldens/dot.sched.json" json;
+    match Ximd_json.parse (read_file trace) with
+    | Error e -> Alcotest.failf "sched trace: %s" e
+    | Ok j -> (
+      match Ximd_json.member "traceEvents" j with
+      | Some (Ximd_json.List (_ :: _)) -> ()
+      | Some _ | None -> Alcotest.fail "sched trace has no traceEvents"))
+
 let suite =
   [ ( "cli",
       List.map
@@ -229,4 +276,8 @@ let suite =
             Alcotest.test_case (golden ^ " golden") `Quick (test_parity run))
           parity_runs
       @ [ Alcotest.test_case "bad paths exit 1 with one line" `Quick
-            test_bad_paths ] ) ]
+            test_bad_paths;
+          Alcotest.test_case "bad usage exits with one line" `Quick
+            test_bad_usage;
+          Alcotest.test_case "xcc scheduler exports golden" `Quick
+            test_xcc_sched_exports ] ) ]

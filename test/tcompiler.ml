@@ -223,39 +223,6 @@ let test_schedule_width1_is_sequential () =
   if C.Listsched.length sched < Array.length ops then
     Alcotest.fail "width-1 schedule shorter than op count"
 
-(* --- Register allocation -------------------------------------------- *)
-
-let test_linear_scan_reuses () =
-  (* A long chain of dead temporaries: linear scan should need far fewer
-     registers than the trivial allocator. *)
-  let n = 40 in
-  let body =
-    List.concat
-      (List.init n (fun i ->
-         [ C.Ir.Bin (Opcode.Iadd, C.Ir.V (2 * i), C.Ir.C 1l, (2 * i) + 1);
-           C.Ir.Bin (Opcode.Iadd, C.Ir.V ((2 * i) + 1), C.Ir.C 1l, (2 * i) + 2) ]))
-  in
-  let func =
-    { C.Ir.name = "chain"; params = [ 0 ]; results = [ 2 * n ];
-      blocks = [ { C.Ir.label = "entry"; body; term = C.Ir.Return } ] }
-  in
-  let trivial_used =
-    match C.Regalloc.trivial func with
-    | Ok a -> a.used
-    | Error msg -> Alcotest.fail msg
-  in
-  let ops = Array.of_list body in
-  let sched = C.Listsched.schedule ~width:4 ops in
-  let params = [ (0, Reg.make 0) ] in
-  match C.Regalloc.linear_scan ops sched ~params ~results:[ 2 * n ] with
-  | Error msg -> Alcotest.fail msg
-  | Ok assignment ->
-    if assignment.used > 10 then
-      Alcotest.failf "linear scan used %d registers for a 2-deep chain"
-        assignment.used;
-    if assignment.used >= trivial_used then
-      Alcotest.fail "linear scan did not beat the trivial allocator"
-
 (* --- Pipeliner ------------------------------------------------------- *)
 
 let dotprod_body =
@@ -394,6 +361,26 @@ let test_trace_no_much_longer_than_blockwise () =
       Alcotest.failf "region %d rows > blockwise %d + 1" result.region_rows
         result.blockwise_rows
 
+(* --- Width check ----------------------------------------------------- *)
+
+(* Every compile entry point rejects a width the machine cannot have
+   with an error, through the one check they share: no exception, and
+   no endless scheduling loop at width 0. *)
+let test_bad_widths_rejected () =
+  List.iter
+    (fun width ->
+      let what entry = Printf.sprintf "%s at width %d" entry width in
+      (match C.Codegen.compile ~width tproc_func with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.fail (what "Codegen.compile"));
+      (match C.Tracesched.compile ~width guarded_func with
+       | Error _ -> ()
+       | Ok _ -> Alcotest.fail (what "Tracesched.compile"));
+      match C.Kernelgen.compile ~width ~live_out:[] dotprod_body with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail (what "Kernelgen.compile"))
+    [ 17; 0 ]
+
 (* --- Tiles and packing ----------------------------------------------- *)
 
 let test_tiles_pareto () =
@@ -477,8 +464,8 @@ let suite =
         Alcotest.test_case "schedule verify" `Quick test_schedule_verify;
         Alcotest.test_case "width-1 sequential" `Quick
           test_schedule_width1_is_sequential;
-        Alcotest.test_case "linear scan reuses registers" `Quick
-          test_linear_scan_reuses ] );
+        Alcotest.test_case "bad widths rejected by every entry point" `Quick
+          test_bad_widths_rejected ] );
     ( "pipeliner",
       [ Alcotest.test_case "dot product schedules" `Quick
           test_pipeliner_dotprod;

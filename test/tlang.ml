@@ -199,6 +199,38 @@ let test_against_interp () =
             got)
       [ (3, 5); (20, 8); (10, 10) ]
 
+let guarded_increments n =
+  let buf = Buffer.create (n * 32) in
+  Buffer.add_string buf "func f(a) {\n  x = 0;\n";
+  for k = 1 to n do
+    Printf.bprintf buf "  if (a > %d) { x = x + 1; }\n" k
+  done;
+  Buffer.add_string buf "  return x;\n}\n";
+  Buffer.contents buf
+
+(* Parsing must stay linear in the number of branches: 4x the [if]
+   statements may take well under 16x the time (on a 2-vCPU VM a
+   parser whose IR check scanned every label and definition per use
+   took 15-17x, a linear one 4-5x).  Each size is the median of five
+   parses; the sizes alternate, so a burst of load on the host hits
+   both alike. *)
+let test_parse_linear_in_ifs () =
+  let parse text =
+    let t0 = Unix.gettimeofday () in
+    (match C.Lang.parse text with
+     | Ok _ -> ()
+     | Error e -> Alcotest.failf "parse: %a" C.Lang.pp_error e);
+    Unix.gettimeofday () -. t0
+  in
+  let small = guarded_increments 1000 and large = guarded_increments 4000 in
+  let times = List.init 5 (fun _ -> (parse small, parse large)) in
+  let median xs = List.nth (List.sort Float.compare xs) 2 in
+  let small = median (List.map fst times)
+  and large = median (List.map snd times) in
+  if large >= 8. *. small then
+    Alcotest.failf "4x the ifs took %.1fx as long (%.4fs vs %.4fs)"
+      (large /. small) large small
+
 let suite =
   [ ( "lang",
       [ Alcotest.test_case "arithmetic" `Quick test_arith;
@@ -214,4 +246,6 @@ let suite =
         Alcotest.test_case "parse errors" `Quick test_parse_errors;
         Alcotest.test_case "precedence" `Quick test_precedence;
         Alcotest.test_case "agrees with interpreter" `Quick
-          test_against_interp ] ) ]
+          test_against_interp;
+        Alcotest.test_case "parse linear in if count" `Quick
+          test_parse_linear_in_ifs ] ) ]

@@ -78,15 +78,28 @@ let test_independent_threads () =
   Alcotest.(check bool) "concurrent streams" true
     (state.stats.max_streams >= 3)
 
-let test_wired_pipeline () =
-  (* sq(x,y) feeds sc, which feeds the final sum4's first parameter. *)
-  let threads = [ square_plus "sq"; scale "sc"; sum4 "total" ] in
-  let wires =
+(* sq(x,y) feeds sc, which feeds the final sum4's first parameter. *)
+let wired_pipeline () =
+  ( [ square_plus "sq"; scale "sc"; sum4 "total" ],
     [ { C.Threader.from_thread = "sq"; from_result = 0; to_thread = "sc";
         to_param = 0 };
       { C.Threader.from_thread = "sc"; from_result = 0; to_thread = "total";
-        to_param = 0 } ]
-  in
+        to_param = 0 } ] )
+
+(* a -> {b, c} -> d with wires along every edge. *)
+let diamond () =
+  ( [ scale "a"; square_plus "b"; square_plus "c"; sum4 "d" ],
+    [ { C.Threader.from_thread = "a"; from_result = 0; to_thread = "b";
+        to_param = 0 };
+      { C.Threader.from_thread = "a"; from_result = 0; to_thread = "c";
+        to_param = 1 };
+      { C.Threader.from_thread = "b"; from_result = 0; to_thread = "d";
+        to_param = 0 };
+      { C.Threader.from_thread = "c"; from_result = 0; to_thread = "d";
+        to_param = 1 } ] )
+
+let test_wired_pipeline () =
+  let threads, wires = wired_pipeline () in
   let t = build_ok ~threads ~deps:[] ~wires () in
   Alcotest.(check int) "three levels" 3 (List.length t.levels);
   let args =
@@ -99,21 +112,7 @@ let test_wired_pipeline () =
   Alcotest.(check (list value)) "pipeline value" [ Value.of_int 113 ] total
 
 let test_diamond_deps () =
-  (* a -> {b, c} -> d with wires along every edge. *)
-  let a = scale "a" in
-  let b = square_plus "b" and c = square_plus "c" in
-  let d = sum4 "d" in
-  let wires =
-    [ { C.Threader.from_thread = "a"; from_result = 0; to_thread = "b";
-        to_param = 0 };
-      { C.Threader.from_thread = "a"; from_result = 0; to_thread = "c";
-        to_param = 1 };
-      { C.Threader.from_thread = "b"; from_result = 0; to_thread = "d";
-        to_param = 0 };
-      { C.Threader.from_thread = "c"; from_result = 0; to_thread = "d";
-        to_param = 1 } ]
-  in
-  let threads = [ a; b; c; d ] in
+  let threads, wires = diamond () in
   let t = build_ok ~threads ~deps:[] ~wires () in
   Alcotest.(check int) "three levels" 3 (List.length t.levels);
   (* b and c share the middle level. *)

@@ -11,10 +11,11 @@ let usage =
    trace, registers, memory, I/O, hazards, outcome — is a failure.\n\n\
    commands:\n\
   \  run     --seed S --count N [--domains D] [--artifacts DIR]\n\
-  \          fuzz N cases on the supervised run farm (D worker domains,\n\
-  \          default 1; a case that kills the checker is reported, not\n\
-  \          fatal); report every divergence and crash in index order,\n\
-  \          then shrink the lowest-index divergence (exit 1);\n\
+  \          fuzz N >= 1 cases on the supervised run farm (D worker\n\
+  \          domains, 1 to 64, default 1; a case that kills the checker\n\
+  \          is reported, not fatal); report every divergence and crash\n\
+  \          in index order, then shrink the lowest-index divergence\n\
+  \          (exit 1);\n\
   \          [--campaign-trace FILE] Chrome trace of the run,\n\
   \          [--campaign-report FILE] ximd-campaign/1 rollup,\n\
   \          [--progress-every N] ximd-progress/1 heartbeat to stderr\n\
@@ -152,7 +153,10 @@ let cmd_run args =
         ("--progress-every", `Int (( := ) progress_every)) ]
       args
   in
+  if !count < 1 then die "--count must be at least 1";
   if !domains < 1 then die "--domains must be at least 1";
+  if !domains > Ximd_farm.Pool.max_domains then
+    die "--domains must be at most %d" Ximd_farm.Pool.max_domains;
   Printexc.record_backtrace true;
   let obs =
     if !trace_out <> None || !report_out <> None || !progress_every > 0 then
