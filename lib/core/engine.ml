@@ -4,20 +4,24 @@ module M = Ximd_machine
 (* One cycle pipeline for all three machine models.  The
    paper's subsumption argument (§2, Figure 3) — a VLIW is the
    degenerate XIMD with one global sequencer, the TRACE/500 the
-   two-sequencer point in between — is encoded structurally: the only
-   thing a {!model} changes is how FUs group into sequencer-led streams
-   and what the sequencer drives (SS discipline, partition rule).  The
-   loop that runs a program to completion is {!Session.run}.
+   two-sequencer point in between — is encoded structurally: each cycle
+   the FUs form groups, and fetch, branch evaluation and next-PC
+   resolution run once per group.  A model only chooses the grouping
+   rule, who counts as a sequencer, the SS discipline and the partition
+   rule.  Under per-FU sequencers the groups form afresh every cycle
+   (the FUs at one PC with equal control fields), so VLIW-shaped code
+   costs xsim one sequencer step per cycle, as it costs vsim.  The loop
+   that runs a program to completion is {!Session.run}.
 
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
-   §5).  The loop keeps its per-cycle buffers, the partition's label
-   vector included, in the preallocated [state.scratch], and machine
-   values are immediate ints, so the data path and an unchanged
-   partition allocate nothing.  A cycle still allocates: the
-   [stream_bounds] tuples, the [Control.resolve] option, the closure in
-   [State.all_halted], and a new partition when the grouping changes;
-   [ledger.exe trace] counts the words per cycle as
+   §5).  The loop keeps its per-cycle buffers, the groups and the
+   partition's label vector included, in the preallocated
+   [state.scratch], and machine values are immediate ints, so the data
+   path and an unchanged partition allocate nothing.  A cycle still
+   allocates: the [Control.resolve] option (once per group), the
+   closure in [State.all_halted], and a new partition when the grouping
+   changes; [ledger.exe trace] counts the words per cycle as
    [engine.M.step_words]. *)
 
 type model = Per_fu | Global | Banked
@@ -35,29 +39,17 @@ let model_of_name = function
   | "t500" -> Some Banked
   | _ -> None
 
+(* The stream count and FU ranges of the models' fixed sequencers,
+   kept only for bench/ledger/layers.ml, whose phase probes restate the
+   step through them. *)
 let n_streams model ~n =
   match model with Per_fu -> n | Global -> 1 | Banked -> 2
 
-(* Streams are contiguous FU ranges [leader..last]; the leader's parcel
-   carries the stream's control fields. *)
-let[@inline] stream_bounds model ~n k =
+let stream_bounds model ~n k =
   match model with
   | Per_fu -> (k, k)
   | Global -> (0, n - 1)
   | Banked -> if k = 0 then (0, (n / 2) - 1) else (n / 2, n - 1)
-
-(* The FU a stream's hazards (fell-off-end, undefined CC) are attributed
-   to: its sequencer.  The global sequencer is not an FU of its own, so
-   blame the lowest FU still issuing — with no faults injected that is
-   FU 0, the leader. *)
-let[@inline] seq_fu model (state : State.t) ~leader ~last =
-  match model with
-  | Per_fu | Banked -> leader
-  | Global ->
-    let rec first fu =
-      if fu >= last || not state.halted.(fu) then fu else first (fu + 1)
-    in
-    first leader
 
 let bank_consistent program =
   let n = Program.n_fus program in
@@ -101,22 +93,24 @@ let[@inline] hook_cycle_top (state : State.t) =
    it): fetches, the commit's results and condition codes, then per
    stream its sync edges, halts and branch resolution, then every
    slot's class for {!Ximd_obs.Account} and the committing ops'
-   dependence nodes for {!Ximd_obs.Critpath}.  A sync edge is a level
-   that differs from [scratch.ss_before], the levels the branch
-   evaluation read.  Fault drop masks stay armed until the next cycle
-   begins, so a dropped write still classifies as lost here. *)
+   dependence nodes for {!Ximd_obs.Critpath}.  The sink's streams are
+   the sequencers: every issuing FU under per-FU sequencers, each
+   running group otherwise; a group's members read its control parcel
+   and spin flag.  A sync edge is a level that differs from
+   [scratch.ss_before], the levels the branch evaluation read.  Fault
+   drop masks stay armed until the next cycle begins, so a dropped
+   write still classifies as lost here. *)
 
-let[@inline] stream_of model ~n fu =
+(* The stream whose branch resolution the sink hears once [fu]'s edges
+   are out, named by the FU it reports against, or -1: every issuing FU
+   under per-FU sequencers; a running group after its last member
+   otherwise. *)
+let[@inline] resolution_at model (s : State.scratch) ~n fu =
   match model with
-  | Per_fu -> fu
-  | Global -> 0
-  | Banked -> if fu < n / 2 then 0 else 1
-
-let[@inline] leader_of model ~n fu =
-  match model with
-  | Per_fu -> fu
-  | Global -> 0
-  | Banked -> if fu < n / 2 then 0 else n / 2
+  | Per_fu -> if s.was_live.(fu) then fu else -1
+  | Global | Banked ->
+    let l = s.lead.(fu) in
+    if l >= 0 && (fu = n - 1 || s.lead.(fu + 1) <> l) then l else -1
 
 (* Only operations that stage a register or memory write can lose their
    result to an armed drop-write fault (I/O writes and compares bypass
@@ -144,24 +138,24 @@ let issue_args = function
 
 (* An fu×cycle slot's class (see {!Ximd_obs.Account} for the taxonomy
    and its priority). *)
-let slot_class model (state : State.t) ~n fu : Ximd_obs.Account.cls =
+let slot_class (state : State.t) fu : Ximd_obs.Account.cls =
   let s = state.scratch in
   if not s.was_live.(fu) then Halted
   else begin
     let data = s.parcels.(fu).data in
-    let k = stream_of model ~n fu in
-    let spun = s.spun.(k) in
+    let l = s.lead.(fu) in
+    let spun = s.spun.(l) in
     if Parcel.is_nop data then
       if not spun then Nop_padding
       else
-        match s.ctrl.(k).control with
+        match s.ctrl.(l).control with
         | Control.Branch { cond = Cond.Ss _; _ } -> Spin_ss
         | Control.Branch { cond = Cond.All_ss _ | Cond.Any_ss _; _ } ->
           Barrier_wait
         | Control.Branch { cond = Cond.Cc _; _ } -> Spin_cc
         | Control.Branch { cond = Cond.Always1 | Cond.Always2; _ }
         | Control.Halt ->
-          (* unreachable: a spinning stream executed a conditional *)
+          (* unreachable: a spinning group executed a conditional *)
           Nop_padding
     else if spun then Squashed
     else
@@ -196,7 +190,7 @@ let report model (state : State.t) obs ~live_streams =
   let cycle = state.cycle in
   for fu = 0 to n - 1 do
     if s.was_live.(fu) then begin
-      Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(leader_of model ~n fu);
+      Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(s.lead.(fu));
       if not (Parcel.is_nop s.parcels.(fu).data) then Sink.on_data_op obs ~fu
     end
   done;
@@ -206,35 +200,34 @@ let report model (state : State.t) obs ~live_streams =
     Sink.on_cc obs ~cycle ~fu:s.cc_fu.(k) ~value:s.cc_val.(k)
   done;
   for fu = 0 to n - 1 do
-    let k = stream_of model ~n fu in
     if s.was_live.(fu) then begin
       let ss = state.sss.(fu) in
       if not (Sync.equal ss s.ss_before.(fu)) then
         Sink.on_ss obs ~cycle ~fu ~to_done:(Sync.equal ss Sync.Done);
-      match s.ctrl.(k).control with
+      match s.ctrl.(s.lead.(fu)).control with
       | Control.Halt -> Sink.on_halt obs ~cycle ~fu
       | Control.Branch _ -> ()
     end;
     (* a stream's branch resolution follows its last member's edges *)
-    if s.str_live.(k) && (fu = n - 1 || stream_of model ~n (fu + 1) <> k)
-    then
-      match s.ctrl.(k).control with
+    let r = resolution_at model s ~n fu in
+    if r >= 0 then
+      let l = s.lead.(fu) in
+      match s.ctrl.(l).control with
       | Control.Branch { cond; _ } ->
-        let leader = leader_of model ~n fu in
-        Sink.on_control obs ~cycle ~fu:leader ~pc:s.old_pcs.(leader)
-          ~spinning:s.spun.(k) ~sync:(Cond.is_sync cond)
+        Sink.on_control obs ~cycle ~fu:r ~pc:s.old_pcs.(r) ~spinning:s.spun.(l)
+          ~sync:(Cond.is_sync cond)
       | Control.Halt -> ()
   done;
   let acct = Sink.account obs and crit = Sink.critpath obs in
   let latency = state.config.result_latency in
   for fu = 0 to n - 1 do
-    let cls = slot_class model state ~n fu in
+    let cls = slot_class state fu in
     (match acct with None -> () | Some a -> Ximd_obs.Account.tally a ~fu cls);
     match crit with
     | None -> ()
     | Some c -> (
       (if s.was_live.(fu) then
-         match s.ctrl.(stream_of model ~n fu).control with
+         match s.ctrl.(s.lead.(fu)).control with
          | Control.Branch { cond; _ } -> bind_branch c s ~n ~fu cond
          | Control.Halt -> ());
       match cls with
@@ -255,13 +248,75 @@ let report model (state : State.t) obs ~live_streams =
      Ximd_obs.Critpath.end_cycle c);
   Sink.on_cycle_end obs ~cycle ~live_streams
 
-(* A finished stream reads as DONE (DESIGN.md §5) — except under the
-   global sequencer, where sync signals have no architectural role. *)
-let[@inline] halt_fu model (state : State.t) ~fu =
-  state.halted.(fu) <- true;
+(* ------------------------------------------------------------------ *)
+(* What stays per model: the grouping rule, who counts as a sequencer,
+   the SS discipline and the partition rule (below). *)
+
+(* The lowest group leader below [fu] at [pc] whose control class is
+   [c] (-1: the PC is outside the program, where every FU fetches halt
+   parcels), or [fu] itself if there is none. *)
+let rec find_group (lead : int array) (pcs : int array) classes ~n ~pc ~c fu j
+    =
+  if j >= fu then fu
+  else if
+    lead.(j) = j && pcs.(j) = pc && (c < 0 || classes.((pc * n) + j) = c)
+  then j
+  else find_group lead pcs classes ~n ~pc ~c fu (j + 1)
+
+(* The grouping rule: the leader of [fu]'s group, given the groups of
+   the FUs below it, or -1 for an FU in no running group.
+   - Per-FU sequencers: the live FUs at one PC whose control fields are
+     equal (one entry of the program's class table) form a group; they
+     would select the same row, evaluate the same condition and resolve
+     the same next PC.  Halted FUs are in no group.
+   - The global sequencer: one group of all FUs, whose row and control
+     come from FU 0's PC and parcel even if a fault stuck FU 0.
+   - Two banks: each bank is a group while its first FU runs; a halted
+     bank leader stops its whole bank.
+   [classes] is the program's class table under per-FU sequencers
+   (see {!class_table}). *)
+let[@inline] lead_of model (state : State.t) classes ~n ~len fu =
   match model with
-  | Per_fu | Banked -> state.sss.(fu) <- Sync.Done
-  | Global -> ()
+  | Global -> 0
+  | Banked ->
+    let l = if fu < n / 2 then 0 else n / 2 in
+    if state.halted.(l) then -1 else l
+  | Per_fu ->
+    if state.halted.(fu) then -1
+    else
+      let pc = state.pcs.(fu) in
+      let c = if pc >= 0 && pc < len then classes.((pc * n) + fu) else -1 in
+      find_group state.scratch.lead state.pcs classes ~n ~pc ~c fu 0
+
+(* Only per-FU sequencers group by control class, so only they build
+   the table. *)
+let class_table model program =
+  match model with
+  | Per_fu -> Program.control_classes program
+  | Global | Banked -> [||]
+
+(* Who counts as a sequencer: every issuing FU under per-FU sequencers;
+   otherwise one per group, blamed on its lowest issuing FU — the global
+   sequencer is not an FU of its own, and with no fault injected that
+   FU is the leader.  [sequencers] counts a group's, [sequencer] says
+   whether [fu] is one (for blame, off the common path). *)
+let[@inline] sequencers model ~members =
+  match model with Per_fu -> members | Global | Banked -> 1
+
+let rec first_issuer (s : State.scratch) l fu =
+  if s.lead.(fu) = l && s.was_live.(fu) then fu else first_issuer s l (fu + 1)
+
+let sequencer model (s : State.scratch) fu =
+  s.was_live.(fu)
+  &&
+  match model with
+  | Per_fu -> true
+  | Global | Banked -> first_issuer s s.lead.(fu) 0 = fu
+
+(* The SS discipline: sync signals have no architectural role under the
+   global sequencer; otherwise an FU drives its parcel's sync value and
+   a finished FU reads as DONE (DESIGN.md §5). *)
+let[@inline] drives_ss = function Per_fu | Banked -> true | Global -> false
 
 (* ------------------------------------------------------------------ *)
 (* Partition recompute.  The partition lives in [state.scratch.labels]
@@ -294,11 +349,15 @@ let rec first_mate (s : State.scratch) fu j =
   else first_mate s fu (j + 1)
 
 (* Per-FU sequencers: FUs whose executed control operations have equal
-   normalised signatures share an SSET (see {!Partition}). *)
+   normalised signatures share an SSET (see {!Partition}).  A group's
+   members executed its leader's control operation at its PC, so they
+   take the leader's label and only leaders are compared. *)
 let label_per_fu (s : State.scratch) n =
   let changed = ref false in
   for fu = 0 to n - 1 do
-    changed := relabel s.labels fu (first_mate s fu 0) !changed
+    let l = s.lead.(fu) in
+    let label = if l >= 0 && l < fu then s.labels.(l) else first_mate s fu 0 in
+    changed := relabel s.labels fu label !changed
   done;
   !changed
 
@@ -327,6 +386,22 @@ let[@inline] repartition (state : State.t) changed =
   if changed then state.partition <- Partition.of_labels state.scratch.labels;
   Partition.count_live state.partition ~halted:state.halted
 
+(* The partition rule (paper Figure 3), returning the live stream count:
+   - per-FU sequencers group FUs by the normalised signatures of the
+     control operations they just executed (see {!Partition});
+   - the global sequencer's partition is fixed at the initial full SSET,
+     and it runs one stream for every cycle it runs;
+   - the banked machine groups by each bank's forthcoming address:
+     banks at the same PC next cycle merge, as in lock-step mode. *)
+let partition model (state : State.t) ~n ~len =
+  match model with
+  | Per_fu -> repartition state (label_per_fu state.scratch n)
+  | Banked -> repartition state (label_banked state n ~len)
+  | Global ->
+    let stats = state.stats in
+    if stats.max_streams < 1 then stats.max_streams <- 1;
+    if State.all_halted state then 0 else 1
+
 (* ------------------------------------------------------------------ *)
 
 let step model (state : State.t) =
@@ -336,66 +411,84 @@ let step model (state : State.t) =
     let n = State.n_fus state in
     let stats = state.stats in
     let s = state.scratch in
-    let parcels = s.parcels
+    let lead = s.lead
+    and parcels = s.parcels
     and was_live = s.was_live
+    and ctrl = s.ctrl
     and taken = s.taken
-    and str_live = s.str_live
-    and ctrl = s.ctrl in
+    and pcs = state.pcs
+    and halted = state.halted
+    and sss = state.sss in
     let program = state.program in
     let len = Program.length program in
-    let ns = n_streams model ~n in
-    (* Fetch.  Each live stream's sequencer selects one row; members
-       fetch their own parcels.  A live stream whose PC is outside the
-       program has fallen off the end: report against the sequencer's FU
-       and treat the stream as fetching halt parcels. *)
-    for k = 0 to ns - 1 do
-      let leader, last = stream_bounds model ~n k in
-      let live =
-        match model with
-        | Per_fu | Banked -> not state.halted.(leader)
-        | Global -> true (* [all_halted] already returned above *)
-      in
-      str_live.(k) <- live;
-      if not live then begin
-        ctrl.(k) <- Parcel.halted;
-        for fu = leader to last do
-          was_live.(fu) <- false;
-          parcels.(fu) <- Parcel.halted
-        done
+    let classes = class_table model program in
+    (* Fetch.  Each group selects one row, at its leader's PC, and each
+       issuing member takes its own parcel from it; a group whose PC is
+       outside the program has fallen off the end and fetches halt
+       parcels.  The leaders are listed in FU order. *)
+    let leaders = s.leaders and members = s.members and rows = s.rows in
+    let groups = ref 0 and fell = ref false in
+    for fu = 0 to n - 1 do
+      let l = lead_of model state classes ~n ~len fu in
+      lead.(fu) <- l;
+      if l = fu then begin
+        let pc = pcs.(fu) in
+        let row =
+          if pc >= 0 && pc < len then Program.row program pc
+          else begin
+            fell := true;
+            s.halted_row
+          end
+        in
+        rows.(fu) <- row;
+        ctrl.(fu) <- row.(fu);
+        members.(fu) <- 0;
+        leaders.(!groups) <- fu;
+        incr groups
+      end;
+      if l < 0 || halted.(fu) then begin
+        was_live.(fu) <- false;
+        parcels.(fu) <- Parcel.halted
       end
       else begin
-        let pc = state.pcs.(leader) in
-        let in_range = pc >= 0 && pc < len in
-        if not in_range then
-          M.Hazard.report state.log ~cycle:state.cycle
-            (M.Hazard.Fell_off_end
-               { fu = seq_fu model state ~leader ~last; addr = pc });
-        let row = if in_range then Program.row program pc else [||] in
-        ctrl.(k) <- (if in_range then row.(leader) else Parcel.halted);
-        for fu = leader to last do
-          if state.halted.(fu) then begin
-            was_live.(fu) <- false;
-            parcels.(fu) <- Parcel.halted
-          end
-          else begin
-            was_live.(fu) <- true;
-            parcels.(fu) <- (if in_range then row.(fu) else Parcel.halted)
-          end
-        done
+        was_live.(fu) <- true;
+        parcels.(fu) <- rows.(l).(fu);
+        members.(l) <- members.(l) + 1
       end
     done;
-    (* Branch-condition evaluation against start-of-cycle CC/SS, one
-       evaluation per sequencer. *)
-    for k = 0 to ns - 1 do
-      taken.(k) <-
-        str_live.(k)
-        &&
-        match ctrl.(k).control with
-        | Control.Halt -> false
-        | Control.Branch { cond; _ } ->
-          let leader, last = stream_bounds model ~n k in
-          Exec.eval_cond state ~fu:(seq_fu model state ~leader ~last) cond
+    let groups = !groups in
+    (* Each sequencer that fell off the end reports it, in FU order. *)
+    if !fell then
+      for fu = 0 to n - 1 do
+        if sequencer model s fu then begin
+          let pc = pcs.(lead.(fu)) in
+          if pc < 0 || pc >= len then
+            M.Hazard.report state.log ~cycle:state.cycle
+              (M.Hazard.Fell_off_end { fu; addr = pc })
+        end
+      done;
+    (* Branch-condition evaluation against start-of-cycle CC/SS, once
+       per group; then each sequencer that read a never-set condition
+       code reports it, in FU order. *)
+    let unset = ref false in
+    for g = 0 to groups - 1 do
+      let l = leaders.(g) in
+      taken.(l) <-
+        (match ctrl.(l).control with
+         | Control.Halt -> false
+         | Control.Branch { cond; _ } ->
+           if Exec.unset_cc state cond >= 0 then unset := true;
+           Exec.holds state cond)
     done;
+    if !unset then
+      for fu = 0 to n - 1 do
+        if sequencer model s fu then
+          match ctrl.(lead.(fu)).control with
+          | Control.Halt -> ()
+          | Control.Branch { cond; _ } ->
+            let j = Exec.unset_cc state cond in
+            if j >= 0 then Exec.undefined_cc state ~fu j
+      done;
     (* Data operations: every issuing FU executes; an idle slot is a
        halted slot. *)
     for fu = 0 to n - 1 do
@@ -406,66 +499,54 @@ let step model (state : State.t) =
     (* The sync levels the branch evaluation read, kept for {!report}. *)
     (match state.obs with
      | None -> ()
-     | Some _ -> Array.blit state.sss 0 s.ss_before 0 n);
-    (* Control commit: sync signals, next PCs, halts; spin and branch
-       statistics (branches charged once per sequencer, spin slots once
-       per issuing member). *)
-    let old_pcs = s.old_pcs in
-    Array.blit state.pcs 0 old_pcs 0 n;
-    for k = 0 to ns - 1 do
-      s.spun.(k) <- false;
-      if str_live.(k) then begin
-        let leader, last = stream_bounds model ~n k in
-        match ctrl.(k).control with
-        | Control.Halt ->
-          for fu = leader to last do
-            if was_live.(fu) then halt_fu model state ~fu
-          done
-        | Control.Branch { cond; _ } as control ->
-          (match model with
-           | Global -> () (* sync signals have no architectural role *)
-           | Per_fu | Banked ->
-             for fu = leader to last do
-               if was_live.(fu) then state.sss.(fu) <- parcels.(fu).sync
-             done);
-          if not (Cond.is_unconditional cond) then
-            stats.cond_branches <- stats.cond_branches + 1;
-          let pc = old_pcs.(leader) in
-          (match Control.resolve control ~pc ~taken:taken.(k) with
-           | Some next ->
-             let spinning = next = pc && not (Cond.is_unconditional cond) in
-             s.spun.(k) <- spinning;
-             (* one spin slot per issuing member, not per sequencer: a
-                spinning k-FU stream wastes k slots (the accounting
-                conservation property flushed out the old per-stream
-                charge, which understated Global/Banked spins) *)
-             if spinning then
-               for fu = leader to last do
-                 if was_live.(fu) then
-                   stats.spin_slots <- stats.spin_slots + 1
-               done;
-             for fu = leader to last do
-               state.pcs.(fu) <- next
-             done
-           | None -> assert false)
+     | Some _ -> Array.blit sss 0 s.ss_before 0 n);
+    (* Control commit.  Each group resolves its next PC once (-1: it
+       halts); conditional branches are charged once per sequencer and
+       spin slots once per issuing member, so a spinning k-FU group
+       wastes k slots.  Then every member takes the next PC, issuing
+       members drive their sync signals, and a halting group stops its
+       issuing members. *)
+    let old_pcs = s.old_pcs and next_pc = s.next_pc and spun = s.spun in
+    Array.blit pcs 0 old_pcs 0 n;
+    for g = 0 to groups - 1 do
+      let l = leaders.(g) in
+      match ctrl.(l).control with
+      | Control.Halt ->
+        next_pc.(l) <- -1;
+        spun.(l) <- false
+      | Control.Branch { cond; _ } as control -> (
+        let pc = old_pcs.(l) in
+        match Control.resolve control ~pc ~taken:taken.(l) with
+        | Some next ->
+          let conditional = not (Cond.is_unconditional cond) in
+          let spinning = next = pc && conditional in
+          next_pc.(l) <- next;
+          spun.(l) <- spinning;
+          if conditional then
+            stats.cond_branches <-
+              stats.cond_branches + sequencers model ~members:members.(l);
+          if spinning then stats.spin_slots <- stats.spin_slots + members.(l)
+        | None -> assert false)
+    done;
+    let drives_ss = drives_ss model in
+    for fu = 0 to n - 1 do
+      let l = lead.(fu) in
+      if l >= 0 then begin
+        let next = next_pc.(l) in
+        if next < 0 then begin
+          if was_live.(fu) then begin
+            halted.(fu) <- true;
+            if drives_ss then sss.(fu) <- Sync.Done
+          end
+        end
+        else begin
+          if drives_ss && was_live.(fu) then
+            sss.(fu) <- parcels.(fu).sync;
+          pcs.(fu) <- next
+        end
       end
     done;
-    (* Partition recompute — the point where the models genuinely
-       diverge (paper Figure 3):
-       - per-FU sequencers group FUs by the normalised signatures of the
-         control operations they just executed (see {!Partition});
-       - the global sequencer's partition is fixed at the initial full
-         SSET;
-       - the banked machine groups by each bank's forthcoming address:
-         banks at the same PC next cycle merge, as in lock-step mode. *)
-    let live_streams =
-      match model with
-      | Global ->
-        if stats.max_streams < 1 then stats.max_streams <- 1;
-        if State.all_halted state then 0 else 1
-      | Per_fu -> repartition state (label_per_fu s n)
-      | Banked -> repartition state (label_banked state n ~len)
-    in
+    let live_streams = partition model state ~n ~len in
     if live_streams > stats.max_streams then stats.max_streams <- live_streams;
     (* The finished cycle goes to the sink from one place. *)
     (match state.obs with

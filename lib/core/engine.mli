@@ -5,23 +5,30 @@
     sequencer per functional unit (§2, Figure 3) — with the proposed
     Multiflow TRACE/500 (§1.4) sitting in between at exactly two.  This
     module encodes the claim directly: there is one fetch → condition
-    evaluation → execute → commit pipeline, {!step}, and a {!model}
-    parameter that only controls how FUs group into sequencer-led
-    {e streams}:
+    evaluation → execute → commit pipeline, {!step}, that runs its
+    sequencer work once per {e group} of FUs, and a {!model} parameter
+    that only chooses the grouping rule, who counts as a sequencer, the
+    SS discipline and the partition rule:
 
     {t
-      | {!model}   | streams            | leaders      | SS role | partition |
-      |------------|--------------------|--------------|---------|-----------|
-      | [Per_fu]   | one per FU         | the FU       | per-FU  | executed-signature groups |
-      | [Global]   | one, all FUs       | FU 0         | none    | fixed initial SSET |
-      | [Banked]   | two fixed halves   | FU 0, FU n/2 | per-FU  | banks merge at equal next PC |
+      | {!model}   | groups each cycle                  | sequencers          | SS role | partition |
+      |------------|------------------------------------|---------------------|---------|-----------|
+      | [Per_fu]   | live FUs at one PC, equal control  | every member        | per-FU  | executed-signature groups |
+      | [Global]   | one: all FUs, led by FU 0          | one: lowest live FU | none    | fixed initial SSET |
+      | [Banked]   | two fixed halves, FU 0 and FU n/2  | one per bank        | per-FU  | banks merge at equal next PC |
     }
 
-    Every cycle, each live stream's sequencer selects one instruction
-    row and evaluates one branch condition against start-of-cycle CC/SS
-    state; member FUs fetch and execute their own data parcels; all
-    results commit at end of cycle; then the sequencer installs the next
-    PC into every member (or halts them).
+    Every cycle, each group selects one instruction row at its leader's
+    PC, evaluates one branch condition against start-of-cycle CC/SS
+    state and resolves one next PC; member FUs fetch and execute their
+    own data parcels; all results commit at end of cycle; then every
+    member takes the next PC (or halts).  What belongs to a sequencer
+    stays per sequencer, in FU order: its fell-off-end and
+    undefined-CC hazards, its conditional-branch count and its halt;
+    spin slots are charged per issuing member.  Under per-FU
+    sequencers the class table ({!Program.control_classes}) finds the
+    groups, so a single-SSET XIMD running VLIW-shaped code does one
+    sequencer step per cycle, as the VLIW does.
 
     This module executes one cycle; {!Session.run} runs a program to
     completion on top of it and is the only way to do so.  Attachments
@@ -39,16 +46,16 @@
     nothing attached tests [state.obs] three times and pays nothing
     else.
 
-    The hot loop keeps its per-cycle buffers in the preallocated
-    [state.scratch].  Under [Per_fu] and [Banked] the partition lives
-    there as a label vector (each FU's lowest SSET-mate), recomputed in
-    place every cycle; [state.partition] is rebuilt only when a label
-    changes.  Machine values are immediate ints, so execute and commit
-    allocate nothing.  The loop is still not allocation-free: the
-    [stream_bounds] tuples, the [Control.resolve] option, the closure in
-    [State.all_halted], and a new partition whenever the grouping
-    changes.  [ledger.exe trace] (bench/ledger/README.md) reports the
-    minor words per cycle as [engine.M.step_words]. *)
+    The hot loop keeps its per-cycle buffers, the groups included, in
+    the preallocated [state.scratch].  Under [Per_fu] and [Banked] the
+    partition lives there as a label vector (each FU's lowest
+    SSET-mate), recomputed in place every cycle; [state.partition] is
+    rebuilt only when a label changes.  Machine values are immediate
+    ints, so execute and commit allocate nothing.  The loop is still
+    not allocation-free: the [Control.resolve] option (once per group),
+    the closure in [State.all_halted], and a new partition whenever the
+    grouping changes.  [ledger.exe trace] (bench/ledger/README.md)
+    reports the minor words per cycle as [engine.M.step_words]. *)
 
 type model =
   | Per_fu
@@ -100,13 +107,16 @@ val model_of_name : string -> model option
 (** Inverse of {!model_name}. *)
 
 val n_streams : model -> n:int -> int
-(** Number of sequencer-led streams on an [n]-FU machine: [n], [1] and
-    [2] respectively. *)
+(** Number of fixed sequencers on an [n]-FU machine: [n], [1] and [2]
+    respectively.  {!step} does not use it (its groups form every
+    cycle); it is kept only for [bench/ledger/layers.ml], whose phase
+    probes restate the step through it, until that breakdown moves into
+    the engine (ROADMAP item 1). *)
 
 val stream_bounds : model -> n:int -> int -> int * int
 (** [stream_bounds model ~n k] is the contiguous FU range
-    [(leader, last)] of stream [k].  The leader's parcel carries the
-    stream's control fields. *)
+    [(leader, last)] of fixed sequencer [k].  Kept only for
+    [bench/ledger/layers.ml], like {!n_streams}. *)
 
 val bank_consistent : Program.t -> bool
 (** Whether every row's parcels agree with their bank leader's control

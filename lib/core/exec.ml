@@ -6,21 +6,30 @@ module M = Ximd_machine
 let some_true = Some true
 let some_false = Some false
 
+(* The condition code [cond] reads that no compare has set yet, or -1. *)
+let unset_cc (state : State.t) (cond : Cond.t) =
+  match cond with
+  | Cond.Cc j -> (
+    match state.ccs.(j) with
+    | None -> j
+    | Some _ -> -1)
+  | Cond.Always1 | Cond.Always2 | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ ->
+    -1
+
 let undefined_cc (state : State.t) ~fu j =
   M.Hazard.report state.log ~cycle:state.cycle
-    (M.Hazard.Undefined_cc { cc = j; fu });
-  false
+    (M.Hazard.Undefined_cc { cc = j; fu })
 
 (* Specialised over {!Ximd_isa.Cond.eval} so the per-cycle path builds
    no closures and no mask lists. *)
-let eval_cond (state : State.t) ~fu cond =
+let holds (state : State.t) cond =
   match (cond : Cond.t) with
   | Cond.Always1 -> true
   | Cond.Always2 -> false
   | Cond.Cc j -> (
     match state.ccs.(j) with
     | Some b -> b
-    | None -> undefined_cc state ~fu j)
+    | None -> false)
   | Cond.Ss j -> Sync.equal state.sss.(j) Sync.Done
   | Cond.All_ss mask ->
     let rec all i =
@@ -36,6 +45,11 @@ let eval_cond (state : State.t) ~fu cond =
           || any (i + 1))
     in
     any 0
+
+let eval_cond (state : State.t) ~fu cond =
+  let j = unset_cc state cond in
+  if j >= 0 then undefined_cc state ~fu j;
+  holds state cond
 
 let operand_value (state : State.t) = function
   | Operand.Reg r -> M.Regfile.read state.regs r

@@ -23,10 +23,25 @@
 
 open Ximd_isa
 
+val holds : State.t -> Cond.t -> bool
+(** A branch condition's value against the start-of-cycle CC/SS state;
+    a never-set condition code reads [false].  Reports nothing: a group
+    of sequencers evaluates its branch once, and {!Engine} reports each
+    sequencer's hazard itself. *)
+
+val unset_cc : State.t -> Cond.t -> int
+(** The condition code the condition reads that no compare has set yet,
+    or [-1]. *)
+
+val undefined_cc : State.t -> fu:int -> int -> unit
+(** [undefined_cc state ~fu j] reports
+    {!Ximd_machine.Hazard.Undefined_cc} for sequencer [fu] reading
+    [cc j]. *)
+
 val eval_cond : State.t -> fu:int -> Cond.t -> bool
-(** Evaluates a branch condition against the start-of-cycle CC/SS state.
-    Branching on a never-set condition code reports
-    {!Ximd_machine.Hazard.Undefined_cc} and evaluates it as [false]. *)
+(** {!holds}, after reporting {!undefined_cc} against [fu] if the
+    condition reads a never-set condition code: one sequencer's branch
+    evaluation. *)
 
 val exec_data : State.t -> fu:int -> Parcel.data -> unit
 (** Executes one data operation for [fu]: reads operands, stages register

@@ -4,6 +4,10 @@ type t = {
   n_fus : int;
   rows : Parcel.t array array;  (* addr -> fu -> parcel *)
   symbols : (string * int) list;
+  classes : int array Atomic.t;
+      (* the control-class table, empty until {!control_classes} first
+         builds it; atomic so domains sharing a program publish it
+         safely *)
 }
 
 let make ?(symbols = []) ~n_fus rows =
@@ -15,7 +19,7 @@ let make ?(symbols = []) ~n_fus rows =
           (Printf.sprintf "Program.make: row %d has %d parcels, expected %d"
              addr (Array.length row) n_fus))
     rows;
-  { n_fus; rows; symbols }
+  { n_fus; rows; symbols; classes = Atomic.make [||] }
 
 let of_rows ?symbols ~n_fus rows =
   make ?symbols ~n_fus (Array.of_list (List.map Array.of_list rows))
@@ -32,6 +36,31 @@ let row t addr =
   if addr < 0 || addr >= Array.length t.rows then
     invalid_arg (Printf.sprintf "Program.row: address %d out of range" addr)
   else t.rows.(addr)
+
+(* Entry [addr * n_fus + fu]: the lowest FU whose control field at
+   [addr] equals [fu]'s.  Built on first use, not by [make], so a
+   program that never runs under per-FU sequencers (every program the
+   compiler emits, until it runs) pays nothing for it.  Two domains that
+   race to build it build equal tables. *)
+let control_classes t =
+  let table = Atomic.get t.classes in
+  if Array.length table > 0 then table
+  else begin
+    let n = t.n_fus in
+    let table = Array.make (Array.length t.rows * n) 0 in
+    Array.iteri
+      (fun addr (row : Parcel.t array) ->
+        for fu = 0 to n - 1 do
+          let rec first j =
+            if Control.equal row.(j).control row.(fu).control then j
+            else first (j + 1)
+          in
+          table.((addr * n) + fu) <- first 0
+        done)
+      t.rows;
+    Atomic.set t.classes table;
+    table
+  end
 
 let symbols t = t.symbols
 let address_of t name = List.assoc_opt name t.symbols
@@ -168,7 +197,7 @@ let decode buf =
         end
       in
       let* () = fill 0 in
-      Ok { n_fus; rows; symbols = [] }
+      Ok { n_fus; rows; symbols = []; classes = Atomic.make [||] }
     end
 
 (* Paper-style listing (Figure 9 layout). *)

@@ -33,6 +33,14 @@ val fetch : t -> fu:int -> addr:int -> Parcel.t option
 val row : t -> int -> Parcel.t array
 (** @raise Invalid_argument if out of range. *)
 
+val control_classes : t -> int array
+(** The control-class table: entry [addr * n + fu], for an [n]-FU program, is the lowest
+    FU whose control field at [addr] is {!Ximd_isa.Control.equal} to
+    [fu]'s, so two FUs at one address have equal control fields exactly
+    when their entries are equal.  {!Engine} groups per-FU sequencers by
+    it.  Built on first use and kept with the program (safely shared by
+    domains), so {!make} stays as cheap as before. *)
+
 val symbols : t -> (string * int) list
 val address_of : t -> string -> int option
 val label_at : t -> int -> string option

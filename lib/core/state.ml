@@ -3,12 +3,17 @@ open Ximd_isa
 type scratch = {
   parcels : Parcel.t array;
   was_live : bool array;
+  lead : int array;
+  leaders : int array;
+  members : int array;
+  rows : Parcel.t array array;
+  halted_row : Parcel.t array;
+  ctrl : Parcel.t array;
   taken : bool array;
+  next_pc : int array;
+  spun : bool array;
   old_pcs : int array;
   labels : int array;
-  str_live : bool array;
-  ctrl : Parcel.t array;
-  spun : bool array;
   ss_before : Sync.t array;
   cc_fu : int array;
   cc_val : bool array;
@@ -101,20 +106,26 @@ let create ?(config = Config.default) ?faults ?obs program =
     halted = Array.make n false;
     partition = Partition.initial ~n;
     scratch =
-      { parcels = Array.make n Parcel.halted;
-        was_live = Array.make n false;
-        taken = Array.make n false;
-        old_pcs = Array.make n 0;
-        labels = Array.make n 0;
-        str_live = Array.make n false;
-        ctrl = Array.make n Parcel.halted;
-        spun = Array.make n false;
-        ss_before = Array.make n Sync.Busy;
-        cc_fu = Array.make n 0;
-        cc_val = Array.make n false;
-        cc_len = 0;
-        commit_results = 0;
-        commit_ccs = 0 };
+      (let halted_row = Array.make n Parcel.halted in
+       { parcels = Array.make n Parcel.halted;
+         was_live = Array.make n false;
+         lead = Array.make n (-1);
+         leaders = Array.make n 0;
+         members = Array.make n 0;
+         rows = Array.make n halted_row;
+         halted_row;
+         ctrl = Array.make n Parcel.halted;
+         taken = Array.make n false;
+         next_pc = Array.make n 0;
+         spun = Array.make n false;
+         old_pcs = Array.make n 0;
+         labels = Array.make n 0;
+         ss_before = Array.make n Sync.Busy;
+         cc_fu = Array.make n 0;
+         cc_val = Array.make n false;
+         cc_len = 0;
+         commit_results = 0;
+         commit_ccs = 0 });
     inflight =
       (let cap = max 16 (n * config.result_latency) in
        { ifl_len = 0;

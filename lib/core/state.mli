@@ -18,8 +18,25 @@ open Ximd_isa
 
 type scratch = {
   parcels : Parcel.t array;  (** this cycle's fetched parcels *)
-  was_live : bool array;     (** liveness at start of cycle *)
-  taken : bool array;        (** branch-condition outcomes *)
+  was_live : bool array;     (** issuing at start of cycle *)
+  lead : int array;
+      (** per FU: the leader of its group this cycle, or -1 if it is in
+          no running group.  A group is the FUs one sequencer step
+          serves ({!Engine}): its leader is its lowest member, and the
+          leader's PC and control field are the group's.  The fields
+          below marked "per group" are indexed by leader. *)
+  leaders : int array;
+      (** this cycle's group leaders in FU order; as many as there are
+          FUs with [lead.(fu) = fu] *)
+  members : int array;       (** per group: its issuing members *)
+  rows : Parcel.t array array;  (** per group: the row it fetched *)
+  halted_row : Parcel.t array;
+      (** the row a group fetches once its PC has left the program: halt
+          parcels only *)
+  ctrl : Parcel.t array;     (** per group: the parcel its control comes from *)
+  taken : bool array;        (** per group: branch-condition outcome *)
+  next_pc : int array;       (** per group: the resolved next PC, -1 if it halts *)
+  spun : bool array;         (** per group: branch re-selected its PC *)
   old_pcs : int array;       (** PCs at start of cycle *)
   labels : int array;
       (** the partition as a label vector: FU [i]'s SSET is named by its
@@ -28,9 +45,6 @@ type scratch = {
           [Partition.of_labels labels] only when a label changed, so
           [partition] is a new value exactly when the grouping changes.
           All zeros (one SSET) after {!create} and {!reset}. *)
-  str_live : bool array;     (** per-stream liveness ({!Engine}) *)
-  ctrl : Parcel.t array;     (** per-stream control parcels ({!Engine}) *)
-  spun : bool array;         (** per-stream: branch re-selected its PC *)
   ss_before : Sync.t array;
       (** per-FU sync levels the branch evaluation read, copied only
           when a sink is attached; [sss] differs where an edge fired *)

@@ -7,7 +7,9 @@ module Observation = Ximd_ref.Observation
    interpreter and through the optimised engine under every applicable
    sequencing model, and compare everything architecturally observable —
    per-cycle control traces, final registers, the non-zero memory
-   footprint, the I/O output log, the hazard log and the outcome.
+   footprint, the I/O output log, the hazard log and the outcome — and
+   the paper's run counters ({!Core.Stats}), which the reference keeps
+   by its own rules.
 
    Both sides run with the [Record] hazard policy and no watchdog, so a
    run always ends in [Halted] or [Fuel_exhausted] — deterministic on
@@ -82,7 +84,16 @@ let observe_engine model program (config : Core.Config.t) =
             ccs = r.ccs;
             sss = r.sss;
             ssets = Core.Partition.ssets r.partition })
-        (Core.Tracer.rows tracer) }
+        (Core.Tracer.rows tracer);
+    counts =
+      (let st = state.stats in
+       { Observation.cycles = st.cycles;
+         data_ops = st.data_ops;
+         nops = st.nops;
+         halted_slots = st.halted_slots;
+         spin_slots = st.spin_slots;
+         cond_branches = st.cond_branches;
+         max_streams = st.max_streams }) }
 
 let observe_reference model program config =
   Interp.run ~model ~config program
@@ -183,7 +194,13 @@ let compare_observations model (reference : Observation.t)
                  (List.length reference.hazards)
                  (List.length engine.hazards))
               None
-          else None))
+          else
+            match Observation.counts_diff reference.counts engine.counts with
+            | Some (name, r, e) ->
+              diverge
+                (Printf.sprintf "stats %s: reference %d, engine %d" name r e)
+                None
+            | None -> None))
 
 let check_model model program config =
   let reference = observe_reference model program config in

@@ -1,5 +1,6 @@
 (** Lockstep differential checking: the reference interpreter versus
-    the optimised engine, on everything architecturally observable. *)
+    the optimised engine, on everything architecturally observable and
+    on the paper's run counters ({!Ximd_ref.Observation.counts}). *)
 
 type model = Ximd_ref.Interp.model = Per_fu | Global | Banked
 

@@ -375,23 +375,74 @@ let fork_join_program =
   in
   return (Program.of_rows ~n_fus rows, n_fus)
 
+(* VLIW-shaped code on an XIMD (paper §2, Figure 3): every row gives all
+   its parcels one control field and one sync value, so all FUs start at
+   one PC and stay there as one SSET.  The branches test condition
+   codes that a compare in an earlier row may or may not have set, so
+   every sequencer of the group can meet an undefined CC at once; some
+   targets fall through, so the group can run off the end of the
+   program under the prototype sequencer (which this shape needs), and a
+   target equal to its own row spins the whole group. *)
+let lockstep_program =
+  let open Gen in
+  int_range 1 6 >>= fun n_rows ->
+  int_range 1 8 >>= fun n_fus ->
+  let target =
+    frequency
+      [ (3, map (fun a -> Control.Addr a) (int_bound (n_rows - 1)));
+        (1, return Control.Fallthrough) ]
+  in
+  let control =
+    frequency
+      [ (1, return Control.Halt);
+        (2, map (fun t -> Control.Branch { cond = Cond.Always1; t1 = t; t2 = t }) target);
+        ( 5,
+          map3
+            (fun j t1 t2 -> Control.Branch { cond = Cond.Cc j; t1; t2 })
+            (int_bound (n_fus - 1)) target target ) ]
+  in
+  let row =
+    control >>= fun control ->
+    sync >>= fun sync ->
+    list_repeat n_fus small_data >>= fun datas ->
+    return
+      (List.map (fun d -> Parcel.make ~sync d control) (single_assignment datas))
+  in
+  list_repeat n_rows row >>= fun rows ->
+  return (Program.of_rows ~n_fus rows, n_fus)
+
 (* --- Fuzz cases ------------------------------------------------------- *)
 
 type case = { program : Program.t; config : Config.t }
+
+let falls_through program =
+  let fallthrough = function
+    | Control.Fallthrough -> true
+    | Control.Addr _ -> false
+  in
+  let rec row addr =
+    addr < Program.length program
+    && (Array.exists
+          (fun (p : Parcel.t) -> List.exists fallthrough (Control.targets p.control))
+          (Program.row program addr)
+       || row (addr + 1))
+  in
+  row 0
 
 let case =
   let open Gen in
   (* Weighted scenario mix: the general branchy shape dominates (it
      subsumes deadlocks, undefined CCs and fell-off-end paths); the
-     structured shapes keep handshake/barrier/fork-join and memory
-     coverage from drowning in noise. *)
+     structured shapes keep handshake/barrier/fork-join, memory and
+     lockstep coverage from drowning in noise. *)
   frequency
     [ (3, map (fun p -> (p, Program.n_fus p)) valid_program);
       (2, forward_program);
       (2, memory_program);
       (1, handshake_program);
       (1, barrier_program);
-      (1, fork_join_program) ]
+      (1, fork_join_program);
+      (1, lockstep_program) ]
   >>= fun (program, n_fus) ->
   oneofl [ 1; 1; 2; 3 ] >>= fun result_latency ->
   frequency
@@ -399,9 +450,12 @@ let case =
       (2, return (Ximd_machine.Memory.Shared, 64));
       (1, return (Ximd_machine.Memory.Distributed { n_fus }, 64 * n_fus)) ]
   >>= fun (mem_organisation, mem_words) ->
+  let sequencer =
+    if falls_through program then Config.Prototype else Config.Research
+  in
   let config =
     Config.make ~n_fus ~mem_words ~mem_organisation ~n_ports:4
       ~hazard_policy:Ximd_machine.Hazard.Record ~max_cycles:300
-      ~result_latency ()
+      ~result_latency ~sequencer ()
   in
   return { program; config }

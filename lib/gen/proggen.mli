@@ -63,6 +63,11 @@ val fork_join_program : (Ximd_core.Program.t * int) QCheck2.Gen.t
 type case = { program : Ximd_core.Program.t; config : Ximd_core.Config.t }
 
 val case : case QCheck2.Gen.t
-(** A weighted mix of the scenario shapes above, paired with a varied
+(** A weighted mix of the scenario shapes above and of lockstep
+    VLIW-shaped code (every row's parcels share one control field and
+    sync value, so all FUs run as one SSET at one PC, branching on
+    condition codes that may still be unset and falling through, under
+    the prototype sequencer, possibly off the end), paired with a varied
     configuration (FU count from the program; result latency 1–3;
-    shared/small/distributed memory; small fuel; [Record] hazards). *)
+    shared/small/distributed memory; small fuel; [Record] hazards; the
+    prototype sequencer when a target falls through). *)

@@ -35,6 +35,13 @@ module Run = Ximd_core.Run
       all receive the selected next PC.
    6. The SSETs for the next cycle form (DESIGN.md §5).
 
+   Along the way the interpreter keeps the paper's run counters (the
+   ones {!Ximd_core.Stats} keeps), by its own statement of what each
+   one counts: issued data operations and nops, FU-cycles that did not
+   issue, conditional branches (one per sequencer), spin slots (one per
+   issuing member of a stream whose conditional branch re-selected its
+   address) and the most SSETs holding a live FU after any cycle.
+
    After the last FU halts, remaining pipeline results drain in issue
    order, one cycle per write-back stage.
 
@@ -69,6 +76,12 @@ type machine = {
   mutable hazards : (int * Hazard.t) list;  (* chronological *)
   mutable trace : Observation.row list;  (* chronological *)
   mutable ssets : int list list;  (* the partition in effect *)
+  mutable data_ops : int;
+  mutable nops : int;
+  mutable halted_slots : int;
+  mutable spin_slots : int;
+  mutable cond_branches : int;
+  mutable max_streams : int;
 }
 
 let hazard m h = m.hazards <- m.hazards @ [ (m.cycle, h) ]
@@ -499,9 +512,15 @@ let step model m =
       | Global -> 0
       | Banked -> if fu < m.n / 2 then 0 else 1
     in
-    if live_member k fu then begin
+    if not (live_member k fu) then m.halted_slots <- m.halted_slots + 1
+    else begin
       let _, _, parcels = List.nth fetched k in
       let data = parcels.(fu).Parcel.data in
+      (match data with
+       | Parcel.Dnop -> m.nops <- m.nops + 1
+       | Parcel.Dbin _ | Parcel.Dun _ | Parcel.Dcmp _ | Parcel.Dload _
+       | Parcel.Dstore _ | Parcel.Din _ | Parcel.Dout _ ->
+         m.data_ops <- m.data_ops + 1);
       let writes = exec_data m ~fu data in
       let unit_latency = m.config.result_latency = 1 in
       if unit_latency then staged := !staged @ writes
@@ -524,7 +543,10 @@ let step model m =
   (* 5. Control commit, one stream at a time: halts stop member FUs
      (their sync signals read DONE from then on, except under the
      global sequencer); branches drive each member's parcel sync value
-     and install the selected next PC into every member FU. *)
+     and install the selected next PC into every member FU.  A
+     conditional branch counts once per sequencer; when it re-selects
+     the stream's own address, every issuing member spends a spin
+     slot. *)
   List.iteri
     (fun k taken_k ->
       let leader, last = stream_bounds model ~n:m.n k in
@@ -540,7 +562,7 @@ let step model m =
               | Global -> ()
             end
           done
-        | Control.Branch _ as control ->
+        | Control.Branch { cond; _ } as control ->
           (match model with
            | Global -> ()  (* sync signals have no architectural role *)
            | Per_fu | Banked ->
@@ -548,10 +570,18 @@ let step model m =
                if not m.halted.(fu) then
                  m.sss.(fu) <- parcels.(fu).Parcel.sync
              done);
+          let conditional =
+            match cond with
+            | Cond.Always1 | Cond.Always2 -> false
+            | Cond.Cc _ | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ -> true
+          in
+          if conditional then m.cond_branches <- m.cond_branches + 1;
           let pc = m.pcs.(leader) in
           (match Control.resolve control ~pc ~taken:taken_k with
            | Some next ->
              for fu = leader to last do
+               if conditional && next = pc && not m.halted.(fu) then
+                 m.spin_slots <- m.spin_slots + 1;
                m.pcs.(fu) <- next
              done
            | None -> assert false))
@@ -569,6 +599,17 @@ let step model m =
        else Jump pc
      in
      m.ssets <- group_by m.n (fun fu -> next (if fu < half then 0 else half)));
+  (* The streams this cycle leaves running: the SSETs holding a live FU.
+     The global sequencer is one stream for every cycle it runs, the
+     cycle it halts included. *)
+  let streams =
+    match model with
+    | Global -> 1
+    | Per_fu | Banked ->
+      List.length
+        (List.filter (List.exists (fun fu -> not m.halted.(fu))) m.ssets)
+  in
+  m.max_streams <- max m.max_streams streams;
   m.cycle <- m.cycle + 1
 
 (* ------------------------------------------------------------------ *)
@@ -626,7 +667,13 @@ let create config program =
     pending = [];
     hazards = [];
     trace = [];
-    ssets = [ List.init n (fun fu -> fu) ] }
+    ssets = [ List.init n (fun fu -> fu) ];
+    data_ops = 0;
+    nops = 0;
+    halted_slots = 0;
+    spin_slots = 0;
+    cond_branches = 0;
+    max_streams = 0 }
 
 (* Drain the datapath pipeline after the last FU halts: remaining
    results commit in issue order over the following "cycles". *)
@@ -651,7 +698,15 @@ let observation m outcome =
         (List.init m.config.n_ports (fun p -> p));
     hazards =
       List.map (fun (cycle, h) -> (cycle, Hazard.to_string h)) m.hazards;
-    trace = m.trace }
+    trace = m.trace;
+    counts =
+      { Observation.cycles = m.cycle;
+        data_ops = m.data_ops;
+        nops = m.nops;
+        halted_slots = m.halted_slots;
+        spin_slots = m.spin_slots;
+        cond_branches = m.cond_branches;
+        max_streams = m.max_streams } }
 
 let run ?(model = Per_fu) ?(config = Config.default) ?setup program =
   validate model program config;

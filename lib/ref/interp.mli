@@ -45,7 +45,8 @@ val run :
 (** [run program] interprets [program] to completion (halt or fuel
     exhaustion) and returns everything architecturally observable, with
     each cycle's SSETs in its trace row, formed by the interpreter's own
-    statement of the DESIGN.md §5 rule.
+    statement of the DESIGN.md §5 rule, and the paper's run counters
+    ({!Observation.counts}), counted one sequencer at a time.
     [model] defaults to [Per_fu]; [config] to {!Ximd_core.Config.default}
     (its hazard policy is ignored — the reference always records);
     [setup] runs once on the fresh machine before cycle 0. *)

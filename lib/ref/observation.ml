@@ -17,6 +17,16 @@ type row = {
          lowest member *)
 }
 
+type counts = {
+  cycles : int;
+  data_ops : int;
+  nops : int;
+  halted_slots : int;
+  spin_slots : int;
+  cond_branches : int;
+  max_streams : int;
+}
+
 type t = {
   outcome : Ximd_core.Run.outcome;
   registers : Value.t array;  (* all 256, final *)
@@ -25,6 +35,7 @@ type t = {
       (* port -> (cycle, value) write log, ports with output only *)
   hazards : (int * string) list;  (* (cycle, rendered hazard), in order *)
   trace : row list;  (* one row per executed cycle, oldest first *)
+  counts : counts;  (* the paper's run counters *)
 }
 
 let outcome_string (o : Ximd_core.Run.outcome) =
@@ -46,6 +57,17 @@ let row_equal a b =
   && Array.for_all2 Sync.equal a.sss b.sss
   && List.equal (List.equal Int.equal) a.ssets b.ssets
 
+let counts_diff a b =
+  List.find_opt
+    (fun (_, x, y) -> x <> y)
+    [ ("cycles", a.cycles, b.cycles);
+      ("data_ops", a.data_ops, b.data_ops);
+      ("nops", a.nops, b.nops);
+      ("halted_slots", a.halted_slots, b.halted_slots);
+      ("spin_slots", a.spin_slots, b.spin_slots);
+      ("cond_branches", a.cond_branches, b.cond_branches);
+      ("max_streams", a.max_streams, b.max_streams) ]
+
 let equal a b =
   outcome_string a.outcome = outcome_string b.outcome
   && Array.for_all2 Value.equal a.registers b.registers
@@ -61,6 +83,7 @@ let equal a b =
        a.io_out b.io_out
   && List.equal (fun (c, h) (d, i) -> c = d && h = i) a.hazards b.hazards
   && List.equal row_equal a.trace b.trace
+  && Option.is_none (counts_diff a.counts b.counts)
 
 let pp_row fmt r =
   Format.fprintf fmt "cycle %-3d pc=[%s] cc=[%s] ss=[%s] ssets=%s" r.cycle
@@ -87,8 +110,8 @@ let pp_row fmt r =
 
 (* Byte-stable plain-text summary: the sidecar format of the conformance
    suites.  Deliberately omits the trace (which scales with cycle count)
-   — the trace is compared in lockstep, the sidecar pins the final
-   state. *)
+   and the counts — both are compared in lockstep, the sidecar pins the
+   final state. *)
 let summary t =
   let buf = Buffer.create 256 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in

@@ -70,35 +70,51 @@ let minmax_data =
   [ "-r"; "r5=4"; "-m"; "256=5"; "-m"; "257=3"; "-m"; "258=4"; "-m"; "259=7" ]
 
 (* Each run writes the four exports of one sink (Chrome trace, metrics,
-   slot accounting, critical path) into goldens/obs/NAME.*.json.  The
-   rand:42:5 schedule draws its cycles from [0, 10000), after MINMAX's
-   data-less 5-cycle run halts, so minmax_fired adds the paper's data
-   and a 16-cycle window in which ss, cc and drop faults fire. *)
+   slot accounting, critical path) into goldens/obs/NAME.*.json and
+   must exit with the code given.  The rand:42:5 schedule draws its
+   cycles from [0, 10000), after MINMAX's data-less 5-cycle run halts,
+   so minmax_fired adds the paper's data and a 16-cycle window in which
+   ss, cc and drop faults fire.  The two tproc_*_faults runs stick FU 0
+   halted at cycle 2, a path the reference interpreter does not model:
+   under vsim FU 0 still supplies the row's control and the run halts
+   after 6 cycles; under t500 the stuck leader stops its whole bank, so
+   the run deadlocks after 69 cycles and exits 4. *)
 let export_runs =
-  [ ("minmax", xsim, [ "examples/asm/minmax.xasm" ]);
+  [ ("minmax", xsim, [ "examples/asm/minmax.xasm" ], 0);
     ( "minmax_faults",
       xsim,
       [ "examples/asm/minmax.xasm"; "--record-hazards"; "--detect-deadlock";
-        "--inject"; "rand:42:5" ] );
+        "--inject"; "rand:42:5" ],
+      0 );
     ( "minmax_fired",
       xsim,
       [ "examples/asm/minmax.xasm"; "--record-hazards"; "--detect-deadlock";
         "--inject"; "rand:42:5:16" ]
-      @ minmax_data );
-    ("tproc_vsim", vsim, [ "examples/asm/tproc.xasm" ]);
-    ("tproc_t500", xsim, [ "--t500"; "examples/asm/tproc.xasm" ]);
-    ("anybarrier", xsim, [ "examples/asm/anybarrier.xasm" ]) ]
+      @ minmax_data,
+      0 );
+    ("tproc_vsim", vsim, [ "examples/asm/tproc.xasm" ], 0);
+    ("tproc_t500", xsim, [ "--t500"; "examples/asm/tproc.xasm" ], 0);
+    ( "tproc_vsim_faults",
+      vsim,
+      [ "--inject"; "halt@2:0"; "--record-hazards"; "examples/asm/tproc.xasm" ],
+      0 );
+    ( "tproc_t500_faults",
+      xsim,
+      [ "--t500"; "--inject"; "halt@2:0"; "--record-hazards";
+        "--detect-deadlock"; "examples/asm/tproc.xasm" ],
+      4 );
+    ("anybarrier", xsim, [ "examples/asm/anybarrier.xasm" ], 0) ]
 
 let exports = [ ("--trace-events", "trace"); ("--metrics", "metrics");
                 ("--account", "account"); ("--critical-path", "critpath") ]
 
-let test_exports (name, exe, args) () =
+let test_exports (name, exe, args, code) () =
   with_temp_dir (fun dir ->
     let out kind = Filename.concat dir (kind ^ ".json") in
     let flags =
       List.concat_map (fun (flag, kind) -> [ flag; out kind ]) exports
     in
-    ignore (run_tool dir ~code:0 exe (args @ flags));
+    ignore (run_tool dir ~code exe (args @ flags));
     List.iter
       (fun (_, kind) ->
         check_golden (Printf.sprintf "goldens/obs/%s.%s.json" name kind)
@@ -265,7 +281,7 @@ let test_xcc_sched_exports () =
 let suite =
   [ ( "cli",
       List.map
-        (fun ((name, _, _) as run) ->
+        (fun ((name, _, _, _) as run) ->
           Alcotest.test_case (name ^ " exports golden") `Quick
             (test_exports run))
         export_runs

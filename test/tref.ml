@@ -451,6 +451,40 @@ let test_setup_preloads_state () =
   in
   check_reg obs "setup reg + mem" 3 42
 
+(* The run counters, one per sequencer: on a uniform row every FU under
+   per-FU sequencers (and each one-FU bank) is a sequencer of its own,
+   so each counts its conditional branches and reports its undefined
+   CC, while the global sequencer does both once.  Spin slots are one
+   per issuing FU in every model. *)
+let test_counts_per_sequencer () =
+  let src = {|
+.fus 2
+spin:
+  [0] eq #1, #1 | if cc0 fin : spin
+  [1] nop       | if cc0 fin : spin
+fin:
+  [0] nop | halt
+  [1] nop | halt
+|}
+  in
+  List.iter
+    (fun (model, name, cond_branches, hazards) ->
+      let obs = run ~model src in
+      let c = obs.Obs.counts in
+      let check what = Alcotest.(check int) (name ^ ": " ^ what) in
+      check_halted obs name 3;
+      check "cycles" 3 c.cycles;
+      check "data ops" 2 c.data_ops;
+      check "nops" 4 c.nops;
+      check "halted slots" 0 c.halted_slots;
+      check "spin slots" 2 c.spin_slots;
+      check "conditional branches" cond_branches c.cond_branches;
+      check "max streams" 1 c.max_streams;
+      check "undefined-CC hazards" hazards (hazard_count obs))
+    [ (Interp.Per_fu, "xsim", 4, 2);
+      (Interp.Global, "vsim", 2, 1);
+      (Interp.Banked, "t500", 4, 2) ]
+
 let suite =
   [ ( "reference interpreter",
       [ Alcotest.test_case "integer arithmetic" `Quick test_int_arith;
@@ -477,4 +511,6 @@ let suite =
         Alcotest.test_case "multi-write tie break" `Quick
           test_multi_write_tie_break;
         Alcotest.test_case "setup preloads state" `Quick
-          test_setup_preloads_state ] ) ]
+          test_setup_preloads_state;
+        Alcotest.test_case "run counters, one per sequencer" `Quick
+          test_counts_per_sequencer ] ) ]

@@ -91,12 +91,15 @@ let case_source (c : Gen.Proggen.case) = Ximd_asm.Source.to_source c.program
 
 let describe_config (c : Gen.Proggen.case) =
   let cfg = c.config in
-  Printf.sprintf "n_fus=%d latency=%d mem=%d%s fuel=%d" cfg.n_fus
+  Printf.sprintf "n_fus=%d latency=%d mem=%d%s fuel=%d%s" cfg.n_fus
     cfg.result_latency cfg.mem_words
     (match cfg.mem_organisation with
      | Ximd_machine.Memory.Shared -> ""
      | Ximd_machine.Memory.Distributed _ -> " (distributed)")
     cfg.max_cycles
+    (match cfg.sequencer with
+     | Ximd_core.Config.Research -> ""
+     | Ximd_core.Config.Prototype -> " seq=prototype")
 
 let diverges c =
   match Gen.Diff.check_case c with
@@ -313,10 +316,13 @@ let directives_for (c : Gen.Proggen.case) =
       Printf.sprintf "latency=%d" cfg.result_latency;
       Printf.sprintf "mem=%d" cfg.mem_words;
       Printf.sprintf "ports=%d" cfg.n_ports ]
+    @ (match cfg.mem_organisation with
+       | Ximd_machine.Memory.Distributed _ -> [ "organisation=distributed" ]
+       | Ximd_machine.Memory.Shared -> [])
     @
-    match cfg.mem_organisation with
-    | Ximd_machine.Memory.Distributed _ -> [ "organisation=distributed" ]
-    | Ximd_machine.Memory.Shared -> []
+    match cfg.sequencer with
+    | Ximd_core.Config.Prototype -> [ "seq=prototype" ]
+    | Ximd_core.Config.Research -> []
   in
   Printf.sprintf "; conf: %s\n" (String.concat " " parts)
 
