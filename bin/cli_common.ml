@@ -303,11 +303,12 @@ let run_and_report ?tracer ~report run =
   report outcome;
   match Ximd_core.Run.exit_code outcome with 0 -> () | code -> exit code
 
-(* --compare short-circuits the normal run: both sides execute inside
-   {!Ximd_report.Compare} sessions with accounting sinks attached, and
-   the process exits with the worse of the two outcomes' codes. *)
-let run_compare ~tool model program compare_path compare_json ~max_cycles
-    ~record_hazards ~reg_inits ~mem_inits =
+(* --compare short-circuits the normal run: both sides execute through
+   {!Ximd_report.Compare} with accounting sinks attached, built by the
+   normal run's [config_of] and [setup], and the process exits with the
+   worse of the two outcomes' codes. *)
+let run_compare ~tool model program compare_path compare_json ~config_of
+    ~setup =
   if model <> Ximd_core.Engine.Per_fu then begin
     Printf.eprintf "--compare is only available on xsim\n";
     exit 1
@@ -317,26 +318,17 @@ let run_compare ~tool model program compare_path compare_json ~max_cycles
     Printf.eprintf "%s\n" msg;
     exit 1
   | Ok vliw_program ->
-    let config_of p =
-      Ximd_core.Config.make
-        ~n_fus:(Ximd_core.Program.n_fus p)
-        ~max_cycles
-        ~hazard_policy:
-          (if record_hazards then Ximd_machine.Hazard.Record
-           else Ximd_machine.Hazard.Raise)
-        ()
-    in
-    let setup (state : Ximd_core.State.t) =
-      List.iter
-        (fun (r, v) -> Ximd_machine.Regfile.set state.regs r v)
-        reg_inits;
-      List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem_inits
-    in
-    let spec p =
-      { Ximd_report.Compare.program = p; config = config_of p; setup }
+    let variant sim program =
+      { Ximd_workloads.Workload.sim;
+        program;
+        config = config_of program;
+        setup;
+        check = (fun _ -> Ok ()) }
     in
     (match
-       Ximd_report.Compare.run ~ximd:(spec program) ~vliw:(spec vliw_program)
+       Ximd_report.Compare.run
+         ~ximd:(variant Ximd_workloads.Workload.Ximd program)
+         ~vliw:(variant Ximd_workloads.Workload.Vliw vliw_program)
      with
      | Error msg ->
        Printf.eprintf "%s\n" msg;
@@ -371,12 +363,7 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     Printf.eprintf "%s\n" msg;
     exit 1
   | Ok program ->
-    (match compare_file with
-     | Some compare_path ->
-       run_compare ~tool model program compare_path compare_json ~max_cycles
-         ~record_hazards ~reg_inits ~mem_inits
-     | None -> ());
-    let config =
+    let config_of program =
       Ximd_core.Config.make
         ~n_fus:(Ximd_core.Program.n_fus program)
         ~max_cycles
@@ -385,6 +372,18 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
            else Ximd_machine.Hazard.Raise)
         ()
     in
+    let setup (state : Ximd_core.State.t) =
+      List.iter
+        (fun (r, v) -> Ximd_machine.Regfile.set state.regs r v)
+        reg_inits;
+      List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem_inits
+    in
+    (match compare_file with
+     | Some compare_path ->
+       run_compare ~tool model program compare_path compare_json ~config_of
+         ~setup
+     | None -> ());
+    let config = config_of program in
     if listing then
       Format.printf "%a@." Ximd_core.Program.pp_listing program;
     let faults =
@@ -423,12 +422,6 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
         exit 1
     in
     let state = Ximd_core.Session.state session in
-    let setup (state : Ximd_core.State.t) =
-      List.iter
-        (fun (r, v) -> Ximd_machine.Regfile.set state.regs r v)
-        reg_inits;
-      List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem_inits
-    in
     let tracer = if trace then Some (Ximd_core.Tracer.create ()) else None in
     let watchdog =
       if detect_deadlock then (

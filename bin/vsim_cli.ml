@@ -7,7 +7,7 @@ let cmd =
   let man =
     [ `S Manpage.s_description;
       `P
-        "Assembles $(docv) and executes it on the VLIW baseline: one \
+        "Assembles $(i,FILE) and executes it on the VLIW baseline: one \
          global sequencer driving all functional units.  The program \
          must be control-consistent (every parcel in a row carries the \
          same control fields)." ]

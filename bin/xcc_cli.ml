@@ -58,35 +58,27 @@ let compile_and_go path width emit_asm run_args listing trace explain
            String.split_on_char ',' args
            |> List.map (fun s ->
                 match int_of_string_opt (String.trim s) with
-                | Some v -> v
+                | Some v -> Value.of_int v
                 | None -> bad_input "bad argument %S" s)
        in
-       if List.length args <> List.length compiled.param_regs then
-         bad_input "expected %d arguments, got %d"
-           (List.length compiled.param_regs)
-           (List.length args);
+       let setup =
+         match C.Codegen.bind_args compiled args with
+         | Ok setup -> setup
+         | Error msg -> bad_input "%s" msg
+       in
        let config = Ximd_core.Config.make ~n_fus:width () in
        let session =
          Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
            compiled.program
        in
-       let setup (state : Ximd_core.State.t) =
-         List.iter2
-           (fun (_, reg) v ->
-             Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-           compiled.param_regs args
-       in
        let tracer =
          if trace then Some (Ximd_core.Tracer.create ()) else None
        in
-       let state = Ximd_core.Session.state session in
        Cli_common.run_and_report ?tracer
          ~report:(fun _ ->
            List.iteri
-             (fun i (_, reg) ->
-               Format.printf "result %d = %a@." i Value.pp
-                 (Ximd_machine.Regfile.read state.regs reg))
-             compiled.result_regs)
+             (fun i v -> Format.printf "result %d = %a@." i Value.pp v)
+             (C.Codegen.results compiled (Ximd_core.Session.state session)))
          (fun () -> Ximd_core.Session.run ?tracer ~setup session))
 
 let file_arg =

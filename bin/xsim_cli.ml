@@ -13,7 +13,7 @@ let cmd =
   let man =
     [ `S Manpage.s_description;
       `P
-        "Assembles $(docv) and executes it on the XIMD simulator: one \
+        "Assembles $(i,FILE) and executes it on the XIMD simulator: one \
          sequencer per functional unit, shared condition codes and \
          synchronisation signals, dynamic SSET partitioning.";
       `S Manpage.s_examples;

@@ -38,17 +38,12 @@ let run_width width x =
       Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
         compiled.program
     in
-    let setup (state : Ximd_core.State.t) =
-      match compiled.param_regs with
-      | [ (_, r) ] -> Ximd_machine.Regfile.set state.regs r (Value.of_int x)
-      | _ -> assert false
+    let setup =
+      Result.get_ok (C.Codegen.bind_args compiled [ Value.of_int x ])
     in
     let outcome = Ximd_core.Session.run ~setup session in
-    let state = Ximd_core.Session.state session in
     let result =
-      match compiled.result_regs with
-      | [ (_, r) ] -> Ximd_machine.Regfile.read state.regs r
-      | _ -> assert false
+      List.hd (C.Codegen.results compiled (Ximd_core.Session.state session))
     in
     (compiled.static_rows, Ximd_core.Run.cycles outcome, result)
 

@@ -18,9 +18,10 @@ let () =
     (fun gap ->
       let lat = { W.Iosync.first = gap; second = gap; third = gap } in
       let workload = W.Iosync.make ~p1_latencies:lat ~p2_latencies:lat () in
-      match W.Workload.speedup workload with
+      match Ximd_report.Compare.of_workload workload with
       | Error msg -> Format.printf "  gap %3d: failed: %s@." gap msg
-      | Ok (speedup, xc, vc) ->
+      | Ok t ->
         Format.printf "  gap %3d: XIMD %4d vs VLIW %4d cycles — %.2fx@."
-          gap xc vc speedup)
+          gap t.ximd.cycles t.vliw.cycles
+          (Ximd_report.Compare.speedup t))
     [ 0; 5; 10; 20; 40; 80 ]

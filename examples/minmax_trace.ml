@@ -14,12 +14,13 @@ let () =
   (* The same program generalises: fresh data, halting finish. *)
   let data = [| 9; -2; 14; 0; 3; 99; -50; 7 |] in
   let workload = W.Minmax.make ~data () in
-  match W.Workload.speedup workload with
+  match Ximd_report.Compare.of_workload workload with
   | Error msg -> Format.printf "failed: %s@." msg
-  | Ok (speedup, ximd_cycles, vliw_cycles) ->
+  | Ok t ->
     Format.printf
       "fresh data %s:@.  XIMD %d cycles, VLIW %d cycles — %.2fx from \
        executing both conditional updates' branches in parallel@."
       (String.concat ","
          (List.map string_of_int (Array.to_list data)))
-      ximd_cycles vliw_cycles speedup
+      t.ximd.cycles t.vliw.cycles
+      (Ximd_report.Compare.speedup t)

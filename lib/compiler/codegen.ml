@@ -178,3 +178,20 @@ let compile ?(width = 8) ?latency ?reg_base ?obs (func : Ir.func) =
   match drive ?reg_base ?obs ~width func emit with
   | Ok (compiled, ()) -> Ok compiled
   | Error errors -> Error errors
+
+(* The calling convention: argument i lives in the i-th parameter
+   register and result i in the i-th result register. *)
+let bind_args compiled args =
+  let n = List.length compiled.param_regs and m = List.length args in
+  if n <> m then Error (Printf.sprintf "expected %d arguments, got %d" n m)
+  else
+    Ok
+      (fun state ->
+        List.iter2
+          (fun (_, reg) v -> Ximd_core.State.set_reg state (Reg.index reg) v)
+          compiled.param_regs args)
+
+let results compiled state =
+  List.map
+    (fun (_, reg) -> Ximd_core.State.reg state (Reg.index reg))
+    compiled.result_regs

@@ -13,7 +13,13 @@
     The generated program is control-consistent, so it runs identically
     under the VLIW model ([Engine.Global]) and (as a single-SSET
     program) under the XIMD model ([Engine.Per_fu]) — the paper's "VLIW-style program can then execute
-    just as efficiently on the XIMD as on a VLIW machine" (§3.1). *)
+    just as efficiently on the XIMD as on a VLIW machine" (§3.1).
+
+    A compiled function's calling convention lives here too: argument
+    [i] is the [i]-th of [param_regs] and result [i] the [i]-th of
+    [result_regs].  {!bind_args} and {!results} are the one place that
+    maps values onto those registers, for [xcc --run], the examples,
+    the ablations and the tests alike. *)
 
 open Ximd_isa
 
@@ -25,6 +31,16 @@ type compiled = {
   static_rows : int;   (** program length, the tile "length" of §4.2 *)
   used_regs : int;
 }
+
+val bind_args :
+  compiled -> Value.t list -> (Ximd_core.State.t -> unit, string) result
+(** The setup that writes [args], in order, into the function's
+    parameter registers — pass it to {!Ximd_core.Session.run}.
+    [Error "expected N arguments, got M"] when [args] has a different
+    length from the parameter list. *)
+
+val results : compiled -> Ximd_core.State.t -> Value.t list
+(** The function's result registers, in order, read from [state]. *)
 
 val check_width : int -> (unit, string) result
 (** The width check every compile entry point ({!compile},

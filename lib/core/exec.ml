@@ -20,6 +20,19 @@ let undefined_cc (state : State.t) ~fu j =
   M.Hazard.report state.log ~cycle:state.cycle
     (M.Hazard.Undefined_cc { cc = j; fu })
 
+(* Whether every (some) FU [i >= from] named in [mask] signals done.
+   Top-level, taking the sync array and the mask as arguments, so a
+   barrier test captures nothing and builds no closure. *)
+let rec all_done sss mask i =
+  1 lsl i > mask
+  || (mask land (1 lsl i) = 0 || Sync.equal sss.(i) Sync.Done)
+     && all_done sss mask (i + 1)
+
+let rec any_done sss mask i =
+  1 lsl i <= mask
+  && ((mask land (1 lsl i) <> 0 && Sync.equal sss.(i) Sync.Done)
+      || any_done sss mask (i + 1))
+
 (* Specialised over {!Ximd_isa.Cond.eval} so the per-cycle path builds
    no closures and no mask lists. *)
 let holds (state : State.t) cond =
@@ -31,20 +44,8 @@ let holds (state : State.t) cond =
     | Some b -> b
     | None -> false)
   | Cond.Ss j -> Sync.equal state.sss.(j) Sync.Done
-  | Cond.All_ss mask ->
-    let rec all i =
-      1 lsl i > mask
-      || (mask land (1 lsl i) = 0 || Sync.equal state.sss.(i) Sync.Done)
-         && all (i + 1)
-    in
-    all 0
-  | Cond.Any_ss mask ->
-    let rec any i =
-      1 lsl i <= mask
-      && ((mask land (1 lsl i) <> 0 && Sync.equal state.sss.(i) Sync.Done)
-          || any (i + 1))
-    in
-    any 0
+  | Cond.All_ss mask -> all_done state.sss mask 0
+  | Cond.Any_ss mask -> any_done state.sss mask 0
 
 let eval_cond (state : State.t) ~fu cond =
   let j = unset_cc state cond in

@@ -5,7 +5,9 @@
     start-of-cycle state; all writes (registers, memory, condition codes)
     are staged and applied by {!commit_cycle}.
 
-    Condition evaluation builds no closures or mask lists, condition-code
+    Condition evaluation builds no closures or mask lists (the ALL/ANY
+    barrier tests are top-level recursions over the sync array and the
+    mask, so a group waiting at a barrier allocates nothing), condition-code
     updates go through the preallocated buffer in [state.scratch],
     pipelined results live in the growable arrays of [state.inflight],
     and values are immediate ints, so neither {!exec_data} nor

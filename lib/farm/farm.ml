@@ -155,7 +155,18 @@ let assembled (job : Job.t) what = function
 let resolve ctx (job : Job.t) =
   match job.Job.payload with
   | Job.Source text -> assembled job "source" (Ximd_asm.Source.parse text)
-  | Job.File path -> assembled job path (Ximd_asm.Source.parse_file path)
+  | Job.File path ->
+    (* A job may name any file the farm's user can read, so where its
+       text does not assemble the record names the line, never the
+       text: a parse message quotes the offending source. *)
+    assembled job path
+      (match In_channel.with_open_text path In_channel.input_all with
+       | exception Sys_error message -> Error { line = 0; message }
+       | text ->
+         Result.map_error
+           (fun (e : Ximd_asm.Source.error) ->
+             { e with message = "not XIMD assembly" })
+           (Ximd_asm.Source.parse text))
   | Job.Workload name -> (
     let workloads = Lazy.force ctx.workloads in
     match

@@ -147,6 +147,22 @@ let config_of_directives directives ~n_fus =
     in
     Error (Printf.sprintf "line %d: conf: %s" lineno msg)
 
+let directives_of_config (config : Config.t) =
+  let parts =
+    [ Printf.sprintf "fuel=%d" config.max_cycles;
+      Printf.sprintf "latency=%d" config.result_latency;
+      Printf.sprintf "mem=%d" config.mem_words;
+      Printf.sprintf "ports=%d" config.n_ports ]
+    @ (match config.mem_organisation with
+       | Ximd_machine.Memory.Distributed _ -> [ "organisation=distributed" ]
+       | Ximd_machine.Memory.Shared -> [])
+    @
+    match config.sequencer with
+    | Config.Prototype -> [ "seq=prototype" ]
+    | Config.Research -> []
+  in
+  Printf.sprintf "; conf: %s\n" (String.concat " " parts)
+
 let models_of_directives directives program =
   let applicable = Diff.applicable_models program in
   match List.assoc_opt "models" directives with

@@ -5,7 +5,10 @@
 
     Run parameters ride in [; conf: key=value] directive comments
     (keys: [fuel], [latency], [mem], [organisation], [ports], [seq],
-    [models]); see the implementation header for the sidecar format. *)
+    [models]); see the implementation header for the sidecar format.
+    This module both reads ({!parse_directives},
+    {!config_of_directives}) and writes ({!directives_of_config}) the
+    format. *)
 
 type directives = (string * (int * string)) list
 (** key -> (source line, value); the line makes value diagnostics
@@ -20,6 +23,13 @@ val config_of_directives :
   directives -> n_fus:int -> (Ximd_core.Config.t, string) result
 (** Bad values (non-numeric, unknown enum, out-of-range machine shape)
     are structured errors naming the offending line. *)
+
+val directives_of_config : Ximd_core.Config.t -> string
+(** The one [; conf:] line, newline-terminated, that
+    {!config_of_directives} reads back as [config] — for a configuration
+    with the [Record] hazard policy, which the corpus always uses.  Keys
+    at their default value are written too, except [organisation] and
+    [seq]. *)
 
 type case = {
   path : string;

@@ -184,21 +184,18 @@ let a5_exposed_pipeline fmt =
             Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
               compiled.program
           in
-          let setup (state : Ximd_core.State.t) =
-            List.iter2
-              (fun (_, reg) v ->
-                Ximd_machine.Regfile.set state.regs reg
-                  (Ximd_isa.Value.of_int v))
-              compiled.param_regs [ 20; 8 ]
+          let setup =
+            Result.get_ok
+              (C.Codegen.bind_args compiled
+                 (List.map Ximd_isa.Value.of_int [ 20; 8 ]))
           in
-          let state = Ximd_core.Session.state session in
           match Ximd_core.Session.run ~setup session with
           | Ximd_core.Run.Halted { cycles } ->
             let got =
-              match compiled.result_regs with
-              | [ (_, reg) ] ->
-                Ximd_isa.Value.to_int
-                  (Ximd_machine.Regfile.read state.regs reg)
+              match
+                C.Codegen.results compiled (Ximd_core.Session.state session)
+              with
+              | [ v ] -> Ximd_isa.Value.to_int v
               | _ -> -1
             in
             Format.fprintf fmt

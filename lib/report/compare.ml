@@ -1,13 +1,16 @@
 module Core = Ximd_core
 module Obs = Ximd_obs
+module W = Ximd_workloads
 
-(* Differential XIMD-vs-VLIW report: run the same computation through a
-   Per_fu and a Global session with per-slot accounting on, and explain
-   the cycle delta category by category — the paper's Figure 8/9
-   discussion made mechanical.  The two sides are separate program
-   codings (a sync-based XIMD program is not control-consistent, so it
-   cannot run under the global sequencer as-is; the VLIW coding encodes
-   the same computation with worst-case padding). *)
+(* Differential XIMD-vs-VLIW report, and the one place the paper's
+   section 4.1 comparison runs: each side is a workload variant run by
+   [Workload.run] under its own model with per-slot accounting on, and
+   the report explains the cycle delta category by category — the
+   paper's Figure 8/9 discussion made mechanical.  The two sides are
+   separate program codings (a sync-based XIMD program is not
+   control-consistent, so it cannot run under the global sequencer
+   as-is; the VLIW coding encodes the same computation with worst-case
+   padding). *)
 
 type side = {
   label : string;
@@ -15,7 +18,7 @@ type side = {
   n_fus : int;
   outcome : Core.Run.outcome;
   cycles : int;
-  stats : Core.Stats.t;        (* snapshot *)
+  stats : Core.Stats.t;
   account : Obs.Account.t;
 }
 
@@ -24,74 +27,54 @@ type t = {
   vliw : side;
 }
 
-type spec = {
-  program : Core.Program.t;
-  config : Core.Config.t;
-  setup : Core.State.t -> unit;
-}
+let ( let* ) = Result.bind
 
-let spec ?config ?(setup = fun _ -> ()) program =
-  let config =
-    match config with
-    | Some c -> c
-    | None -> Core.Config.make ~n_fus:(Core.Program.n_fus program) ()
-  in
-  { program; config; setup }
-
-let run_side ~label ~model { program; config; setup } =
+(* One side on a fresh session with a lean sink: accounting only, no
+   event ring, no profile.  [checked] adds [Workload.run_checked]'s
+   demands: halt within fuel and pass the variant's check. *)
+let run_side ~checked ~label (variant : W.Workload.variant) =
   let obs =
-    (* lean sink: accounting only — no event ring, no profile *)
     Obs.Sink.create ~trace:false ~profile:false
-      ~n_fus:config.Core.Config.n_fus
-      ~code_len:(Core.Program.length program)
+      ~n_fus:variant.config.Core.Config.n_fus
+      ~code_len:(Core.Program.length variant.program)
       ()
   in
-  match Core.Session.create ~config ~obs ~model program with
+  match
+    if checked then W.Workload.run_checked ~obs variant
+    else Ok (W.Workload.run ~obs variant)
+  with
   | exception Invalid_argument msg -> Error (label ^ ": " ^ msg)
-  | session ->
-    let outcome =
-      match Core.Session.run ~setup session with
-      | outcome -> Ok outcome
-      | exception Ximd_machine.Hazard.Error event ->
-        Error
-          (label ^ ": hazard: "
-          ^ Format.asprintf "%a" Ximd_machine.Hazard.pp_event event)
-    in
-    Result.map
-      (fun outcome ->
-        let state = Core.Session.state session in
-        let account =
-          match Obs.Sink.account obs with
-          | Some a -> a
-          | None -> assert false (* accounting is on by default *)
-        in
-        { label;
-          model;
-          n_fus = config.Core.Config.n_fus;
-          outcome;
-          cycles = state.Core.State.cycle;
-          stats = Core.Stats.copy state.Core.State.stats;
-          account })
-      outcome
+  | exception Ximd_machine.Hazard.Error event ->
+    Error
+      (label ^ ": hazard: "
+      ^ Format.asprintf "%a" Ximd_machine.Hazard.pp_event event)
+  | Error msg -> Error (label ^ ": " ^ msg)
+  | Ok (outcome, state) ->
+    Ok
+      { label;
+        model =
+          (match variant.sim with
+           | W.Workload.Ximd -> Core.Engine.Per_fu
+           | W.Workload.Vliw -> Core.Engine.Global);
+        n_fus = variant.config.Core.Config.n_fus;
+        outcome;
+        cycles = state.Core.State.cycle;
+        stats = state.Core.State.stats;
+        account = Option.get (Obs.Sink.account obs) }
 
-let run ~ximd ~vliw =
-  match run_side ~label:"ximd" ~model:Core.Engine.Per_fu ximd with
-  | Error _ as e -> e
-  | Ok x -> (
-    match run_side ~label:"vliw" ~model:Core.Engine.Global vliw with
-    | Error _ as e -> e
-    | Ok v -> Ok { ximd = x; vliw = v })
+let run_both ~checked ~ximd ~vliw =
+  let* x = run_side ~checked ~label:"ximd" ximd in
+  let* v = run_side ~checked ~label:"vliw" vliw in
+  Ok { ximd = x; vliw = v }
 
-let of_workload (w : Ximd_workloads.Workload.t) =
-  match w.vliw with
-  | None -> Error (w.name ^ ": no VLIW variant")
-  | Some v ->
-    run
-      ~ximd:
-        { program = w.ximd.program;
-          config = w.ximd.config;
-          setup = w.ximd.setup }
-      ~vliw:{ program = v.program; config = v.config; setup = v.setup }
+let run ~ximd ~vliw = run_both ~checked:false ~ximd ~vliw
+
+let of_workload (w : W.Workload.t) =
+  Result.map_error
+    (fun msg -> w.name ^ ": " ^ msg)
+    (match w.vliw with
+     | None -> Error "no VLIW variant"
+     | Some vliw -> run_both ~checked:true ~ximd:w.ximd ~vliw)
 
 (* ------------------------------------------------------------------ *)
 

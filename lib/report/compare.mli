@@ -1,23 +1,26 @@
-(** Differential XIMD-vs-VLIW reports.
+(** Differential XIMD-vs-VLIW reports: the repository's one run of
+    the paper's §4.1 comparison.
 
-    Runs the same computation through a {!Ximd_core.Engine.Per_fu}
-    session and a {!Ximd_core.Engine.Global} session — each with
-    per-slot cycle accounting attached — and explains the cycle delta
+    Runs the same computation as two {!Ximd_workloads.Workload.variant}s
+    — an XIMD coding and a VLIW coding — each through
+    {!Ximd_workloads.Workload.run} under its own model, with a lean
+    per-slot accounting sink attached, and explains the cycle delta
     slot-by-slot: where the VLIW coding pads nops for worst-case
     schedules, where the XIMD coding trades them for SS spins and
     barrier waits (the paper's Figure 8/9 discussion, mechanically).
+    Experiments E1 and E5 and [xsim --compare] all come through here.
 
     The two sides are separate codings of the computation: a sync-based
     XIMD program is not control-consistent, so it cannot run under the
     global sequencer as-is. *)
 
 type side = {
-  label : string;
+  label : string;                   (** ["ximd"] or ["vliw"] *)
   model : Ximd_core.Engine.model;
   n_fus : int;
   outcome : Ximd_core.Run.outcome;
   cycles : int;
-  stats : Ximd_core.Stats.t;        (** snapshot, safe to keep *)
+  stats : Ximd_core.Stats.t;        (** the side's own run, safe to keep *)
   account : Ximd_obs.Account.t;
 }
 
@@ -26,29 +29,22 @@ type t = {
   vliw : side;
 }
 
-type spec = {
-  program : Ximd_core.Program.t;
-  config : Ximd_core.Config.t;
-  setup : Ximd_core.State.t -> unit;
-}
-
-val spec :
-  ?config:Ximd_core.Config.t ->
-  ?setup:(Ximd_core.State.t -> unit) ->
-  Ximd_core.Program.t ->
-  spec
-(** [config] defaults to {!Ximd_core.Config.make} with the program's FU
-    count; [setup] defaults to nothing. *)
-
-val run : ximd:spec -> vliw:spec -> (t, string) result
-(** Runs both sides (XIMD under [Per_fu], VLIW under [Global]).
-    [Error] when a side's program is rejected (e.g. the VLIW coding is
-    not control-consistent) or a run stops at a hazard; non-halting
-    outcomes are reported in the sides, not as errors. *)
+val run :
+  ximd:Ximd_workloads.Workload.variant ->
+  vliw:Ximd_workloads.Workload.variant ->
+  (t, string) result
+(** Runs both sides, [ximd] first, each on a fresh session under its
+    variant's model.  [Error "LABEL: MSG"] when a side's model rejects
+    its program (e.g. a VLIW coding that is not control-consistent),
+    and [Error "LABEL: hazard: EVENT"] when a run stops at a hazard.
+    Non-halting outcomes are reported in the sides, not as errors, and
+    the variants' checks are not run. *)
 
 val of_workload : Ximd_workloads.Workload.t -> (t, string) result
-(** Compare a workload's built-in XIMD and VLIW variants.  [Error] if
-    the workload has no VLIW variant. *)
+(** {!run} on a workload's XIMD and VLIW variants, each of which must
+    also halt within its fuel and pass its check, as
+    {!Ximd_workloads.Workload.run_checked} demands.  Errors name the
+    workload: ["NAME: no VLIW variant"], ["NAME: LABEL: MSG"]. *)
 
 val delta_cycles : t -> int
 (** [vliw.cycles - ximd.cycles]. *)

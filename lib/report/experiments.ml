@@ -48,11 +48,11 @@ let e1 fmt =
      Format.fprintf fmt "cycles (incl. halt row): %d@,"
        (Ximd_core.Run.cycles outcome);
      Format.fprintf fmt "result check: OK@,");
-  (match W.Workload.speedup workload with
-   | Ok (speedup, xc, vc) ->
+  (match Compare.of_workload workload with
+   | Ok t ->
      Format.fprintf fmt "XIMD %d vs VLIW %d cycles — speedup %.2f \
                          (paper: VLIW-style code runs identically)@,"
-       xc vc speedup
+       t.ximd.cycles t.vliw.cycles (Compare.speedup t)
    | Error msg -> Format.fprintf fmt "comparison failed: %s@," msg);
   Format.fprintf fmt "@,listing:@,%a@,"
     Ximd_core.Program.pp_listing workload.ximd.program
@@ -172,26 +172,36 @@ let e4 fmt =
 
 let e5 fmt =
   header fmt "E5 / section 4.1 — XIMD vs VLIW comparison suite";
-  match W.Suite.table () with
+  let rec compare_all acc = function
+    | [] -> Ok (List.rev acc)
+    | (w : W.Workload.t) :: rest -> (
+      match Compare.of_workload w with
+      | Ok t -> compare_all ((w.name, t) :: acc) rest
+      | Error _ as e -> e)
+  in
+  match compare_all [] (W.Suite.all ()) with
   | Error msg -> Format.fprintf fmt "FAILED: %s@," msg
   | Ok rows ->
     Format.fprintf fmt "%-10s %8s %8s %8s %8s %7s %7s %7s %7s@," "program"
       "ximd" "vliw" "speedup" "streams" "x-util" "v-util" "x-eff" "v-eff";
+    let util (s : Compare.side) =
+      100. *. Ximd_core.Stats.utilisation s.stats ~n_fus:s.n_fus
+    and eff (s : Compare.side) =
+      100. *. Ximd_core.Stats.effective_utilisation s.stats ~n_fus:s.n_fus
+    in
     List.iter
-      (fun (r : W.Suite.row) ->
+      (fun (name, (t : Compare.t)) ->
         Format.fprintf fmt
           "%-10s %8d %8d %7.2fx %8d %6.1f%% %6.1f%% %6.1f%% %6.1f%%@,"
-          r.name r.ximd_cycles r.vliw_cycles r.speedup r.ximd_max_streams
-          (100. *. r.ximd_utilisation)
-          (100. *. r.vliw_utilisation)
-          (100. *. r.ximd_effective_utilisation)
-          (100. *. r.vliw_effective_utilisation))
+          name t.ximd.cycles t.vliw.cycles (Compare.speedup t)
+          t.ximd.stats.max_streams (util t.ximd) (util t.vliw) (eff t.ximd)
+          (eff t.vliw))
       rows;
     Format.fprintf fmt
       "@,(util = data ops per FU-cycle slot; eff excludes busy-wait slots \
        from the denominator)@,";
     let wins =
-      List.length (List.filter (fun (r : W.Suite.row) -> r.speedup > 1.05) rows)
+      List.length (List.filter (fun (_, t) -> Compare.speedup t > 1.05) rows)
     in
     Format.fprintf fmt
       "@,%d of %d programs show a significant performance increase \

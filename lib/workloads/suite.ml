@@ -1,16 +1,3 @@
-type row = {
-  name : string;
-  description : string;
-  ximd_cycles : int;
-  vliw_cycles : int;
-  speedup : float;
-  ximd_max_streams : int;
-  ximd_utilisation : float;
-  vliw_utilisation : float;
-  ximd_effective_utilisation : float;
-  vliw_effective_utilisation : float;
-}
-
 let all () =
   [ Tproc.make ();
     Livermore.loop1 ();
@@ -22,46 +9,3 @@ let all () =
     Bitcount.make ();
     Classify.make ();
     Iosync.make () ]
-
-let ( let* ) = Result.bind
-
-let measure (workload : Workload.t) =
-  match workload.vliw with
-  | None -> Error (workload.name ^ ": no VLIW variant")
-  | Some vliw_variant ->
-    let* _, x_state =
-      Result.map_error
-        (fun e -> workload.name ^ " (ximd): " ^ e)
-        (Workload.run_checked workload.ximd)
-    in
-    let* _, v_state =
-      Result.map_error
-        (fun e -> workload.name ^ " (vliw): " ^ e)
-        (Workload.run_checked vliw_variant)
-    in
-    let xs = x_state.Ximd_core.State.stats in
-    let vs = v_state.Ximd_core.State.stats in
-    let x_fus = Ximd_core.State.n_fus x_state in
-    let v_fus = Ximd_core.State.n_fus v_state in
-    Ok
-      { name = workload.name;
-        description = workload.description;
-        ximd_cycles = xs.cycles;
-        vliw_cycles = vs.cycles;
-        speedup = float_of_int vs.cycles /. float_of_int xs.cycles;
-        ximd_max_streams = xs.max_streams;
-        ximd_utilisation = Ximd_core.Stats.utilisation xs ~n_fus:x_fus;
-        vliw_utilisation = Ximd_core.Stats.utilisation vs ~n_fus:v_fus;
-        ximd_effective_utilisation =
-          Ximd_core.Stats.effective_utilisation xs ~n_fus:x_fus;
-        vliw_effective_utilisation =
-          Ximd_core.Stats.effective_utilisation vs ~n_fus:v_fus }
-
-let table () =
-  let rec loop acc = function
-    | [] -> Ok (List.rev acc)
-    | workload :: rest ->
-      let* row = measure workload in
-      loop (row :: acc) rest
-  in
-  loop [] (all ())

@@ -4,31 +4,8 @@
     and XIMD architectures" and that "preliminary results show a
     significant performance increase on many programs".  This module
     fixes the concrete program list used for that experiment (E5 in
-    DESIGN.md) and computes the comparison table. *)
-
-type row = {
-  name : string;
-  description : string;
-  ximd_cycles : int;
-  vliw_cycles : int;
-  speedup : float;
-  ximd_max_streams : int;
-  ximd_utilisation : float;
-      (** raw {!Ximd_core.Stats.utilisation} — spin slots count against *)
-  vliw_utilisation : float;
-  ximd_effective_utilisation : float;
-      (** {!Ximd_core.Stats.effective_utilisation} — spin slots excluded
-          from the denominator, i.e. schedule density over the slots the
-          compiler controlled *)
-  vliw_effective_utilisation : float;
-}
+    DESIGN.md); [Ximd_report.Compare.of_workload] runs each one. *)
 
 val all : unit -> Workload.t list
 (** tproc, ll1, ll3, ll5, ll12, matmul, minmax, bitcount, classify,
     iosync — parity-shaped workloads first, control-parallel ones last. *)
-
-val measure : Workload.t -> (row, string) result
-(** Runs and checks both variants, collecting cycles and statistics. *)
-
-val table : unit -> (row list, string) result
-(** {!measure} over {!all}; fails on the first failing workload. *)

@@ -42,16 +42,3 @@ let run_checked ?tracer ?watchdog ?obs variant =
     match variant.check state with
     | Ok () -> Ok (outcome, state)
     | Error msg -> Error ("check failed: " ^ msg))
-
-let speedup t =
-  match t.vliw with
-  | None -> Error "no VLIW variant"
-  | Some vliw -> (
-    match run_checked t.ximd with
-    | Error msg -> Error ("ximd: " ^ msg)
-    | Ok (x_outcome, _) -> (
-      match run_checked vliw with
-      | Error msg -> Error ("vliw: " ^ msg)
-      | Ok (v_outcome, _) ->
-        let xc = Run.cycles x_outcome and vc = Run.cycles v_outcome in
-        Ok (float_of_int vc /. float_of_int xc, xc, vc)))

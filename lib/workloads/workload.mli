@@ -4,7 +4,8 @@
     simulator it targets, a configuration, memory/register/port
     initialisation, and a result check.  A {!t} pairs an XIMD coding
     with (usually) a VLIW coding of the same computation, for the paper's
-    §4.1 comparison. *)
+    §4.1 comparison, which [Ximd_report.Compare] runs: this module runs
+    one variant at a time. *)
 
 open Ximd_core
 
@@ -46,8 +47,3 @@ val run_checked :
 (** Like {!run}, but requires the run to halt within fuel — fuel
     exhaustion and deadlock both report [Error] — and the check to
     pass. *)
-
-val speedup : t -> (float * int * int, string) result
-(** [(vliw_cycles / ximd_cycles, ximd_cycles, vliw_cycles)] with both
-    variants run and checked.  Errors if the workload has no VLIW
-    variant or either run fails. *)

@@ -2,6 +2,7 @@
    Figure 11 control-flow structure. *)
 
 open Ximd_workloads
+module Compare = Ximd_report.Compare
 
 let run_traced () =
   let tracer = Ximd_core.Tracer.create () in
@@ -21,14 +22,14 @@ let test_vliw_checked () =
     | Error msg -> Alcotest.fail msg)
 
 let test_speedup () =
-  match Workload.speedup (Bitcount.make ()) with
+  match Compare.of_workload (Bitcount.make ()) with
   | Error msg -> Alcotest.fail msg
-  | Ok (speedup, xc, vc) ->
-    if speedup < 1.5 then
+  | Ok t ->
+    if Compare.speedup t < 1.5 then
       Alcotest.failf
         "four concurrent inner loops should beat a serial VLIW clearly, got \
          %.2f (%d vs %d)"
-        speedup xc vc
+        (Compare.speedup t) t.ximd.cycles t.vliw.cycles
 
 (* Figure 11's structure: single SSET through start-up, a fork into four
    independent threads inside the inner loops, a re-join at the barrier,
@@ -106,10 +107,11 @@ let test_zero_heavy_data () =
     Array.map Int32.of_int
       [| 0; 0; 0; 0; 0; -1; -1; -1; -1; 0; 1; 0; 1 |]
   in
-  match Workload.speedup (Bitcount.make ~data ()) with
+  match Compare.of_workload (Bitcount.make ~data ()) with
   | Error msg -> Alcotest.fail msg
-  | Ok (speedup, _, _) ->
-    if speedup <= 1.0 then Alcotest.failf "expected speedup, got %f" speedup
+  | Ok t ->
+    if Compare.speedup t <= 1.0 then
+      Alcotest.failf "expected speedup, got %f" (Compare.speedup t)
 
 let suite =
   [ ( "bitcount",

@@ -57,6 +57,14 @@ let run_tool dir ?stdin ~code exe args =
       (String.concat " " args) got code (read_file stderr);
   read_file stdout
 
+(* [f] with the serve campaign open as a descriptor, for a tool's
+   stdin. *)
+let with_campaign f =
+  let jobs =
+    Unix.openfile "../examples/jobs/campaign.jsonl" [ Unix.O_RDONLY ] 0
+  in
+  Fun.protect ~finally:(fun () -> Unix.close jobs) (fun () -> f jobs)
+
 (* --- Observability exports ---------------------------------------------- *)
 
 let xsim = "bin/xsim_cli.exe"
@@ -130,15 +138,10 @@ let test_exports (name, exe, args, code) () =
 let test_campaign_rollup () =
   with_temp_dir (fun dir ->
     let report = Filename.concat dir "rollup.json" in
-    let jobs =
-      Unix.openfile "../examples/jobs/campaign.jsonl" [ Unix.O_RDONLY ] 0
-    in
-    Fun.protect
-      ~finally:(fun () -> Unix.close jobs)
-      (fun () ->
-        ignore
-          (run_tool dir ~stdin:jobs ~code:6 serve
-             [ "--domains"; "2"; "--campaign-report"; report ]));
+    ignore
+      (with_campaign (fun jobs ->
+         run_tool dir ~stdin:jobs ~code:6 serve
+           [ "--domains"; "2"; "--campaign-report"; report ]));
     match String.split_on_char '\n' (read_file report) with
     | _ :: logical :: _ ->
       Alcotest.(check string) "logical view"
@@ -219,15 +222,10 @@ let test_bad_paths () =
                  (read_file stderr))
       commands;
     (* ximd-serve reaches the report only after the whole campaign *)
-    let jobs =
-      Unix.openfile "../examples/jobs/campaign.jsonl" [ Unix.O_RDONLY ] 0
-    in
     let code =
-      Fun.protect
-        ~finally:(fun () -> Unix.close jobs)
-        (fun () ->
-          spawn ~stdin:jobs ~stdout:(Filename.concat dir "stdout") ~stderr
-            serve [ "--campaign-report"; missing "r.json" ])
+      with_campaign (fun jobs ->
+        spawn ~stdin:jobs ~stdout:(Filename.concat dir "stdout") ~stderr
+          serve [ "--campaign-report"; missing "r.json" ])
     in
     Alcotest.(check int) "ximd-serve --campaign-report: exit code" 1 code;
     Alcotest.(check string) "ximd-serve: one line"
@@ -282,6 +280,184 @@ let test_xcc_sched_exports () =
       | Some (Ximd_json.List (_ :: _)) -> ()
       | Some _ | None -> Alcotest.fail "sched trace has no traceEvents"))
 
+(* --- Checks that once ran only as CI smoke steps -------------------------- *)
+
+let lines text = String.split_on_char '\n' text
+
+let has_line ~prefix text =
+  List.exists (String.starts_with ~prefix) (lines text)
+
+(* --help's EXIT STATUS section is Run.exit_codes, one "CODE DOC" line
+   per entry whatever the column layout, and rendering the manual
+   raises no cmdliner complaint. *)
+let test_help_exit_codes () =
+  let words line =
+    String.concat " "
+      (List.filter (( <> ) "") (String.split_on_char ' ' line))
+  in
+  with_temp_dir (fun dir ->
+    List.iter
+      (fun exe ->
+        let help =
+          List.map words
+            (lines (run_tool dir ~code:0 exe [ "--help=plain" ]))
+        in
+        Alcotest.(check string) (exe ^ " --help: stderr") ""
+          (read_file (Filename.concat dir "stderr"));
+        List.iter
+          (fun (code, doc) ->
+            let line = Printf.sprintf "%d %s" code doc in
+            if not (List.mem line help) then
+              Alcotest.failf "%s --help has no line %S" exe line)
+          Ximd_core.Run.exit_codes)
+      [ xsim; vsim ])
+
+(* The pipeline example's why-analysis documents as the CLI writes
+   them, and its --compare report; a VLIW coding the global sequencer
+   rejects ends the comparison with one line and exit 1. *)
+let test_pipeline_why_analysis () =
+  with_temp_dir (fun dir ->
+    let out name = Filename.concat dir name in
+    let pipeline = "examples/asm/pipeline.xasm" in
+    ignore
+      (run_tool dir ~code:0 xsim
+         [ pipeline; "--account"; out "account.json"; "--critical-path";
+           out "critpath.json" ]);
+    check_golden "goldens/pipeline.account.json" (out "account.json");
+    check_golden "goldens/pipeline.critpath.json" (out "critpath.json");
+    let report =
+      run_tool dir ~code:0 xsim
+        [ pipeline; "--compare"; "examples/asm/pipeline_vliw.xasm";
+          "--compare-json"; out "compare.json" ]
+    in
+    check_golden "goldens/pipeline.compare.json" (out "compare.json");
+    Alcotest.(check bool) "report header" true
+      (has_line ~prefix:"XIMD vs VLIW" report);
+    let minmax = "examples/asm/minmax.xasm" in
+    ignore (run_tool dir ~code:1 xsim [ minmax; "--compare"; minmax ]);
+    Alcotest.(check string) "rejected coding"
+      "vliw: Vsim.run: program is not control-consistent (VLIW programs \
+       must duplicate the control fields in every parcel of a row)\n"
+      (read_file (out "stderr")))
+
+(* Folded stacks, one "fuN;frame count" line per sampled pair, next to
+   the printed profile and timeline. *)
+let test_profile_folded () =
+  with_temp_dir (fun dir ->
+    let folded = Filename.concat dir "profile.folded" in
+    ignore
+      (run_tool dir ~code:0 xsim
+         [ "examples/asm/minmax.xasm"; "--profile"; "--timeline";
+           "--profile-folded"; folded ]);
+    Alcotest.(check bool) "a fu0 line" true
+      (has_line ~prefix:"fu0;" (read_file folded)))
+
+(* The minmax_fired run's postmortem lists the faults that fired, and
+   two runs print the same bytes. *)
+let test_fired_postmortem () =
+  with_temp_dir (fun dir ->
+    let args =
+      [ "examples/asm/minmax.xasm"; "--record-hazards"; "--detect-deadlock";
+        "--inject"; "rand:42:5:16"; "--postmortem"; "json" ]
+      @ minmax_data
+    in
+    let first = run_tool dir ~code:0 xsim args in
+    Alcotest.(check string) "deterministic" first
+      (run_tool dir ~code:0 xsim args);
+    Alcotest.(check bool) "faults fired" true
+      (Tobs.contains_substring first {|"faults":[{|}))
+
+let test_deadlock_exits_4 () =
+  with_temp_dir (fun dir ->
+    ignore
+      (run_tool dir ~code:4 xsim
+         [ "examples/asm/deadlock.xasm"; "--detect-deadlock" ]))
+
+(* The campaign read from stdin gives the golden stream, and exits 6
+   for its budget-busting jobs.  Campaign telemetry leaves the stream
+   alone: every record line still equals the golden, the summary embeds
+   the merged metrics, and the Chrome trace has one track per worker
+   domain. *)
+let test_serve_stream_golden () =
+  with_temp_dir (fun dir ->
+    let golden = read_file "goldens/serve_campaign.jsonl" in
+    Alcotest.(check string) "plain stream" golden
+      (with_campaign (fun jobs ->
+         run_tool dir ~stdin:jobs ~code:6 serve [ "--domains"; "2" ]));
+    let report = Filename.concat dir "rollup.json"
+    and trace = Filename.concat dir "trace.json" in
+    let stream =
+      with_campaign (fun jobs ->
+        run_tool dir ~stdin:jobs ~code:6 serve
+          [ "--domains"; "2"; "--campaign-report"; report;
+            "--campaign-trace"; trace ])
+    in
+    let records_and_summary text =
+      match List.rev (lines text) with
+      | "" :: summary :: records -> (List.rev records, summary)
+      | _ -> Alcotest.failf "not a newline-terminated stream:\n%s" text
+    in
+    let records, summary = records_and_summary stream in
+    Alcotest.(check (list string)) "record lines with telemetry"
+      (fst (records_and_summary golden))
+      records;
+    List.iter
+      (fun needle ->
+        if not (Tobs.contains_substring summary needle) then
+          Alcotest.failf "summary has no %s: %s" needle summary)
+      [ {|"schema":"ximd-summary/1"|}; {|"metrics":{|} ];
+    Alcotest.(check bool) "rollup schema" true
+      (Tobs.contains_substring (read_file report)
+         {|"schema":"ximd-campaign/1"|});
+    let trace = read_file trace in
+    List.iter
+      (fun needle ->
+        if not (Tobs.contains_substring trace needle) then
+          Alcotest.failf "campaign trace has no %s" needle)
+      [ {|"traceEvents"|}; "domain 0"; "domain 1" ])
+
+(* The rollup's logical line is the same at 4 domains as the golden
+   taken at 2, and the opt-in heartbeat ticks on stderr. *)
+let test_rollup_at_4_domains () =
+  with_temp_dir (fun dir ->
+    let report = Filename.concat dir "rollup.json" in
+    ignore
+      (with_campaign (fun jobs ->
+         run_tool dir ~stdin:jobs ~code:6 serve
+           [ "--domains"; "4"; "--campaign-report"; report;
+             "--progress-every"; "16" ]));
+    (match lines (read_file report) with
+     | _ :: logical :: _ ->
+       Alcotest.(check string) "logical view"
+         (read_file "goldens/obs/campaign.logical.json")
+         (logical ^ "\n")
+     | _ -> Alcotest.fail "rollup has fewer than two lines");
+    Alcotest.(check bool) "heartbeat" true
+      (Tobs.contains_substring
+         (read_file (Filename.concat dir "stderr"))
+         {|"schema":"ximd-progress/1"|}))
+
+let test_repeat_three () =
+  with_temp_dir (fun dir ->
+    let out =
+      run_tool dir ~code:0 xsim
+        [ "--repeat"; "3"; "examples/asm/minmax.xasm" ]
+    in
+    Alcotest.(check int) "run lines" 3
+      (List.length
+         (List.filter (String.starts_with ~prefix:"run ") (lines out))))
+
+(* Every schema tag the tools print is documented in the README. *)
+let test_readme_schema_tags () =
+  let readme = read_file "../README.md" in
+  List.iter
+    (fun tag ->
+      if not (Tobs.contains_substring readme tag) then
+        Alcotest.failf "README.md does not name %s" tag)
+    [ "ximd-account/1"; "ximd-campaign/1"; "ximd-compare/1";
+      "ximd-critpath/1"; "ximd-job/1"; "ximd-metrics/1"; "ximd-progress/1";
+      "ximd-result/1"; "ximd-sched/1"; "ximd-summary/1" ]
+
 let export_case ((name, _, _, _) as run) =
   Alcotest.test_case (name ^ " exports golden") `Quick (test_exports run)
 
@@ -300,4 +476,22 @@ let suite =
             test_bad_usage;
           Alcotest.test_case "xcc scheduler exports golden" `Quick
             test_xcc_sched_exports ]
-      @ List.map export_case stuck_halt_runs ) ]
+      @ List.map export_case stuck_halt_runs
+      @ [ Alcotest.test_case "help lists the exit codes" `Quick
+            test_help_exit_codes;
+          Alcotest.test_case "pipeline why-analysis and compare golden"
+            `Quick test_pipeline_why_analysis;
+          Alcotest.test_case "profile-folded writes fu0 lines" `Quick
+            test_profile_folded;
+          Alcotest.test_case "fired faults in the postmortem" `Quick
+            test_fired_postmortem;
+          Alcotest.test_case "deadlock watchdog exits 4" `Quick
+            test_deadlock_exits_4;
+          Alcotest.test_case "serve stream golden, with telemetry" `Quick
+            test_serve_stream_golden;
+          Alcotest.test_case "rollup at 4 domains with heartbeat" `Quick
+            test_rollup_at_4_domains;
+          Alcotest.test_case "repeat prints one line per run" `Quick
+            test_repeat_three;
+          Alcotest.test_case "README names every schema tag" `Quick
+            test_readme_schema_tags ] ) ]

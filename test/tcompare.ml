@@ -1,8 +1,9 @@
 (* Differential XIMD-vs-VLIW reports: the sides match independent runs
    of the same variants (the acceptance criterion for --compare), the
    pipeline example's three why-analysis JSON documents are pinned to
-   the goldens byte for byte, and the two pipeline codings agree on
-   every architecturally-visible register. *)
+   the goldens byte for byte, the two pipeline codings agree on every
+   architecturally-visible register, and a comparison that cannot
+   finish says which side stopped it. *)
 
 module Core = Ximd_core
 module Obs = Ximd_obs
@@ -22,9 +23,28 @@ let parse_file path =
 let pipeline_ximd = "../examples/asm/pipeline.xasm"
 let pipeline_vliw = "../examples/asm/pipeline_vliw.xasm"
 
-(* The report's two sides must equal what independent Session-free runs
-   of the same variants produce: same cycles, same delta, same speedup
-   as Workload.speedup. *)
+(* A side read from an assembly file: the CLI's default machine at the
+   program's width, nothing to initialise and nothing to check. *)
+let variant sim path =
+  let program = parse_file path in
+  { W.Workload.sim;
+    program;
+    config = Core.Config.make ~n_fus:(Core.Program.n_fus program) ();
+    setup = ignore;
+    check = (fun _ -> Ok ()) }
+
+let pipeline () =
+  match
+    Compare.run
+      ~ximd:(variant W.Workload.Ximd pipeline_ximd)
+      ~vliw:(variant W.Workload.Vliw pipeline_vliw)
+  with
+  | Ok t -> t
+  | Error e -> Alcotest.failf "compare: %s" e
+
+(* The report's two sides must equal what independent runs of the same
+   variants produce: same cycles, same delta, and the speedup is the
+   ratio of the two. *)
 let test_minmax_delta_matches_independent_runs () =
   let w = W.Minmax.make () in
   let t =
@@ -41,26 +61,15 @@ let test_minmax_delta_matches_independent_runs () =
   check_int "ximd cycles" xc t.Compare.ximd.Compare.cycles;
   check_int "vliw cycles" vc t.Compare.vliw.Compare.cycles;
   check_int "delta" (vc - xc) (Compare.delta_cycles t);
-  match W.Workload.speedup w with
-  | Error e -> Alcotest.failf "speedup: %s" e
-  | Ok (speedup, xc', vc') ->
-    check_int "speedup ximd cycles" xc' xc;
-    check_int "speedup vliw cycles" vc' vc;
-    Alcotest.(check (float 1e-9)) "speedup" speedup (Compare.speedup t)
+  Alcotest.(check (float 1e-9)) "speedup"
+    (float_of_int vc /. float_of_int xc)
+    (Compare.speedup t)
 
 (* Conservation carries into the report: each side's account covers
    exactly cycles × n_fus slots and its Commit count equals the side's
    committed data ops. *)
 let test_sides_conserved () =
-  let t =
-    match
-      Compare.run
-        ~ximd:(Compare.spec (parse_file pipeline_ximd))
-        ~vliw:(Compare.spec (parse_file pipeline_vliw))
-    with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "compare: %s" e
-  in
+  let t = pipeline () in
   List.iter
     (fun (side : Compare.side) ->
       check_int
@@ -77,15 +86,7 @@ let test_sides_conserved () =
    byte for byte: the CLI goldens under test/goldens/ must equal what
    the library emits (the CLI appends one newline). *)
 let test_pipeline_compare_golden () =
-  let t =
-    match
-      Compare.run
-        ~ximd:(Compare.spec (parse_file pipeline_ximd))
-        ~vliw:(Compare.spec (parse_file pipeline_vliw))
-    with
-    | Ok t -> t
-    | Error e -> Alcotest.failf "compare: %s" e
-  in
+  let t = pipeline () in
   let json = Ximd_json.to_string (Compare.to_json t) in
   Tobs.check_schema "ximd-compare/1" json;
   check_str "compare golden" (read_file "goldens/pipeline.compare.json")
@@ -137,6 +138,47 @@ let test_pipeline_codings_agree () =
         Alcotest.failf "register r%d differs between codings" r)
     [ 1; 2; 10; 11; 12; 20; 30 ]
 
+(* What stops a comparison is an [Error] naming the side: a coding its
+   model rejects, a hazard under the Raise policy, and — for a workload —
+   a side that fails its check. *)
+let test_errors_name_the_side () =
+  let expect_error what expected = function
+    | Ok _ -> Alcotest.failf "%s: expected an error" what
+    | Error msg -> check_str what expected msg
+  in
+  let minmax = "../examples/asm/minmax.xasm" in
+  expect_error "rejected coding"
+    "vliw: Vsim.run: program is not control-consistent (VLIW programs \
+     must duplicate the control fields in every parcel of a row)"
+    (Compare.run
+       ~ximd:(variant W.Workload.Ximd minmax)
+       ~vliw:(variant W.Workload.Vliw minmax));
+  let clash =
+    match
+      Ximd_asm.Source.parse
+        ".fus 2\n[0] iadd #1, #2, r1 | halt\n[1] iadd #3, #4, r1 | halt\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "clash: %a" Ximd_asm.Source.pp_error e
+  in
+  let ximd = variant W.Workload.Ximd minmax in
+  expect_error "hazard"
+    "ximd: hazard: cycle 0: multiple writes to r1 by FUs 0,1"
+    (Compare.run
+       ~ximd:
+         { ximd with
+           program = clash;
+           config = Core.Config.make ~n_fus:2 () }
+       ~vliw:(variant W.Workload.Vliw pipeline_vliw));
+  let w = W.Minmax.make () in
+  expect_error "failed check" "minmax: vliw: check failed: wrong"
+    (Compare.of_workload
+       { w with
+         vliw =
+           Option.map
+             (fun v -> { v with W.Workload.check = (fun _ -> Error "wrong") })
+             w.vliw })
+
 let suite =
   [ ( "compare",
       [ Alcotest.test_case "minmax delta matches independent runs" `Quick
@@ -147,4 +189,6 @@ let suite =
         Alcotest.test_case "pipeline account+critpath goldens" `Quick
           test_pipeline_account_critpath_goldens;
         Alcotest.test_case "pipeline codings agree" `Quick
-          test_pipeline_codings_agree ] ) ]
+          test_pipeline_codings_agree;
+        Alcotest.test_case "errors name the side" `Quick
+          test_errors_name_the_side ] ) ]

@@ -19,10 +19,13 @@ let run_compiled ?(sim = `Vliw) (compiled : C.Codegen.compiled) ~args
     | `Ximd -> Ximd_core.Engine.Per_fu
   in
   let session = Ximd_core.Session.create ~config ~model compiled.program in
+  let bind =
+    match C.Codegen.bind_args compiled args with
+    | Ok bind -> bind
+    | Error msg -> Alcotest.fail msg
+  in
   let setup (state : Ximd_core.State.t) =
-    List.iter2
-      (fun (_, reg) arg -> Ximd_machine.Regfile.set state.regs reg arg)
-      compiled.param_regs args;
+    bind state;
     List.iter (fun (addr, v) -> Ximd_core.State.mem_set state addr v) mem
   in
   let outcome = Ximd_core.Session.run ~setup session in
@@ -32,10 +35,7 @@ let run_compiled ?(sim = `Vliw) (compiled : C.Codegen.compiled) ~args
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
      Alcotest.fail "compiled program hung");
-  ( List.map
-      (fun (_, reg) -> Ximd_machine.Regfile.read state.regs reg)
-      compiled.result_regs,
-    state )
+  (C.Codegen.results compiled state, state)
 
 let interp_results func ~args ~mem =
   match C.Interp.run func ~args ~mem with

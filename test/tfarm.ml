@@ -423,6 +423,36 @@ let test_acceptance_sweep () =
   Alcotest.(check string) "byte-identical across runs" baseline
     (serialise (submit 2))
 
+(* --- File payloads --------------------------------------------------------- *)
+
+(* A job may name any file the server's user can read.  One that does
+   not assemble is rejected naming the path and the line, and the
+   record quotes none of the file's bytes. *)
+let test_file_payload_quotes_nothing () =
+  let marker = "ximd-farm-marker-7f3a91" in
+  let path = Filename.temp_file "ximd-farm" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc ->
+        Out_channel.output_string oc (marker ^ "\nsecond line\n"));
+      match
+        run_lines ~domains:1
+          [ Printf.sprintf {|{"file":"%s","id":"leak"}|} (quote path) ]
+      with
+      | [ record ], _ -> (
+        let json = F.Record.to_json_string record in
+        if Tobs.contains_substring json marker then
+          Alcotest.failf "the record quotes the file: %s" json;
+        match record.F.Record.status with
+        | F.Record.Rejected { reason } ->
+          Alcotest.(check string) "reason"
+            (path ^ ": line 1: not XIMD assembly")
+            reason
+        | _ -> Alcotest.failf "not rejected: %s" json)
+      | records, _ ->
+        Alcotest.failf "expected 1 record, got %d" (List.length records))
+
 let to_alcotest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -445,4 +475,6 @@ let suite =
           `Slow test_acceptance_sweep;
         to_alcotest prop_campaign_deterministic;
         Alcotest.test_case "workload jobs apply machine-shape keys" `Quick
-          test_workload_shape_keys ] ) ]
+          test_workload_shape_keys;
+        Alcotest.test_case "file payloads quote no file bytes" `Quick
+          test_file_payload_quotes_nothing ] ) ]

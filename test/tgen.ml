@@ -226,6 +226,27 @@ let test_directives_malformed () =
     | Ok _ -> Alcotest.fail "latency=99: expected an error"
     | Error _ -> ())
 
+(* Conform writes the [; conf:] line the fuzzer saves with a case and
+   reads it back: over a few hundred generated cases the round trip
+   gives back the case's configuration. *)
+let test_directives_print_parse () =
+  for index = 0 to 299 do
+    let config = (Proggen.generate ~seed:7 ~index Proggen.case).config in
+    let text = Conform.directives_of_config config in
+    match Conform.parse_directives text with
+    | Error e -> Alcotest.failf "index %d: %S: %s" index text e
+    | Ok d -> (
+      match
+        Conform.config_of_directives d ~n_fus:config.Ximd_core.Config.n_fus
+      with
+      | Error e -> Alcotest.failf "index %d: %S: %s" index text e
+      | Ok back ->
+        if back <> config then
+          Alcotest.failf "index %d: %S reads back as %s, not %s" index text
+            (Format.asprintf "%a" Ximd_core.Config.pp back)
+            (Format.asprintf "%a" Ximd_core.Config.pp config))
+  done
+
 let suite =
   [ ( "generator library",
       [ Alcotest.test_case "seed determinism" `Quick
@@ -246,4 +267,6 @@ let suite =
             prop_forward_program_control_consistent;
             prop_forward_program_halts;
             prop_diff_agrees;
-            prop_shrink_preserves_predicate ] ) ]
+            prop_shrink_preserves_predicate ]
+      @ [ Alcotest.test_case "conf directives print and parse back" `Quick
+            test_directives_print_parse ] ) ]

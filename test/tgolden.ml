@@ -1,6 +1,7 @@
 (* Golden tests against the paper's published execution traces. *)
 
 open Ximd_workloads
+module Compare = Ximd_report.Compare
 
 let check = Alcotest.(check string)
 let check_int = Alcotest.(check int)
@@ -51,12 +52,12 @@ let test_minmax_vliw_checked () =
     | Error msg -> Alcotest.fail msg)
 
 let test_minmax_speedup () =
-  match Workload.speedup (Minmax.make ()) with
+  match Compare.of_workload (Minmax.make ()) with
   | Error msg -> Alcotest.fail msg
-  | Ok (speedup, ximd_cycles, vliw_cycles) ->
-    if speedup <= 1.0 then
-      Alcotest.failf "expected XIMD to win: %.2f (%d vs %d)" speedup
-        ximd_cycles vliw_cycles
+  | Ok t ->
+    if Compare.speedup t <= 1.0 then
+      Alcotest.failf "expected XIMD to win: %.2f (%d vs %d)"
+        (Compare.speedup t) t.ximd.cycles t.vliw.cycles
 
 let test_tproc_five_cycles () =
   match Workload.run_checked (Tproc.make ()).ximd with
@@ -66,10 +67,9 @@ let test_tproc_five_cycles () =
     check_int "cycles" (Tproc.body_cycles + 1) (Ximd_core.Run.cycles outcome)
 
 let test_tproc_vliw_parity () =
-  match Workload.speedup (Tproc.make ~a:100 ~b:(-7) ~c:13 ~d:2 ()) with
+  match Compare.of_workload (Tproc.make ~a:100 ~b:(-7) ~c:13 ~d:2 ()) with
   | Error msg -> Alcotest.fail msg
-  | Ok (speedup, _, _) ->
-    Alcotest.(check (float 0.0001)) "parity" 1.0 speedup
+  | Ok t -> Alcotest.(check (float 0.0001)) "parity" 1.0 (Compare.speedup t)
 
 (* Every experiment bench/main.exe regenerates, except the "all" and
    "ablations" aggregates, which only run the others in turn. *)

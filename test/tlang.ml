@@ -20,11 +20,13 @@ let run ?(mem = []) compiled args =
     Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
       compiled.C.Codegen.program
   in
+  let bind =
+    match C.Codegen.bind_args compiled (List.map Value.of_int args) with
+    | Ok bind -> bind
+    | Error msg -> Alcotest.fail msg
+  in
   let setup (state : Ximd_core.State.t) =
-    List.iter2
-      (fun (_, reg) v ->
-        Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-      compiled.C.Codegen.param_regs args;
+    bind state;
     List.iter
       (fun (a, v) -> Ximd_core.State.mem_set state a (Value.of_int v))
       mem
@@ -35,11 +37,7 @@ let run ?(mem = []) compiled args =
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
      Alcotest.fail "program hung");
-  ( List.map
-      (fun (_, reg) ->
-        Value.to_int (Ximd_machine.Regfile.read state.regs reg))
-      compiled.C.Codegen.result_regs,
-    state )
+  (List.map Value.to_int (C.Codegen.results compiled state), state)
 
 let test_arith () =
   let compiled =

@@ -38,24 +38,23 @@ let run_on ~result_latency (compiled : C.Codegen.compiled) args =
     Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
       compiled.program
   in
+  let bind =
+    match C.Codegen.bind_args compiled (List.map Value.of_int args) with
+    | Ok bind -> bind
+    | Error msg -> Alcotest.fail msg
+  in
   let setup (state : Ximd_core.State.t) =
-    List.iter2
-      (fun (_, reg) v ->
-        Ximd_machine.Regfile.set state.regs reg (Value.of_int v))
-      compiled.param_regs args;
+    bind state;
     List.iter
       (fun a -> Ximd_core.State.mem_set state a (Value.of_int ((a * 3) + 1)))
       [ 320; 321 ]
   in
-  let state = Ximd_core.Session.state session in
   (match Ximd_core.Session.run ~setup session with
    | Ximd_core.Run.Halted { cycles } -> ignore cycles
    | Ximd_core.Run.Fuel_exhausted _ | Ximd_core.Run.Deadlocked _
    | Ximd_core.Run.Budget_exceeded _ ->
      Alcotest.fail "hung");
-  List.map
-    (fun (_, reg) -> Ximd_machine.Regfile.read state.regs reg)
-    compiled.result_regs
+  C.Codegen.results compiled (Ximd_core.Session.state session)
 
 let expected_of source args =
   match C.Lang.parse source with

@@ -167,6 +167,33 @@ let test_program_listing_smoke () =
     (String.split_on_char '\n' listing
      |> List.exists (fun l -> l = "l02:"))
 
+(* A barrier condition is evaluated on the hot path every cycle a group
+   waits at it, so it must build nothing: no closure over the state or
+   the mask, whichever way the test comes out. *)
+let test_barrier_holds_allocates_nothing () =
+  let t = B.create ~n_fus:4 in
+  B.halt_row t;
+  let state =
+    Ximd_core.State.create ~config:(Ximd_core.Config.make ~n_fus:4 ())
+      (B.build t)
+  in
+  List.iter
+    (fun (cond, sync) ->
+      Array.fill state.sss 0 4 sync;
+      let name =
+        Format.asprintf "%a with every SS %a" Cond.pp cond Sync.pp sync
+      in
+      let expected = Cond.eval cond ~cc:(fun _ -> false) ~ss:(fun _ -> sync) in
+      Alcotest.(check bool) name expected (Ximd_core.Exec.holds state cond);
+      let before = Gc.minor_words () in
+      for _ = 1 to 1000 do
+        ignore (Sys.opaque_identity (Ximd_core.Exec.holds state cond))
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check (float 0.)) (name ^ ": minor words") 0. words)
+    [ (Cond.All_ss 0xf, Sync.Done); (Cond.All_ss 0xf, Sync.Busy);
+      (Cond.Any_ss 0xf, Sync.Done); (Cond.Any_ss 0xf, Sync.Busy) ]
+
 let suite =
   [ ( "misc",
       [ Alcotest.test_case "tracer cc string" `Quick test_tracer_cc_string;
@@ -181,4 +208,6 @@ let suite =
         Alcotest.test_case "program listing" `Quick
           test_program_listing_smoke;
         Alcotest.test_case "tracer limit keeps the tail" `Quick
-          test_tracer_limit_keeps_tail ] ) ]
+          test_tracer_limit_keeps_tail;
+        Alcotest.test_case "barrier conditions allocate nothing" `Quick
+          test_barrier_holds_allocates_nothing ] ) ]

@@ -142,11 +142,10 @@ let test_trace_store_not_speculated () =
       Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Per_fu
         result.compiled.program
     in
-    let setup (state : Ximd_core.State.t) =
-      match result.compiled.param_regs with
-      | [ (_, r) ] ->
-        Ximd_machine.Regfile.set state.regs r (Value.of_int (-5))
-      | _ -> Alcotest.fail "one param"
+    let setup =
+      match C.Codegen.bind_args result.compiled [ Value.of_int (-5) ] with
+      | Ok setup -> setup
+      | Error msg -> Alcotest.fail msg
     in
     let state = Ximd_core.Session.state session in
     (match Ximd_core.Session.run ~setup session with
@@ -156,11 +155,8 @@ let test_trace_store_not_speculated () =
        Alcotest.fail "hung");
     Alcotest.check value "no speculative store" Value.zero
       (Ximd_core.State.mem_get state 500);
-    (match result.compiled.result_regs with
-     | [ (_, r) ] ->
-       Alcotest.check value "cold result" (Value.of_int 2)
-         (Ximd_machine.Regfile.read state.regs r)
-     | _ -> Alcotest.fail "one result")
+    Alcotest.(check (list value)) "cold result" [ Value.of_int 2 ]
+      (C.Codegen.results result.compiled state)
 
 (* --- Encode geometry ----------------------------------------------------- *)
 

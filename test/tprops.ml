@@ -509,10 +509,9 @@ let prop_compile_matches_interp =
             Ximd_core.Session.create ~config ~model:Ximd_core.Engine.Global
               compiled.program
           in
+          let bind = Result.get_ok (C.Codegen.bind_args compiled args) in
           let setup (state : Ximd_core.State.t) =
-            List.iter2
-              (fun (_, reg) v -> Ximd_machine.Regfile.set state.regs reg v)
-              compiled.param_regs args;
+            bind state;
             List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem
           in
           let state = Ximd_core.Session.state session in
@@ -522,11 +521,9 @@ let prop_compile_matches_interp =
             false
           | Ximd_core.Run.Halted _ ->
             let results_match =
-              List.for_all2
-                (fun (_, reg) expected ->
-                  Value.equal (Ximd_machine.Regfile.read state.regs reg)
-                    expected)
-                compiled.result_regs interp_outcome.results
+              List.for_all2 Value.equal
+                (C.Codegen.results compiled state)
+                interp_outcome.results
             in
             let mem_match =
               Hashtbl.fold

@@ -2,6 +2,7 @@
    its expected speedup band ("who wins, by roughly what factor"). *)
 
 open Ximd_workloads
+module Compare = Ximd_report.Compare
 
 (* (name, min speedup, max speedup) — parity kernels must sit at exactly
    1.0 (same program on both simulators); control-parallel workloads
@@ -20,9 +21,12 @@ let expectations =
 
 let rows =
   lazy
-    (match Suite.table () with
-     | Ok rows -> rows
-     | Error msg -> Alcotest.failf "suite failed: %s" msg)
+    (List.map
+       (fun (w : Workload.t) ->
+         match Compare.of_workload w with
+         | Ok t -> (w.name, t)
+         | Error msg -> Alcotest.failf "suite failed: %s" msg)
+       (Suite.all ()))
 
 let test_all_measured () =
   let rows = Lazy.force rows in
@@ -31,18 +35,17 @@ let test_all_measured () =
 
 let test_speedup_band (name, lo, hi) () =
   let rows = Lazy.force rows in
-  match List.find_opt (fun (r : Suite.row) -> r.name = name) rows with
+  match List.assoc_opt name rows with
   | None -> Alcotest.failf "workload %s missing from suite" name
-  | Some row ->
-    if row.speedup < lo || row.speedup > hi then
+  | Some t ->
+    let speedup = Compare.speedup t in
+    if speedup < lo || speedup > hi then
       Alcotest.failf "%s: speedup %.2f outside [%.2f, %.2f] (%d vs %d cycles)"
-        name row.speedup lo hi row.ximd_cycles row.vliw_cycles
+        name speedup lo hi t.ximd.cycles t.vliw.cycles
 
 let test_streams () =
   let rows = Lazy.force rows in
-  let streams name =
-    (List.find (fun (r : Suite.row) -> r.name = name) rows).ximd_max_streams
-  in
+  let streams name = (List.assoc name rows).Compare.ximd.stats.max_streams in
   (* Synchronous kernels never leave the single-SSET mode... *)
   List.iter
     (fun name -> Alcotest.(check int) (name ^ " streams") 1 (streams name))

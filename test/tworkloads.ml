@@ -2,14 +2,16 @@
    schedules. *)
 
 open Ximd_workloads
+module Compare = Ximd_report.Compare
 
 let speedup_ok ?(min_speedup = 0.0) workload =
-  match Workload.speedup workload with
-  | Error msg -> Alcotest.failf "%s: %s" workload.Workload.name msg
-  | Ok (speedup, xc, vc) ->
-    if speedup < min_speedup then
+  match Compare.of_workload workload with
+  | Error msg -> Alcotest.fail msg
+  | Ok t ->
+    if Compare.speedup t < min_speedup then
       Alcotest.failf "%s: speedup %.2f below %.2f (%d vs %d)"
-        workload.Workload.name speedup min_speedup xc vc
+        workload.Workload.name (Compare.speedup t) min_speedup t.ximd.cycles
+        t.vliw.cycles
 
 let checked variant =
   match Workload.run_checked variant with
@@ -122,9 +124,10 @@ let test_iosync_asymmetric () =
 let test_iosync_speedup_grows_with_latency () =
   let measure gap =
     let lat = { Iosync.first = gap; second = gap; third = gap } in
-    match Workload.speedup (Iosync.make ~p1_latencies:lat ~p2_latencies:lat ())
+    match
+      Compare.of_workload (Iosync.make ~p1_latencies:lat ~p2_latencies:lat ())
     with
-    | Ok (s, _, _) -> s
+    | Ok t -> Compare.speedup t
     | Error msg -> Alcotest.fail msg
   in
   let s10 = measure 10 and s80 = measure 80 in

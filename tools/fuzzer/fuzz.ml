@@ -309,23 +309,6 @@ let write_expect case =
    divergence lands as program + reference-derived sidecar: the case
    fails conformance until the engine is fixed, then pins the fixed
    behaviour forever. *)
-let directives_for (c : Gen.Proggen.case) =
-  let cfg = c.config in
-  let parts =
-    [ Printf.sprintf "fuel=%d" cfg.max_cycles;
-      Printf.sprintf "latency=%d" cfg.result_latency;
-      Printf.sprintf "mem=%d" cfg.mem_words;
-      Printf.sprintf "ports=%d" cfg.n_ports ]
-    @ (match cfg.mem_organisation with
-       | Ximd_machine.Memory.Distributed _ -> [ "organisation=distributed" ]
-       | Ximd_machine.Memory.Shared -> [])
-    @
-    match cfg.sequencer with
-    | Ximd_core.Config.Prototype -> [ "seq=prototype" ]
-    | Ximd_core.Config.Research -> []
-  in
-  Printf.sprintf "; conf: %s\n" (String.concat " " parts)
-
 let cmd_save args =
   let seed = ref 0 and index = ref 0 and name = ref "" and dir = ref "suites" in
   let _ =
@@ -340,7 +323,8 @@ let cmd_save args =
   let c = case_at ~seed:!seed ~index:!index in
   let c = match shrink_case c with Some s -> s | None -> c in
   let path = Filename.concat !dir (!name ^ ".xasm") in
-  write_file path (directives_for c ^ case_source c);
+  write_file path
+    (Ximd_gen.Conform.directives_of_config c.config ^ case_source c);
   (match Ximd_gen.Conform.load path with
    | Ok case ->
      let expect = write_expect case in
