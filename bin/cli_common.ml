@@ -2,7 +2,8 @@
    use the full run pipeline; xcc reuses [run_and_report], [exits] (the
    canonical Run.exit_codes table rendered for cmdliner), [read_input]
    and [write_output]; xasm and ximd-serve read and write files through
-   the last two as well. *)
+   the last two as well, and every tool reports bad input through
+   [bad_input]. *)
 
 open Cmdliner
 open Ximd_isa
@@ -92,7 +93,7 @@ let mem_inits_arg =
 
 let dump_regs_arg =
   Arg.(
-    value & opt (some string) None
+    value & opt (list string) []
     & info [ "dump-regs" ] ~docv:"r1,r2,.."
         ~doc:"Print these registers after the run.")
 
@@ -244,10 +245,17 @@ let postmortem_arg =
               $(b,json).  Without this option a text postmortem is \
               printed only when the run deadlocks.")
 
+(* Bad input or usage: one line on stderr and exit 1. *)
+let bad_input fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline msg;
+      exit 1)
+    fmt
+
 (* A path a tool cannot read or write is bad input: one
-   "TOOL: PATH: REASON" line and exit 1, never an uncaught [Sys_error].
-   [msg] is the [Sys_error] text, which may already start with the
-   path. *)
+   "TOOL: PATH: REASON" line, never an uncaught [Sys_error].  [msg] is
+   the [Sys_error] text, which may already start with the path. *)
 let io_failure ~tool path msg =
   let prefix = path ^ ": " in
   let reason =
@@ -256,12 +264,12 @@ let io_failure ~tool path msg =
         (String.length msg - String.length prefix)
     else msg
   in
-  Printf.eprintf "%s: %s: %s\n" tool path reason;
-  exit 1
+  bad_input "%s: %s: %s" tool path reason
 
 let read_input ~tool path =
-  try In_channel.with_open_bin path In_channel.input_all
-  with Sys_error msg -> io_failure ~tool path msg
+  match Ximd_asm.Source.read_file path with
+  | Ok contents -> contents
+  | Error msg -> io_failure ~tool path msg
 
 (* Writes [contents] to [path], "-" meaning stdout. *)
 let write_output ~tool path contents =
@@ -291,9 +299,7 @@ let run_and_report ?tracer ~report run =
       Printf.eprintf "hazard: %s\n"
         (Format.asprintf "%a" Ximd_machine.Hazard.pp_event event);
       exit 2
-    | Invalid_argument msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
+    | Invalid_argument msg -> bad_input "%s" msg
   in
   (match tracer with
    | Some t ->
@@ -309,14 +315,10 @@ let run_and_report ?tracer ~report run =
    worse of the two outcomes' codes. *)
 let run_compare ~tool model program compare_path compare_json ~config_of
     ~setup =
-  if model <> Ximd_core.Engine.Per_fu then begin
-    Printf.eprintf "--compare is only available on xsim\n";
-    exit 1
-  end;
+  if model <> Ximd_core.Engine.Per_fu then
+    bad_input "--compare is only available on xsim";
   match program_of_file compare_path with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
+  | Error msg -> bad_input "%s" msg
   | Ok vliw_program ->
     let variant sim program =
       { Ximd_workloads.Workload.sim;
@@ -330,9 +332,7 @@ let run_compare ~tool model program compare_path compare_json ~config_of
          ~ximd:(variant Ximd_workloads.Workload.Ximd program)
          ~vliw:(variant Ximd_workloads.Workload.Vliw vliw_program)
      with
-     | Error msg ->
-       Printf.eprintf "%s\n" msg;
-       exit 1
+     | Error msg -> bad_input "%s" msg
      | Ok cmp ->
        Format.printf "%a@." Ximd_report.Compare.pp cmp;
        (match compare_json with
@@ -349,19 +349,13 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     detect_deadlock deadlock_window inject repeat postmortem trace_events
     metrics_file profile timeline account_file critical_path profile_folded
     compare_file compare_json reg_inits mem_inits dump_regs dump_mem =
-  if repeat < 1 then begin
-    Printf.eprintf "--repeat must be at least 1\n";
-    exit 1
-  end;
+  if repeat < 1 then bad_input "--repeat must be at least 1";
+  if max_cycles < 1 then bad_input "--max-cycles must be at least 1";
   (match cycle_budget with
-   | Some b when b < 1 ->
-     Printf.eprintf "--cycle-budget must be at least 1\n";
-     exit 1
+   | Some b when b < 1 -> bad_input "--cycle-budget must be at least 1"
    | Some _ | None -> ());
   match program_of_file path with
-  | Error msg ->
-    Printf.eprintf "%s\n" msg;
-    exit 1
+  | Error msg -> bad_input "%s" msg
   | Ok program ->
     let config_of program =
       Ximd_core.Config.make
@@ -372,6 +366,24 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
            else Ximd_machine.Hazard.Raise)
         ()
     in
+    let config = config_of program in
+    (* What a dump names must exist on this machine: a bad name or
+       range is bad usage, refused before the run. *)
+    let dump_regs =
+      List.map
+        (fun name ->
+          match Reg.of_string (String.trim name) with
+          | Some r -> r
+          | None -> bad_input "--dump-regs: bad register %S" name)
+        dump_regs
+    in
+    (match dump_mem with
+     | Some (_, len) when len < 0 ->
+       bad_input "--dump-mem: length %d is negative" len
+     | Some (addr, len) when addr < 0 || len > config.mem_words - addr ->
+       bad_input "--dump-mem: %d:%d lies outside the %d-word memory" addr len
+         config.mem_words
+     | Some _ | None -> ());
     let setup (state : Ximd_core.State.t) =
       List.iter
         (fun (r, v) -> Ximd_machine.Regfile.set state.regs r v)
@@ -383,7 +395,6 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
        run_compare ~tool model program compare_path compare_json ~config_of
          ~setup
      | None -> ());
-    let config = config_of program in
     if listing then
       Format.printf "%a@." Ximd_core.Program.pp_listing program;
     let faults =
@@ -396,9 +407,7 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
             spec
         with
         | Ok events -> Some (Ximd_machine.Fault.create events)
-        | Error msg ->
-          Printf.eprintf "--inject: %s\n" msg;
-          exit 1)
+        | Error msg -> bad_input "--inject: %s" msg)
     in
     let obs =
       if
@@ -417,18 +426,14 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     in
     let session =
       try Ximd_core.Session.create ~config ?faults ?obs ~model program
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
+      with Invalid_argument msg -> bad_input "%s" msg
     in
     let state = Ximd_core.Session.state session in
     let tracer = if trace then Some (Ximd_core.Tracer.create ()) else None in
     let watchdog =
       if detect_deadlock then (
-        if deadlock_window < 4 then begin
-          Printf.eprintf "--deadlock-window must be at least 4\n";
-          exit 1
-        end;
+        if deadlock_window < 4 then
+          bad_input "--deadlock-window must be at least 4";
         Some (Ximd_core.Watchdog.create ~window:deadlock_window ()))
       else None
     in
@@ -457,16 +462,11 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
       end
     in
     let report outcome =
-      (match dump_regs with
-       | None -> ()
-       | Some spec ->
-         String.split_on_char ',' spec
-         |> List.iter (fun name ->
-              match Reg.of_string (String.trim name) with
-              | Some r ->
-                Format.printf "%a = %a@." Reg.pp r Value.pp
-                  (Ximd_machine.Regfile.read state.regs r)
-              | None -> Printf.eprintf "bad register %s\n" name));
+      List.iter
+        (fun r ->
+          Format.printf "%a = %a@." Reg.pp r Value.pp
+            (Ximd_machine.Regfile.read state.regs r))
+        dump_regs;
       (match dump_mem with
        | None -> ()
        | Some (addr, len) ->

@@ -5,9 +5,8 @@ open Cmdliner
 let assemble input output listing =
   match Ximd_asm.Source.parse_file input with
   | Error e ->
-    Printf.eprintf "%s: %s\n" input
-      (Format.asprintf "%a" Ximd_asm.Source.pp_error e);
-    exit 1
+    Cli_common.bad_input "%s: %s" input
+      (Format.asprintf "%a" Ximd_asm.Source.pp_error e)
   | Ok program ->
     if listing then
       Format.printf "%a@." Ximd_core.Program.pp_listing program;
@@ -24,9 +23,7 @@ let assemble input output listing =
 let disassemble input =
   let image = Bytes.of_string (Cli_common.read_input ~tool:"xasm" input) in
   match Ximd_core.Program.decode image with
-  | Error msg ->
-    Printf.eprintf "%s: %s\n" input msg;
-    exit 1
+  | Error msg -> Cli_common.bad_input "%s: %s" input msg
   | Ok program -> print_string (Ximd_asm.Source.to_source program)
 
 let input_arg =

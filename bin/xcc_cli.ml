@@ -11,13 +11,6 @@ open Cmdliner
 open Ximd_isa
 module C = Ximd_compiler
 
-let bad_input fmt =
-  Printf.ksprintf
-    (fun msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1)
-    fmt
-
 let tool = "xcc"
 
 let compile_and_go path width emit_asm run_args listing trace explain
@@ -59,12 +52,12 @@ let compile_and_go path width emit_asm run_args listing trace explain
            |> List.map (fun s ->
                 match int_of_string_opt (String.trim s) with
                 | Some v -> Value.of_int v
-                | None -> bad_input "bad argument %S" s)
+                | None -> Cli_common.bad_input "bad argument %S" s)
        in
        let setup =
          match C.Codegen.bind_args compiled args with
          | Ok setup -> setup
-         | Error msg -> bad_input "%s" msg
+         | Error msg -> Cli_common.bad_input "%s" msg
        in
        let config = Ximd_core.Config.make ~n_fus:width () in
        let session =

@@ -214,22 +214,13 @@ let serve_socket ~domains ~queue_bound ~summary ~campaign path =
 
 let run domains queue_bound socket no_summary trace_out report_out
     progress_every =
-  if domains < 1 then begin
-    Printf.eprintf "--domains must be at least 1\n";
-    exit 1
-  end;
-  if domains > Farm.Pool.max_domains then begin
-    Printf.eprintf "--domains must be at most %d\n" Farm.Pool.max_domains;
-    exit 1
-  end;
-  if queue_bound < 1 then begin
-    Printf.eprintf "--queue-bound must be at least 1\n";
-    exit 1
-  end;
-  if progress_every < 0 then begin
-    Printf.eprintf "--progress-every must be non-negative\n";
-    exit 1
-  end;
+  if domains < 1 then Cli_common.bad_input "--domains must be at least 1";
+  if domains > Farm.Pool.max_domains then
+    Cli_common.bad_input "--domains must be at most %d" Farm.Pool.max_domains;
+  if queue_bound < 1 then
+    Cli_common.bad_input "--queue-bound must be at least 1";
+  if progress_every < 0 then
+    Cli_common.bad_input "--progress-every must be non-negative";
   Printexc.record_backtrace true;
   Sys.catch_break true;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;

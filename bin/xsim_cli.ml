@@ -6,7 +6,9 @@ let t500_flag =
   Arg.(
     value & flag
     & info [ "t500" ]
-        ~doc:"Run under the TRACE/500 two-sequencer restriction (paper               1.4): two fixed FU banks, each with one sequencer;               bank-inconsistent programs are rejected.")
+        ~doc:"Run under the TRACE/500 two-sequencer restriction (paper \
+              §1.4): two fixed FU banks, each with one sequencer; \
+              bank-inconsistent programs are rejected.")
 
 let cmd =
   let doc = "cycle-accurate XIMD-1 simulator" in

@@ -374,10 +374,28 @@ let parse text =
   | program -> Ok program
   | exception Fail e -> Error e
 
+let max_file_bytes = 16 * 1024 * 1024
+
+(* Reads in small chunks and stops at the first one past the cap, so a
+   file that never ends ([/dev/zero], a FIFO) costs at most the cap in
+   memory. *)
+let read_file path =
+  let chunk = Bytes.create 1024 and buf = Buffer.create 1024 in
+  let rec go ic =
+    match In_channel.input ic chunk 0 (Bytes.length chunk) with
+    | 0 -> Ok (Buffer.contents buf)
+    | n when Buffer.length buf + n > max_file_bytes ->
+      Error (Printf.sprintf "%s: longer than %d bytes" path max_file_bytes)
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ic
+  in
+  try In_channel.with_open_bin path go with Sys_error msg -> Error msg
+
 let parse_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | text -> parse text
-  | exception Sys_error msg -> Error { line = 0; message = msg }
+  match read_file path with
+  | Ok text -> parse text
+  | Error message -> Error { line = 0; message }
 
 (* ------------------------------------------------------------------ *)
 (* Disassembly                                                         *)

@@ -43,9 +43,17 @@ val pp_error : Format.formatter -> error -> unit
 val parse : string -> (Ximd_core.Program.t, error) result
 (** Assembles a complete source text. *)
 
+val max_file_bytes : int
+(** The most bytes {!read_file} reads: 16 MiB. *)
+
+val read_file : string -> (string, string) result
+(** A file's bytes: every input file the tools read comes through here.
+    A file longer than {!max_file_bytes} is an [Error] read no further;
+    an I/O failure is the [Sys_error] message. *)
+
 val parse_file : string -> (Ximd_core.Program.t, error) result
-(** Reads and assembles a file; I/O failures surface as an [error] on
-    line 0. *)
+(** Reads ({!read_file}) and assembles a file; I/O failures surface as
+    an [error] on line 0. *)
 
 val to_source : Ximd_core.Program.t -> string
 (** Disassembles a program into parseable source.  [parse (to_source p)]

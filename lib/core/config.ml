@@ -47,12 +47,95 @@ let prototype () =
     ~mem_organisation:(Ximd_machine.Memory.Distributed { n_fus = 8 })
     ~sequencer:Prototype ~result_latency:3 ()
 
+(* --- Machine-shape keys ------------------------------------------------ *)
+
+type setting = { key : string; value : Ximd_json.t; set : t -> t }
+
+let fail key fmt =
+  Printf.ksprintf (fun msg -> Error (Printf.sprintf "key %S: %s" key msg)) fmt
+
+(* Each reader checks a value's type and range and gives the setting
+   that stores it. *)
+let positive set key value =
+  match Ximd_json.to_int value with
+  | None -> fail key "expected an integer"
+  | Some n when n < 1 -> fail key "must be positive (got %d)" n
+  | Some n -> Ok { key; value = Ximd_json.Int n; set = set n }
+
+let flag set key value =
+  match Ximd_json.to_bool value with
+  | None -> fail key "expected a boolean"
+  | Some b -> Ok { key; value; set = set b }
+
+let sequencer_name = function
+  | Research -> "research"
+  | Prototype -> "prototype"
+
+let known_sequencer key value =
+  match Ximd_json.to_str value with
+  | None -> fail key "expected a string"
+  | Some name -> (
+    match
+      List.find_opt (fun s -> sequencer_name s = name) [ Research; Prototype ]
+    with
+    | Some s -> Ok { key; value; set = (fun t -> { t with sequencer = s }) }
+    | None -> fail key "expected \"research\" or \"prototype\" (got %S)" name)
+
+(* The one table: each key, in the order [pp] prints them, how its value
+   reads, and where a configuration keeps it. *)
+let shape_table =
+  [ ( "max_cycles",
+      positive (fun n t -> { t with max_cycles = n }),
+      fun t -> Ximd_json.Int t.max_cycles );
+    ( "latency",
+      positive (fun n t -> { t with result_latency = n }),
+      fun t -> Ximd_json.Int t.result_latency );
+    ( "mem_words",
+      positive (fun n t -> { t with mem_words = n }),
+      fun t -> Ximd_json.Int t.mem_words );
+    ( "ports",
+      positive (fun n t -> { t with n_ports = n }),
+      fun t -> Ximd_json.Int t.n_ports );
+    ( "distributed",
+      flag (fun b t ->
+        { t with
+          mem_organisation =
+            (if b then Ximd_machine.Memory.Distributed { n_fus = t.n_fus }
+             else Ximd_machine.Memory.Shared) }),
+      fun t -> Ximd_json.Bool (t.mem_organisation <> Ximd_machine.Memory.Shared)
+    );
+    ( "sequencer",
+      known_sequencer,
+      fun t -> Ximd_json.String (sequencer_name t.sequencer) ) ]
+
+let shape_keys = List.map (fun (key, _, _) -> key) shape_table
+
+let read pairs =
+  List.fold_left
+    (fun acc (key, value) ->
+      Result.bind acc (fun settings ->
+        match List.find_opt (fun (k, _, _) -> k = key) shape_table with
+        | None -> Ok settings
+        | Some (_, read, _) -> (
+          match read key value with
+          | Ok s -> Ok (s :: settings)
+          | Error msg -> Error (key, msg))))
+    (Ok []) pairs
+  |> Result.map List.rev
+
+let apply settings t =
+  match validate (List.fold_left (fun t s -> s.set t) t settings) with
+  | t -> Ok t
+  | exception Invalid_argument msg -> Error msg
+
+let key_value s = (s.key, s.value)
+
 let pp fmt t =
-  let seq = match t.sequencer with
-    | Research -> "research"
-    | Prototype -> "prototype"
-  in
-  Format.fprintf fmt
-    "@[<h>%d FUs, %d memory words, %d ports, %s sequencer, latency %d, %d \
-     cycle fuel@]"
-    t.n_fus t.mem_words t.n_ports seq t.result_latency t.max_cycles
+  List.map
+    (fun (key, _, get) ->
+      match get t with
+      | Ximd_json.String name -> key ^ "=" ^ name
+      | value -> key ^ "=" ^ Ximd_json.to_string value)
+    shape_table
+  |> String.concat " "
+  |> Format.pp_print_string fmt

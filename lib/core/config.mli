@@ -50,14 +50,50 @@ val make :
 (** @raise Invalid_argument if [n_fus] is outside [1, 16], sizes are
     non-positive, or [result_latency] is outside [1, 8]. *)
 
-val validate : t -> t
-(** The configuration itself when {!make} would accept its fields — for
-    a configuration built by updating another one's fields.
-    @raise Invalid_argument as {!make}, with the same messages. *)
-
 val prototype : unit -> t
 (** The §4.3 hardware-prototype configuration: 8 FUs, distributed
     memory, the traditional sequencer, and the 3-stage pipelined
     datapath. *)
 
+(** {1 Machine-shape keys}
+
+    The six keys that set a machine's shape, one vocabulary for
+    [ximd-job/1] specs, [; conf:] lines and fuzz reports, with values as
+    a job spec writes them:
+
+    - [max_cycles] (positive integer): the cycle fuel;
+    - [latency] (positive integer, at most 8): the result latency;
+    - [mem_words] (positive integer): the memory size;
+    - [ports] (positive integer): the number of I/O ports;
+    - [distributed] (boolean): one memory bank per FU, not one shared;
+    - [sequencer] (["research"] or ["prototype"]). *)
+
+type setting
+(** One shape key with a checked value.  It holds a function, so compare
+    settings by {!key_value}. *)
+
+val shape_keys : string list
+(** The six keys, in the order {!pp} prints them. *)
+
+val read :
+  (string * Ximd_json.t) list -> (setting list, string * string) result
+(** The shape keys among [(key, value)] pairs, in their order; pairs with
+    other keys are skipped.  The first bad value is [Error (key,
+    message)], the message naming the key: [key "latency": expected an
+    integer], [key "ports": must be positive (got 0)].  Ranges that
+    depend on the whole machine, such as [latency] 99, are {!apply}'s to
+    refuse. *)
+
+val apply : setting list -> t -> (t, string) result
+(** The settings over a base configuration, a later one winning, then
+    checked as {!make} checks them: [Error] carries {!make}'s message.
+    [distributed] splits memory among the base's FUs. *)
+
+val key_value : setting -> string * Ximd_json.t
+(** The setting as its key and value. *)
+
 val pp : Format.formatter -> t -> unit
+(** The configuration's six shape keys on one line as [key=value]
+    tokens, names bare and other values as JSON writes them:
+    [max_cycles=2000 latency=1 mem_words=65536 ports=16 distributed=false
+    sequencer=research].  This is the body of a [; conf:] line. *)

@@ -101,30 +101,6 @@ let apply_inits (job : Job.t) (state : Core.State.t) =
   List.iter (fun (r, v) -> M.Regfile.set state.regs r v) job.Job.reg_inits;
   List.iter (fun (a, v) -> Core.State.mem_set state a v) job.Job.mem_inits
 
-(* Every job's machine config: its shape keys over the payload's base
-   config, validated as [Config.make] validates, so a shape it refuses
-   is a rejection whatever the payload.  Hazards are always recorded: a
-   batch run reports per-job hazard counts instead of dying on the
-   first hazardous job. *)
-let job_config (job : Job.t) (base : Core.Config.t) =
-  let key value default = Option.value value ~default in
-  match
-    Core.Config.validate
-      { base with
-        hazard_policy = M.Hazard.Record;
-        max_cycles = key job.Job.max_cycles base.max_cycles;
-        result_latency = key job.Job.latency base.result_latency;
-        mem_words = key job.Job.mem_words base.mem_words;
-        n_ports = key job.Job.ports base.n_ports;
-        sequencer = key job.Job.sequencer base.sequencer;
-        mem_organisation =
-          (if job.Job.distributed then
-             M.Memory.Distributed { n_fus = base.n_fus }
-           else base.mem_organisation) }
-  with
-  | config -> Ok config
-  | exception Invalid_argument msg -> Error msg
-
 let faults_of (job : Job.t) (config : Core.Config.t) =
   match job.Job.fault with
   | None -> Ok None
@@ -133,10 +109,15 @@ let faults_of (job : Job.t) (config : Core.Config.t) =
     | Ok events -> Ok (Some (M.Fault.create events))
     | Error msg -> Error ("fault: " ^ msg))
 
-(* A payload's program, base config, setup and check, resolved with
-   the job's config and faults. *)
+(* A payload's program, base config, setup and check, resolved with the
+   job's faults and config: its shape keys over the base, so a shape
+   [Config.make] refuses is a rejection whatever the payload.  Hazards
+   are recorded: a batch reports per-job counts instead of dying. *)
 let resolve_payload (job : Job.t) r_program base r_setup r_check =
-  match job_config job base with
+  match
+    Core.Config.apply job.Job.shape
+      { base with Core.Config.hazard_policy = M.Hazard.Record }
+  with
   | Error _ as e -> e
   | Ok r_config -> (
     match faults_of job r_config with
@@ -160,9 +141,9 @@ let resolve ctx (job : Job.t) =
        text does not assemble the record names the line, never the
        text: a parse message quotes the offending source. *)
     assembled job path
-      (match In_channel.with_open_text path In_channel.input_all with
-       | exception Sys_error message -> Error { line = 0; message }
-       | text ->
+      (match Ximd_asm.Source.read_file path with
+       | Error message -> Error { line = 0; message }
+       | Ok text ->
          Result.map_error
            (fun (e : Ximd_asm.Source.error) ->
              { e with message = "not XIMD assembly" })
@@ -412,15 +393,10 @@ let placeholder_job ~index raw =
     model = Core.Engine.Per_fu;
     seed = 0;
     fault = None;
-    max_cycles = None;
+    shape = [];
     budget = None;
     deadline_ms = None;
     retries = 0;
-    latency = None;
-    mem_words = None;
-    distributed = false;
-    ports = None;
-    sequencer = None;
     detect_deadlock = true;
     reg_inits = [];
     mem_inits = [];

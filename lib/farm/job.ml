@@ -12,15 +12,10 @@ type t = {
   model : Core.Engine.model;
   seed : int;
   fault : string option;
-  max_cycles : int option;
+  shape : Core.Config.setting list;
   budget : int option;
   deadline_ms : int option;
   retries : int;
-  latency : int option;
-  mem_words : int option;
-  distributed : bool;
-  ports : int option;
-  sequencer : Core.Config.sequencer option;
   detect_deadlock : bool;
   reg_inits : (Ximd_isa.Reg.t * Ximd_isa.Value.t) list;
   mem_inits : (int * Ximd_isa.Value.t) list;
@@ -32,9 +27,9 @@ let model_name = Core.Engine.model_name
 
 let known_keys =
   [ "id"; "source"; "file"; "workload"; "model"; "seed"; "fault";
-    "max_cycles"; "budget"; "deadline_ms"; "retries"; "latency";
-    "mem_words"; "distributed"; "ports"; "sequencer"; "detect_deadlock";
-    "regs"; "mem"; "dump_regs" ]
+    "budget"; "deadline_ms"; "retries"; "detect_deadlock"; "regs"; "mem";
+    "dump_regs" ]
+  @ Core.Config.shape_keys
 
 (* Each extractor reads one key; the whole validation short-circuits on
    the first diagnostic via let*. *)
@@ -164,43 +159,22 @@ let of_line ~index line =
         let* seed = int_field json "seed" in
         let seed = Option.value seed ~default:0 in
         let* fault = str_field json "fault" in
-        let* max_cycles =
-          int_field json "max_cycles" >>? positive "max_cycles"
-        in
+        let* shape = Result.map_error snd (Core.Config.read fields) in
         let* budget = int_field json "budget" >>? positive "budget" in
         let* deadline_ms =
           int_field json "deadline_ms" >>? non_negative "deadline_ms"
         in
         let* retries = int_field json "retries" >>? non_negative "retries" in
-        let* latency = int_field json "latency" >>? positive "latency" in
-        let* mem_words = int_field json "mem_words" >>? positive "mem_words" in
-        let* ports = int_field json "ports" >>? positive "ports" in
         let retries = Option.value retries ~default:0 in
-        let* distributed = bool_field json "distributed" in
-        let distributed = Option.value distributed ~default:false in
-        let* sequencer = str_field json "sequencer" in
-        let* sequencer =
-          match sequencer with
-          | None -> Ok None
-          | Some "research" -> Ok (Some Core.Config.Research)
-          | Some "prototype" -> Ok (Some Core.Config.Prototype)
-          | Some other ->
-            Error
-              (Printf.sprintf
-                 "key \"sequencer\": expected \"research\" or \"prototype\" \
-                  (got %S)"
-                 other)
-        in
         let* detect_deadlock = bool_field json "detect_deadlock" in
         let detect_deadlock = Option.value detect_deadlock ~default:true in
         let* reg_inits = parse_regs json in
         let* mem_inits = parse_mem json in
         let* dump_regs = parse_dump_regs json in
         Ok
-          { id; index; payload; model; seed; fault; max_cycles; budget;
-            deadline_ms; retries; latency; mem_words; distributed; ports;
-            sequencer; detect_deadlock; reg_inits; mem_inits; dump_regs;
-            raw = line })
+          { id; index; payload; model; seed; fault; shape; budget;
+            deadline_ms; retries; detect_deadlock; reg_inits; mem_inits;
+            dump_regs; raw = line })
     | _ -> Error "bad JSON: job spec must be an object")
 
 let to_json t =
@@ -219,20 +193,10 @@ let to_json t =
            ("model", Json.String (Core.Engine.model_name t.model));
            ("seed", Json.Int t.seed) ];
          opt "fault" t.fault (fun s -> Json.String s);
-         opt "max_cycles" t.max_cycles int;
+         List.map Core.Config.key_value t.shape;
          opt "budget" t.budget int;
          opt "deadline_ms" t.deadline_ms int;
          [ ("retries", Json.Int t.retries) ];
-         opt "latency" t.latency int;
-         opt "mem_words" t.mem_words int;
-         (if t.distributed then [ ("distributed", Json.Bool true) ] else []);
-         opt "ports" t.ports int;
-         (match t.sequencer with
-          | None -> []
-          | Some Core.Config.Research ->
-            [ ("sequencer", Json.String "research") ]
-          | Some Core.Config.Prototype ->
-            [ ("sequencer", Json.String "prototype") ]);
          (if t.detect_deadlock then []
           else [ ("detect_deadlock", Json.Bool false) ]);
          (if t.reg_inits = [] then []

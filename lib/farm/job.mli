@@ -24,16 +24,11 @@ type t = {
   seed : int;           (** retry-backoff derivation; echoed in results *)
   fault : string option;
       (** a {!Ximd_machine.Fault.parse} spec ([fault]) *)
-  max_cycles : int option;   (** cycle fuel ([max_cycles]) *)
+  shape : Ximd_core.Config.setting list;
+      (** the machine-shape keys given ({!Ximd_core.Config.read}) *)
   budget : int option;       (** cycle budget below fuel ([budget]) *)
   deadline_ms : int option;  (** per-attempt wall-clock limit ([deadline_ms]) *)
   retries : int;        (** extra attempts after a transient failure *)
-  latency : int option;      (** result latency ([latency]) *)
-  mem_words : int option;
-  distributed : bool;   (** distributed memory organisation *)
-  ports : int option;
-  sequencer : Ximd_core.Config.sequencer option;
-      (** [sequencer]: ["research"] or ["prototype"] *)
   detect_deadlock : bool;    (** default [true] *)
   reg_inits : (Ximd_isa.Reg.t * Ximd_isa.Value.t) list;
       (** [regs]: object of ["rN" : int] *)

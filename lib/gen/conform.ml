@@ -29,139 +29,88 @@ module Observation = Ximd_ref.Observation
    directive comments, anywhere in the file:
 
    {v
-   ; conf: fuel=200 latency=3 mem=64 ports=4
+   ; conf: max_cycles=200 latency=3 mem_words=64 ports=4
    ; conf: models=xsim,vsim
    v}
 
-   Recognised keys: [fuel] (max cycles, default 2000), [latency]
-   (result latency, default 1), [mem] (memory words, default 65536),
-   [organisation=shared|distributed], [ports] (default 16),
-   [seq=research|prototype], [models] (comma-separated subset of
-   xsim/vsim/t500; default all applicable). *)
+   Keys: the six machine-shape keys of a job spec ({!Config.shape_keys})
+   with a job's values, names unquoted ([sequencer=prototype]), over
+   the defaults at the program's width with 2000 cycles of fuel; and
+   [models] (comma-separated subset of xsim/vsim/t500; default all
+   applicable). *)
 
 (* Every binding remembers the line it came from, so diagnostics for a
    bad value can name it; the loader never raises on malformed input. *)
 type directives = (string * (int * string)) list
 
-let known_directive_keys =
-  [ "fuel"; "latency"; "mem"; "organisation"; "ports"; "seq"; "models" ]
+let known_directive_keys = Config.shape_keys @ [ "models" ]
 
 let ( let* ) = Result.bind
 
 let parse_directives source : (directives, string) result =
-  let lines = String.split_on_char '\n' source in
   let prefix = "; conf:" in
-  List.fold_left
-    (fun acc (lineno, line) ->
-      let* acc = acc in
-      let line = String.trim line in
-      if
-        String.length line <= String.length prefix
-        || String.sub line 0 (String.length prefix) <> prefix
-      then Ok acc
-      else
-        String.sub line (String.length prefix)
-          (String.length line - String.length prefix)
-        |> String.split_on_char ' '
-        |> List.filter (fun tok -> tok <> "")
-        |> List.fold_left
-             (fun acc tok ->
-               let* acc = acc in
-               match String.index_opt tok '=' with
-               | None ->
-                 Error
-                   (Printf.sprintf
-                      "line %d: conf directive token %S is not key=value"
-                      lineno tok)
-               | Some i ->
-                 let key = String.sub tok 0 i in
-                 let value =
-                   String.sub tok (i + 1) (String.length tok - i - 1)
-                 in
-                 if not (List.mem key known_directive_keys) then
-                   Error
-                     (Printf.sprintf
-                        "line %d: unknown conf key %S (known: %s)" lineno key
-                        (String.concat ", " known_directive_keys))
-                 else (
-                   match List.assoc_opt key acc with
-                   | Some (first, _) ->
-                     Error
-                       (Printf.sprintf
-                          "line %d: duplicate conf key %S (first set on \
-                           line %d)"
-                          lineno key first)
-                   | None -> Ok (acc @ [ (key, (lineno, value)) ])))
-             (Ok acc))
-    (Ok [])
-    (List.mapi (fun i line -> (i + 1, line)) lines)
-
-let directive_int directives key ~default =
-  match List.assoc_opt key directives with
-  | None -> Ok default
-  | Some (lineno, v) -> (
-    match int_of_string_opt v with
-    | Some n -> Ok n
+  let add lineno acc token =
+    let* acc = acc in
+    match String.index_opt token '=' with
     | None ->
       Error
-        (Printf.sprintf "line %d: conf key %S: %S is not a number" lineno key
-           v))
+        (Printf.sprintf "line %d: conf directive token %S is not key=value"
+           lineno token)
+    | Some i -> (
+      let key = String.sub token 0 i in
+      let value = String.sub token (i + 1) (String.length token - i - 1) in
+      if not (List.mem key known_directive_keys) then
+        Error
+          (Printf.sprintf "line %d: unknown conf key %S (known: %s)" lineno
+             key
+             (String.concat ", " known_directive_keys))
+      else
+        match List.assoc_opt key acc with
+        | Some (first, _) ->
+          Error
+            (Printf.sprintf
+               "line %d: duplicate conf key %S (first set on line %d)" lineno
+               key first)
+        | None -> Ok (acc @ [ (key, (lineno, value)) ]))
+  in
+  String.split_on_char '\n' source
+  |> List.mapi (fun i line -> (i + 1, String.trim line))
+  |> List.fold_left
+       (fun acc (lineno, line) ->
+         if not (String.starts_with ~prefix line) then acc
+         else
+           String.sub line (String.length prefix)
+             (String.length line - String.length prefix)
+           |> String.split_on_char ' '
+           |> List.filter (( <> ) "")
+           |> List.fold_left (add lineno) acc)
+       (Ok [])
+
+(* A conf value is written as a job spec writes it, except that a name
+   may go unquoted. *)
+let conf_value token =
+  match Ximd_json.parse token with
+  | Ok value -> value
+  | Error _ -> Ximd_json.String token
 
 let config_of_directives directives ~n_fus =
-  let* mem_words = directive_int directives "mem" ~default:65536 in
-  let* mem_organisation =
-    match List.assoc_opt "organisation" directives with
-    | Some (_, "distributed") -> Ok (Ximd_machine.Memory.Distributed { n_fus })
-    | Some (_, "shared") | None -> Ok Ximd_machine.Memory.Shared
-    | Some (lineno, other) ->
-      Error
-        (Printf.sprintf
-           "line %d: conf key \"organisation\": expected \"shared\" or \
-            \"distributed\" (got %S)"
-           lineno other)
+  let* settings =
+    Config.read
+      (List.map (fun (key, (_, token)) -> (key, conf_value token)) directives)
+    |> Result.map_error (fun (key, msg) ->
+         Printf.sprintf "line %d: conf %s" (fst (List.assoc key directives))
+           msg)
   in
-  let* sequencer =
-    match List.assoc_opt "seq" directives with
-    | Some (_, "prototype") -> Ok Config.Prototype
-    | Some (_, "research") | None -> Ok Config.Research
-    | Some (lineno, other) ->
-      Error
-        (Printf.sprintf
-           "line %d: conf key \"seq\": expected \"research\" or \
-            \"prototype\" (got %S)"
-           lineno other)
-  in
-  let* n_ports = directive_int directives "ports" ~default:16 in
-  let* max_cycles = directive_int directives "fuel" ~default:2000 in
-  let* result_latency = directive_int directives "latency" ~default:1 in
-  match
-    Config.make ~n_fus ~mem_words ~mem_organisation ~n_ports
-      ~hazard_policy:Ximd_machine.Hazard.Record ~max_cycles ~sequencer
-      ~result_latency ()
-  with
-  | config -> Ok config
-  | exception Invalid_argument msg ->
-    let lineno =
-      (* blame the first conf line if any; the shape came from there *)
-      match directives with (_, (l, _)) :: _ -> l | [] -> 0
-    in
-    Error (Printf.sprintf "line %d: conf: %s" lineno msg)
+  Config.apply settings
+    (Config.make ~n_fus ~hazard_policy:Ximd_machine.Hazard.Record
+       ~max_cycles:2000 ())
+  |> Result.map_error (fun msg ->
+       (* blame the first conf line if any; the shape came from there *)
+       let lineno = match directives with (_, (l, _)) :: _ -> l | [] -> 0 in
+       Printf.sprintf "line %d: conf: %s" lineno msg)
 
-let directives_of_config (config : Config.t) =
-  let parts =
-    [ Printf.sprintf "fuel=%d" config.max_cycles;
-      Printf.sprintf "latency=%d" config.result_latency;
-      Printf.sprintf "mem=%d" config.mem_words;
-      Printf.sprintf "ports=%d" config.n_ports ]
-    @ (match config.mem_organisation with
-       | Ximd_machine.Memory.Distributed _ -> [ "organisation=distributed" ]
-       | Ximd_machine.Memory.Shared -> [])
-    @
-    match config.sequencer with
-    | Config.Prototype -> [ "seq=prototype" ]
-    | Config.Research -> []
-  in
-  Printf.sprintf "; conf: %s\n" (String.concat " " parts)
+let directives_of_config config =
+  Format.asprintf "; conf: %a\n" Config.pp config
 
 let models_of_directives directives program =
   let applicable = Diff.applicable_models program in
@@ -194,45 +143,28 @@ type case = {
   models : Diff.model list;
 }
 
-let read_file path =
-  match In_channel.with_open_text path In_channel.input_all with
-  | contents -> Ok contents
-  | exception Sys_error msg -> Error msg
-
 let load path =
   let prefix e = path ^ ": " ^ e in
-  match read_file path with
-  | Error msg -> Error msg
-  | Ok source -> (
-    match Ximd_asm.Source.parse source with
-    | Error e ->
-      Error
-        (Format.asprintf "%s: parse error: %a" path Ximd_asm.Source.pp_error
-           e)
-    | Ok program -> (
-      let case =
-        let* directives =
-          Result.map_error prefix (parse_directives source)
-        in
-        let* config =
-          Result.map_error prefix
-            (config_of_directives directives
-               ~n_fus:(Core.Program.n_fus program))
-        in
-        let* models =
-          Result.map_error prefix (models_of_directives directives program)
-        in
-        Ok { path; program; config; models }
-      in
-      match case with
-      | Error _ as e -> e
-      | Ok case -> (
-        match Core.Program.validate case.program case.config with
-        | Ok () -> Ok case
-        | Error errors ->
-          Error
-            (Printf.sprintf "%s: invalid program:\n%s" path
-               (String.concat "\n" errors)))))
+  let* source = Ximd_asm.Source.read_file path in
+  let* program =
+    Result.map_error
+      (Format.asprintf "%s: parse error: %a" path Ximd_asm.Source.pp_error)
+      (Ximd_asm.Source.parse source)
+  in
+  let* directives = Result.map_error prefix (parse_directives source) in
+  let* config =
+    Result.map_error prefix
+      (config_of_directives directives ~n_fus:(Core.Program.n_fus program))
+  in
+  let* models =
+    Result.map_error prefix (models_of_directives directives program)
+  in
+  match Core.Program.validate program config with
+  | Ok () -> Ok { path; program; config; models }
+  | Error errors ->
+    Error
+      (Printf.sprintf "%s: invalid program:\n%s" path
+         (String.concat "\n" errors))
 
 let expect_path path =
   (try Filename.chop_extension path with Invalid_argument _ -> path)
@@ -258,7 +190,7 @@ let expected_content case =
 let check_case case =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
-  (match read_file (expect_path case.path) with
+  (match Ximd_asm.Source.read_file (expect_path case.path) with
    | Error _ when not (Sys.file_exists (expect_path case.path)) ->
      err
        "%s: missing sidecar %s (generate it with `tools/fuzz expect %s`)"

@@ -3,12 +3,12 @@
     against the reference interpreter and, in full lockstep, the
     engine.
 
-    Run parameters ride in [; conf: key=value] directive comments
-    (keys: [fuel], [latency], [mem], [organisation], [ports], [seq],
-    [models]); see the implementation header for the sidecar format.
-    This module both reads ({!parse_directives},
-    {!config_of_directives}) and writes ({!directives_of_config}) the
-    format. *)
+    Run parameters ride in [; conf: key=value] directive comments: the
+    machine-shape keys a job spec takes ({!Ximd_core.Config.shape_keys}),
+    read and written by {!Ximd_core.Config}, and [models]; see the
+    implementation header for the sidecar format.  This module both
+    reads ({!parse_directives}, {!config_of_directives}) and writes
+    ({!directives_of_config}) the format. *)
 
 type directives = (string * (int * string)) list
 (** key -> (source line, value); the line makes value diagnostics
@@ -27,9 +27,8 @@ val config_of_directives :
 val directives_of_config : Ximd_core.Config.t -> string
 (** The one [; conf:] line, newline-terminated, that
     {!config_of_directives} reads back as [config] — for a configuration
-    with the [Record] hazard policy, which the corpus always uses.  Keys
-    at their default value are written too, except [organisation] and
-    [seq]. *)
+    with the [Record] hazard policy, which the corpus always uses.  It
+    writes all six shape keys ({!Ximd_core.Config.pp}). *)
 
 type case = {
   path : string;

@@ -235,7 +235,9 @@ let test_bad_paths () =
 
 (* Out-of-range counts are bad usage too: one line on stderr, nothing on
    stdout, and fuzz's exit 2 or ximd-serve's exit 1 — not a backtrace
-   from the run farm, nor a clean-looking run of no cases. *)
+   from the run farm, nor a clean-looking run of no cases.  So are no
+   cycle fuel and a register or memory range the simulators cannot
+   dump: xsim and vsim refuse them with exit 1 before the run. *)
 let test_bad_usage () =
   with_temp_dir (fun dir ->
     let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
@@ -252,11 +254,29 @@ let test_bad_usage () =
             Alcotest.(check string) (what ^ ": stderr") (message ^ "\n")
               (read_file stderr);
             Alcotest.(check string) (what ^ ": stdout") "" (read_file stdout))
-          [ ( fuzz, [ "run"; "--count"; "1"; "--domains"; "65" ], 2,
-              "fuzz: --domains must be at most 64" );
-            ( fuzz, [ "run"; "--seed"; "1"; "--count"; "-5" ], 2,
-              "fuzz: --count must be at least 1" );
-            (serve, [ "--domains"; "65" ], 1, "--domains must be at most 64") ]))
+          ([ ( fuzz, [ "run"; "--count"; "1"; "--domains"; "65" ], 2,
+               "fuzz: --domains must be at most 64" );
+             ( fuzz, [ "run"; "--seed"; "1"; "--count"; "-5" ], 2,
+               "fuzz: --count must be at least 1" );
+             (serve, [ "--domains"; "65" ], 1, "--domains must be at most 64")
+           ]
+          @ List.concat_map
+              (fun exe ->
+                List.map
+                  (fun (args, message) ->
+                    (exe, args @ [ "examples/asm/countdown.xasm" ], 1, message))
+                  [ ( [ "--dump-mem"; "99999999:2" ],
+                      "--dump-mem: 99999999:2 lies outside the 65536-word \
+                       memory" );
+                    ( [ "--dump-mem=-4:2" ],
+                      "--dump-mem: -4:2 lies outside the 65536-word memory" );
+                    ( [ "--dump-mem"; "0:-1" ],
+                      "--dump-mem: length -1 is negative" );
+                    ( [ "--dump-regs"; "r1,zz" ],
+                      {|--dump-regs: bad register "zz"|} );
+                    ([ "--max-cycles=0" ], "--max-cycles must be at least 1")
+                  ])
+              [ xsim; vsim ])))
 
 (* xcc's scheduler exports, as the CLI writes them: the explain text and
    the ximd-sched/1 report byte for byte against the goldens, and a

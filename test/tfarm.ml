@@ -453,6 +453,61 @@ let test_file_payload_quotes_nothing () =
       | records, _ ->
         Alcotest.failf "expected 1 record, got %d" (List.length records))
 
+(* A file that never ends is read only up to the input cap and
+   rejected, never read into the heap until memory runs out. *)
+let test_endless_file_rejected () =
+  match run_lines ~domains:1 [ {|{"file":"/dev/zero","id":"zero"}|} ] with
+  | [ record ], _ -> (
+    match record.F.Record.status with
+    | F.Record.Rejected { reason } ->
+      Alcotest.(check string) "reason"
+        (Printf.sprintf "/dev/zero: line 0: /dev/zero: longer than %d bytes"
+           Ximd_asm.Source.max_file_bytes)
+        reason
+    | _ ->
+      Alcotest.failf "not rejected: %s" (F.Record.to_json_string record))
+  | records, _ ->
+    Alcotest.failf "expected 1 record, got %d" (List.length records)
+
+(* A job spec and a conformance [; conf:] line read a shape key's value
+   alike: the conf line takes the job's JSON text, and refuses what the
+   job refuses with the same words. *)
+let test_shape_keys_one_vocabulary () =
+  List.iter
+    (fun (key, value) ->
+      let job =
+        F.Job.of_line ~index:0
+          (Printf.sprintf {|{"workload":"ll1",%S:%s}|} key value)
+      in
+      let conf =
+        Result.bind
+          (Ximd_gen.Conform.parse_directives
+             (Printf.sprintf "; conf: %s=%s\n" key value))
+          (Ximd_gen.Conform.config_of_directives ~n_fus:2)
+      in
+      let what = key ^ "=" ^ value in
+      match (job, conf) with
+      | Ok _, Ok _ -> ()
+      | Error job, Error conf ->
+        Alcotest.(check string) what ("line 1: conf " ^ job) conf
+      | Ok _, Error e ->
+        Alcotest.failf "%s: only the conf line refuses: %s" what e
+      | Error e, Ok _ -> Alcotest.failf "%s: only the job refuses: %s" what e)
+    [ ("max_cycles", "5"); ("max_cycles", "0"); ("max_cycles", "1.5");
+      ("latency", "3"); ("latency", {|"3"|}); ("mem_words", "64");
+      ("mem_words", "-64"); ("ports", "4"); ("ports", "true");
+      ("distributed", "true"); ("distributed", "1");
+      ("sequencer", {|"prototype"|}); ("sequencer", {|"fast"|});
+      ("sequencer", "2") ];
+  Alcotest.(check (list string)) "keys a conf line takes, besides models"
+    Ximd_core.Config.shape_keys
+    (List.filter (( <> ) "models")
+       (List.map fst
+          (Result.get_ok
+             (Ximd_gen.Conform.parse_directives
+                (Ximd_gen.Conform.directives_of_config
+                   Ximd_core.Config.default)))))
+
 let to_alcotest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -477,4 +532,8 @@ let suite =
         Alcotest.test_case "workload jobs apply machine-shape keys" `Quick
           test_workload_shape_keys;
         Alcotest.test_case "file payloads quote no file bytes" `Quick
-          test_file_payload_quotes_nothing ] ) ]
+          test_file_payload_quotes_nothing;
+        Alcotest.test_case "an endless file job is rejected" `Quick
+          test_endless_file_rejected;
+        Alcotest.test_case "shape keys read alike in jobs and conf lines"
+          `Quick test_shape_keys_one_vocabulary ] ) ]

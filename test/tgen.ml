@@ -167,25 +167,33 @@ let test_directives_roundtrip () =
     match
       Conform.parse_directives
         "; a comment\n\
-         ; conf: fuel=123 latency=2 mem=64\n\
-         ; conf: seq=prototype\n\
+         ; conf: max_cycles=123 latency=2 mem_words=64\n\
+         ; conf: sequencer=prototype distributed=true\n\
          body"
     with
     | Ok d -> d
     | Error e -> Alcotest.fail e
   in
   let value key = Option.map snd (List.assoc_opt key d) in
-  Alcotest.(check (option string)) "fuel" (Some "123") (value "fuel");
+  Alcotest.(check (option string)) "max_cycles" (Some "123")
+    (value "max_cycles");
   Alcotest.(check (option string)) "latency" (Some "2") (value "latency");
-  Alcotest.(check (option string)) "seq" (Some "prototype") (value "seq");
-  Alcotest.(check (option int)) "seq line" (Some 3)
-    (Option.map fst (List.assoc_opt "seq" d));
+  Alcotest.(check (option string)) "sequencer" (Some "prototype")
+    (value "sequencer");
+  Alcotest.(check (option int)) "sequencer line" (Some 3)
+    (Option.map fst (List.assoc_opt "sequencer" d));
   match Conform.config_of_directives d ~n_fus:2 with
   | Error e -> Alcotest.fail e
   | Ok config ->
     Alcotest.(check int) "max_cycles" 123 config.Ximd_core.Config.max_cycles;
     Alcotest.(check int) "result_latency" 2
-      config.Ximd_core.Config.result_latency
+      config.Ximd_core.Config.result_latency;
+    Alcotest.(check int) "mem_words" 64 config.Ximd_core.Config.mem_words;
+    Alcotest.(check bool) "distributed over the program's FUs" true
+      (config.Ximd_core.Config.mem_organisation
+       = Ximd_machine.Memory.Distributed { n_fus = 2 });
+    Alcotest.(check bool) "prototype sequencer" true
+      (config.Ximd_core.Config.sequencer = Ximd_core.Config.Prototype)
 
 (* The loader hardening contract: malformed directives are structured
    errors naming the line, never exceptions. *)
@@ -204,19 +212,32 @@ let test_directives_malformed () =
       if not (contains e pattern) then
         Alcotest.failf "%s: error %S does not mention %S" what e pattern
   in
-  expect_error "bare token" "; conf: fuel\n" "line 1";
-  expect_error "unknown key" "x\n; conf: fule=2\n" "unknown conf key";
-  expect_error "unknown key line" "x\n; conf: fule=2\n" "line 2";
-  expect_error "duplicate key" "; conf: fuel=1\n; conf: fuel=2\n"
+  expect_error "bare token" "; conf: max_cycles\n" "line 1";
+  expect_error "unknown key" "x\n; conf: max_cycle=2\n" "unknown conf key";
+  expect_error "unknown key line" "x\n; conf: max_cycle=2\n" "line 2";
+  expect_error "duplicate key" "; conf: max_cycles=1\n; conf: max_cycles=2\n"
     "duplicate conf key";
-  (match Conform.parse_directives "; conf: fuel=abc\n" with
-   | Error e -> Alcotest.failf "value errors belong to config_of: %s" e
-   | Ok d -> (
-     match Conform.config_of_directives d ~n_fus:2 with
-     | Ok _ -> Alcotest.fail "fuel=abc: expected an error"
-     | Error e ->
-       Alcotest.(check bool) "names the line" true
-         (String.length e >= 6 && String.sub e 0 6 = "line 1")));
+  (* the conf line takes a job spec's key names, not its own *)
+  List.iter
+    (fun token ->
+      expect_error token ("; conf: " ^ token ^ "\n") "unknown conf key")
+    [ "fuel=100"; "mem=64"; "organisation=distributed"; "seq=prototype" ];
+  let value_error token message =
+    match Conform.parse_directives ("x\n; conf: " ^ token ^ "\n") with
+    | Error e -> Alcotest.failf "value errors belong to config_of: %s" e
+    | Ok d -> (
+      match Conform.config_of_directives d ~n_fus:2 with
+      | Ok _ -> Alcotest.failf "%s: expected an error" token
+      | Error e -> Alcotest.(check string) token message e)
+  in
+  value_error "max_cycles=abc"
+    {|line 2: conf key "max_cycles": expected an integer|};
+  value_error "ports=0" {|line 2: conf key "ports": must be positive (got 0)|};
+  value_error "distributed=yes"
+    {|line 2: conf key "distributed": expected a boolean|};
+  value_error "sequencer=fast"
+    ({|line 2: conf key "sequencer": expected "research" or "prototype" |}
+    ^ {|(got "fast")|});
   (* out-of-range machine shape: Config.make's Invalid_argument is
      caught and converted *)
   match Conform.parse_directives "; conf: latency=99\n" with

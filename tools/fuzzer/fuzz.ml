@@ -87,19 +87,11 @@ let parse_options spec args =
 
 let case_at ~seed ~index = Gen.Proggen.generate ~seed ~index Gen.Proggen.case
 
-let case_source (c : Gen.Proggen.case) = Ximd_asm.Source.to_source c.program
-
-let describe_config (c : Gen.Proggen.case) =
-  let cfg = c.config in
-  Printf.sprintf "n_fus=%d latency=%d mem=%d%s fuel=%d%s" cfg.n_fus
-    cfg.result_latency cfg.mem_words
-    (match cfg.mem_organisation with
-     | Ximd_machine.Memory.Shared -> ""
-     | Ximd_machine.Memory.Distributed _ -> " (distributed)")
-    cfg.max_cycles
-    (match cfg.sequencer with
-     | Ximd_core.Config.Research -> ""
-     | Ximd_core.Config.Prototype -> " seq=prototype")
+(* A case as the suite file [save] writes: its [; conf:] line, then its
+   program (whose [.fus] line gives the width). *)
+let case_file (c : Gen.Proggen.case) =
+  Gen.Conform.directives_of_config c.config
+  ^ Ximd_asm.Source.to_source c.program
 
 let diverges c =
   match Gen.Diff.check_case c with
@@ -117,7 +109,7 @@ let shrink_case c =
 let shrink_and_report ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
   let shrunk = Gen.Shrink.minimise ~predicate:diverges c in
   Printf.printf "shrunk repro of index %d (%d parcels, was %d):\n%s\n" index
-    (Gen.Shrink.parcels shrunk) (Gen.Shrink.parcels c) (case_source shrunk);
+    (Gen.Shrink.parcels shrunk) (Gen.Shrink.parcels c) (case_file shrunk);
   match artifacts with
   | None ->
     Printf.printf
@@ -128,11 +120,11 @@ let shrink_and_report ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let base = Filename.concat dir (Printf.sprintf "seed%d-index%d" seed index) in
     write_file (base ^ ".report.txt")
-      (Printf.sprintf "seed %d index %d (%s)\n%s\n" seed index
-         (describe_config c)
+      (Printf.sprintf "seed %d index %d\n%s%s\n" seed index
+         (Gen.Conform.directives_of_config c.config)
          (Gen.Diff.divergence_to_string d));
-    write_file (base ^ ".shrunk.xasm") (case_source shrunk);
-    write_file (base ^ ".original.xasm") (case_source c);
+    write_file (base ^ ".shrunk.xasm") (case_file shrunk);
+    write_file (base ^ ".original.xasm") (case_file c);
     Printf.printf "artifacts written under %s\n" dir
 
 (* Fuzzing on the supervised pool: each case is one pool job, so a
@@ -184,9 +176,9 @@ let cmd_run args =
     | `Diverge (c, (d : Gen.Diff.divergence)) ->
       incr divergences;
       if !first = None then first := Some (index, c, d);
-      Printf.printf "DIVERGENCE at seed %d index %d (%s, model %s)\n%s\n"
-        !seed index (describe_config c)
-        (Gen.Diff.model_name d.model)
+      Printf.printf "DIVERGENCE at seed %d index %d (model %s)\n%s%s\n"
+        !seed index (Gen.Diff.model_name d.model)
+        (Gen.Conform.directives_of_config c.Gen.Proggen.config)
         (Gen.Diff.divergence_to_string d)
     | `Crash exn ->
       incr crashes;
@@ -259,8 +251,9 @@ let cmd_one args =
       args
   in
   let c = case_at ~seed:!seed ~index:!index in
-  Printf.printf "case seed %d index %d: %s\n" !seed !index (describe_config c);
-  if !dump then print_string (case_source c);
+  Printf.printf "case seed %d index %d:\n" !seed !index;
+  print_string
+    (if !dump then case_file c else Gen.Conform.directives_of_config c.config);
   match Gen.Diff.check_case c with
   | Gen.Diff.Agree { models } ->
     Printf.printf "agree under %s\n"
@@ -285,10 +278,8 @@ let cmd_shrink args =
       !seed !index;
     exit 0
   | Some shrunk ->
-    Printf.printf "shrunk %d -> %d parcels (%s)\n%s" (Gen.Shrink.parcels c)
-      (Gen.Shrink.parcels shrunk)
-      (describe_config shrunk)
-      (case_source shrunk);
+    Printf.printf "shrunk %d -> %d parcels:\n%s" (Gen.Shrink.parcels c)
+      (Gen.Shrink.parcels shrunk) (case_file shrunk);
     (match Gen.Diff.check_case shrunk with
      | Gen.Diff.Diverge d ->
        print_newline ();
@@ -323,8 +314,7 @@ let cmd_save args =
   let c = case_at ~seed:!seed ~index:!index in
   let c = match shrink_case c with Some s -> s | None -> c in
   let path = Filename.concat !dir (!name ^ ".xasm") in
-  write_file path
-    (Ximd_gen.Conform.directives_of_config c.config ^ case_source c);
+  write_file path (case_file c);
   (match Ximd_gen.Conform.load path with
    | Ok case ->
      let expect = write_expect case in
