@@ -9,21 +9,24 @@
    The simulator's own speed is measured by the repository benchmark,
    bench/ledger (see bench/ledger/README.md). *)
 
+open Cmdliner
+
 let known = Ximd_report.Experiments.known @ Ximd_report.Ablations.known
 
+(* An unknown id is refused before any run starts. *)
+let ids =
+  Arg.(
+    value
+    & pos_all (enum (List.map (fun (id, _) -> (id, id)) known))
+        [ "all"; "ablations" ]
+    & info [] ~docv:"EXPERIMENT")
+
+let run ids =
+  List.iter (fun id -> Format.printf "@[<v>%t@]@." (List.assoc id known)) ids
+
 let () =
-  let args = List.tl (Array.to_list Sys.argv) in
-  let args = if args = [] then [ "all"; "ablations" ] else args in
-  (* Reject typos before any run starts. *)
-  let experiments =
-    List.map
-      (fun arg ->
-        match List.assoc_opt arg known with
-        | Some f -> f
-        | None ->
-          Printf.eprintf "unknown experiment %S (have: %s)\n" arg
-            (String.concat ", " (List.map fst known));
-          exit 1)
-      args
-  in
-  List.iter (fun f -> Format.printf "@[<v>%t@]@." f) experiments
+  Cli_common.eval
+    (Cmd.v
+       (Cmd.info "main" ~doc:"paper experiment driver"
+          ~exits:Cli_common.ok_or_bad_input)
+       Term.(const run $ ids))

@@ -1,9 +1,10 @@
-(* Shared plumbing for the command-line tools: the xsim/vsim simulators
-   use the full run pipeline; xcc reuses [run_and_report], [exits] (the
-   canonical Run.exit_codes table rendered for cmdliner), [read_input]
-   and [write_output]; xasm and ximd-serve read and write files through
-   the last two as well, and every tool reports bad input through
-   [bad_input]. *)
+(* The command-line layer every tool shares: xsim and vsim run the full
+   pipeline below; xcc reuses [run_and_report]; ximd-serve and fuzz run
+   take the run farm's options ([farm_term]) and build and write their
+   campaign observer here; every tool reads and writes files through
+   [read_input] and [write_output], reports bad input through
+   [bad_input], documents its exit codes with [exit_infos] and ends in
+   [eval]. *)
 
 open Cmdliner
 open Ximd_isa
@@ -245,18 +246,20 @@ let postmortem_arg =
               $(b,json).  Without this option a text postmortem is \
               printed only when the run deadlocks.")
 
-(* Bad input or usage: one line on stderr and exit 1. *)
-let bad_input fmt =
+(* Bad input or usage: one line on stderr, after "TOOL: " when [tool]
+   is given, and exit [code]: 1, or fuzz's 2, whose 1 means a
+   divergence. *)
+let bad_input ?(code = 1) ?tool fmt =
   Printf.ksprintf
     (fun msg ->
-      prerr_endline msg;
-      exit 1)
+      prerr_endline (match tool with Some t -> t ^ ": " ^ msg | None -> msg);
+      exit code)
     fmt
 
 (* A path a tool cannot read or write is bad input: one
    "TOOL: PATH: REASON" line, never an uncaught [Sys_error].  [msg] is
    the [Sys_error] text, which may already start with the path. *)
-let io_failure ~tool path msg =
+let io_failure ?code ~tool path msg =
   let prefix = path ^ ": " in
   let reason =
     if String.starts_with ~prefix msg then
@@ -264,7 +267,7 @@ let io_failure ~tool path msg =
         (String.length msg - String.length prefix)
     else msg
   in
-  bad_input "%s: %s: %s" tool path reason
+  bad_input ?code ~tool "%s: %s" path reason
 
 let read_input ~tool path =
   match Ximd_asm.Source.read_file path with
@@ -272,13 +275,13 @@ let read_input ~tool path =
   | Error msg -> io_failure ~tool path msg
 
 (* Writes [contents] to [path], "-" meaning stdout. *)
-let write_output ~tool path contents =
+let write_output ?code ~tool path contents =
   if path = "-" then print_string contents
   else
     try
       Out_channel.with_open_bin path (fun oc ->
         Out_channel.output_string oc contents)
-    with Sys_error msg -> io_failure ~tool path msg
+    with Sys_error msg -> io_failure ?code ~tool path msg
 
 (* A one-line JSON document, newline-terminated. *)
 let write_json ~tool path json =
@@ -384,11 +387,8 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
        bad_input "--dump-mem: %d:%d lies outside the %d-word memory" addr len
          config.mem_words
      | Some _ | None -> ());
-    let setup (state : Ximd_core.State.t) =
-      List.iter
-        (fun (r, v) -> Ximd_machine.Regfile.set state.regs r v)
-        reg_inits;
-      List.iter (fun (a, v) -> Ximd_core.State.mem_set state a v) mem_inits
+    let setup state =
+      Ximd_core.State.apply_inits state ~regs:reg_inits ~mem:mem_inits
     in
     (match compare_file with
      | Some compare_path ->
@@ -402,11 +402,11 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
       | None -> None
       | Some spec -> (
         match
-          Ximd_machine.Fault.parse
+          Ximd_machine.Fault.of_spec
             ~n_fus:(Ximd_core.Program.n_fus program)
             spec
         with
-        | Ok events -> Some (Ximd_machine.Fault.create events)
+        | Ok faults -> Some faults
         | Error msg -> bad_input "--inject: %s" msg)
     in
     let obs =
@@ -592,10 +592,15 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     run_and_report ?tracer ~report run;
     if Ximd_core.State.hazards state <> [] then exit 5
 
-let exits =
-  List.map
-    (fun (code, doc) -> Cmd.Exit.info code ~doc)
-    Ximd_core.Run.exit_codes
+(* --help's EXIT STATUS section, one entry per (code, doc) pair. *)
+let exit_infos = List.map (fun (code, doc) -> Cmd.Exit.info code ~doc)
+
+let exits = exit_infos Ximd_core.Run.exit_codes
+
+(* The codes of a tool that either succeeds or refuses its input. *)
+let ok_or_bad_input =
+  exit_infos
+    (List.filter (fun (code, _) -> code <= 1) Ximd_core.Run.exit_codes)
 
 let simulator_term ~tool sim_term =
   Term.(
@@ -609,3 +614,110 @@ let simulator_term ~tool sim_term =
     $ critical_path_arg $ profile_folded_arg $ compare_arg
     $ compare_json_arg $ reg_inits_arg
     $ mem_inits_arg $ dump_regs_arg $ dump_mem_arg)
+
+(* --- The run farm's options: ximd-serve and fuzz run ------------------ *)
+
+type farm_opts = {
+  domains : int;
+  trace_out : string option;
+  report_out : string option;
+  progress_every : int;
+}
+
+let domains_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "domains" ] ~docv:"N"
+        ~doc:"Worker domains, 1 to 64; the count is honoured even \
+              beyond the machine's core count.")
+
+let campaign_trace_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "campaign-trace" ] ~docv:"FILE"
+        ~doc:"Write a whole-campaign Chrome trace_event file: one track \
+              per worker domain, one outcome-coloured slice per job, \
+              queue-depth counter track.  Open in chrome://tracing or \
+              Perfetto.")
+
+let campaign_report_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "campaign-report" ] ~docv:"FILE"
+        ~doc:"Write a ximd-campaign/1 rollup: line 2 is the logical view \
+              (byte-stable across runs and domain counts), line 3 the \
+              fleet view (wall times, per-domain totals, cache hit \
+              rate).")
+
+let progress_every_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "progress-every" ] ~docv:"N"
+        ~doc:"Emit one ximd-progress/1 heartbeat line to stderr after \
+              every N completed jobs (0 disables).")
+
+(* The farm's options.  A domain count out of range or a negative
+   heartbeat period is bad usage, refused through [bad_input] with the
+   caller's [code] and [tool]. *)
+let farm_term ?code ?tool () =
+  let check domains trace_out report_out progress_every =
+    if domains < 1 then bad_input ?code ?tool "--domains must be at least 1";
+    if domains > Ximd_farm.Pool.max_domains then
+      bad_input ?code ?tool "--domains must be at most %d"
+        Ximd_farm.Pool.max_domains;
+    if progress_every < 0 then
+      bad_input ?code ?tool "--progress-every must be non-negative";
+    { domains; trace_out; report_out; progress_every }
+  in
+  Term.(
+    const check $ domains_arg $ campaign_trace_arg $ campaign_report_arg
+    $ progress_every_arg)
+
+(* The campaign observer the options ask for, if any. *)
+let farm_observer opts =
+  if
+    opts.trace_out <> None || opts.report_out <> None
+    || opts.progress_every > 0
+  then
+    Some
+      (Ximd_obs.Farmobs.create ~progress_every:opts.progress_every
+         ~progress:prerr_endline ~clock:Unix.gettimeofday ())
+  else None
+
+(* Writes the campaign trace and report the options name, and warns
+   when a run's event ring overflowed, which leaves the trace short. *)
+let write_farm_observer ?code ~tool opts obs =
+  Option.iter
+    (fun o ->
+      Option.iter
+        (fun path ->
+          write_output ?code ~tool path (Ximd_obs.Farmobs.chrome_json o))
+        opts.trace_out;
+      Option.iter
+        (fun path ->
+          write_output ?code ~tool path (Ximd_obs.Farmobs.rollup_json o))
+        opts.report_out;
+      let dropped =
+        (Ximd_obs.Metrics.counter (Ximd_obs.Farmobs.merged_metrics o)
+           "events_dropped")
+          .Ximd_obs.Metrics.c_value
+      in
+      if dropped > 0 then
+        Printf.eprintf
+          "%s: warning: %d observability events dropped (ring overflow); \
+           traces are incomplete\n%!"
+          tool dropped)
+    obs
+
+(* Runs a tool's command line and exits.  One the parser refuses is
+   bad usage: cmdliner's message and exit [code] (1, or fuzz's 2),
+   never cmdliner's 124.  Help exits 0; an exception that escapes keeps
+   cmdliner's 125. *)
+let eval ?(code = 1) cmd =
+  exit
+    (match Cmd.eval_value cmd with
+     | Ok (`Ok () | `Help | `Version) -> 0
+     | Error (`Parse | `Term) -> code
+     | Error `Exn -> Cmd.Exit.internal_error)

@@ -17,4 +17,4 @@ let cmd =
     (Cli_common.simulator_term ~tool:"vsim"
        (Term.const Ximd_core.Engine.Global))
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

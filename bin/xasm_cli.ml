@@ -54,8 +54,8 @@ let run input output listing dis =
 let cmd =
   let doc = "XIMD assembler and disassembler" in
   Cmd.v
-    (Cmd.info "xasm" ~doc)
+    (Cmd.info "xasm" ~doc ~exits:Cli_common.ok_or_bad_input)
     Term.(const run $ input_arg $ output_arg $ listing_flag
           $ disassemble_flag)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -136,4 +136,4 @@ let cmd =
       $ listing_flag $ trace_flag $ explain_flag $ sched_json_arg
       $ sched_trace_arg)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -10,13 +10,6 @@
 open Cmdliner
 module Farm = Ximd_farm
 
-let domains_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:"Worker domains, 1 to 64; the count is honoured even \
-              beyond the machine's core count.")
-
 let queue_bound_arg =
   Arg.(
     value & opt int 256
@@ -40,55 +33,13 @@ let no_summary_flag =
         ~doc:"Do not append the ximd-summary/1 line to the result \
               stream.")
 
-let campaign_trace_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "campaign-trace" ] ~docv:"FILE"
-        ~doc:"Write a whole-campaign Chrome trace_event file: one track \
-              per worker domain, one outcome-coloured slice per job, \
-              queue-depth counter track.  Open in chrome://tracing or \
-              Perfetto.")
-
-let campaign_report_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "campaign-report" ] ~docv:"FILE"
-        ~doc:"Write a ximd-campaign/1 rollup: line 2 is the logical view \
-              (byte-stable across runs and domain counts), line 3 the \
-              fleet view (wall times, per-domain totals, cache hit \
-              rate).")
-
-let progress_every_arg =
-  Arg.(
-    value & opt int 0
-    & info [ "progress-every" ] ~docv:"N"
-        ~doc:"Emit one ximd-progress/1 heartbeat line to stderr after \
-              every N completed jobs (0 disables).")
-
-type campaign_opts = {
-  trace_out : string option;
-  report_out : string option;
-  progress_every : int;
-}
-
-(* One campaign: job lines from [input], result lines to [output].
-   Returns the worst exit code seen, or 130 if interrupted.  Telemetry
-   is per-campaign: in socket mode each connection gets a fresh
-   observer and overwrites the trace/report files. *)
-let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
-  let obs =
-    if
-      campaign.trace_out <> None
-      || campaign.report_out <> None
-      || campaign.progress_every > 0
-    then
-      Some
-        (Ximd_obs.Farmobs.create ~progress_every:campaign.progress_every
-           ~progress:prerr_endline ~clock:Unix.gettimeofday ())
-    else None
-  in
+(* One campaign on the farm [opts] describe: job lines from [input],
+   result lines to [output].  Returns the worst exit code seen, or 130
+   if interrupted.  Telemetry is per-campaign: in socket mode each
+   connection gets a fresh observer and overwrites the trace/report
+   files. *)
+let run_campaign ~opts ~queue_bound ~summary input output =
+  let obs = Cli_common.farm_observer opts in
   (* SIGPIPE is ignored, so a reader that hangs up surfaces as a
      [Sys_error] from the write.  That only stops the writing: [emit]
      runs with the pool lock held, so the reader loop below is what
@@ -107,7 +58,9 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
     records := record :: !records;
     write_line (Ximd_farm.Record.to_json_string record)
   in
-  let farm = Farm.Farm.create ~domains ~queue_bound ?obs ~emit () in
+  let farm =
+    Farm.Farm.create ~domains:opts.Cli_common.domains ~queue_bound ?obs ~emit ()
+  in
   let interrupted = ref false in
   (try
      let rec loop () =
@@ -143,44 +96,17 @@ let run_campaign ~domains ~queue_bound ~summary ~campaign input output =
     in
     write_line (Farm.Record.summary_to_json_string ?metrics s)
   end;
-  (match obs with
-   | None -> ()
-   | Some o ->
-     Option.iter
-       (fun path ->
-         Cli_common.write_output ~tool:"ximd-serve" path
-           (Ximd_obs.Farmobs.chrome_json o))
-       campaign.trace_out;
-     Option.iter
-       (fun path ->
-         Cli_common.write_output ~tool:"ximd-serve" path
-           (Ximd_obs.Farmobs.rollup_json o))
-       campaign.report_out;
-     let dropped =
-       let c =
-         Ximd_obs.Metrics.counter
-           (Ximd_obs.Farmobs.merged_metrics o)
-           "events_dropped"
-       in
-       c.Ximd_obs.Metrics.c_value
-     in
-     if dropped > 0 then
-       Printf.eprintf
-         "ximd-serve: warning: %d observability events dropped (ring \
-          overflow); traces are incomplete\n%!"
-         dropped);
+  Cli_common.write_farm_observer ~tool:"ximd-serve" opts obs;
   if !interrupted then 130 else s.Farm.Record.max_exit_code
 
-let serve_stdin ~domains ~queue_bound ~summary ~campaign =
-  let code =
-    run_campaign ~domains ~queue_bound ~summary ~campaign stdin stdout
-  in
+let serve_stdin ~opts ~queue_bound ~summary =
+  let code = run_campaign ~opts ~queue_bound ~summary stdin stdout in
   (* After a reader hangs up, the buffer holds bytes no one can take;
      closing drops them, so the flush at exit does not raise. *)
   close_out_noerr stdout;
   code
 
-let serve_socket ~domains ~queue_bound ~summary ~campaign path =
+let serve_socket ~opts ~queue_bound ~summary path =
   let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   Unix.bind sock (Unix.ADDR_UNIX path);
@@ -198,7 +124,7 @@ let serve_socket ~domains ~queue_bound ~summary ~campaign path =
       let input = Unix.in_channel_of_descr conn in
       let output = Unix.out_channel_of_descr conn in
       let code =
-        try run_campaign ~domains ~queue_bound ~summary ~campaign input output
+        try run_campaign ~opts ~queue_bound ~summary input output
         with Sys.Break ->
           close_out_noerr output;
           cleanup ();
@@ -212,33 +138,24 @@ let serve_socket ~domains ~queue_bound ~summary ~campaign path =
      cleanup ();
      130)
 
-let run domains queue_bound socket no_summary trace_out report_out
-    progress_every =
-  if domains < 1 then Cli_common.bad_input "--domains must be at least 1";
-  if domains > Farm.Pool.max_domains then
-    Cli_common.bad_input "--domains must be at most %d" Farm.Pool.max_domains;
+let run opts queue_bound socket no_summary =
   if queue_bound < 1 then
     Cli_common.bad_input "--queue-bound must be at least 1";
-  if progress_every < 0 then
-    Cli_common.bad_input "--progress-every must be non-negative";
   Printexc.record_backtrace true;
   Sys.catch_break true;
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let summary = not no_summary in
-  let campaign = { trace_out; report_out; progress_every } in
   let code =
     match socket with
-    | None -> serve_stdin ~domains ~queue_bound ~summary ~campaign
-    | Some path -> serve_socket ~domains ~queue_bound ~summary ~campaign path
+    | None -> serve_stdin ~opts ~queue_bound ~summary
+    | Some path -> serve_socket ~opts ~queue_bound ~summary path
   in
   exit code
 
 let exits =
   Cmd.Exit.info 130 ~doc:"interrupted (SIGINT); completed records were \
                           flushed"
-  :: List.map
-       (fun (code, doc) -> Cmd.Exit.info code ~doc)
-       Ximd_core.Run.exit_codes
+  :: Cli_common.exits
 
 let cmd =
   let doc = "supervised batch run service (ximd serve)" in
@@ -270,8 +187,7 @@ let cmd =
   Cmd.v
     (Cmd.info "ximd-serve" ~doc ~man ~exits)
     Term.(
-      const run $ domains_arg $ queue_bound_arg $ socket_arg
-      $ no_summary_flag $ campaign_trace_arg $ campaign_report_arg
-      $ progress_every_arg)
+      const run $ Cli_common.farm_term () $ queue_bound_arg $ socket_arg
+      $ no_summary_flag)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -19,13 +19,13 @@ let cmd =
          sequencer per functional unit, shared condition codes and \
          synchronisation signals, dynamic SSET partitioning.";
       `S Manpage.s_examples;
-      `P "xsim --trace --dump-regs r3,r4 minmax.xasm";
-      `P "xsim --detect-deadlock --postmortem json pairsync.xasm";
+      `P "xsim --trace --dump-regs r3,r4 examples/asm/minmax.xasm";
+      `P "xsim --detect-deadlock --postmortem json examples/asm/deadlock.xasm";
       `P
         "xsim --inject ss@10:1,halt@20:0 --record-hazards \
-         --detect-deadlock minmax.xasm";
-      `P "xsim --trace-events trace.json --metrics - minmax.xasm";
-      `P "xsim --profile --timeline pairsync.xasm" ]
+         --detect-deadlock examples/asm/minmax.xasm";
+      `P "xsim --trace-events trace.json --metrics - examples/asm/minmax.xasm";
+      `P "xsim --profile --timeline examples/asm/anybarrier.xasm" ]
   in
   let sim_term =
     Term.(
@@ -37,4 +37,4 @@ let cmd =
     (Cmd.info "xsim" ~doc ~man ~exits:Cli_common.exits)
     (Cli_common.simulator_term ~tool:"xsim" sim_term)
 
-let () = exit (Cmd.eval cmd)
+let () = Cli_common.eval cmd

@@ -376,21 +376,49 @@ let parse text =
 
 let max_file_bytes = 16 * 1024 * 1024
 
-(* Reads in small chunks and stops at the first one past the cap, so a
-   file that never ends ([/dev/zero], a FIFO) costs at most the cap in
-   memory. *)
+(* Reads into [buf] from [pos] until it is full or the input ends;
+   returns how many bytes it then holds. *)
+let rec fill ic buf pos =
+  if pos = Bytes.length buf then pos
+  else
+    match In_channel.input ic buf pos (Bytes.length buf - pos) with
+    | 0 -> pos
+    | n -> fill ic buf (pos + n)
+
+let chunk_bytes = 65536
+
+(* A regular file is read at the size it has when opened, in one
+   allocation, and refused unread when that size is over the cap.
+   Anything else (a device, a FIFO) has no size up front: it is read in
+   fixed chunks, kept only while their total stays under the cap, so
+   a file that never ends ([/dev/zero]) costs the cap in memory and no
+   outgrown copies. *)
 let read_file path =
-  let chunk = Bytes.create 1024 and buf = Buffer.create 1024 in
-  let rec go ic =
-    match In_channel.input ic chunk 0 (Bytes.length chunk) with
-    | 0 -> Ok (Buffer.contents buf)
-    | n when Buffer.length buf + n > max_file_bytes ->
-      Error (Printf.sprintf "%s: longer than %d bytes" path max_file_bytes)
-    | n ->
-      Buffer.add_subbytes buf chunk 0 n;
-      go ic
+  let too_long () =
+    Error (Printf.sprintf "%s: longer than %d bytes" path max_file_bytes)
   in
-  try In_channel.with_open_bin path go with Sys_error msg -> Error msg
+  let prefix buf n =
+    if n = Bytes.length buf then Bytes.unsafe_to_string buf
+    else Bytes.sub_string buf 0 n
+  in
+  let rec chunks ic acc total =
+    let chunk = Bytes.create chunk_bytes in
+    match fill ic chunk 0 with
+    | n when total + n > max_file_bytes -> too_long ()
+    | n when n < chunk_bytes ->
+      Ok (String.concat "" (List.rev (prefix chunk n :: acc)))
+    | n -> chunks ic (Bytes.unsafe_to_string chunk :: acc) (total + n)
+  in
+  let read ic =
+    let stats = Unix.fstat (Unix.descr_of_in_channel ic) in
+    match stats.st_kind with
+    | Unix.S_REG when stats.st_size > max_file_bytes -> too_long ()
+    | Unix.S_REG ->
+      let buf = Bytes.create stats.st_size in
+      Ok (prefix buf (fill ic buf 0))
+    | _ -> chunks ic [] 0
+  in
+  try In_channel.with_open_bin path read with Sys_error msg -> Error msg
 
 let parse_file path =
   match read_file path with

@@ -182,4 +182,8 @@ let set_reg t i v = Ximd_machine.Regfile.set t.regs (Reg.make i) v
 let mem_get t addr = Ximd_machine.Memory.get t.mem addr
 let mem_set t addr v = Ximd_machine.Memory.set t.mem addr v
 
+let apply_inits t ~regs ~mem =
+  List.iter (fun (r, v) -> Ximd_machine.Regfile.set t.regs r v) regs;
+  List.iter (fun (a, v) -> mem_set t a v) mem
+
 let hazards t = Ximd_machine.Hazard.events t.log

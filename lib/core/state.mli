@@ -142,4 +142,9 @@ val set_reg : t -> int -> Value.t -> unit
 val mem_get : t -> int -> Value.t
 val mem_set : t -> int -> Value.t -> unit
 
+val apply_inits :
+  t -> regs:(Reg.t * Value.t) list -> mem:(int * Value.t) list -> unit
+(** Sets each register of [regs], then each memory word of [mem]: the
+    initialisers a command line or a farm job gives. *)
+
 val hazards : t -> Ximd_machine.Hazard.event list

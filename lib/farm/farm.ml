@@ -97,16 +97,15 @@ type resolved = {
   r_check : (Core.State.t -> (unit, string) result) option;
 }
 
-let apply_inits (job : Job.t) (state : Core.State.t) =
-  List.iter (fun (r, v) -> M.Regfile.set state.regs r v) job.Job.reg_inits;
-  List.iter (fun (a, v) -> Core.State.mem_set state a v) job.Job.mem_inits
+let apply_inits (job : Job.t) state =
+  Core.State.apply_inits state ~regs:job.Job.reg_inits ~mem:job.Job.mem_inits
 
 let faults_of (job : Job.t) (config : Core.Config.t) =
   match job.Job.fault with
   | None -> Ok None
   | Some spec -> (
-    match M.Fault.parse ~n_fus:config.n_fus spec with
-    | Ok events -> Ok (Some (M.Fault.create events))
+    match M.Fault.of_spec ~n_fus:config.n_fus spec with
+    | Ok faults -> Ok (Some faults)
     | Error msg -> Error ("fault: " ^ msg))
 
 (* A payload's program, base config, setup and check, resolved with the
@@ -183,20 +182,10 @@ let resolve ctx (job : Job.t) =
    a quarter second — the point is to let a transient load spike pass,
    not to stall the worker. *)
 
-let splitmix64 seed =
-  let z = Int64.add seed 0x9E3779B97F4A7C15L in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-      0xBF58476D1CE4E5B9L
-  in
-  let z =
-    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-      0x94D049BB133111EBL
-  in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
 let backoff_s ~seed ~attempt =
-  let h = splitmix64 (Int64.of_int ((seed * 1_000_003) + attempt)) in
+  let h =
+    M.Fault.splitmix64 (ref (Int64.of_int ((seed * 1_000_003) + attempt)))
+  in
   let jitter_ms = Int64.to_int (Int64.logand h 63L) in
   let base_ms = 20 * attempt in
   float_of_int (min 250 (base_ms + jitter_ms)) /. 1000.

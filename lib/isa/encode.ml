@@ -277,6 +277,3 @@ let of_bytes buf =
       { w0 = Bytes.get_int64_le buf 0;
         w1 = Bytes.get_int64_le buf 8;
         w2 = Bytes.get_int64_le buf 16 }
-
-let pp_words fmt { w0; w1; w2 } =
-  Format.fprintf fmt "%016Lx %016Lx %016Lx" w0 w1 w2

@@ -56,5 +56,3 @@ val to_bytes : words -> bytes
 (** 24 bytes, little-endian words in order w0, w1, w2. *)
 
 val of_bytes : bytes -> (words, string) result
-
-val pp_words : Format.formatter -> words -> unit

@@ -49,12 +49,6 @@ let is_memory = function
   | Dload _ | Dstore _ -> true
   | Dnop | Dbin _ | Dun _ | Dcmp _ | Din _ | Dout _ -> false
 
-let is_float = function
-  | Dbin { op; _ } -> Opcode.binop_is_float op
-  | Dun { op; _ } -> Opcode.unop_is_float op
-  | Dcmp { op; _ } -> Opcode.cmpop_is_float op
-  | Dnop | Dload _ | Dstore _ | Din _ | Dout _ -> false
-
 let data_equal x y =
   match x, y with
   | Dnop, Dnop -> true

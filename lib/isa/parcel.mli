@@ -52,7 +52,6 @@ val writes : data -> Reg.t option
 val sets_cc : data -> bool
 val is_nop : data -> bool
 val is_memory : data -> bool
-val is_float : data -> bool
 
 val equal : t -> t -> bool
 val pp_data : Format.formatter -> data -> unit

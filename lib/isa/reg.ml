@@ -9,7 +9,6 @@ let make i =
 
 let index r = r
 let equal = Int.equal
-let compare = Int.compare
 let pp fmt r = Format.fprintf fmt "r%d" r
 let to_string r = Printf.sprintf "r%d" r
 

@@ -15,7 +15,6 @@ val make : int -> t
 
 val index : t -> int
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val of_string : string -> t option

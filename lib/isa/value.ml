@@ -17,7 +17,6 @@ let to_float v = Int32.float_of_bits (Int32.of_int v)
 let truth b = if b then one else zero
 let is_true v = v <> 0
 let equal = Int.equal
-let compare = Int.compare
 let pp fmt v = Format.fprintf fmt "%d" v
 let pp_hex fmt v = Format.fprintf fmt "0x%08x" (v land 0xffff_ffff)
 let pp_float fmt v = Format.fprintf fmt "%h" (to_float v)

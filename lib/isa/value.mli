@@ -41,7 +41,6 @@ val is_true : t -> bool
 (** [is_true v] is [true] iff [v] is non-zero. *)
 
 val equal : t -> t -> bool
-val compare : t -> t -> int
 
 val pp : Format.formatter -> t -> unit
 (** Prints the signed-integer view. *)

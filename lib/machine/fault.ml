@@ -148,3 +148,5 @@ let parse ~n_fus spec =
         go (events :: acc) rest
     in
     go [] (String.split_on_char ',' spec)
+
+let of_spec ~n_fus spec = Result.map create (parse ~n_fus spec)

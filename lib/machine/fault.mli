@@ -44,6 +44,14 @@ val create : event list -> t
 val parse : n_fus:int -> string -> (event list, string) result
 (** Parse the spec grammar above, validating targets against [n_fus]. *)
 
+val of_spec : n_fus:int -> string -> (t, string) result
+(** {!create} on what {!parse} reads. *)
+
+val splitmix64 : int64 ref -> int64
+(** One step of splitmix64: advances the state and returns its mix.
+    {!random_schedule} draws from it, and the run farm's retry backoff
+    hashes with it. *)
+
 val random_schedule :
   seed:int -> n:int -> ?until:int -> n_fus:int -> unit -> event list
 (** [n] events on cycles in [[0, until)] (default 10000), deterministic

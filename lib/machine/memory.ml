@@ -167,8 +167,5 @@ let get t addr =
   check_bounds t addr "get";
   peek t addr
 
-let load_block t ~addr values =
-  Array.iteri (fun i v -> set t (addr + i) v) values
-
 let dump_block t ~addr ~len =
   Array.init len (fun i -> get t (addr + i))

@@ -56,7 +56,4 @@ val set : t -> int -> Value.t -> unit
 val get : t -> int -> Value.t
 (** Direct read for result checking; raises [Invalid_argument]. *)
 
-val load_block : t -> addr:int -> Value.t array -> unit
-(** Initialise consecutive words starting at [addr]. *)
-
 val dump_block : t -> addr:int -> len:int -> Value.t array

@@ -24,34 +24,3 @@ let cycle = function
     cycle
 
 let dummy = Commit { cycle = -1; results = 0 }
-
-let ssets_string ssets =
-  String.concat ""
-    (List.map
-       (fun g -> "{" ^ String.concat "," (List.map string_of_int g) ^ "}")
-       ssets)
-
-let pp fmt = function
-  | Fetch { cycle; fu; pc } ->
-    Format.fprintf fmt "%d fetch fu%d pc=%02x" cycle fu pc
-  | Commit { cycle; results } ->
-    Format.fprintf fmt "%d commit %d results" cycle results
-  | Cc_broadcast { cycle; fu; value } ->
-    Format.fprintf fmt "%d cc fu%d=%c" cycle fu (if value then 'T' else 'F')
-  | Ss_transition { cycle; fu; to_done } ->
-    Format.fprintf fmt "%d ss fu%d->%s" cycle fu
-      (if to_done then "DONE" else "BUSY")
-  | Partition_change { cycle; ssets } ->
-    Format.fprintf fmt "%d partition %s" cycle (ssets_string ssets)
-  | Barrier_enter { cycle; fu; pc } ->
-    Format.fprintf fmt "%d barrier-enter fu%d pc=%02x" cycle fu pc
-  | Barrier_exit { cycle; fu; pc; waited } ->
-    Format.fprintf fmt "%d barrier-exit fu%d pc=%02x waited=%d" cycle fu pc
-      waited
-  | Halt { cycle; fu } -> Format.fprintf fmt "%d halt fu%d" cycle fu
-  | Fault_fired { cycle; kind; target } ->
-    Format.fprintf fmt "%d fault %s:%d" cycle kind target
-  | Watchdog_window { cycle; quiet } ->
-    Format.fprintf fmt "%d watchdog quiet=%d" cycle quiet
-
-let to_string t = Format.asprintf "%a" pp t

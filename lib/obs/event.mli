@@ -35,6 +35,3 @@ val cycle : t -> int
 
 val dummy : t
 (** Ring-buffer filler; never emitted by the simulators. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

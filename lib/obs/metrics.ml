@@ -210,20 +210,3 @@ let to_json t =
              (gauges t)) );
       ( "histograms",
         Obj (List.map (fun h -> (h.h_name, histogram h)) (histograms t)) ) ]
-
-let pp fmt t =
-  Format.pp_open_vbox fmt 0;
-  List.iter
-    (fun c -> Format.fprintf fmt "%-32s %d@," c.c_name c.c_value)
-    (counters t);
-  List.iter
-    (fun g ->
-      Format.fprintf fmt "%-32s %d (max %d)@," g.g_name g.g_value g.g_max)
-    (gauges t);
-  List.iter
-    (fun h ->
-      Format.fprintf fmt
-        "%-32s count %d  mean %.1f  p50 %d  p99 %d  max %d@," h.h_name
-        h.h_count (mean h) (quantile h 0.5) (quantile h 0.99) h.h_max)
-    (histograms t);
-  Format.pp_close_box fmt ()

@@ -87,5 +87,3 @@ val to_json : t -> Ximd_json.t
 (** The registry as JSON, keys sorted — byte-stable for a given set of
     recorded values.  Histograms list only their non-empty buckets, each
     as [{"le": upper_bound, "count": n}]. *)
-
-val pp : Format.formatter -> t -> unit

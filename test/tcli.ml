@@ -256,7 +256,7 @@ let test_bad_usage () =
             Alcotest.(check string) (what ^ ": stdout") "" (read_file stdout))
           ([ ( fuzz, [ "run"; "--count"; "1"; "--domains"; "65" ], 2,
                "fuzz: --domains must be at most 64" );
-             ( fuzz, [ "run"; "--seed"; "1"; "--count"; "-5" ], 2,
+             ( fuzz, [ "run"; "--seed"; "1"; "--count=-5" ], 2,
                "fuzz: --count must be at least 1" );
              (serve, [ "--domains"; "65" ], 1, "--domains must be at most 64")
            ]
@@ -478,6 +478,126 @@ let test_readme_schema_tags () =
       "ximd-critpath/1"; "ximd-job/1"; "ximd-metrics/1"; "ximd-progress/1";
       "ximd-result/1"; "ximd-sched/1"; "ximd-summary/1" ]
 
+(* --- fuzz subcommands and command lines the parser refuses --------------- *)
+
+let copy_dir src dst =
+  Array.iter
+    (fun name ->
+      Out_channel.with_open_bin (Filename.concat dst name) (fun oc ->
+        Out_channel.output_string oc (read_file (Filename.concat src name))))
+    (Sys.readdir src)
+
+(* Each fuzz subcommand on its success path.  The corpus half regenerates
+   every sidecar of a copy of suites/ twice, each time byte-identical to
+   the committed ones, then checks the copy. *)
+let test_fuzz_subcommands () =
+  with_temp_dir (fun dir ->
+    let fuzz_ok args = run_tool dir ~code:0 fuzz args in
+    let summary =
+      fuzz_ok [ "run"; "--seed"; "42"; "--count"; "50"; "--domains"; "2" ]
+    in
+    (* the summary ends with the run's wall time *)
+    let prefix =
+      "fuzz: 50 cases on 2 domains, 0 divergences, 0 crashes, seed 42, "
+    in
+    if
+      not
+        (String.starts_with ~prefix summary
+        && List.length (lines summary) = 2)
+    then Alcotest.failf "run: not one %S line:\n%s" prefix summary;
+    let case = [ "--seed"; "42"; "--index"; "473" ] in
+    Alcotest.(check string) "one"
+      "case seed 42 index 473:\n\
+       ; conf: max_cycles=300 latency=3 mem_words=65536 ports=4 \
+       distributed=false sequencer=research\n\
+       agree under xsim, vsim, t500\n"
+      (fuzz_ok ("one" :: case));
+    Alcotest.(check string) "shrink"
+      "case seed 42 index 473 does not diverge; nothing to shrink\n"
+      (fuzz_ok ("shrink" :: case));
+    with_temp_dir (fun saved ->
+      let path = Filename.concat saved "repro.xasm" in
+      Alcotest.(check string) "save"
+        (Printf.sprintf "wrote %s and %s\n" path
+           (Ximd_gen.Conform.expect_path path))
+        (fuzz_ok ("save" :: case @ [ "--name"; "repro"; "--dir"; saved ]));
+      match Ximd_gen.Conform.check_file path with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "saved case does not load back: %s" e);
+    with_temp_dir (fun copy ->
+      copy_dir "../suites" copy;
+      let cases = Ximd_gen.Conform.discover copy in
+      let each f = String.concat "" (List.map f cases) in
+      for _ = 1 to 2 do
+        Alcotest.(check string) "expect"
+          (each (fun p -> "wrote " ^ Ximd_gen.Conform.expect_path p ^ "\n"))
+          (fuzz_ok [ "expect"; "--dir"; copy ]);
+        Array.iter
+          (fun name ->
+            if Filename.check_suffix name ".expect" then
+              Alcotest.(check string) name
+                (read_file (Filename.concat "../suites" name))
+                (read_file (Filename.concat copy name)))
+          (Sys.readdir "../suites")
+      done;
+      Alcotest.(check string) "suites"
+        (each (fun p -> "ok   " ^ p ^ "\n")
+         ^ "suites: 18 cases, 0 failures\n")
+        (fuzz_ok [ "suites"; "--dir"; copy ])))
+
+(* A command line the parser refuses is bad usage like any other: exit
+   1 (fuzz: 2), nothing on stdout, and never cmdliner's 124 or an
+   escaped exception's 125.  --help, and fuzz with no command, exit
+   0. *)
+let test_refused_command_lines () =
+  with_temp_dir (fun dir ->
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close null)
+      (fun () ->
+        let stdout = Filename.concat dir "stdout"
+        and stderr = Filename.concat dir "stderr" in
+        let countdown = "examples/asm/countdown.xasm"
+        and dot = "examples/xc/dot.xc" in
+        List.iter
+          (fun (exe, args) ->
+            let what = String.concat " " (exe :: args) in
+            let got = spawn ~stdin:null ~stdout ~stderr exe args in
+            Alcotest.(check int) (what ^ ": exit code")
+              (if exe = fuzz then 2 else 1)
+              got;
+            Alcotest.(check string) (what ^ ": stdout") "" (read_file stdout))
+          (List.concat_map
+             (fun exe ->
+               [ (exe, [ "--bogus"; countdown ]);
+                 (exe, [ "--max-cycles"; "abc"; countdown ]);
+                 (exe, [ "/nonexistent.xasm" ]);
+                 (exe, []) ])
+             [ xsim; vsim ]
+          @ [ (xasm, [ "--bogus"; countdown ]);
+              (xasm, [ "--listing=yes"; countdown ]);
+              (xasm, [ "/nonexistent.xasm" ]);
+              (xasm, []);
+              (xcc, [ "--bogus"; dot ]);
+              (xcc, [ "--width"; "x"; dot ]);
+              (xcc, [ "/nonexistent.xc" ]);
+              (xcc, []);
+              (serve, [ "--bogus" ]);
+              (serve, [ "--domains"; "x" ]);
+              (serve, [ "--progress-every=-1" ]);
+              (fuzz, [ "bogus" ]);
+              (fuzz, [ "run"; "--bogus" ]);
+              (fuzz, [ "run"; "--count"; "x" ]);
+              (fuzz, [ "run"; "--count"; "1"; "--progress-every=-1" ]);
+              (fuzz, [ "one"; "--index"; "x" ]);
+              (fuzz, [ "save"; "--seed"; "1" ]) ]);
+        List.iter
+          (fun (exe, args) ->
+            ignore (run_tool dir ~stdin:null ~code:0 exe args))
+          (List.map (fun exe -> (exe, [ "--help=plain" ]))
+             [ xsim; vsim; xasm; xcc; serve; fuzz ]
+          @ [ (fuzz, []); (fuzz, [ "run"; "--help=plain" ]) ])))
+
 let export_case ((name, _, _, _) as run) =
   Alcotest.test_case (name ^ " exports golden") `Quick (test_exports run)
 
@@ -514,4 +634,8 @@ let suite =
           Alcotest.test_case "repeat prints one line per run" `Quick
             test_repeat_three;
           Alcotest.test_case "README names every schema tag" `Quick
-            test_readme_schema_tags ] ) ]
+            test_readme_schema_tags;
+          Alcotest.test_case "fuzz subcommands on their success paths" `Quick
+            test_fuzz_subcommands;
+          Alcotest.test_case "refused command lines exit with the usage code"
+            `Quick test_refused_command_lines ] ) ]

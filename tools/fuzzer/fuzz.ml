@@ -1,89 +1,12 @@
-(* Differential-fuzzing CLI.  See `fuzz help` or README "Fuzzing". *)
+(* Differential-fuzzing CLI.  See `fuzz --help` or README "Fuzzing". *)
 
+open Cmdliner
 module Gen = Ximd_gen
-module Program = Ximd_core.Program
 
-let usage =
-  "usage: fuzz COMMAND [OPTIONS]\n\n\
-   Differential fuzzing of the cycle engine against the reference\n\
-   interpreter: random programs run in lockstep under every applicable\n\
-   sequencing model (xsim/vsim/t500); any observable difference —\n\
-   trace, registers, memory, I/O, hazards, outcome — is a failure.\n\n\
-   commands:\n\
-  \  run     --seed S --count N [--domains D] [--artifacts DIR]\n\
-  \          fuzz N >= 1 cases on the supervised run farm (D worker\n\
-  \          domains, 1 to 64, default 1; a case that kills the checker\n\
-  \          is reported, not fatal); report every divergence and crash\n\
-  \          in index order, then shrink the lowest-index divergence\n\
-  \          (exit 1);\n\
-  \          [--campaign-trace FILE] Chrome trace of the run,\n\
-  \          [--campaign-report FILE] ximd-campaign/1 rollup,\n\
-  \          [--progress-every N] ximd-progress/1 heartbeat to stderr\n\
-  \  one     --seed S --index I [--dump]            check one case\n\
-  \  shrink  --seed S --index I                     minimise a divergent case\n\
-  \  save    --seed S --index I --name NAME [--dir DIR]\n\
-  \          shrink and land the repro in the conformance corpus\n\
-  \  expect  FILE...                                (re)generate .expect sidecars\n\
-  \  suites  [--dir DIR]                            run the conformance corpus\n\
-  \  help\n\n\
-   Cases are seed-deterministic: (seed, index) always names the same\n\
-   program and configuration, on every machine and run.\n"
-
-let die fmt =
-  Printf.ksprintf
-    (fun s ->
-      prerr_endline ("fuzz: " ^ s);
-      exit 2)
-    fmt
-
-(* Every file fuzz writes goes through here.  A path it cannot write is
-   bad usage: one "fuzz: PATH: REASON" line and exit 2, never an
-   uncaught [Sys_error]. *)
-let write_file path content =
-  try
-    Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc content)
-  with Sys_error msg ->
-    let prefix = path ^ ": " in
-    die "%s: %s" path
-      (if String.starts_with ~prefix msg then
-         String.sub msg (String.length prefix)
-           (String.length msg - String.length prefix)
-       else msg)
-
-(* --- Option parsing (flag value pairs, tools/ house style) ------------ *)
-
-let parse_options spec args =
-  let positional = ref [] in
-  let rec go = function
-    | [] -> ()
-    | arg :: rest when String.length arg > 2 && String.sub arg 0 2 = "--" -> (
-      match List.assoc_opt arg spec with
-      | Some (`Int set) -> (
-        match rest with
-        | v :: rest -> (
-          match int_of_string_opt v with
-          | Some n ->
-            set n;
-            go rest
-          | None -> die "%s expects an integer, got %s" arg v)
-        | [] -> die "%s expects a value" arg)
-      | Some (`String set) -> (
-        match rest with
-        | v :: rest ->
-          set v;
-          go rest
-        | [] -> die "%s expects a value" arg)
-      | Some (`Flag set) ->
-        set ();
-        go rest
-      | None -> die "unknown option %s" arg)
-    | arg :: rest ->
-      positional := arg :: !positional;
-      go rest
-  in
-  go args;
-  List.rev !positional
+(* Bad usage, and a path fuzz cannot read or write, exit 2: its 1 means
+   a divergence. *)
+let tool = "fuzz"
+let code = 2
 
 let case_at ~seed ~index = Gen.Proggen.generate ~seed ~index Gen.Proggen.case
 
@@ -119,47 +42,25 @@ let shrink_and_report ~seed ~index ~artifacts c (d : Gen.Diff.divergence) =
   | Some dir ->
     (try Sys.mkdir dir 0o755 with Sys_error _ -> ());
     let base = Filename.concat dir (Printf.sprintf "seed%d-index%d" seed index) in
-    write_file (base ^ ".report.txt")
+    Cli_common.write_output ~code ~tool (base ^ ".report.txt")
       (Printf.sprintf "seed %d index %d\n%s%s\n" seed index
          (Gen.Conform.directives_of_config c.config)
          (Gen.Diff.divergence_to_string d));
-    write_file (base ^ ".shrunk.xasm") (case_file shrunk);
-    write_file (base ^ ".original.xasm") (case_file c);
+    Cli_common.write_output ~code ~tool (base ^ ".shrunk.xasm")
+      (case_file shrunk);
+    Cli_common.write_output ~code ~tool (base ^ ".original.xasm")
+      (case_file c);
     Printf.printf "artifacts written under %s\n" dir
 
 (* Fuzzing on the supervised pool: each case is one pool job, so a
    checker crash on one case becomes a report instead of taking the run
    down, and reports land in index order whatever the domain count.
    Every case is checked; the lowest-index divergence is then shrunk. *)
-let cmd_run args =
-  let seed = ref 0 and count = ref 1000 and domains = ref 1 in
-  let artifacts = ref None
-  and trace_out = ref None
-  and report_out = ref None
-  and progress_every = ref 0 in
-  let _ =
-    parse_options
-      [ ("--seed", `Int (( := ) seed));
-        ("--count", `Int (( := ) count));
-        ("--domains", `Int (( := ) domains));
-        ("--artifacts", `String (fun d -> artifacts := Some d));
-        ("--campaign-trace", `String (fun f -> trace_out := Some f));
-        ("--campaign-report", `String (fun f -> report_out := Some f));
-        ("--progress-every", `Int (( := ) progress_every)) ]
-      args
-  in
-  if !count < 1 then die "--count must be at least 1";
-  if !domains < 1 then die "--domains must be at least 1";
-  if !domains > Ximd_farm.Pool.max_domains then
-    die "--domains must be at most %d" Ximd_farm.Pool.max_domains;
+let cmd_run seed count artifacts (farm : Cli_common.farm_opts) =
+  if count < 1 then
+    Cli_common.bad_input ~code ~tool "--count must be at least 1";
   Printexc.record_backtrace true;
-  let obs =
-    if !trace_out <> None || !report_out <> None || !progress_every > 0 then
-      Some
-        (Ximd_obs.Farmobs.create ~progress_every:!progress_every
-           ~progress:prerr_endline ~clock:Unix.gettimeofday ())
-    else None
-  in
+  let obs = Cli_common.farm_observer farm in
   let complete ~seq label quality =
     match obs with
     | None -> ()
@@ -177,19 +78,19 @@ let cmd_run args =
       incr divergences;
       if !first = None then first := Some (index, c, d);
       Printf.printf "DIVERGENCE at seed %d index %d (model %s)\n%s%s\n"
-        !seed index (Gen.Diff.model_name d.model)
+        seed index (Gen.Diff.model_name d.model)
         (Gen.Conform.directives_of_config c.Gen.Proggen.config)
         (Gen.Diff.divergence_to_string d)
     | `Crash exn ->
       incr crashes;
-      Printf.printf "CRASH at seed %d index %d: %s\n" !seed index exn
+      Printf.printf "CRASH at seed %d index %d: %s\n" seed index exn
   in
   let t0 = Unix.gettimeofday () in
   let pool =
-    Ximd_farm.Pool.create ~domains:!domains ?obs
+    Ximd_farm.Pool.create ~domains:farm.domains ?obs
       ~init:(fun _ -> ())
       ~work:(fun () ~seq index ->
-        let c = case_at ~seed:!seed ~index in
+        let c = case_at ~seed ~index in
         match Gen.Diff.check_case c with
         | Gen.Diff.Agree _ ->
           complete ~seq "agree" Ximd_obs.Span.Good;
@@ -205,55 +106,35 @@ let cmd_run args =
         (index, `Crash "dropped before run"))
       ~emit ()
   in
-  for index = 0 to !count - 1 do
+  for index = 0 to count - 1 do
     ignore (Ximd_farm.Pool.submit pool index)
   done;
   Ximd_farm.Pool.join pool;
   let dt = Unix.gettimeofday () -. t0 in
-  (match obs with
-   | None -> ()
-   | Some o ->
-     Option.iter
-       (fun path ->
-         write_file path (Ximd_obs.Farmobs.chrome_json o);
-         Printf.eprintf "campaign trace written to %s\n%!" path)
-       !trace_out;
-     Option.iter
-       (fun path ->
-         write_file path (Ximd_obs.Farmobs.rollup_json o);
-         Printf.eprintf "campaign report written to %s\n%!" path)
-       !report_out);
+  Cli_common.write_farm_observer ~code ~tool farm obs;
   (match !first with
    | None -> ()
    | Some (index, c, d) ->
-     shrink_and_report ~seed:!seed ~index ~artifacts:!artifacts c d);
+     shrink_and_report ~seed ~index ~artifacts c d);
   Printf.printf
     "fuzz: %d cases on %d domain%s, %d divergence%s, %d crash%s, seed %d, \
      %.1fs\n"
-    !count !domains
-    (if !domains = 1 then "" else "s")
+    count farm.domains
+    (if farm.domains = 1 then "" else "s")
     !divergences
     (if !divergences = 1 then "" else "s")
     !crashes
     (if !crashes = 1 then "" else "es")
-    !seed dt;
+    seed dt;
   exit (if !divergences + !crashes > 0 then 1 else 0)
 
 (* --- one / shrink ----------------------------------------------------- *)
 
-let cmd_one args =
-  let seed = ref 0 and index = ref 0 and dump = ref false in
-  let _ =
-    parse_options
-      [ ("--seed", `Int (( := ) seed));
-        ("--index", `Int (( := ) index));
-        ("--dump", `Flag (fun () -> dump := true)) ]
-      args
-  in
-  let c = case_at ~seed:!seed ~index:!index in
-  Printf.printf "case seed %d index %d:\n" !seed !index;
+let cmd_one seed index dump =
+  let c = case_at ~seed ~index in
+  Printf.printf "case seed %d index %d:\n" seed index;
   print_string
-    (if !dump then case_file c else Gen.Conform.directives_of_config c.config);
+    (if dump then case_file c else Gen.Conform.directives_of_config c.config);
   match Gen.Diff.check_case c with
   | Gen.Diff.Agree { models } ->
     Printf.printf "agree under %s\n"
@@ -264,18 +145,12 @@ let cmd_one args =
     print_newline ();
     exit 1
 
-let cmd_shrink args =
-  let seed = ref 0 and index = ref 0 in
-  let _ =
-    parse_options
-      [ ("--seed", `Int (( := ) seed)); ("--index", `Int (( := ) index)) ]
-      args
-  in
-  let c = case_at ~seed:!seed ~index:!index in
+let cmd_shrink seed index =
+  let c = case_at ~seed ~index in
   match shrink_case c with
   | None ->
     Printf.printf "case seed %d index %d does not diverge; nothing to shrink\n"
-      !seed !index;
+      seed index;
     exit 0
   | Some shrunk ->
     Printf.printf "shrunk %d -> %d parcels:\n%s" (Gen.Shrink.parcels c)
@@ -292,66 +167,54 @@ let cmd_shrink args =
 
 (* Writes a case's sidecar next to its program; returns its path. *)
 let write_expect case =
-  let path = Ximd_gen.Conform.expect_path case.Ximd_gen.Conform.path in
-  write_file path (Ximd_gen.Conform.expected_content case);
+  let path = Gen.Conform.expect_path case.Gen.Conform.path in
+  Cli_common.write_output ~code ~tool path (Gen.Conform.expected_content case);
   path
 
 (* The conformance corpus pins the *reference* semantics, so a shrunk
    divergence lands as program + reference-derived sidecar: the case
    fails conformance until the engine is fixed, then pins the fixed
    behaviour forever. *)
-let cmd_save args =
-  let seed = ref 0 and index = ref 0 and name = ref "" and dir = ref "suites" in
-  let _ =
-    parse_options
-      [ ("--seed", `Int (( := ) seed));
-        ("--index", `Int (( := ) index));
-        ("--name", `String (( := ) name));
-        ("--dir", `String (( := ) dir)) ]
-      args
-  in
-  if !name = "" then die "save needs --name";
-  let c = case_at ~seed:!seed ~index:!index in
+let cmd_save seed index name dir =
+  let c = case_at ~seed ~index in
   let c = match shrink_case c with Some s -> s | None -> c in
-  let path = Filename.concat !dir (!name ^ ".xasm") in
-  write_file path (case_file c);
-  (match Ximd_gen.Conform.load path with
+  let path = Filename.concat dir (name ^ ".xasm") in
+  Cli_common.write_output ~code ~tool path (case_file c);
+  (match Gen.Conform.load path with
    | Ok case ->
      let expect = write_expect case in
      Printf.printf "wrote %s and %s\n" path expect
-   | Error e -> die "saved %s but cannot load it back: %s" path e);
+   | Error e ->
+     Cli_common.bad_input ~code ~tool "saved %s but cannot load it back: %s"
+       path e);
   exit 0
 
 (* --- expect / suites -------------------------------------------------- *)
 
-let cmd_expect args =
-  let dir = ref "suites" in
+let cmd_expect dir files =
   let files =
-    parse_options [ ("--dir", `String (( := ) dir)) ] args
+    match files with [] -> Gen.Conform.discover dir | fs -> fs
   in
-  let files =
-    match files with [] -> Ximd_gen.Conform.discover !dir | fs -> fs
-  in
-  if files = [] then die "no .xasm files to generate sidecars for";
+  if files = [] then
+    Cli_common.bad_input ~code ~tool "no .xasm files to generate sidecars for";
   List.iter
     (fun path ->
-      match Ximd_gen.Conform.load path with
-      | Error e -> die "%s" e
+      match Gen.Conform.load path with
+      | Error e -> Cli_common.bad_input ~code ~tool "%s" e
       | Ok case ->
         let expect = write_expect case in
         Printf.printf "wrote %s\n" expect)
     files;
   exit 0
 
-let cmd_suites args =
-  let dir = ref "suites" in
-  let _ = parse_options [ ("--dir", `String (( := ) dir)) ] args in
-  let files = Ximd_gen.Conform.discover !dir in
-  if files = [] then die "no conformance cases under %s" !dir;
+let cmd_suites dir =
+  let files = Gen.Conform.discover dir in
+  if files = [] then
+    Cli_common.bad_input ~code ~tool "no conformance cases under %s" dir;
   let failures = ref 0 in
   List.iter
     (fun path ->
-      match Ximd_gen.Conform.check_file path with
+      match Gen.Conform.check_file path with
       | Ok () -> Printf.printf "ok   %s\n" path
       | Error e ->
         incr failures;
@@ -362,15 +225,111 @@ let cmd_suites args =
     (if !failures = 1 then "" else "s");
   exit (if !failures > 0 then 1 else 0)
 
+(* --- Command line ----------------------------------------------------- *)
+
+(* Every fuzz command documents the same exit codes. *)
+let cmd_info ?man name ~doc =
+  Cmd.info name ~doc ?man
+    ~exits:
+      (Cli_common.exit_infos
+         [ (0, "no divergence, crash or failing case");
+           (1, "a divergence, a crash or a failing case");
+           (2, "bad usage, or a path fuzz cannot read or write") ])
+
+let seed_arg =
+  Arg.(value & opt int 0 & info [ "seed" ] ~docv:"S" ~doc:"Generator seed.")
+
+let index_arg =
+  Arg.(
+    value & opt int 0
+    & info [ "index" ] ~docv:"I" ~doc:"Case index under the seed.")
+
+let dir_arg ~doc =
+  Arg.(value & opt string "suites" & info [ "dir" ] ~docv:"DIR" ~doc)
+
+let run_cmd =
+  let count_arg =
+    Arg.(
+      value & opt int 1000
+      & info [ "count" ] ~docv:"N" ~doc:"Cases to check, at least 1.")
+  and artifacts_arg =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "artifacts" ] ~docv:"DIR"
+          ~doc:"Write the first divergence's report and its shrunk and \
+                original programs under $(docv).")
+  in
+  Cmd.v
+    (cmd_info "run"
+       ~doc:
+         "fuzz cases on the supervised run farm, where a case that kills \
+          the checker is reported, not fatal; report every divergence and \
+          crash in index order, then shrink the lowest-index divergence")
+    Term.(
+      const cmd_run $ seed_arg $ count_arg $ artifacts_arg
+      $ Cli_common.farm_term ~code ~tool ())
+
+let one_cmd =
+  let dump_flag =
+    Arg.(value & flag & info [ "dump" ] ~doc:"Print the whole case.")
+  in
+  Cmd.v
+    (cmd_info "one" ~doc:"check one case")
+    Term.(const cmd_one $ seed_arg $ index_arg $ dump_flag)
+
+let shrink_cmd =
+  Cmd.v
+    (cmd_info "shrink" ~doc:"minimise a divergent case")
+    Term.(const cmd_shrink $ seed_arg $ index_arg)
+
+let save_cmd =
+  let name_arg =
+    Arg.(
+      required
+      & opt (some string) None
+      & info [ "name" ] ~docv:"NAME" ~doc:"Save as $(docv).xasm.")
+  in
+  Cmd.v
+    (cmd_info "save"
+       ~doc:"shrink a case and land the repro in the conformance corpus")
+    Term.(
+      const cmd_save $ seed_arg $ index_arg $ name_arg
+      $ dir_arg ~doc:"Corpus directory.")
+
+let expect_cmd =
+  let files_arg =
+    Arg.(
+      value & pos_all string []
+      & info [] ~docv:"FILE" ~doc:"Cases to regenerate; default every one.")
+  in
+  Cmd.v
+    (cmd_info "expect" ~doc:"(re)generate .expect sidecars")
+    Term.(
+      const cmd_expect
+      $ dir_arg ~doc:"Corpus directory, when no $(i,FILE) is given."
+      $ files_arg)
+
+let suites_cmd =
+  Cmd.v
+    (cmd_info "suites" ~doc:"run the conformance corpus")
+    Term.(const cmd_suites $ dir_arg ~doc:"Corpus directory.")
+
 let () =
-  match Array.to_list Sys.argv with
-  | _ :: "run" :: args -> cmd_run args
-  | _ :: "one" :: args -> cmd_one args
-  | _ :: "shrink" :: args -> cmd_shrink args
-  | _ :: "save" :: args -> cmd_save args
-  | _ :: "expect" :: args -> cmd_expect args
-  | _ :: "suites" :: args -> cmd_suites args
-  | _ :: ("help" | "--help" | "-h") :: _ | [ _ ] | [] ->
-    print_string usage;
-    exit 0
-  | _ :: cmd :: _ -> die "unknown command %s (try `fuzz help`)" cmd
+  let doc = "differential fuzzing of the cycle engine" in
+  let man =
+    [ `S Manpage.s_description;
+      `P
+        "Random programs run in lockstep against the reference \
+         interpreter under every applicable sequencing model \
+         (xsim/vsim/t500); any observable difference — trace, \
+         registers, memory, I/O, hazards, outcome — is a failure.";
+      `P
+        "Cases are seed-deterministic: (seed, index) always names the \
+         same program and configuration, on every machine and run." ]
+  in
+  Cli_common.eval ~code
+    (Cmd.group
+       ~default:Term.(ret (const (`Help (`Auto, None))))
+       (cmd_info "fuzz" ~doc ~man)
+       [ run_cmd; one_cmd; shrink_cmd; save_cmd; expect_cmd; suites_cmd ])
