@@ -230,8 +230,10 @@ let repeat_arg =
     & info [ "repeat" ] ~docv:"N"
         ~doc:"Run the program $(docv) times on one reused simulator \
               session (state arenas are rewound between runs, not \
-              reallocated) and report per-run wall time.  Register and \
-              memory initialisers are reapplied before every run.  \
+              reallocated) and report per-run wall time and simulated \
+              speed (cycles per wall-clock second, in Mcycle/s).  \
+              Register and memory initialisers are reapplied before \
+              every run.  \
               Diagnostic output — trace, dumps, statistics, postmortem, \
               observability exports, exit code — reflects the final \
               run.")
@@ -452,9 +454,10 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
           let tracer = if i = repeat then tracer else None in
           let t0 = Unix.gettimeofday () in
           let outcome = run_once ?tracer () in
-          let t1 = Unix.gettimeofday () in
-          Format.printf "run %-4d %10.1f us  %a@." i
-            ((t1 -. t0) *. 1e6)
+          let us = (Unix.gettimeofday () -. t0) *. 1e6 in
+          (* simulated cycles per host microsecond: Mcycle/s *)
+          Format.printf "run %-4d %10.1f us %8.2f Mcycle/s  %a@." i us
+            (float_of_int (Ximd_core.Run.cycles outcome) /. us)
             Ximd_core.Run.pp outcome;
           last := outcome
         done;

@@ -33,6 +33,63 @@ let no_summary_flag =
         ~doc:"Do not append the ximd-summary/1 line to the result \
               stream.")
 
+(* Job lines, read through a chunk of the input so that no line is held
+   past [Source.max_file_bytes], the cap every input file has: the rest
+   of a longer line is read and dropped, and the line comes back as
+   [Error] with a reason that quotes none of it.  A last line without
+   a newline still counts. *)
+type lines = {
+  input : in_channel;
+  chunk : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+  line : Buffer.t;
+}
+
+let lines input =
+  { input; chunk = Bytes.create 65536; pos = 0; len = 0;
+    line = Buffer.create 256 }
+
+let rec newline r i =
+  if i = r.len || Bytes.get r.chunk i = '\n' then i else newline r (i + 1)
+
+(* The next line without its newline, or [None] at the end of the
+   input. *)
+let next_line r =
+  let cap = Ximd_asm.Source.max_file_bytes in
+  Buffer.clear r.line;
+  let finish ~long =
+    if long then begin
+      Buffer.reset r.line;
+      Error (Printf.sprintf "line longer than %d bytes" cap)
+    end
+    else Ok (Buffer.contents r.line)
+  in
+  let rec go ~long =
+    if r.pos = r.len then begin
+      r.pos <- 0;
+      r.len <- input r.input r.chunk 0 (Bytes.length r.chunk)
+    end;
+    if r.len = 0 then
+      if long || Buffer.length r.line > 0 then Some (finish ~long) else None
+    else begin
+      let stop = newline r r.pos in
+      let room = cap - Buffer.length r.line in
+      let n = stop - r.pos in
+      Buffer.add_subbytes r.line r.chunk r.pos (min n room);
+      let long = long || n > room in
+      if stop < r.len then begin
+        r.pos <- stop + 1;
+        Some (finish ~long)
+      end
+      else begin
+        r.pos <- r.len;
+        go ~long
+      end
+    end
+  in
+  go ~long:false
+
 (* One campaign on the farm [opts] describe: job lines from [input],
    result lines to [output].  Returns the worst exit code seen, or 130
    if interrupted.  Telemetry is per-campaign: in socket mode each
@@ -63,15 +120,19 @@ let run_campaign ~opts ~queue_bound ~summary input output =
   in
   let interrupted = ref false in
   (try
+     let input = lines input in
      let rec loop () =
        if Atomic.get reader_gone then Farm.Farm.interrupt farm
        else
-         match input_line input with
-         | "" -> loop ()
-         | line ->
+         match next_line input with
+         | Some (Ok "") -> loop ()
+         | Some (Ok line) ->
            ignore (Farm.Farm.submit_line farm line);
            loop ()
-         | exception (End_of_file | Sys_error _) -> ()
+         | Some (Error reason) ->
+           ignore (Farm.Farm.reject_line farm reason);
+           loop ()
+         | None | (exception Sys_error _) -> ()
      in
      loop ()
    with Sys.Break ->
@@ -173,7 +234,8 @@ let cmd =
          vsim, t500), and supervision limits: cycle fuel \
          ($(b,max_cycles)), a cycle $(b,budget), a wall-clock \
          $(b,deadline_ms) with $(b,retries), and a fault-injection \
-         spec ($(b,fault)).  Malformed specs become rejected records; \
+         spec ($(b,fault)).  Malformed specs, and job lines longer \
+         than 16 MiB, become rejected records; \
          crashing jobs become crashed records carrying a backtrace and \
          the spec for replay; the sweep always continues.";
       `P

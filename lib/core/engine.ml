@@ -15,14 +15,18 @@ module M = Ximd_machine
 
    All reads observe start-of-cycle state; all writes commit at the end
    (paper §2.2, verified against the Figure 10 trace — see DESIGN.md
-   §5).  The loop keeps its per-cycle buffers, the groups and the
-   partition's label vector included, in the preallocated
+   §5).  Every phase runs from the program's decoded image
+   ([Program.image]): fetch stores row and slot indices, the data path
+   runs from resolved operands, and the next PC is one of a slot's two
+   resolved targets, so only the sink's [report] reads parcels, back
+   from the program.  The loop keeps its per-cycle buffers, the groups
+   and the partition's label vector included, in the preallocated
    [state.scratch], and machine values are immediate ints, so the data
-   path and an unchanged partition allocate nothing.  A cycle still
-   allocates: the [Control.resolve] option (once per group), the
-   closure in [State.all_halted], and a new partition when the grouping
-   changes; [ledger.exe trace] counts the words per cycle as
-   [engine.M.step_words]. *)
+   path, the control phase and an unchanged partition allocate
+   nothing.  A cycle still allocates: the closure in [State.all_halted]
+   (twice a step under the global sequencer) and a new partition when
+   the grouping changes; [ledger.exe trace] counts the words per cycle
+   as [engine.M.step_words]. *)
 
 type model = Per_fu | Global | Banked
 
@@ -136,19 +140,32 @@ let issue_args = function
   | Parcel.Din { port; d } -> (op_reg port, -1, Reg.index d, false)
   | Parcel.Dout { a; port } -> (op_reg a, op_reg port, -1, false)
 
+(* The parcel in image slot [k], read back from the program: the row
+   past the end is the halt row.  [group_control] is the control field
+   group [l] ran. *)
+let parcel (state : State.t) k =
+  let n = State.n_fus state in
+  let addr = k / n in
+  if addr < Program.length state.program then
+    (Program.row state.program addr).(k mod n)
+  else Parcel.halted
+
+let group_control (state : State.t) l =
+  (parcel state state.scratch.ctrl.(l)).control
+
 (* An fu×cycle slot's class (see {!Ximd_obs.Account} for the taxonomy
    and its priority). *)
 let slot_class (state : State.t) fu : Ximd_obs.Account.cls =
   let s = state.scratch in
   if not s.was_live.(fu) then Halted
   else begin
-    let data = s.parcels.(fu).data in
+    let data = (parcel state s.slots.(fu)).data in
     let l = s.lead.(fu) in
     let spun = s.spun.(l) in
     if Parcel.is_nop data then
       if not spun then Nop_padding
       else
-        match s.ctrl.(l).control with
+        match group_control state l with
         | Control.Branch { cond = Cond.Ss _; _ } -> Spin_ss
         | Control.Branch { cond = Cond.All_ss _ | Cond.Any_ss _; _ } ->
           Barrier_wait
@@ -191,7 +208,8 @@ let report model (state : State.t) obs ~live_streams =
   for fu = 0 to n - 1 do
     if s.was_live.(fu) then begin
       Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(s.lead.(fu));
-      if not (Parcel.is_nop s.parcels.(fu).data) then Sink.on_data_op obs ~fu
+      if not (Parcel.is_nop (parcel state s.slots.(fu)).data) then
+        Sink.on_data_op obs ~fu
     end
   done;
   if s.commit_results > 0 then
@@ -204,7 +222,7 @@ let report model (state : State.t) obs ~live_streams =
       let ss = state.sss.(fu) in
       if not (Sync.equal ss s.ss_before.(fu)) then
         Sink.on_ss obs ~cycle ~fu ~to_done:(Sync.equal ss Sync.Done);
-      match s.ctrl.(s.lead.(fu)).control with
+      match group_control state s.lead.(fu) with
       | Control.Halt -> Sink.on_halt obs ~cycle ~fu
       | Control.Branch _ -> ()
     end;
@@ -212,7 +230,7 @@ let report model (state : State.t) obs ~live_streams =
     let r = resolution_at model s ~n fu in
     if r >= 0 then
       let l = s.lead.(fu) in
-      match s.ctrl.(l).control with
+      match group_control state l with
       | Control.Branch { cond; _ } ->
         Sink.on_control obs ~cycle ~fu:r ~pc:s.old_pcs.(r) ~spinning:s.spun.(l)
           ~sync:(Cond.is_sync cond)
@@ -227,12 +245,12 @@ let report model (state : State.t) obs ~live_streams =
     | None -> ()
     | Some c -> (
       (if s.was_live.(fu) then
-         match s.ctrl.(s.lead.(fu)).control with
+         match group_control state s.lead.(fu) with
          | Control.Branch { cond; _ } -> bind_branch c s ~n ~fu cond
          | Control.Halt -> ());
       match cls with
       | Commit ->
-        let r1, r2, w, sets_cc = issue_args s.parcels.(fu).data in
+        let r1, r2, w, sets_cc = issue_args (parcel state s.slots.(fu)).data in
         Ximd_obs.Critpath.issue c ~cycle ~fu ~pc:s.old_pcs.(fu) ~r1 ~r2 ~w
           ~sets_cc ~latency
       | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
@@ -273,8 +291,7 @@ let rec find_group (lead : int array) (pcs : int array) classes ~n ~pc ~c fu j
      come from FU 0's PC and parcel even if a fault stuck FU 0.
    - Two banks: each bank is a group while its first FU runs; a halted
      bank leader stops its whole bank.
-   [classes] is the program's class table under per-FU sequencers
-   (see {!class_table}). *)
+   [classes] is the class table of the program's image. *)
 let[@inline] lead_of model (state : State.t) classes ~n ~len fu =
   match model with
   | Global -> 0
@@ -287,13 +304,6 @@ let[@inline] lead_of model (state : State.t) classes ~n ~len fu =
       let pc = state.pcs.(fu) in
       let c = if pc >= 0 && pc < len then classes.((pc * n) + fu) else -1 in
       find_group state.scratch.lead state.pcs classes ~n ~pc ~c fu 0
-
-(* Only per-FU sequencers group by control class, so only they build
-   the table. *)
-let class_table model program =
-  match model with
-  | Per_fu -> Program.control_classes program
-  | Global | Banked -> [||]
 
 (* Who counts as a sequencer: every issuing FU under per-FU sequencers;
    otherwise one per group, blamed on its lowest issuing FU — the global
@@ -332,31 +342,27 @@ let[@inline] relabel (labels : int array) fu l changed =
   end
   else changed
 
-(* The control operation an FU executed this cycle: a halted slot
-   executed [Halt]. *)
-let[@inline] executed (s : State.scratch) fu =
-  if s.was_live.(fu) then s.parcels.(fu).control else Control.Halt
-
 (* The lowest FU below [fu] that leads an SSET and executed a control
-   operation with [fu]'s normalised signature; [fu] itself if none. *)
-let rec first_mate (s : State.scratch) fu j =
+   operation with [fu]'s normalised signature; [fu] itself if none.  A
+   halted FU's slot is in the halt row, so it executed [Halt]. *)
+let rec first_mate (s : State.scratch) img fu j =
   if j >= fu then fu
   else if
-    s.labels.(j) = j
-    && Control.same_signature (executed s j) ~pc_a:s.old_pcs.(j)
-         (executed s fu) ~pc_b:s.old_pcs.(fu)
+    s.labels.(j) = j && Program.same_signature img s.slots.(j) s.slots.(fu)
   then j
-  else first_mate s fu (j + 1)
+  else first_mate s img fu (j + 1)
 
 (* Per-FU sequencers: FUs whose executed control operations have equal
    normalised signatures share an SSET (see {!Partition}).  A group's
    members executed its leader's control operation at its PC, so they
    take the leader's label and only leaders are compared. *)
-let label_per_fu (s : State.scratch) n =
+let label_per_fu (s : State.scratch) img n =
   let changed = ref false in
   for fu = 0 to n - 1 do
     let l = s.lead.(fu) in
-    let label = if l >= 0 && l < fu then s.labels.(l) else first_mate s fu 0 in
+    let label =
+      if l >= 0 && l < fu then s.labels.(l) else first_mate s img fu 0
+    in
     changed := relabel s.labels fu label !changed
   done;
   !changed
@@ -393,9 +399,9 @@ let[@inline] repartition (state : State.t) changed =
      and it runs one stream for every cycle it runs;
    - the banked machine groups by each bank's forthcoming address:
      banks at the same PC next cycle merge, as in lock-step mode. *)
-let partition model (state : State.t) ~n ~len =
+let partition model (state : State.t) img ~n ~len =
   match model with
-  | Per_fu -> repartition state (label_per_fu state.scratch n)
+  | Per_fu -> repartition state (label_per_fu state.scratch img n)
   | Banked -> repartition state (label_banked state n ~len)
   | Global ->
     let stats = state.stats in
@@ -412,7 +418,7 @@ let step model (state : State.t) =
     let stats = state.stats in
     let s = state.scratch in
     let lead = s.lead
-    and parcels = s.parcels
+    and slots = s.slots
     and was_live = s.was_live
     and ctrl = s.ctrl
     and taken = s.taken
@@ -421,38 +427,38 @@ let step model (state : State.t) =
     and sss = state.sss in
     let program = state.program in
     let len = Program.length program in
-    let classes = class_table model program in
-    (* Fetch.  Each group selects one row, at its leader's PC, and each
-       issuing member takes its own parcel from it; a group whose PC is
-       outside the program has fallen off the end and fetches halt
-       parcels.  The leaders are listed in FU order. *)
+    let img = Program.image program in
+    (* Fetch.  Each group selects one row of the image, at its leader's
+       PC, and each issuing member takes its own slot in it; a group
+       whose PC is outside the program has fallen off the end and
+       fetches the halt row.  The leaders are listed in FU order. *)
     let leaders = s.leaders and members = s.members and rows = s.rows in
     let groups = ref 0 and fell = ref false in
     for fu = 0 to n - 1 do
-      let l = lead_of model state classes ~n ~len fu in
+      let l = lead_of model state img.classes ~n ~len fu in
       lead.(fu) <- l;
       if l = fu then begin
         let pc = pcs.(fu) in
         let row =
-          if pc >= 0 && pc < len then Program.row program pc
+          if pc >= 0 && pc < len then pc
           else begin
             fell := true;
-            s.halted_row
+            len
           end
         in
         rows.(fu) <- row;
-        ctrl.(fu) <- row.(fu);
+        ctrl.(fu) <- (row * n) + fu;
         members.(fu) <- 0;
         leaders.(!groups) <- fu;
         incr groups
       end;
       if l < 0 || halted.(fu) then begin
         was_live.(fu) <- false;
-        parcels.(fu) <- Parcel.halted
+        slots.(fu) <- (len * n) + fu
       end
       else begin
         was_live.(fu) <- true;
-        parcels.(fu) <- rows.(l).(fu);
+        slots.(fu) <- (rows.(l) * n) + fu;
         members.(l) <- members.(l) + 1
       end
     done;
@@ -468,33 +474,30 @@ let step model (state : State.t) =
         end
       done;
     (* Branch-condition evaluation against start-of-cycle CC/SS, once
-       per group; then each sequencer that read a never-set condition
-       code reports it, in FU order. *)
+       per group and only for conditional branches (an unconditional
+       one has one destination); then each sequencer that read a
+       never-set condition code reports it, in FU order. *)
     let unset = ref false in
     for g = 0 to groups - 1 do
       let l = leaders.(g) in
-      taken.(l) <-
-        (match ctrl.(l).control with
-         | Control.Halt -> false
-         | Control.Branch { cond; _ } ->
-           if Exec.unset_cc state cond >= 0 then unset := true;
-           Exec.holds state cond)
+      let c = ctrl.(l) in
+      if img.conditional.(c) then begin
+        let cond = img.cond.(c) in
+        if Exec.unset_cc state cond >= 0 then unset := true;
+        taken.(l) <- Exec.holds state cond
+      end
     done;
     if !unset then
       for fu = 0 to n - 1 do
         if sequencer model s fu then
-          match ctrl.(lead.(fu)).control with
-          | Control.Halt -> ()
-          | Control.Branch { cond; _ } ->
-            let j = Exec.unset_cc state cond in
+          let c = ctrl.(lead.(fu)) in
+          if img.conditional.(c) then
+            let j = Exec.unset_cc state img.cond.(c) in
             if j >= 0 then Exec.undefined_cc state ~fu j
       done;
-    (* Data operations: every issuing FU executes; an idle slot is a
-       halted slot. *)
-    for fu = 0 to n - 1 do
-      if was_live.(fu) then Exec.exec_data state ~fu parcels.(fu).data
-      else stats.halted_slots <- stats.halted_slots + 1
-    done;
+    (* Data operations: every issuing FU executes its slot; an idle slot
+       is a halted slot. *)
+    Exec.exec_cycle state img;
     Exec.commit_cycle state;
     (* The sync levels the branch evaluation read, kept for {!report}. *)
     (match state.obs with
@@ -510,23 +513,18 @@ let step model (state : State.t) =
     Array.blit pcs 0 old_pcs 0 n;
     for g = 0 to groups - 1 do
       let l = leaders.(g) in
-      match ctrl.(l).control with
-      | Control.Halt ->
-        next_pc.(l) <- -1;
-        spun.(l) <- false
-      | Control.Branch { cond; _ } as control -> (
-        let pc = old_pcs.(l) in
-        match Control.resolve control ~pc ~taken:taken.(l) with
-        | Some next ->
-          let conditional = not (Cond.is_unconditional cond) in
-          let spinning = next = pc && conditional in
-          next_pc.(l) <- next;
-          spun.(l) <- spinning;
-          if conditional then
-            stats.cond_branches <-
-              stats.cond_branches + sequencers model ~members:members.(l);
-          if spinning then stats.spin_slots <- stats.spin_slots + members.(l)
-        | None -> assert false)
+      let c = ctrl.(l) in
+      let conditional = img.conditional.(c) in
+      let next =
+        if conditional && not taken.(l) then img.t2.(c) else img.t1.(c)
+      in
+      let spinning = conditional && next = old_pcs.(l) in
+      next_pc.(l) <- next;
+      spun.(l) <- spinning;
+      if conditional then
+        stats.cond_branches <-
+          stats.cond_branches + sequencers model ~members:members.(l);
+      if spinning then stats.spin_slots <- stats.spin_slots + members.(l)
     done;
     let drives_ss = drives_ss model in
     for fu = 0 to n - 1 do
@@ -540,13 +538,12 @@ let step model (state : State.t) =
           end
         end
         else begin
-          if drives_ss && was_live.(fu) then
-            sss.(fu) <- parcels.(fu).sync;
+          if drives_ss && was_live.(fu) then sss.(fu) <- img.sync.(slots.(fu));
           pcs.(fu) <- next
         end
       end
     done;
-    let live_streams = partition model state ~n ~len in
+    let live_streams = partition model state img ~n ~len in
     if live_streams > stats.max_streams then stats.max_streams <- live_streams;
     (* The finished cycle goes to the sink from one place. *)
     (match state.obs with

@@ -22,11 +22,16 @@
     PC, evaluates one branch condition against start-of-cycle CC/SS
     state and resolves one next PC; member FUs fetch and execute their
     own data parcels; all results commit at end of cycle; then every
-    member takes the next PC (or halts).  What belongs to a sequencer
+    member takes the next PC (or halts).  The rows are those of the
+    program's decoded image ({!Program.image}, built on its first run):
+    a group fetches a row index, each member executes its slot's
+    resolved operands ({!Exec.exec_cycle}), and the next PC is one of
+    the slot's two targets, already resolved, so only the sink's report
+    at the end of the cycle reads a parcel.  What belongs to a sequencer
     stays per sequencer, in FU order: its fell-off-end and
     undefined-CC hazards, its conditional-branch count and its halt;
     spin slots are charged per issuing member.  Under per-FU
-    sequencers the class table ({!Program.control_classes}) finds the
+    sequencers the image's class table ({!Program.image}) finds the
     groups, so a single-SSET XIMD running VLIW-shaped code does one
     sequencer step per cycle, as the VLIW does.
 
@@ -47,15 +52,17 @@
     else.
 
     The hot loop keeps its per-cycle buffers, the groups included, in
-    the preallocated [state.scratch].  Under [Per_fu] and [Banked] the
-    partition lives there as a label vector (each FU's lowest
-    SSET-mate), recomputed in place every cycle; [state.partition] is
+    the preallocated [state.scratch], as slot and row indices into the
+    image.  Under [Per_fu] and [Banked] the partition lives there as a
+    label vector (each FU's lowest SSET-mate), recomputed in place every
+    cycle from the image's resolved targets; [state.partition] is
     rebuilt only when a label changes.  Machine values are immediate
-    ints, so execute and commit allocate nothing.  The loop is still
-    not allocation-free: the [Control.resolve] option (once per group),
-    the closure in [State.all_halted], and a new partition whenever the
-    grouping changes.  [ledger.exe trace] (bench/ledger/README.md)
-    reports the minor words per cycle as [engine.M.step_words]. *)
+    ints, so execute and commit allocate nothing, and the control phase
+    takes its next PC from the image as an int.  The loop is still not
+    allocation-free: the closure in [State.all_halted] (once a step,
+    twice under [Global]) and a new partition whenever the grouping
+    changes.  [ledger.exe trace] (bench/ledger/README.md) reports the
+    minor words per cycle as [engine.M.step_words]. *)
 
 type model =
   | Per_fu

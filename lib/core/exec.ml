@@ -52,10 +52,6 @@ let eval_cond (state : State.t) ~fu cond =
   if j >= 0 then undefined_cc state ~fu j;
   holds state cond
 
-let operand_value (state : State.t) = function
-  | Operand.Reg r -> M.Regfile.read state.regs r
-  | Operand.Imm v -> v
-
 (* Register/memory results commit at the end of cycle
    [issue + result_latency - 1]; latency 1 (the research model) stages
    directly into this cycle's commit. *)
@@ -128,58 +124,81 @@ let push_cc (state : State.t) ~fu value =
   s.cc_val.(s.cc_len) <- value;
   s.cc_len <- s.cc_len + 1
 
-let exec_data (state : State.t) ~fu (data : Parcel.data) =
+(* Operand [k] of an image: the register straight from the register
+   file's value array, or the immediate. *)
+let[@inline] operand (values : Value.t array) (regs : int array)
+    (imms : Value.t array) k =
+  let r = regs.(k) in
+  if r >= 0 then values.(r) else imms.(k)
+
+let[@inline] count_alu (stats : Stats.t) is_float =
+  if is_float then stats.float_ops <- stats.float_ops + 1
+  else stats.int_ops <- stats.int_ops + 1
+
+(* One data operation, from slot [k] of [img].  The whole operation
+   stays in this function, since under the build's [-opaque] every call
+   into another module is an indirect call that nothing inlines. *)
+let exec_slot (state : State.t) (img : Program.image) values ~fu k =
   let stats = state.stats in
-  if not (Parcel.is_nop data) then stats.data_ops <- stats.data_ops + 1;
-  match data with
-  | Parcel.Dnop -> stats.nops <- stats.nops + 1
-  | Parcel.Dbin { op; a; b; d } ->
-    if Opcode.binop_is_float op then stats.float_ops <- stats.float_ops + 1
-    else stats.int_ops <- stats.int_ops + 1;
+  let a = operand values img.a_reg img.a_imm k
+  and b = operand values img.b_reg img.b_imm k in
+  let op = img.op.(k) in
+  (match op with
+   | Program.Nop -> stats.nops <- stats.nops + 1
+   | Bin _ | Un _ | Cmp _ | Load | Store | In | Out ->
+     stats.data_ops <- stats.data_ops + 1);
+  match op with
+  | Nop -> ()
+  | Bin op ->
+    count_alu stats img.is_float.(k);
     let result =
-      match
-        M.Alu.eval_bin_exn op (operand_value state a) (operand_value state b)
-      with
+      match M.Alu.eval_bin_exn op a b with
       | v -> v
       | exception M.Alu.Fault M.Alu.Division_by_zero ->
         M.Hazard.report state.log ~cycle:state.cycle
           (M.Hazard.Div_by_zero { fu });
         Value.zero
     in
-    stage_reg_write state ~fu d result
-  | Parcel.Dun { op; a; d } ->
-    if Opcode.unop_is_float op then stats.float_ops <- stats.float_ops + 1
-    else stats.int_ops <- stats.int_ops + 1;
-    stage_reg_write state ~fu d (M.Alu.eval_un op (operand_value state a))
-  | Parcel.Dcmp { op; a; b } ->
+    stage_reg_write state ~fu img.dest.(k) result
+  | Un op ->
+    count_alu stats img.is_float.(k);
+    stage_reg_write state ~fu img.dest.(k) (M.Alu.eval_un op a)
+  | Cmp op ->
     stats.cmp_ops <- stats.cmp_ops + 1;
-    if Opcode.cmpop_is_float op then stats.float_ops <- stats.float_ops + 1
-    else stats.int_ops <- stats.int_ops + 1;
-    push_cc state ~fu
-      (M.Alu.eval_cmp op (operand_value state a) (operand_value state b))
-  | Parcel.Dload { a; b; d } ->
+    count_alu stats img.is_float.(k);
+    push_cc state ~fu (M.Alu.eval_cmp op a b)
+  | Load ->
     stats.mem_ops <- stats.mem_ops + 1;
-    let addr =
-      (Value.of_int
-         ((operand_value state a :> int) + (operand_value state b :> int))
-        :> int)
-    in
-    stage_reg_write state ~fu d
+    let addr = (Value.of_int ((a :> int) + (b :> int)) :> int) in
+    stage_reg_write state ~fu img.dest.(k)
       (M.Memory.read state.mem ~fu ~cycle:state.cycle ~log:state.log addr)
-  | Parcel.Dstore { a; b } ->
+  | Store ->
     stats.mem_ops <- stats.mem_ops + 1;
-    let addr = (operand_value state b :> int) in
-    stage_mem_write state ~fu addr (operand_value state a)
-  | Parcel.Din { port; d } ->
+    stage_mem_write state ~fu (b :> int) a
+  | In ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = (operand_value state port :> int) in
-    stage_reg_write state ~fu d
-      (M.Ioport.read state.io ~fu ~cycle:state.cycle ~log:state.log port)
-  | Parcel.Dout { a; port } ->
+    stage_reg_write state ~fu img.dest.(k)
+      (M.Ioport.read state.io ~fu ~cycle:state.cycle ~log:state.log
+         (a :> int))
+  | Out ->
     stats.io_ops <- stats.io_ops + 1;
-    let port = (operand_value state port :> int) in
-    M.Ioport.write state.io ~fu ~cycle:state.cycle ~log:state.log port
-      (operand_value state a)
+    M.Ioport.write state.io ~fu ~cycle:state.cycle ~log:state.log (b :> int) a
+
+let exec_cycle (state : State.t) img =
+  let s = state.scratch and stats = state.stats in
+  let values = M.Regfile.values state.regs in
+  for fu = 0 to Array.length s.slots - 1 do
+    if s.was_live.(fu) then exec_slot state img values ~fu s.slots.(fu)
+    else stats.halted_slots <- stats.halted_slots + 1
+  done
+
+(* A one-parcel program's image: slot 0 is [data]. *)
+let exec_data (state : State.t) ~fu data =
+  let img =
+    Program.image
+      (Program.make ~n_fus:1 [| [| Parcel.make data Control.halt |] |])
+  in
+  exec_slot state img (M.Regfile.values state.regs) ~fu 0
 
 (* Move pipeline results whose write-back stage is this cycle into the
    commit stage.  Entries are in issue order, so committing front to

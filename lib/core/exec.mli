@@ -10,11 +10,14 @@
     mask, so a group waiting at a barrier allocates nothing), condition-code
     updates go through the preallocated buffer in [state.scratch],
     pipelined results live in the growable arrays of [state.inflight],
-    and values are immediate ints, so neither {!exec_data} nor
-    {!commit_cycle} allocates on the hazard-free path.  A hazard report
-    allocates its event, and so do the first store to an untouched
-    memory page and the growth of the in-flight queue or the store
-    stage.  [ledger.exe trace] counts both phases per cycle as
+    values are immediate ints and operands come from the program's
+    decoded image, so neither {!exec_cycle} nor {!commit_cycle}
+    allocates on the hazard-free path (tier 1's [misc] case "the image
+    executor allocates nothing" pins it for every kind of data
+    operation).  A hazard report allocates its event, and so do the
+    first store to an untouched memory page and the growth of the
+    in-flight queue, the store stage or an output port's log.
+    [ledger.exe trace] counts both phases per cycle as
     [engine.M.exec_words] and [engine.M.commit_words].
 
     Neither reports to the observability sink: {!Engine.step} reads
@@ -45,10 +48,21 @@ val eval_cond : State.t -> fu:int -> Cond.t -> bool
     condition reads a never-set condition code: one sequencer's branch
     evaluation. *)
 
+val exec_cycle : State.t -> Program.image -> unit
+(** Executes one cycle's data operations from the program's decoded
+    image ({!Program.image}): every FU whose [scratch.was_live] is set
+    runs the slot [scratch.slots.(fu)], reading its operands, staging
+    its register and memory writes, performing its I/O, updating the
+    statistics and pushing a compare's condition-code update into
+    [state.scratch]; every other FU counts a halted slot.  The whole of
+    each operation runs inside this module, reading register operands
+    straight from {!Ximd_machine.Regfile.values}. *)
+
 val exec_data : State.t -> fu:int -> Parcel.data -> unit
-(** Executes one data operation for [fu]: reads operands, stages register
-    and memory writes, performs I/O, updates statistics, and pushes the
-    staged condition-code update for compares into [state.scratch]. *)
+(** Executes one data operation for [fu] as {!exec_cycle} executes a
+    slot, after lowering it to a one-parcel image, which allocates.
+    The engine never calls it; [bench/ledger/layers.ml]'s phase probes
+    do. *)
 
 val commit_cycle : State.t -> unit
 (** Commits staged register and memory writes (including in-flight

@@ -1,13 +1,38 @@
 open Ximd_isa
 
+type op =
+  | Nop
+  | Bin of Opcode.binop
+  | Un of Opcode.unop
+  | Cmp of Opcode.cmpop
+  | Load
+  | Store
+  | In
+  | Out
+
+type image = {
+  op : op array;
+  is_float : bool array;
+  a_reg : int array;
+  a_imm : Value.t array;
+  b_reg : int array;
+  b_imm : Value.t array;
+  dest : Reg.t array;
+  t1 : int array;
+  t2 : int array;
+  cond : Cond.t array;
+  conditional : bool array;
+  sync : Sync.t array;
+  classes : int array;
+}
+
 type t = {
   n_fus : int;
   rows : Parcel.t array array;  (* addr -> fu -> parcel *)
   symbols : (string * int) list;
-  classes : int array Atomic.t;
-      (* the control-class table, empty until {!control_classes} first
-         builds it; atomic so domains sharing a program publish it
-         safely *)
+  decoded : image option Atomic.t;
+      (* [None] until {!image} first builds the image; atomic so
+         domains sharing a program publish it safely *)
 }
 
 let make ?(symbols = []) ~n_fus rows =
@@ -19,7 +44,7 @@ let make ?(symbols = []) ~n_fus rows =
           (Printf.sprintf "Program.make: row %d has %d parcels, expected %d"
              addr (Array.length row) n_fus))
     rows;
-  { n_fus; rows; symbols; classes = Atomic.make [||] }
+  { n_fus; rows; symbols; decoded = Atomic.make None }
 
 let of_rows ?symbols ~n_fus rows =
   make ?symbols ~n_fus (Array.of_list (List.map Array.of_list rows))
@@ -37,30 +62,130 @@ let row t addr =
     invalid_arg (Printf.sprintf "Program.row: address %d out of range" addr)
   else t.rows.(addr)
 
-(* Entry [addr * n_fus + fu]: the lowest FU whose control field at
-   [addr] equals [fu]'s.  Built on first use, not by [make], so a
-   program that never runs under per-FU sequencers (every program the
-   compiler emits, until it runs) pays nothing for it.  Two domains that
-   race to build it build equal tables. *)
-let control_classes t =
-  let table = Atomic.get t.classes in
-  if Array.length table > 0 then table
-  else begin
-    let n = t.n_fus in
-    let table = Array.make (Array.length t.rows * n) 0 in
-    Array.iteri
-      (fun addr (row : Parcel.t array) ->
-        for fu = 0 to n - 1 do
-          let rec first j =
-            if Control.equal row.(j).control row.(fu).control then j
-            else first (j + 1)
-          in
-          table.((addr * n) + fu) <- first 0
-        done)
-      t.rows;
-    Atomic.set t.classes table;
-    table
-  end
+(* ------------------------------------------------------------------ *)
+(* Lowering: the only place parcels are matched on the way to the
+   engine.  Slot [k] of [img] receives the parcel at [addr]; the
+   arrays start at the defaults [lower] gives them, so an operand or a
+   destination the operation lacks stays at its default. *)
+
+let lower_data img k (data : Parcel.data) =
+  let operand regs imms = function
+    | Operand.Reg r -> regs.(k) <- Reg.index r
+    | Operand.Imm v -> imms.(k) <- v
+  in
+  let a = operand img.a_reg img.a_imm and b = operand img.b_reg img.b_imm in
+  let dest d = img.dest.(k) <- d in
+  img.op.(k) <-
+    (match data with
+     | Parcel.Dnop -> Nop
+     | Parcel.Dbin { op; a = x; b = y; d } ->
+       a x;
+       b y;
+       dest d;
+       img.is_float.(k) <- Opcode.binop_is_float op;
+       Bin op
+     | Parcel.Dun { op; a = x; d } ->
+       a x;
+       dest d;
+       img.is_float.(k) <- Opcode.unop_is_float op;
+       Un op
+     | Parcel.Dcmp { op; a = x; b = y } ->
+       a x;
+       b y;
+       img.is_float.(k) <- Opcode.cmpop_is_float op;
+       Cmp op
+     | Parcel.Dload { a = x; b = y; d } ->
+       a x;
+       b y;
+       dest d;
+       Load
+     | Parcel.Dstore { a = x; b = y } ->
+       a x;
+       b y;
+       Store
+     | Parcel.Din { port; d } ->
+       a port;
+       dest d;
+       In
+     | Parcel.Dout { a = x; port } ->
+       a x;
+       b port;
+       Out)
+
+(* Both targets resolved at [addr]: -1 for [Halt], and an unconditional
+   branch's one destination in both, since its outcome is fixed. *)
+let lower_control img k ~addr (control : Control.t) =
+  let targets t1 t2 =
+    img.t1.(k) <- t1;
+    img.t2.(k) <- t2
+  in
+  match control with
+  | Control.Halt -> targets (-1) (-1)
+  | Control.Branch { cond; _ } -> (
+    let next taken = Option.get (Control.resolve control ~pc:addr ~taken) in
+    img.cond.(k) <- cond;
+    match cond with
+    | Cond.Always1 -> targets (next true) (next true)
+    | Cond.Always2 -> targets (next false) (next false)
+    | Cond.Cc _ | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ ->
+      img.conditional.(k) <- true;
+      targets (next true) (next false))
+
+(* The image of every row, plus the halt row past the end. *)
+let lower t =
+  let n = t.n_fus and len = Array.length t.rows in
+  let size = (len + 1) * n in
+  let img =
+    { op = Array.make size Nop;
+      is_float = Array.make size false;
+      a_reg = Array.make size (-1);
+      a_imm = Array.make size Value.zero;
+      b_reg = Array.make size (-1);
+      b_imm = Array.make size Value.zero;
+      dest = Array.make size (Reg.make 0);
+      t1 = Array.make size (-1);
+      t2 = Array.make size (-1);
+      cond = Array.make size Cond.Always1;
+      conditional = Array.make size false;
+      sync = Array.make size Sync.Done;
+      classes = Array.make size 0 }
+  in
+  let halt_row = Array.make n Parcel.halted in
+  for addr = 0 to len do
+    let row = if addr < len then t.rows.(addr) else halt_row in
+    for fu = 0 to n - 1 do
+      let k = (addr * n) + fu and (p : Parcel.t) = row.(fu) in
+      lower_data img k p.data;
+      lower_control img k ~addr p.control;
+      img.sync.(k) <- p.sync;
+      let rec first j =
+        if Control.equal row.(j).control p.control then j else first (j + 1)
+      in
+      img.classes.(k) <- first 0
+    done
+  done;
+  img
+
+(* The image's targets are already resolved at their addresses, so a
+   branch whose two targets coincide is a jump there (an unconditional
+   branch's always do, and [Halt]'s are both -1), and any other branch
+   is its condition and its two targets. *)
+let same_signature img a b =
+  let a1 = img.t1.(a) and a2 = img.t2.(a) in
+  let b1 = img.t1.(b) and b2 = img.t2.(b) in
+  if a1 = a2 || b1 = b2 then a1 = a2 && b1 = b2 && a1 = b1
+  else a1 = b1 && a2 = b2 && Cond.equal img.cond.(a) img.cond.(b)
+
+(* Built on first use, not by [make], so a program that never runs
+   (every program the compiler emits, until it runs) pays nothing for
+   it.  Two domains that race to build it build equal images. *)
+let image t =
+  match Atomic.get t.decoded with
+  | Some img -> img
+  | None ->
+    let img = lower t in
+    Atomic.set t.decoded (Some img);
+    img
 
 let symbols t = t.symbols
 let address_of t name = List.assoc_opt name t.symbols
@@ -197,7 +322,7 @@ let decode buf =
         end
       in
       let* () = fill 0 in
-      Ok { n_fus; rows; symbols = []; classes = Atomic.make [||] }
+      Ok { n_fus; rows; symbols = []; decoded = Atomic.make None }
     end
 
 (* Paper-style listing (Figure 9 layout). *)

@@ -1,14 +1,13 @@
 open Ximd_isa
 
 type scratch = {
-  parcels : Parcel.t array;
+  slots : int array;
   was_live : bool array;
   lead : int array;
   leaders : int array;
   members : int array;
-  rows : Parcel.t array array;
-  halted_row : Parcel.t array;
-  ctrl : Parcel.t array;
+  rows : int array;
+  ctrl : int array;
   taken : bool array;
   next_pc : int array;
   spun : bool array;
@@ -106,26 +105,24 @@ let create ?(config = Config.default) ?faults ?obs program =
     halted = Array.make n false;
     partition = Partition.initial ~n;
     scratch =
-      (let halted_row = Array.make n Parcel.halted in
-       { parcels = Array.make n Parcel.halted;
-         was_live = Array.make n false;
-         lead = Array.make n (-1);
-         leaders = Array.make n 0;
-         members = Array.make n 0;
-         rows = Array.make n halted_row;
-         halted_row;
-         ctrl = Array.make n Parcel.halted;
-         taken = Array.make n false;
-         next_pc = Array.make n 0;
-         spun = Array.make n false;
-         old_pcs = Array.make n 0;
-         labels = Array.make n 0;
-         ss_before = Array.make n Sync.Busy;
-         cc_fu = Array.make n 0;
-         cc_val = Array.make n false;
-         cc_len = 0;
-         commit_results = 0;
-         commit_ccs = 0 });
+      { slots = Array.make n 0;
+        was_live = Array.make n false;
+        lead = Array.make n (-1);
+        leaders = Array.make n 0;
+        members = Array.make n 0;
+        rows = Array.make n 0;
+        ctrl = Array.make n 0;
+        taken = Array.make n false;
+        next_pc = Array.make n 0;
+        spun = Array.make n false;
+        old_pcs = Array.make n 0;
+        labels = Array.make n 0;
+        ss_before = Array.make n Sync.Busy;
+        cc_fu = Array.make n 0;
+        cc_val = Array.make n false;
+        cc_len = 0;
+        commit_results = 0;
+        commit_ccs = 0 };
     inflight =
       (let cap = max 16 (n * config.result_latency) in
        { ifl_len = 0;

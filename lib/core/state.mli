@@ -12,12 +12,17 @@
     The [scratch] and [inflight] fields are preallocated working storage
     for the simulator hot loop ({!Engine}, {!Exec}); they carry no
     architectural state between cycles and other clients should ignore
-    them. *)
+    them.  The hot loop keeps slot and row indices into the program's
+    decoded image there ({!Program.image}), plain ints, so a cycle
+    stores no pointer into them. *)
 
 open Ximd_isa
 
 type scratch = {
-  parcels : Parcel.t array;  (** this cycle's fetched parcels *)
+  slots : int array;
+      (** per FU: the image slot it issues this cycle (see
+          {!Program.image}), or its slot in the halt row when it does
+          not issue *)
   was_live : bool array;     (** issuing at start of cycle *)
   lead : int array;
       (** per FU: the leader of its group this cycle, or -1 if it is in
@@ -29,12 +34,13 @@ type scratch = {
       (** this cycle's group leaders in FU order; as many as there are
           FUs with [lead.(fu) = fu] *)
   members : int array;       (** per group: its issuing members *)
-  rows : Parcel.t array array;  (** per group: the row it fetched *)
-  halted_row : Parcel.t array;
-      (** the row a group fetches once its PC has left the program: halt
-          parcels only *)
-  ctrl : Parcel.t array;     (** per group: the parcel its control comes from *)
-  taken : bool array;        (** per group: branch-condition outcome *)
+  rows : int array;
+      (** per group: the image row it fetched, {!Program.length} (the
+          halt row) once its PC has left the program *)
+  ctrl : int array;          (** per group: the slot its control comes from *)
+  taken : bool array;
+      (** per group: branch-condition outcome, set for conditional
+          branches only *)
   next_pc : int array;       (** per group: the resolved next PC, -1 if it halts *)
   spun : bool array;         (** per group: branch re-selected its PC *)
   old_pcs : int array;       (** PCs at start of cycle *)

@@ -392,13 +392,21 @@ let placeholder_job ~index raw =
     dump_regs = [];
     raw }
 
-let submit_line t line =
+let next_index t =
   let index = t.lines in
   t.lines <- t.lines + 1;
+  index
+
+let submit_line t line =
+  let index = next_index t in
   Pool.submit t.pool
     (match Job.of_line ~index line with
      | Ok job -> Run job
      | Error reason -> Pre_rejected (placeholder_job ~index line, reason))
+
+let reject_line t reason =
+  let index = next_index t in
+  Pool.submit t.pool (Pre_rejected (placeholder_job ~index "", reason))
 
 let interrupt t = Pool.interrupt t.pool
 let join t = Pool.join t.pool

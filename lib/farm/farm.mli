@@ -60,6 +60,12 @@ val submit_line : t -> string -> bool
     position.  [false] means the farm is interrupted or closed and the
     line was not accepted. *)
 
+val reject_line : t -> string -> bool
+(** [reject_line t reason] takes the next line's stream position for a
+    line that was not read whole (one longer than the reader's cap): its
+    [Rejected] record carries [reason] and nothing of the line.  [false]
+    as for {!submit_line}. *)
+
 val interrupt : t -> unit
 (** Graceful shutdown: queued jobs become [Dropped] records, in-flight
     jobs finish, the result stream stays complete. *)

@@ -42,28 +42,6 @@ let normalised_signature t ~pc =
         Branch { cond; t1; t2 }
     end
 
-(* [normalised_signature] compared without building either side.  A
-   branch normalises to an unconditional jump when its resolved targets
-   coincide or its condition is [Always1]/[Always2]; [jump_dest] is
-   where that jump goes.  Any other branch normalises to itself. *)
-let jump_dest (cond : Cond.t) t1 t2 =
-  match cond with
-  | Cond.Always2 -> t2
-  | Cond.Always1 | Cond.Cc _ | Cond.Ss _ | Cond.All_ss _ | Cond.Any_ss _ -> t1
-
-let same_signature a ~pc_a b ~pc_b =
-  match a, b with
-  | Halt, Halt -> true
-  | Halt, Branch _ | Branch _, Halt -> false
-  | Branch x, Branch y ->
-    let x1 = target_addr ~pc:pc_a x.t1 and x2 = target_addr ~pc:pc_a x.t2 in
-    let y1 = target_addr ~pc:pc_b y.t1 and y2 = target_addr ~pc:pc_b y.t2 in
-    let x_jump = x1 = x2 || Cond.is_unconditional x.cond
-    and y_jump = y1 = y2 || Cond.is_unconditional y.cond in
-    if x_jump || y_jump then
-      x_jump && y_jump && jump_dest x.cond x1 x2 = jump_dest y.cond y1 y2
-    else Cond.equal x.cond y.cond && x1 = y1 && x2 = y2
-
 let targets = function
   | Halt -> []
   | Branch { t1; t2; cond = _ } -> [ t1; t2 ]

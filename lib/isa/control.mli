@@ -48,12 +48,6 @@ val normalised_signature : t -> pc:int -> t
     [pc].  Two FUs whose executed control operations have equal normalised
     signatures take provably identical next-state transitions. *)
 
-val same_signature : t -> pc_a:int -> t -> pc_b:int -> bool
-(** [same_signature a ~pc_a b ~pc_b] is
-    [equal (normalised_signature a ~pc:pc_a) (normalised_signature b
-    ~pc:pc_b)], computed without allocating: the engine's per-cycle
-    SSET test. *)
-
 val targets : t -> target list
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -16,7 +16,9 @@
     being read).  The relative form is what makes serialising two
     I/O-bound processes expensive and is used by the IOSYNC workload.
 
-    Writes are logged with their cycle for later inspection. *)
+    Writes are logged with their cycle for later inspection, in arrays
+    that grow with the log, so a write allocates nothing once the log
+    has reached the run's output. *)
 
 open Ximd_isa
 
@@ -46,9 +48,9 @@ val write : t -> fu:int -> cycle:int -> log:Hazard.log -> int -> Value.t -> unit
 
 val reset : t -> unit
 (** Rewinds every port to the {!create} state: input scripts, consumption
-    times and write logs are cleared.  Callers reusing a state must
-    re-{!script} their ports afterwards (a consumed script cannot be
-    rewound in place). *)
+    times and write logs are cleared (a log keeps its arrays).  Callers
+    reusing a state must re-{!script} their ports afterwards (a consumed
+    script cannot be rewound in place). *)
 
 val output : t -> port:int -> (int * Value.t) list
 (** The write log for [port], in write order, as (cycle, value) pairs.

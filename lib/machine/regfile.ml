@@ -36,6 +36,7 @@ let copy t =
     n_staged = t.n_staged }
 
 let read t r = t.values.(Reg.index r)
+let values t = t.values
 
 let stage_write t ~fu r value =
   let i = Reg.index r in

@@ -25,6 +25,12 @@ val copy : t -> t
 val read : t -> Reg.t -> Value.t
 (** Start-of-cycle value (staged writes are not visible). *)
 
+val values : t -> Value.t array
+(** The register values themselves, indexed by register number: the
+    array {!read} reads, shared, not copied, so the engine's executor
+    reads operands without a call per operand.  Read only: write
+    through {!stage_write} and {!set}. *)
+
 val stage_write : t -> fu:int -> Reg.t -> Value.t -> unit
 
 val commit : t -> cycle:int -> log:Hazard.log -> unit

@@ -194,6 +194,78 @@ let test_barrier_holds_allocates_nothing () =
     [ (Cond.All_ss 0xf, Sync.Done); (Cond.All_ss 0xf, Sync.Busy);
       (Cond.Any_ss 0xf, Sync.Done); (Cond.Any_ss 0xf, Sync.Busy) ]
 
+(* The engine runs every cycle's data operations from the program's
+   decoded image, so the executor must build nothing either: no operand,
+   no result, no closure, for any kind of data operation, whether its
+   operands are registers (row 0) or immediates (row 1).  The first
+   pass grows what a run grows once (a memory page, the output port's
+   log); the measured pass reuses it after a reset. *)
+let test_image_executor_allocates_nothing () =
+  let n = 8 in
+  let r = Reg.make and reg = Operand.reg and imm = Operand.imm in
+  let row ops =
+    Array.of_list (List.map (fun d -> Parcel.make d Control.halt) ops)
+  in
+  let program =
+    Ximd_core.Program.make ~n_fus:n
+      [| row
+           [ Parcel.Dbin { op = Opcode.Iadd; a = reg 1; b = reg 2; d = r 10 };
+             Parcel.Dbin { op = Opcode.Fmult; a = reg 3; b = reg 3; d = r 11 };
+             Parcel.Dun { op = Opcode.Itof; a = reg 1; d = r 12 };
+             Parcel.Dcmp { op = Opcode.Flt; a = reg 3; b = reg 3 };
+             Parcel.Dload { a = reg 1; b = reg 2; d = r 13 };
+             Parcel.Dstore { a = reg 2; b = reg 1 };
+             Parcel.Din { port = reg 4; d = r 14 };
+             Parcel.Dout { a = reg 2; port = reg 4 } ];
+         row
+           [ Parcel.Dbin { op = Opcode.Isub; a = imm 7; b = imm 3; d = r 20 };
+             Parcel.Dbin
+               { op = Opcode.Fadd; a = Operand.imm_f 1.5; b = Operand.imm_f 2.5;
+                 d = r 21 };
+             Parcel.Dun { op = Opcode.Fneg; a = Operand.imm_f 1.0; d = r 22 };
+             Parcel.Dcmp { op = Opcode.Lt; a = imm 1; b = imm 2 };
+             Parcel.Dload { a = imm 100; b = imm 4; d = r 23 };
+             Parcel.Dstore { a = imm 9; b = imm 104 };
+             Parcel.Din { port = imm 1; d = r 24 };
+             Parcel.Dout { a = imm 5; port = imm 1 } ] |]
+  in
+  let state =
+    Ximd_core.State.create ~config:(Ximd_core.Config.make ~n_fus:n ()) program
+  in
+  let img = Ximd_core.Program.image program in
+  let s = state.scratch in
+  let cycles () =
+    for i = 1 to 1000 do
+      let addr = i land 1 in
+      for fu = 0 to n - 1 do
+        s.slots.(fu) <- (addr * n) + fu
+      done;
+      Ximd_core.Exec.exec_cycle state img;
+      Ximd_core.Exec.commit_cycle state
+    done
+  in
+  let pass () =
+    Ximd_core.State.reset state;
+    List.iter
+      (fun (i, v) -> Ximd_core.State.set_reg state i v)
+      [ (1, Value.of_int 100); (2, Value.of_int 4); (3, Value.of_float 1.5);
+        (4, Value.of_int 1) ];
+    Array.fill s.was_live 0 n true;
+    let before = Gc.minor_words () in
+    cycles ();
+    Gc.minor_words () -. before
+  in
+  ignore (pass ());
+  let words = pass () in
+  Alcotest.(check int) "every slot ran" (8 * 1000) state.stats.data_ops;
+  Alcotest.(check int) "r10 = r1 + r2" 104
+    (Value.to_int (Ximd_core.State.reg state 10));
+  Alcotest.(check int) "r20 = 7 - 3" 4
+    (Value.to_int (Ximd_core.State.reg state 20));
+  Alcotest.(check int) "one output per cycle" 1000
+    (List.length (Ximd_machine.Ioport.output state.io ~port:1));
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let suite =
   [ ( "misc",
       [ Alcotest.test_case "tracer cc string" `Quick test_tracer_cc_string;
@@ -210,4 +282,6 @@ let suite =
         Alcotest.test_case "tracer limit keeps the tail" `Quick
           test_tracer_limit_keeps_tail;
         Alcotest.test_case "barrier conditions allocate nothing" `Quick
-          test_barrier_holds_allocates_nothing ] ) ]
+          test_barrier_holds_allocates_nothing;
+        Alcotest.test_case "the image executor allocates nothing" `Quick
+          test_image_executor_allocates_nothing ] ) ]

@@ -188,10 +188,21 @@ let gen_signature_pair =
   if respelt then pure (a, pc_a, respell ~pc:pc_a a, pc_a)
   else map2 (fun b pc_b -> (a, pc_a, b, pc_b)) control pc
 
+(* The engine compares signatures on the program's decoded image: [a]
+   sits in FU 0's column at [pc_a] and [b] in FU 1's at [pc_b], so the
+   lowering resolves each at its own address. *)
 let prop_same_signature =
   QCheck2.Test.make ~count:2000 ~name:"same_signature = equal of normalised"
     gen_signature_pair (fun (a, pc_a, b, pc_b) ->
-      Control.same_signature a ~pc_a b ~pc_b
+      let rows =
+        Array.init
+          (max pc_a pc_b + 1)
+          (fun _ -> [| Parcel.nop Control.halt; Parcel.nop Control.halt |])
+      in
+      rows.(pc_a).(0) <- Parcel.nop a;
+      rows.(pc_b).(1) <- Parcel.nop b;
+      let img = Ximd_core.Program.(image (make ~n_fus:2 rows)) in
+      Ximd_core.Program.same_signature img (2 * pc_a) ((2 * pc_b) + 1)
       = Control.equal
           (Control.normalised_signature a ~pc:pc_a)
           (Control.normalised_signature b ~pc:pc_b))

@@ -81,9 +81,70 @@ let test_socket_reader_hangs_up () =
         (read_file "goldens/serve_campaign.jsonl")
         stream)
 
+(* A job line longer than the input cap (16 MiB) is one rejected record
+   in its stream position, quoting none of its bytes, and the campaign
+   goes on.  Its id alone is 17 MiB, so a reader without the cap would
+   run it and echo the id back. *)
+let test_overlong_line_is_rejected () =
+  let cap = Ximd_asm.Source.max_file_bytes in
+  let jobs = Filename.temp_file "ximd-serve" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove jobs)
+    (fun () ->
+      Out_channel.with_open_bin jobs (fun oc ->
+        output_string oc {|{"workload":"tproc","id":"a"}|};
+        output_string oc "\n{\"workload\":\"tproc\",\"id\":\"";
+        output_string oc (String.make (cap + (1 lsl 20)) 'Q');
+        output_string oc "\"}\n";
+        output_string oc {|{"workload":"tproc","id":"b"}|};
+        output_char oc '\n');
+      let stdin = Unix.openfile jobs [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 in
+      let r, w = Unix.pipe ~cloexec:true () in
+      let pid = spawn_serve [ "--domains"; "1" ] ~stdin ~stdout:w in
+      Unix.close stdin;
+      Unix.close w;
+      let ic = Unix.in_channel_of_descr r in
+      let out = In_channel.input_all ic in
+      close_in ic;
+      let code =
+        match Unix.waitpid [] pid with
+        | _, Unix.WEXITED c -> c
+        | _, (Unix.WSIGNALED s | Unix.WSTOPPED s) ->
+          Alcotest.failf "ximd-serve killed by signal %d" s
+      in
+      let kind line =
+        match Ximd_json.parse line with
+        | Ok json -> (
+          match Ximd_json.member "schema" json with
+          | Some (Ximd_json.String "ximd-summary/1") -> "summary"
+          | _ -> (
+            match Ximd_json.member "status" json with
+            | Some status -> (
+              match Ximd_json.member "kind" status with
+              | Some (Ximd_json.String k) -> k
+              | _ -> "?")
+            | None -> "?"))
+        | Error _ -> "not JSON"
+      in
+      let lines =
+        List.filter (( <> ) "") (String.split_on_char '\n' out)
+      in
+      Alcotest.(check (list string)) "records"
+        [ "halted"; "rejected"; "halted"; "summary" ]
+        (List.map kind lines);
+      let rejected = List.nth lines 1 in
+      Alcotest.(check bool) "the reason names the cap" true
+        (Tobs.contains_substring rejected
+           (Printf.sprintf "line longer than %d bytes" cap));
+      Alcotest.(check bool) "no byte of the line" false
+        (String.contains rejected 'Q');
+      Alcotest.(check int) "exit code: a rejected record" 1 code)
+
 let suite =
   [ ( "serve",
       [ Alcotest.test_case "stdin reader hanging up does not kill the server"
           `Quick test_stdin_reader_hangs_up;
         Alcotest.test_case "socket reader hanging up does not wedge the server"
-          `Quick test_socket_reader_hangs_up ] ) ]
+          `Quick test_socket_reader_hangs_up;
+        Alcotest.test_case "an over-long job line is one rejected record"
+          `Quick test_overlong_line_is_rejected ] ) ]
