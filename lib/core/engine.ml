@@ -18,15 +18,15 @@ module M = Ximd_machine
    §5).  Every phase runs from the program's decoded image
    ([Program.image]): fetch stores row and slot indices, the data path
    runs from resolved operands, and the next PC is one of a slot's two
-   resolved targets, so only the sink's [report] reads parcels, back
-   from the program.  The loop keeps its per-cycle buffers, the groups
-   and the partition's label vector included, in the preallocated
-   [state.scratch], and machine values are immediate ints, so the data
-   path, the control phase and an unchanged partition allocate
-   nothing.  A cycle still allocates: the closure in [State.all_halted]
-   (twice a step under the global sequencer) and a new partition when
-   the grouping changes; [ledger.exe trace] counts the words per cycle
-   as [engine.M.step_words]. *)
+   resolved targets; the sink's [report] reads the image too, so no
+   code here sees a parcel.  The loop keeps its per-cycle buffers, the
+   groups and the partition's label vector included, in the
+   preallocated [state.scratch], and machine values are immediate ints,
+   so the data path, the control phase and an unchanged partition
+   allocate nothing.  A cycle still allocates: the closure in
+   [State.all_halted] (twice a step under the global sequencer) and a
+   new partition when the grouping changes; [ledger.exe trace] counts
+   the words per cycle as [engine.M.step_words]. *)
 
 type model = Per_fu | Global | Banked
 
@@ -56,21 +56,7 @@ let stream_bounds model ~n k =
   | Banked -> if k = 0 then (0, (n / 2) - 1) else (n / 2, n - 1)
 
 let bank_consistent program =
-  let n = Program.n_fus program in
-  let half = n / 2 in
-  let consistent_with leader row fu =
-    let (l : Parcel.t) = row.(leader) and (p : Parcel.t) = row.(fu) in
-    Control.equal p.control l.control && Sync.equal p.sync l.sync
-  in
-  let ok = ref true in
-  for addr = 0 to Program.length program - 1 do
-    let row = Program.row program addr in
-    for fu = 0 to n - 1 do
-      let leader = if fu < half then 0 else half in
-      if not (consistent_with leader row fu) then ok := false
-    done
-  done;
-  !ok
+  Program.consistent_banks program ~split:(Program.n_fus program / 2)
 
 (* ------------------------------------------------------------------ *)
 (* The top of the cycle: the sink samples the partition in effect, the
@@ -92,18 +78,18 @@ let[@inline] hook_cycle_top (state : State.t) =
 (* ------------------------------------------------------------------ *)
 (* The observation point (DESIGN.md §7, §9).  The phases of {!step} do
    machine work only; once the cycle is finished, [report] reads it
-   back from the state and [state.scratch] and hands the sink its facts
-   in the order the event ring records them (the exporters' goldens pin
-   it): fetches, the commit's results and condition codes, then per
-   stream its sync edges, halts and branch resolution, then every
-   slot's class for {!Ximd_obs.Account} and the committing ops'
-   dependence nodes for {!Ximd_obs.Critpath}.  The sink's streams are
-   the sequencers: every issuing FU under per-FU sequencers, each
-   running group otherwise; a group's members read its control parcel
-   and spin flag.  A sync edge is a level that differs from
-   [scratch.ss_before], the levels the branch evaluation read.  Fault
-   drop masks stay armed until the next cycle begins, so a dropped
-   write still classifies as lost here. *)
+   back from the state, [state.scratch] and the image and hands the
+   sink its facts in the order the event ring records them (the
+   exporters' goldens pin it): fetches, the commit's results and
+   condition codes, then per stream its sync edges, halts and branch
+   resolution, then every slot's class for {!Ximd_obs.Account} and the
+   committing ops' dependence nodes for {!Ximd_obs.Critpath}.  The
+   sink's streams are the sequencers: every issuing FU under per-FU
+   sequencers, each running group otherwise; a group's members read its
+   control slot, next PC (-1: it halted) and spin flag.  A sync edge is
+   a level that differs from [scratch.ss_before], the levels the branch
+   evaluation read.  Fault drop masks stay armed until the next cycle
+   begins, so a dropped write still classifies as lost here. *)
 
 (* The stream whose branch resolution the sink hears once [fu]'s edges
    are out, named by the FU it reports against, or -1: every issuing FU
@@ -119,70 +105,55 @@ let[@inline] resolution_at model (s : State.scratch) ~n fu =
 (* Only operations that stage a register or memory write can lose their
    result to an armed drop-write fault (I/O writes and compares bypass
    the staging ports). *)
-let droppable = function
-  | Parcel.Dbin _ | Parcel.Dun _ | Parcel.Dload _ | Parcel.Din _
-  | Parcel.Dstore _ -> true
-  | Parcel.Dnop | Parcel.Dcmp _ | Parcel.Dout _ -> false
-
-let[@inline] op_reg = function
-  | Operand.Reg r -> Reg.index r
-  | Operand.Imm _ -> -1
-
-(* Source/destination registers of a data op, decomposed to plain ints
-   (-1 = none) so the stdlib-only obs layer never sees parcel types. *)
-let issue_args = function
-  | Parcel.Dnop -> (-1, -1, -1, false)
-  | Parcel.Dbin { a; b; d; _ } -> (op_reg a, op_reg b, Reg.index d, false)
-  | Parcel.Dun { a; d; _ } -> (op_reg a, -1, Reg.index d, false)
-  | Parcel.Dcmp { a; b; _ } -> (op_reg a, op_reg b, -1, true)
-  | Parcel.Dload { a; b; d } -> (op_reg a, op_reg b, Reg.index d, false)
-  | Parcel.Dstore { a; b } -> (op_reg a, op_reg b, -1, false)
-  | Parcel.Din { port; d } -> (op_reg port, -1, Reg.index d, false)
-  | Parcel.Dout { a; port } -> (op_reg a, op_reg port, -1, false)
-
-(* The parcel in image slot [k], read back from the program: the row
-   past the end is the halt row.  [group_control] is the control field
-   group [l] ran. *)
-let parcel (state : State.t) k =
-  let n = State.n_fus state in
-  let addr = k / n in
-  if addr < Program.length state.program then
-    (Program.row state.program addr).(k mod n)
-  else Parcel.halted
-
-let group_control (state : State.t) l =
-  (parcel state state.scratch.ctrl.(l)).control
+let droppable : Program.op -> bool = function
+  | Bin _ | Un _ | Load | In | Store -> true
+  | Nop | Cmp _ | Out -> false
 
 (* An fu×cycle slot's class (see {!Ximd_obs.Account} for the taxonomy
    and its priority). *)
-let slot_class (state : State.t) fu : Ximd_obs.Account.cls =
+let slot_class (state : State.t) (img : Program.image) fu :
+    Ximd_obs.Account.cls =
   let s = state.scratch in
   if not s.was_live.(fu) then Halted
   else begin
-    let data = (parcel state s.slots.(fu)).data in
+    let op = img.op.(s.slots.(fu)) in
     let l = s.lead.(fu) in
     let spun = s.spun.(l) in
-    if Parcel.is_nop data then
+    match op with
+    | Nop -> (
       if not spun then Nop_padding
       else
-        match group_control state l with
-        | Control.Branch { cond = Cond.Ss _; _ } -> Spin_ss
-        | Control.Branch { cond = Cond.All_ss _ | Cond.Any_ss _; _ } ->
-          Barrier_wait
-        | Control.Branch { cond = Cond.Cc _; _ } -> Spin_cc
-        | Control.Branch { cond = Cond.Always1 | Cond.Always2; _ }
-        | Control.Halt ->
+        match img.cond.(s.ctrl.(l)) with
+        | Cond.Ss _ -> Spin_ss
+        | Cond.All_ss _ | Cond.Any_ss _ -> Barrier_wait
+        | Cond.Cc _ -> Spin_cc
+        | Cond.Always1 | Cond.Always2 ->
           (* unreachable: a spinning group executed a conditional *)
-          Nop_padding
-    else if spun then Squashed
-    else
-      let dropped =
-        match state.faults with
-        | Some f -> M.Fault.drops f ~fu && droppable data
-        | None -> false
-      in
-      if dropped then Fault_lost else Commit
+          Nop_padding)
+    | Bin _ | Un _ | Cmp _ | Load | Store | In | Out ->
+      if spun then Squashed
+      else
+        let dropped =
+          match state.faults with
+          | Some f -> M.Fault.drops f ~fu && droppable op
+          | None -> false
+        in
+        if dropped then Fault_lost else Commit
   end
+
+(* Hand {!Ximd_obs.Critpath} the op committing in slot [k]: its source
+   registers (-1 for an immediate or a missing operand), the register it
+   writes (-1: compares, stores and output write none) and whether it
+   sets a condition code. *)
+let issue crit (img : Program.image) ~cycle ~fu ~pc ~latency k =
+  let w, sets_cc =
+    match img.op.(k) with
+    | Bin _ | Un _ | Load | In -> (Reg.index img.dest.(k), false)
+    | Cmp _ -> (-1, true)
+    | Nop | Store | Out -> (-1, false)
+  in
+  Ximd_obs.Critpath.issue crit ~cycle ~fu ~pc ~r1:img.a_reg.(k)
+    ~r2:img.b_reg.(k) ~w ~sets_cc ~latency
 
 (* Bind [fu]'s conditional branch to its control producers, as of the
    sync levels its evaluation read. *)
@@ -200,7 +171,7 @@ let bind_branch crit (s : State.scratch) ~n ~fu (cond : Cond.t) =
     Ximd_obs.Critpath.bind_any crit ~fu ~done_mask:!dm
   | Cond.Always1 | Cond.Always2 -> ()
 
-let report model (state : State.t) obs ~live_streams =
+let report model (state : State.t) (img : Program.image) obs ~live_streams =
   let module Sink = Ximd_obs.Sink in
   let n = State.n_fus state in
   let s = state.scratch in
@@ -208,7 +179,9 @@ let report model (state : State.t) obs ~live_streams =
   for fu = 0 to n - 1 do
     if s.was_live.(fu) then begin
       Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(s.lead.(fu));
-      if not (Parcel.is_nop (parcel state s.slots.(fu)).data) then
+      match img.op.(s.slots.(fu)) with
+      | Nop -> ()
+      | Bin _ | Un _ | Cmp _ | Load | Store | In | Out ->
         Sink.on_data_op obs ~fu
     end
   done;
@@ -222,37 +195,30 @@ let report model (state : State.t) obs ~live_streams =
       let ss = state.sss.(fu) in
       if not (Sync.equal ss s.ss_before.(fu)) then
         Sink.on_ss obs ~cycle ~fu ~to_done:(Sync.equal ss Sync.Done);
-      match group_control state s.lead.(fu) with
-      | Control.Halt -> Sink.on_halt obs ~cycle ~fu
-      | Control.Branch _ -> ()
+      if s.next_pc.(s.lead.(fu)) < 0 then Sink.on_halt obs ~cycle ~fu
     end;
     (* a stream's branch resolution follows its last member's edges *)
     let r = resolution_at model s ~n fu in
     if r >= 0 then
       let l = s.lead.(fu) in
-      match group_control state l with
-      | Control.Branch { cond; _ } ->
+      if s.next_pc.(l) >= 0 then
         Sink.on_control obs ~cycle ~fu:r ~pc:s.old_pcs.(r) ~spinning:s.spun.(l)
-          ~sync:(Cond.is_sync cond)
-      | Control.Halt -> ()
+          ~sync:(Cond.is_sync img.cond.(s.ctrl.(l)))
   done;
   let acct = Sink.account obs and crit = Sink.critpath obs in
   let latency = state.config.result_latency in
   for fu = 0 to n - 1 do
-    let cls = slot_class state fu in
+    let cls = slot_class state img fu in
     (match acct with None -> () | Some a -> Ximd_obs.Account.tally a ~fu cls);
     match crit with
     | None -> ()
     | Some c -> (
-      (if s.was_live.(fu) then
-         match group_control state s.lead.(fu) with
-         | Control.Branch { cond; _ } -> bind_branch c s ~n ~fu cond
-         | Control.Halt -> ());
+      (* a halt's condition is [Always1], which binds nothing *)
+      if s.was_live.(fu) then
+        bind_branch c s ~n ~fu img.cond.(s.ctrl.(s.lead.(fu)));
       match cls with
       | Commit ->
-        let r1, r2, w, sets_cc = issue_args (parcel state s.slots.(fu)).data in
-        Ximd_obs.Critpath.issue c ~cycle ~fu ~pc:s.old_pcs.(fu) ~r1 ~r2 ~w
-          ~sets_cc ~latency
+        issue c img ~cycle ~fu ~pc:s.old_pcs.(fu) ~latency s.slots.(fu)
       | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
       | Halted -> ())
   done;
@@ -548,7 +514,7 @@ let step model (state : State.t) =
     (* The finished cycle goes to the sink from one place. *)
     (match state.obs with
      | None -> ()
-     | Some obs -> report model state obs ~live_streams);
+     | Some obs -> report model state img obs ~live_streams);
     state.cycle <- state.cycle + 1;
     stats.cycles <- state.cycle
   end

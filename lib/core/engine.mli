@@ -26,8 +26,8 @@
     program's decoded image ({!Program.image}, built on its first run):
     a group fetches a row index, each member executes its slot's
     resolved operands ({!Exec.exec_cycle}), and the next PC is one of
-    the slot's two targets, already resolved, so only the sink's report
-    at the end of the cycle reads a parcel.  What belongs to a sequencer
+    the slot's two targets, already resolved; no phase, nor the sink's
+    report, reads a parcel.  What belongs to a sequencer
     stays per sequencer, in FU order: its fell-off-end and
     undefined-CC hazards, its conditional-branch count and its halt;
     spin slots are charged per issuing member.  Under per-FU
@@ -44,12 +44,12 @@
     arguments of {!Session.run}.  Faults land at the top of the cycle.
     The sink sees the partition there, and the rest of the cycle from
     one function at the end of {!step} that reads the finished cycle
-    back from the state and [state.scratch]: fetches, the commit's
-    results and condition codes, each stream's sync edges, halts and
-    branch resolution, every slot's class and the critical path's
-    nodes.  The phases in between do machine work only, so a cycle with
-    nothing attached tests [state.obs] three times and pays nothing
-    else.
+    back from the state, [state.scratch] and the image: fetches, the
+    commit's results and condition codes, each stream's sync edges,
+    halts and branch resolution, every slot's class and the critical
+    path's nodes.  The phases in between do machine work only, so a
+    cycle with nothing attached tests [state.obs] three times and pays
+    nothing else.
 
     The hot loop keeps its per-cycle buffers, the groups included, in
     the preallocated [state.scratch], as slot and row indices into the
@@ -128,7 +128,7 @@ val stream_bounds : model -> n:int -> int -> int * int
 val bank_consistent : Program.t -> bool
 (** Whether every row's parcels agree with their bank leader's control
     fields and sync signal — the structural restriction the [Banked]
-    model requires. *)
+    model requires: [Program.consistent_banks p ~split:(n_fus p / 2)]. *)
 
 val step : model -> State.t -> unit
 (** Executes one cycle under the given sequencing model (a no-op if all

@@ -195,72 +195,71 @@ let label_at t addr =
     (fun acc (name, a) -> if a = addr && acc = None then Some name else acc)
     None t.symbols
 
-(* Static validation. *)
+(* Static validation.  A location is formatted only for a parcel that
+   has an error, so a valid program validates without allocating. *)
 
-let validate_target ~len ~sequencer errors ~where = function
+let error ~addr ~fu errors fmt =
+  Printf.ksprintf (fun e -> e :: errors) ("%02x:[%d]: " ^^ fmt) addr fu
+
+let validate_target ~len ~sequencer ~addr ~fu errors = function
   | Control.Addr a ->
     if a < 0 || a >= len then
-      Printf.sprintf "%s: branch target %d outside program [0, %d)" where a
-        len
-      :: errors
+      error ~addr ~fu errors "branch target %d outside program [0, %d)" a len
     else errors
   | Control.Fallthrough -> (
     match (sequencer : Config.sequencer) with
     | Config.Prototype -> errors
     | Config.Research ->
-      (where ^ ": fall-through target requires the prototype sequencer")
-      :: errors)
+      error ~addr ~fu errors
+        "fall-through target requires the prototype sequencer")
 
-let validate_cond ~n_fus errors ~where = function
+let validate_cond ~n_fus ~addr ~fu errors = function
   | Cond.Always1 | Cond.Always2 -> errors
   | Cond.Cc j | Cond.Ss j ->
     if j < 0 || j >= n_fus then
-      Printf.sprintf "%s: condition references FU %d (have %d FUs)" where j
-        n_fus
-      :: errors
+      error ~addr ~fu errors "condition references FU %d (have %d FUs)" j n_fus
     else errors
   | Cond.All_ss mask | Cond.Any_ss mask ->
     if mask <= 0 || mask >= 1 lsl n_fus then
-      Printf.sprintf "%s: sync mask 0x%x invalid for %d FUs" where mask n_fus
-      :: errors
+      error ~addr ~fu errors "sync mask 0x%x invalid for %d FUs" mask n_fus
     else errors
 
 let validate t (config : Config.t) =
-  let len = Array.length t.rows in
+  let len = Array.length t.rows and n = t.n_fus in
+  let sequencer = config.sequencer in
   let errors = ref [] in
-  if t.n_fus <> config.n_fus then
+  if n <> config.n_fus then
     errors :=
-      [ Printf.sprintf "program has %d FU columns but config has %d FUs"
-          t.n_fus config.n_fus ];
-  Array.iteri
-    (fun addr row ->
-      Array.iteri
-        (fun fu (p : Parcel.t) ->
-          let where = Printf.sprintf "%02x:[%d]" addr fu in
-          match p.control with
-          | Control.Halt -> ()
-          | Control.Branch { cond; t1; t2 } ->
-            errors := validate_cond ~n_fus:t.n_fus !errors ~where cond;
-            errors :=
-              validate_target ~len ~sequencer:config.sequencer !errors ~where
-                t1;
-            errors :=
-              validate_target ~len ~sequencer:config.sequencer !errors ~where
-                t2)
-        row)
-    t.rows;
+      [ Printf.sprintf "program has %d FU columns but config has %d FUs" n
+          config.n_fus ];
+  for addr = 0 to len - 1 do
+    for fu = 0 to n - 1 do
+      match t.rows.(addr).(fu).control with
+      | Control.Halt -> ()
+      | Control.Branch { cond; t1; t2 } ->
+        errors := validate_cond ~n_fus:n ~addr ~fu !errors cond;
+        errors := validate_target ~len ~sequencer ~addr ~fu !errors t1;
+        errors := validate_target ~len ~sequencer ~addr ~fu !errors t2
+    done
+  done;
   match List.rev !errors with [] -> Ok () | errs -> Error errs
 
-let control_consistent t =
-  Array.for_all
-    (fun row ->
-      let reference : Parcel.t = row.(0) in
-      Array.for_all
-        (fun (p : Parcel.t) ->
-          Control.equal p.control reference.control
-          && Sync.equal p.sync reference.sync)
-        row)
-    t.rows
+(* Two FUs at one address have equal control fields exactly when their
+   class entries are equal. *)
+let consistent_banks t ~split =
+  let img = image t and n = t.n_fus in
+  let ok = ref true in
+  for k = 0 to (Array.length t.rows * n) - 1 do
+    let fu = k mod n in
+    let l = k - fu + if fu < split then 0 else split in
+    if
+      img.classes.(k) <> img.classes.(l)
+      || not (Sync.equal img.sync.(k) img.sync.(l))
+    then ok := false
+  done;
+  !ok
+
+let control_consistent t = consistent_banks t ~split:t.n_fus
 
 (* Binary image. *)
 

@@ -43,8 +43,8 @@ val row : t -> int -> Parcel.t array
     [n]-FU program holds FU [fu]'s parcel at [addr], and one halt row
     past the end (address {!length}) holds {!Ximd_isa.Parcel.halted}
     for every FU, so a sequencer that left the program fetches from it.
-    {!Engine} and {!Exec} run every cycle from the image; only the
-    lowering that builds it matches on parcels. *)
+    Every reader on the run path reads the image; only the lowering
+    that builds it matches on parcels. *)
 
 type op =
   | Nop
@@ -109,7 +109,12 @@ val validate : t -> Config.t -> (unit, string list) result
 (** Static checks: branch targets within the encodable range, condition
     FU indices and masks within [n_fus], fall-through targets only under
     the [Prototype] sequencer, and the program column count matching the
-    configuration. *)
+    configuration.  A valid program validates without allocating. *)
+
+val consistent_banks : t -> split:int -> bool
+(** Whether at every address each FU below [split] has FU 0's control
+    field and sync value, and every other FU FU [split]'s, read from
+    the image's class table and sync array without allocating. *)
 
 val control_consistent : t -> bool
 (** True if every row's parcels share identical control fields and sync

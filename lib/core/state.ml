@@ -55,30 +55,14 @@ type t = {
       (* observability sink: [Engine.step] tests it three times a cycle *)
 }
 
-(* Program.validate walks every parcel of the program.  Benchmarks and
-   workload sweeps create thousands of states for the same immutable
-   program/config pair, so remember recently validated pairs (compared
-   by physical equality — both values are immutable). *)
-let validated : (Program.t * Config.t) option array = Array.make 8 None
-let validated_next = ref 0
-
+(* [Program.validate] allocates nothing for a valid program, so every
+   program is checked each time a state takes it. *)
 let ensure_valid program config =
-  let cached =
-    Array.exists
-      (function
-        | Some (p, c) -> p == program && c == config
-        | None -> false)
-      validated
-  in
-  if not cached then begin
-    (match Program.validate program config with
-     | Ok () -> ()
-     | Error errors ->
-       invalid_arg
-         ("State.create: invalid program:\n" ^ String.concat "\n" errors));
-    validated.(!validated_next) <- Some (program, config);
-    validated_next := (!validated_next + 1) mod Array.length validated
-  end
+  match Program.validate program config with
+  | Ok () -> ()
+  | Error errors ->
+    invalid_arg
+      ("State.create: invalid program:\n" ^ String.concat "\n" errors)
 
 let create ?(config = Config.default) ?faults ?obs program =
   ensure_valid program config;

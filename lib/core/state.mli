@@ -117,6 +117,7 @@ val create :
     {!Ximd_machine.Fault}); omitted, the run is fault-free.  [obs]
     attaches an observability sink the simulators feed events and
     metrics into; omitted, the run is unobserved and pays nothing.
+    The program is validated every time, with no cache.
     @raise Invalid_argument if {!Program.validate} rejects the program
     under [config], or if [obs] was built for a different FU count. *)
 
@@ -125,8 +126,9 @@ val reset : ?program:Program.t -> t -> unit
     build — without reallocating the register/memory/scratch arenas or
     the in-flight queue, so repeated runs amortise construction (see
     {!Session}).  [program] swaps in a different program for the next
-    run; omitted, the current program is kept.  The configuration (and
-    with it every arena size) is fixed for the lifetime of the state.
+    run, validated as by {!create}; omitted, the current program is
+    kept.  The configuration (and with it every arena size) is fixed
+    for the lifetime of the state.
 
     Registers, memory and I/O ports are zeroed/cleared: callers must
     reapply their initialisation (a {!Session} re-runs its [setup]).

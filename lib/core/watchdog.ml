@@ -104,11 +104,12 @@ let observe t (state : State.t) =
   end
 
 (* The postmortem spinning set: every live FU, its PC and the branch
-   condition it is re-evaluating.  At detection time no live FU is
-   making progress, so this is exactly the set of waiters. *)
+   condition it is re-evaluating, read from the program's image (a halt,
+   and a PC outside the program, read [Always1]).  At detection time no
+   live FU is making progress, so this is exactly the set of waiters. *)
 let spinning (state : State.t) =
-  let program = state.program in
-  let len = Program.length program in
+  let img = Program.image state.program in
+  let n = State.n_fus state and len = Program.length state.program in
   let rec go fu acc =
     if fu < 0 then acc
     else
@@ -117,17 +118,14 @@ let spinning (state : State.t) =
         else
           let pc = state.pcs.(fu) in
           let cond =
-            if pc >= 0 && pc < len then
-              match (Program.row program pc).(fu).Parcel.control with
-              | Control.Branch { cond; _ } -> cond
-              | Control.Halt -> Cond.Always1
+            if pc >= 0 && pc < len then img.cond.((pc * n) + fu)
             else Cond.Always1
           in
           { Run.fu; pc; cond } :: acc
       in
       go (fu - 1) acc
   in
-  go (State.n_fus state - 1) []
+  go (n - 1) []
 
 let deadlocked (state : State.t) =
   Run.Deadlocked { cycles = state.cycle; spinning = spinning state }

@@ -138,9 +138,18 @@ let resolve ctx (job : Job.t) =
   | Job.File path ->
     (* A job may name any file the farm's user can read, so where its
        text does not assemble the record names the line, never the
-       text: a parse message quotes the offending source. *)
+       text: a parse message quotes the offending source.  Only a
+       regular file is opened (a FIFO would block the worker in open(2),
+       a device stream up to the input cap); a path [stat] cannot read
+       is left to [read_file], whose reason names the failure. *)
+    let text =
+      match (Unix.stat path).st_kind with
+      | Unix.S_REG | (exception Unix.Unix_error _) ->
+        Ximd_asm.Source.read_file path
+      | _ -> Error (path ^ ": not a regular file")
+    in
     assembled job path
-      (match Ximd_asm.Source.read_file path with
+      (match text with
        | Error message -> Error { line = 0; message }
        | Ok text ->
          Result.map_error
@@ -239,6 +248,9 @@ let unfinished ?(attempts = 0) job status =
 (* ------------------------------------------------------------------ *)
 
 let run_job ?hook ?obs ~seq ctx (job : Job.t) =
+  (* The first attempt's clock starts as the worker takes the job, so
+     resolving its payload (parsing a source text) counts against it. *)
+  let taken = Unix.gettimeofday () in
   (match hook with None -> () | Some f -> f job);
   let rejected reason =
     completed ?obs ~seq (unfinished job (Record.Rejected { reason }))
@@ -261,7 +273,7 @@ let run_job ?hook ?obs ~seq ctx (job : Job.t) =
       let watchdog =
         if job.Job.detect_deadlock then Some ctx.watchdog else None
       in
-      let attempt_once () =
+      let attempt_once started =
         (match watchdog with
          | Some w -> Core.Watchdog.reset w
          | None -> ());
@@ -269,9 +281,7 @@ let run_job ?hook ?obs ~seq ctx (job : Job.t) =
           match job.Job.deadline_ms with
           | None -> None
           | Some ms ->
-            let deadline =
-              Unix.gettimeofday () +. (float_of_int ms /. 1000.)
-            in
+            let deadline = started +. (float_of_int ms /. 1000.) in
             Some
               (fun () ->
                 if Unix.gettimeofday () >= deadline then raise Wall_deadline)
@@ -279,8 +289,8 @@ let run_job ?hook ?obs ~seq ctx (job : Job.t) =
         Core.Session.run ?watchdog ?budget:job.Job.budget ?poll
           ~program:r_program ~setup:r_setup session
       in
-      let rec attempt n =
-        match attempt_once () with
+      let rec attempt n started =
+        match attempt_once started with
         | outcome -> (Record.Finished outcome, n)
         | exception Invalid_argument msg ->
           (* some model/program mismatches surface only when the run
@@ -293,7 +303,8 @@ let run_job ?hook ?obs ~seq ctx (job : Job.t) =
              | None -> ()
              | Some o -> Obs.Farmobs.on_retry o ~seq ~attempt:n);
             Unix.sleepf (backoff_s ~seed:job.Job.seed ~attempt:n);
-            attempt (n + 1)
+            (* a retry's clock starts with the retry *)
+            attempt (n + 1) (Unix.gettimeofday ())
           end
           else
             ( Record.Deadline_exceeded
@@ -303,7 +314,7 @@ let run_job ?hook ?obs ~seq ctx (job : Job.t) =
            worker's session cache is rebuilt and the job becomes a
            Crashed record *)
       in
-      match attempt 1 with
+      match attempt 1 taken with
       | (Record.Finished _ as status), attempts ->
         let state = Core.Session.state session in
         let stats = state.Core.State.stats in

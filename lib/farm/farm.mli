@@ -11,13 +11,15 @@
       [Budget_exceeded];
     - {b wall-clock deadline} ([deadline_ms]) via {!Ximd_core.Session.run}'s
       poll hook — an overrun aborts the attempt and, with [retries] left,
-      re-runs it after a seed-deterministic backoff;
+      re-runs it after a seed-deterministic backoff (see
+      {!Job.t}'s [deadline_ms] for when the clock starts);
     - {b crash isolation} — an attempt that raises becomes a [Crashed]
       record carrying the exception, a backtrace and the job spec for
       replay, and the worker's session cache is rebuilt;
     - {b strict rejection} — an unparseable spec line, unreadable file,
-      unknown workload or invalid machine shape becomes a [Rejected]
-      record in the job's stream position.
+      [file] that is not a regular file (refused unopened), unknown
+      workload or invalid machine shape becomes a [Rejected] record in
+      the job's stream position.
 
     Hazard policy is forced to [Record] for every job (a batch run must
     never die on one job's hazard); recorded hazards surface as a count

@@ -27,7 +27,9 @@ type t = {
   shape : Ximd_core.Config.setting list;
       (** the machine-shape keys given ({!Ximd_core.Config.read}) *)
   budget : int option;       (** cycle budget below fuel ([budget]) *)
-  deadline_ms : int option;  (** per-attempt wall-clock limit ([deadline_ms]) *)
+  deadline_ms : int option;
+      (** per-attempt wall-clock limit ([deadline_ms]), from when a
+          worker takes the job (payload parsing counts) or a retry starts *)
   retries : int;        (** extra attempts after a transient failure *)
   detect_deadlock : bool;    (** default [true] *)
   reg_inits : (Ximd_isa.Reg.t * Ximd_isa.Value.t) list;

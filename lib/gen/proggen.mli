@@ -58,6 +58,9 @@ val fork_join_program : (Ximd_core.Program.t * int) QCheck2.Gen.t
 (** Two FU groups run bodies of different lengths (a two-SSET dynamic
     partition), re-joining on a full barrier. *)
 
+val lockstep_program : (Ximd_core.Program.t * int) QCheck2.Gen.t
+(** The lockstep VLIW-shaped code {!case} mixes in, described there. *)
+
 (** {1 Fuzz cases} *)
 
 type case = { program : Ximd_core.Program.t; config : Ximd_core.Config.t }

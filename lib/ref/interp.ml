@@ -615,15 +615,23 @@ let step model m =
 (* ------------------------------------------------------------------ *)
 (* Whole-program runs                                                  *)
 
-let bank_consistent program =
+(* Whether every parcel shares its sequencer's control and sync fields:
+   FU 0's under the global sequencer, its bank leader's under the two
+   banks, and trivially its own under per-FU sequencers. *)
+let consistent model program =
   let n = Program.n_fus program in
-  let half = n / 2 in
+  let leader fu =
+    match model with
+    | Per_fu -> fu
+    | Global -> 0
+    | Banked -> if fu < n / 2 then 0 else n / 2
+  in
   let ok = ref true in
   for addr = 0 to Program.length program - 1 do
     let row = Program.row program addr in
     Array.iteri
       (fun fu (p : Parcel.t) ->
-        let leader : Parcel.t = row.(if fu < half then 0 else half) in
+        let leader : Parcel.t = row.(leader fu) in
         if
           not
             (Control.equal p.control leader.control
@@ -642,13 +650,13 @@ let validate model program (config : Config.t) =
   match model with
   | Per_fu -> ()
   | Global ->
-    if not (Program.control_consistent program) then
+    if not (consistent Global program) then
       invalid_arg "Interp.run: program is not control-consistent"
   | Banked ->
     let n = Program.n_fus program in
     if n < 2 || n mod 2 <> 0 then
       invalid_arg "Interp.run: the two-sequencer model needs an even FU count";
-    if not (bank_consistent program) then
+    if not (consistent Banked program) then
       invalid_arg "Interp.run: program is not bank-consistent"
 
 let create config program =

@@ -25,10 +25,11 @@ type machine
 val set_reg : machine -> int -> Value.t -> unit
 val set_mem : machine -> int -> Value.t -> unit
 
-val bank_consistent : Ximd_core.Program.t -> bool
-(** Restated from first principles (independent of
-    {!Ximd_core.Engine.bank_consistent}): every parcel shares its bank
-    leader's control and sync fields. *)
+val consistent : model -> Ximd_core.Program.t -> bool
+(** Restated from first principles, parcel by parcel, never from the
+    decoded image the engine's checks read: every parcel shares its
+    sequencer's control and sync fields (FU 0's under [Global], its
+    bank leader's under [Banked]; always under [Per_fu]). *)
 
 val validate : model -> Ximd_core.Program.t -> Ximd_core.Config.t -> unit
 (** @raise Invalid_argument under exactly the conditions the engine's

@@ -16,13 +16,14 @@ let parse src =
   | Error e -> Alcotest.failf "parse: %a" Ximd_asm.Source.pp_error e
 
 let observed_run ?(config = fun n_fus -> Core.Config.make ~n_fus ())
-    ?(model = Core.Engine.Per_fu) program =
+    ?(model = Core.Engine.Per_fu) ?faults program =
   let n_fus = Core.Program.n_fus program in
   let sink =
     Obs.Sink.create ~n_fus ~code_len:(Core.Program.length program) ()
   in
   let session =
-    Core.Session.create ~config:(config n_fus) ~obs:sink ~model program
+    Core.Session.create ~config:(config n_fus) ?faults ~obs:sink ~model
+      program
   in
   let outcome = Core.Session.run session in
   let state = Core.Session.state session in
@@ -148,6 +149,31 @@ fin:
   if A.count acct ~fu:0 A.Barrier_wait <= A.count acct ~fu:1 A.Barrier_wait
   then Alcotest.fail "early FU0 should wait longer than late FU1"
 
+(* A dropped write-port transfer loses only the operations that stage a
+   register or memory write: with every FU's port dropping, an add and a
+   store are lost, while a compare and an output, which bypass the
+   staging ports, commit. *)
+let test_dropped_writes_attributed () =
+  let program =
+    parse
+      {|.fus 4
+  [0] iadd #1, #2, r1 | halt
+  [1] store #5, #100  | halt
+  [2] lt #1, #2       | halt
+  [3] out #7, #1      | halt
+|}
+  in
+  let faults =
+    Result.get_ok
+      (Ximd_machine.Fault.of_spec ~n_fus:4
+         "drop@0:0,drop@0:1,drop@0:2,drop@0:3")
+  in
+  let _outcome, _state, acct = observed_run ~faults program in
+  List.iter
+    (fun (fu, what, cls) -> check_int what 1 (A.count acct ~fu cls))
+    [ (0, "add lost", A.Fault_lost); (1, "store lost", A.Fault_lost);
+      (2, "compare commits", A.Commit); (3, "output commits", A.Commit) ]
+
 let minmax_account () =
   let variant = (W.Minmax.make ()).W.Workload.ximd in
   let sink =
@@ -173,4 +199,6 @@ let suite =
         Alcotest.test_case "barrier wait attributed" `Quick
           test_barrier_wait_attributed;
         Alcotest.test_case "account json valid and stable" `Quick
-          test_account_json_valid_and_stable ] ) ]
+          test_account_json_valid_and_stable;
+        Alcotest.test_case "dropped writes lose only staged results" `Quick
+          test_dropped_writes_attributed ] ) ]

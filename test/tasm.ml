@@ -163,9 +163,8 @@ let labelled_chain rows =
 
 (* Parsing must stay linear in the label count: 4x the labelled rows may
    take well under 16x the time (on a 2-vCPU VM a quadratic parser took
-   14-19x, a linear one 4-5x).  Each size is the fastest of five parses,
-   since load on the host only ever adds time; the sizes alternate, so a
-   burst of load hits both alike. *)
+   14-19x in every pair, a linear one 4-5x).  The smallest of five pair
+   ratios ([Tlang.smallest_pair_ratio]) must stay under 8x. *)
 let test_parse_linear_in_labels () =
   let parse rows text =
     let t0 = Unix.gettimeofday () in
@@ -181,13 +180,13 @@ let test_parse_linear_in_labels () =
     dt
   in
   let small = labelled_chain 4096 and large = labelled_chain 16384 in
-  let times = List.init 5 (fun _ -> (parse 4096 small, parse 16384 large)) in
-  let fastest xs = List.fold_left Float.min infinity xs in
-  let small = fastest (List.map fst times)
-  and large = fastest (List.map snd times) in
-  if large >= 8. *. small then
-    Alcotest.failf "4x the labels took %.1fx as long (%.4fs vs %.4fs)"
-      (large /. small) large small
+  let ratio =
+    Tlang.smallest_pair_ratio
+      ~small:(fun () -> parse 4096 small)
+      ~large:(fun () -> parse 16384 large)
+  in
+  if ratio >= 8. then
+    Alcotest.failf "4x the labels took %.1fx as long in every pair" ratio
 
 (* --- Builder ----------------------------------------------------------- *)
 

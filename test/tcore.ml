@@ -76,10 +76,31 @@ let test_program_validate () =
     B.row t ~ctl:(B.if_cc 7 (B.abs 0) (B.abs 0)) [];
     B.build t
   in
-  match Ximd_core.Program.validate bad config with
-  | Error (msg :: _) ->
-    Alcotest.(check bool) "mentions FU" true (String.length msg > 0)
-  | Error [] | Ok () -> Alcotest.fail "cc7 on a 2-FU machine accepted"
+  (match Ximd_core.Program.validate bad config with
+   | Error (msg :: _) ->
+     Alcotest.(check bool) "mentions FU" true (String.length msg > 0)
+   | Error [] | Ok () -> Alcotest.fail "cc7 on a 2-FU machine accepted");
+  (* Every kind of error, each named by its parcel's location, in row
+     and FU order and, within a parcel, condition before targets. *)
+  let branch cond t1 t2 = Parcel.nop (Control.Branch { cond; t1; t2 }) in
+  let rows =
+    Array.init 17 (fun _ -> Array.make 3 (Parcel.nop Control.halt))
+  in
+  rows.(0).(0) <- branch (Cond.Cc 7) (Control.Addr 17) Control.Fallthrough;
+  rows.(0).(2) <- branch (Cond.All_ss 8) (Control.Addr (-1)) (Control.Addr 0);
+  rows.(16).(1) <- branch (Cond.Any_ss 0) Control.Fallthrough (Control.Addr 3);
+  Alcotest.(check (result unit (list string)))
+    "every message, in order"
+    (Error
+       [ "program has 3 FU columns but config has 2 FUs";
+         "00:[0]: condition references FU 7 (have 3 FUs)";
+         "00:[0]: branch target 17 outside program [0, 17)";
+         "00:[0]: fall-through target requires the prototype sequencer";
+         "00:[2]: sync mask 0x8 invalid for 3 FUs";
+         "00:[2]: branch target -1 outside program [0, 17)";
+         "10:[1]: sync mask 0x0 invalid for 3 FUs";
+         "10:[1]: fall-through target requires the prototype sequencer" ])
+    (Ximd_core.Program.validate (Ximd_core.Program.make ~n_fus:3 rows) config)
 
 let test_program_fallthrough_needs_prototype () =
   let t = B.create ~n_fus:1 in

@@ -65,6 +65,24 @@ let test_reg_chain_latency () =
   Alcotest.(check bool) "chain realised architecturally" true
     (Ximd_isa.Value.equal r3 (Ximd_isa.Value.of_int 3))
 
+(* An input's destination is a register def like any other: the add
+   that reads it three cycles later, at latency 3, carries a Reg edge
+   from the input with no slack. *)
+let test_input_heads_reg_chain () =
+  let program =
+    parse
+      {|.fus 1
+  [0] in #1, r1 | -> @1
+  [0] nop | -> @2
+  [0] nop | -> @3
+  [0] iadd r1, #1, r2 | halt
+|}
+  in
+  let _outcome, _state, cp = run_observed ~result_latency:3 program in
+  let reg = kind_sum cp CP.Reg in
+  check_int "reg edges" 1 reg.CP.k_edges;
+  check_int "reg bound cycles" 3 reg.CP.k_cycles
+
 (* An SS handshake: FU1's first op after the spin carries an Ss edge
    from FU0's signalling op, with the 2-cycle control latency and no
    slack (the consumer issues as early as the release allows). *)
@@ -155,4 +173,6 @@ let suite =
       [ Alcotest.test_case "register chain bound at latency 3" `Quick
           test_reg_chain_latency;
         Alcotest.test_case "ss handshake edge" `Quick test_ss_edge;
-        QCheck_alcotest.to_alcotest prop_critpath_sound ] ) ]
+        QCheck_alcotest.to_alcotest prop_critpath_sound;
+        Alcotest.test_case "an input heads a register chain" `Quick
+          test_input_heads_reg_chain ] ) ]

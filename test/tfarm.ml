@@ -453,21 +453,66 @@ let test_file_payload_quotes_nothing () =
       | records, _ ->
         Alcotest.failf "expected 1 record, got %d" (List.length records))
 
-(* A file that never ends is read only up to the input cap and
-   rejected, never read into the heap until memory runs out. *)
-let test_endless_file_rejected () =
-  match run_lines ~domains:1 [ {|{"file":"/dev/zero","id":"zero"}|} ] with
+(* The reason a single [file] job is rejected with. *)
+let file_rejection path =
+  match
+    run_lines ~domains:1 [ Printf.sprintf {|{"file":"%s"}|} (quote path) ]
+  with
   | [ record ], _ -> (
     match record.F.Record.status with
-    | F.Record.Rejected { reason } ->
-      Alcotest.(check string) "reason"
-        (Printf.sprintf "/dev/zero: line 0: /dev/zero: longer than %d bytes"
-           Ximd_asm.Source.max_file_bytes)
-        reason
-    | _ ->
-      Alcotest.failf "not rejected: %s" (F.Record.to_json_string record))
+    | F.Record.Rejected { reason } -> reason
+    | _ -> Alcotest.failf "not rejected: %s" (F.Record.to_json_string record))
   | records, _ ->
     Alcotest.failf "expected 1 record, got %d" (List.length records)
+
+(* A file that never ends is refused before it is opened, never read
+   into the heap up to the input cap. *)
+let test_endless_file_rejected () =
+  Alcotest.(check string) "reason"
+    "/dev/zero: line 0: /dev/zero: not a regular file"
+    (file_rejection "/dev/zero")
+
+(* Opening a FIFO for reading blocks until a writer comes, so a job
+   naming one must be refused before [open(2)], or its worker waits
+   forever. *)
+let test_fifo_file_rejected () =
+  let dir = Filename.temp_dir "ximd-farm" "" in
+  let fifo = Filename.concat dir "jobs.fifo" in
+  Unix.mkfifo fifo 0o600;
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove fifo;
+      Sys.rmdir dir)
+    (fun () ->
+      Alcotest.(check string) "reason"
+        (Printf.sprintf "%s: line 0: %s: not a regular file" fifo fifo)
+        (file_rejection fifo))
+
+(* A job's deadline counts from the moment its worker takes it, so
+   parsing its payload is timed: about 4 MiB of comment lines take
+   milliseconds to parse, which a 1 ms deadline does not cover, though
+   the one-row program they precede halts in its first cycle. *)
+let test_deadline_covers_parsing () =
+  let source =
+    ".fus 1\n"
+    ^ String.concat ""
+        (List.init 65536 (fun i ->
+           Printf.sprintf "; %05d %s\n" i (String.make 55 '-')))
+    ^ "[0] nop | halt\n"
+  in
+  match
+    run_lines ~domains:1
+      [ Printf.sprintf
+          {|{"source":"%s","id":"slow-parse","deadline_ms":1,"retries":0}|}
+          (quote source) ]
+  with
+  | [ r ], _ -> (
+    match r.F.Record.status with
+    | F.Record.Deadline_exceeded { deadline_ms } ->
+      Alcotest.(check int) "deadline echoed" 1 deadline_ms;
+      Alcotest.(check int) "one attempt" 1 r.F.Record.attempts
+    | _ -> Alcotest.failf "not timed out: %s" (F.Record.to_json_string r))
+  | rs, _ -> Alcotest.failf "expected 1 record, got %d" (List.length rs)
 
 (* A job spec and a conformance [; conf:] line read a shape key's value
    alike: the conf line takes the job's JSON text, and refuses what the
@@ -536,4 +581,8 @@ let suite =
         Alcotest.test_case "an endless file job is rejected" `Quick
           test_endless_file_rejected;
         Alcotest.test_case "shape keys read alike in jobs and conf lines"
-          `Quick test_shape_keys_one_vocabulary ] ) ]
+          `Quick test_shape_keys_one_vocabulary;
+        Alcotest.test_case "a FIFO file job is rejected unopened" `Quick
+          test_fifo_file_rejected;
+        Alcotest.test_case "a job's deadline covers parsing its payload"
+          `Quick test_deadline_covers_parsing ] ) ]

@@ -266,6 +266,38 @@ let test_image_executor_allocates_nothing () =
     (List.length (Ximd_machine.Ioport.output state.io ~port:1));
   Alcotest.(check (float 0.)) "minor words" 0. words
 
+(* A state checks every program it takes, with no cache, so validation
+   and the models' consistency checks must build nothing on a valid
+   program: after one call has built the program's image, each reads 0
+   minor words on every suite program. *)
+let test_validation_allocates_nothing () =
+  let words f =
+    ignore (f ());
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (f ()));
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun (w : Ximd_workloads.Workload.t) ->
+      List.iter
+        (fun (v : Ximd_workloads.Workload.variant) ->
+          let p = v.program in
+          let name check =
+            Printf.sprintf "%s (%s): %s minor words" w.name
+              (match v.sim with Ximd -> "ximd" | Vliw -> "vliw")
+              check
+          in
+          Alcotest.(check bool) (name "valid") true
+            (Ximd_core.Program.validate p v.config = Ok ());
+          Alcotest.(check (float 0.)) (name "validate") 0.
+            (words (fun () -> Ximd_core.Program.validate p v.config));
+          Alcotest.(check (float 0.)) (name "control_consistent") 0.
+            (words (fun () -> Ximd_core.Program.control_consistent p));
+          Alcotest.(check (float 0.)) (name "bank_consistent") 0.
+            (words (fun () -> Ximd_core.Engine.bank_consistent p)))
+        (w.ximd :: Option.to_list w.vliw))
+    (Ximd_workloads.Suite.all ())
+
 let suite =
   [ ( "misc",
       [ Alcotest.test_case "tracer cc string" `Quick test_tracer_cc_string;
@@ -284,4 +316,6 @@ let suite =
         Alcotest.test_case "barrier conditions allocate nothing" `Quick
           test_barrier_holds_allocates_nothing;
         Alcotest.test_case "the image executor allocates nothing" `Quick
-          test_image_executor_allocates_nothing ] ) ]
+          test_image_executor_allocates_nothing;
+        Alcotest.test_case "validation allocates nothing" `Quick
+          test_validation_allocates_nothing ] ) ]

@@ -262,6 +262,52 @@ let prop_partition_per_step =
           | Global -> true)
         (Ximd_gen.Diff.applicable_models program))
 
+(* --- Consistency checks --------------------------------------------------- *)
+
+(* Lockstep code, its upper bank run one row ahead or not, with at most
+   one parcel's sync value flipped or control field replaced: every way
+   one FU at one address can break either check.  With the bank shifted
+   the program stays bank-consistent and is control-consistent only
+   where consecutive rows agree. *)
+let gen_perturbed_lockstep =
+  let open Gen in
+  Ximd_gen.Proggen.lockstep_program >>= fun (p, n) ->
+  let len = Ximd_core.Program.length p in
+  quad bool (int_bound (len - 1)) (int_bound (n - 1)) (int_bound 2)
+  >|= fun (shifted, at, at_fu, change) ->
+  let parcel addr fu =
+    let row = if shifted && fu >= n / 2 then (addr + 1) mod len else addr in
+    let (q : Parcel.t) = (Ximd_core.Program.row p row).(fu) in
+    if addr <> at || fu <> at_fu || change = 0 then q
+    else if change = 1 then
+      { q with
+        sync = (if Sync.equal q.sync Sync.Done then Sync.Busy else Sync.Done)
+      }
+    else if Control.equal q.control Control.halt then
+      { q with control = Control.goto 0 }
+    else { q with control = Control.halt }
+  in
+  Ximd_core.Program.make ~n_fus:n
+    (Array.init len (fun addr -> Array.init n (parcel addr)))
+
+(* The models' structural checks read the program's image (its class
+   table and sync array); the reference restates them parcel by parcel,
+   and the two must agree on every shape the fuzzer draws. *)
+let prop_consistency_checks =
+  QCheck2.Test.make ~count:1000
+    ~name:"consistency checks = the reference's parcel walk"
+    Gen.(
+      frequency
+        [ (2, map (fun (c : Ximd_gen.Proggen.case) -> c.program)
+                Ximd_gen.Proggen.case);
+          (1, map fst gen_forward_program);
+          (2, gen_perturbed_lockstep) ])
+    (fun p ->
+      Ximd_core.Program.control_consistent p
+      = Ximd_ref.Interp.consistent Global p
+      && Ximd_core.Engine.bank_consistent p
+         = Ximd_ref.Interp.consistent Banked p)
+
 (* --- ALU ------------------------------------------------------------------ *)
 
 let gen_value = Gen.map Value.of_int (Gen.int_range (-1 lsl 31) ((1 lsl 31) - 1))
@@ -746,4 +792,5 @@ let suite =
           prop_compile_matches_interp;
           prop_kernelgen_matches_rolled;
           prop_pack_density_valid;
-          prop_pack_time_valid ] ) ]
+          prop_pack_time_valid;
+          prop_consistency_checks ] ) ]
