@@ -52,71 +52,44 @@ let eval_cond (state : State.t) ~fu cond =
   if j >= 0 then undefined_cc state ~fu j;
   holds state cond
 
-(* Register/memory results commit at the end of cycle
-   [issue + result_latency - 1]; latency 1 (the research model) stages
-   directly into this cycle's commit. *)
-let defer (state : State.t) ~is_mem ~fu ~loc value =
-  let ifl = state.inflight in
-  let cap = Array.length ifl.ifl_due in
-  if ifl.ifl_len = cap then begin
-    let cap' = 2 * cap in
-    let due = Array.make cap' 0
-    and is_mem' = Array.make cap' false
-    and fu' = Array.make cap' 0
-    and loc' = Array.make cap' 0
-    and value' = Array.make cap' Value.zero in
-    Array.blit ifl.ifl_due 0 due 0 cap;
-    Array.blit ifl.ifl_is_mem 0 is_mem' 0 cap;
-    Array.blit ifl.ifl_fu 0 fu' 0 cap;
-    Array.blit ifl.ifl_loc 0 loc' 0 cap;
-    Array.blit ifl.ifl_value 0 value' 0 cap;
-    ifl.ifl_due <- due;
-    ifl.ifl_is_mem <- is_mem';
-    ifl.ifl_fu <- fu';
-    ifl.ifl_loc <- loc';
-    ifl.ifl_value <- value'
-  end;
-  let k = ifl.ifl_len in
-  ifl.ifl_due.(k) <- state.cycle + state.config.result_latency - 1;
-  ifl.ifl_is_mem.(k) <- is_mem;
-  ifl.ifl_fu.(k) <- fu;
-  ifl.ifl_loc.(k) <- loc;
-  ifl.ifl_value.(k) <- value;
-  ifl.ifl_len <- k + 1
-
-let do_stage_reg_write (state : State.t) ~fu reg value =
-  if state.config.result_latency = 1 then
-    M.Regfile.stage_write state.regs ~fu reg value
-  else defer state ~is_mem:false ~fu ~loc:(Reg.index reg) value
-
-let do_stage_mem_write (state : State.t) ~fu addr value =
-  if state.config.result_latency = 1 then
-    M.Memory.stage_write state.mem ~fu ~cycle:state.cycle ~log:state.log addr
-      value
-  else defer state ~is_mem:true ~fu ~loc:addr value
+(* Every register and memory result joins the write-back queue, due at
+   the end of cycle [issue + result_latency - 1].  Under unit latency a
+   store gets its bank check here, at issue; a pipelined one gets it at
+   write-back ({!commit_cycle}). *)
+let push (state : State.t) ~is_mem ~fu ~loc value =
+  if
+    is_mem
+    && state.config.result_latency = 1
+    && not (M.Memory.accessible state.mem ~fu loc)
+  then
+    M.Hazard.report state.log ~cycle:state.cycle
+      (M.Hazard.Mem_out_of_bounds { addr = loc; fu })
+  else begin
+    let q = state.queue in
+    let k = q.q_len in
+    q.q_due.(k) <- state.cycle + state.config.result_latency - 1;
+    q.q_mem.(k) <- is_mem;
+    q.q_fu.(k) <- fu;
+    q.q_loc.(k) <- loc;
+    q.q_value.(k) <- value;
+    q.q_len <- k + 1
+  end
 
 (* Fault injection hooks on the FU write ports: a dropped transfer never
-   stages; a duplicated one stages twice (surfacing as a multiple-write
+   queues; a duplicated one queues twice (surfacing as a multiple-write
    hazard).  The common, fault-free path pays one branch on the
    immutable [state.faults] field and nothing else. *)
-
-let stage_reg_write (state : State.t) ~fu reg value =
+let write (state : State.t) ~is_mem ~fu ~loc value =
   match state.faults with
-  | None -> do_stage_reg_write state ~fu reg value
+  | None -> push state ~is_mem ~fu ~loc value
   | Some f ->
     if not (M.Fault.drops f ~fu) then begin
-      do_stage_reg_write state ~fu reg value;
-      if M.Fault.dups f ~fu then do_stage_reg_write state ~fu reg value
+      push state ~is_mem ~fu ~loc value;
+      if M.Fault.dups f ~fu then push state ~is_mem ~fu ~loc value
     end
 
-let stage_mem_write (state : State.t) ~fu addr value =
-  match state.faults with
-  | None -> do_stage_mem_write state ~fu addr value
-  | Some f ->
-    if not (M.Fault.drops f ~fu) then begin
-      do_stage_mem_write state ~fu addr value;
-      if M.Fault.dups f ~fu then do_stage_mem_write state ~fu addr value
-    end
+let write_reg state ~fu (reg : Reg.t) value =
+  write state ~is_mem:false ~fu ~loc:(reg :> int) value
 
 let push_cc (state : State.t) ~fu value =
   let s = state.scratch in
@@ -159,10 +132,10 @@ let exec_slot (state : State.t) (img : Program.image) values ~fu k =
           (M.Hazard.Div_by_zero { fu });
         Value.zero
     in
-    stage_reg_write state ~fu img.dest.(k) result
+    write_reg state ~fu img.dest.(k) result
   | Un op ->
     count_alu stats img.is_float.(k);
-    stage_reg_write state ~fu img.dest.(k) (M.Alu.eval_un op a)
+    write_reg state ~fu img.dest.(k) (M.Alu.eval_un op a)
   | Cmp op ->
     stats.cmp_ops <- stats.cmp_ops + 1;
     count_alu stats img.is_float.(k);
@@ -170,14 +143,14 @@ let exec_slot (state : State.t) (img : Program.image) values ~fu k =
   | Load ->
     stats.mem_ops <- stats.mem_ops + 1;
     let addr = (Value.of_int ((a :> int) + (b :> int)) :> int) in
-    stage_reg_write state ~fu img.dest.(k)
+    write_reg state ~fu img.dest.(k)
       (M.Memory.read state.mem ~fu ~cycle:state.cycle ~log:state.log addr)
   | Store ->
     stats.mem_ops <- stats.mem_ops + 1;
-    stage_mem_write state ~fu (b :> int) a
+    write state ~is_mem:true ~fu ~loc:(b :> int) a
   | In ->
     stats.io_ops <- stats.io_ops + 1;
-    stage_reg_write state ~fu img.dest.(k)
+    write_reg state ~fu img.dest.(k)
       (M.Ioport.read state.io ~fu ~cycle:state.cycle ~log:state.log
          (a :> int))
   | Out ->
@@ -200,55 +173,102 @@ let exec_data (state : State.t) ~fu data =
   in
   exec_slot state img (M.Regfile.values state.regs) ~fu 0
 
-(* Move pipeline results whose write-back stage is this cycle into the
-   commit stage.  Entries are in issue order, so committing front to
-   back preserves issue order; survivors are compacted in place. *)
-let flush_due (state : State.t) =
-  let ifl = state.inflight in
-  if ifl.ifl_len > 0 then begin
-    let len = ifl.ifl_len in
-    let kept = ref 0 in
-    for k = 0 to len - 1 do
-      if ifl.ifl_due.(k) <= state.cycle then begin
-        let fu = ifl.ifl_fu.(k)
-        and loc = ifl.ifl_loc.(k)
-        and value = ifl.ifl_value.(k) in
-        if ifl.ifl_is_mem.(k) then
-          M.Memory.stage_write state.mem ~fu ~cycle:state.cycle
-            ~log:state.log loc value
-        else M.Regfile.stage_write state.regs ~fu (Reg.make loc) value
+(* The multiple-write rule: the value that lands at the location queue
+   entry [k] writes, from the due entries [k, d) that write it, is the
+   highest-numbered FU's, the latest write on ties.  Several writes are
+   a hazard, reported (every writer, in issue order) before the value
+   lands; a lone write allocates nothing.  Each entry taken is marked
+   done (FU -1). *)
+let resolve (state : State.t) ~is_mem ~loc k d =
+  let q = state.queue in
+  let first = q.q_fu.(k) in
+  let others = ref [] and winner = ref (-1) and value = ref Value.zero in
+  for j = k to d - 1 do
+    let fu = q.q_fu.(j) in
+    if fu >= 0 && q.q_mem.(j) = is_mem && q.q_loc.(j) = loc then begin
+      q.q_fu.(j) <- -1;
+      if j > k then others := fu :: !others;
+      if fu >= !winner then begin
+        winner := fu;
+        value := q.q_value.(j)
       end
-      else begin
-        let j = !kept in
-        ifl.ifl_due.(j) <- ifl.ifl_due.(k);
-        ifl.ifl_is_mem.(j) <- ifl.ifl_is_mem.(k);
-        ifl.ifl_fu.(j) <- ifl.ifl_fu.(k);
-        ifl.ifl_loc.(j) <- ifl.ifl_loc.(k);
-        ifl.ifl_value.(j) <- ifl.ifl_value.(k);
-        incr kept
-      end
-    done;
-    ifl.ifl_len <- !kept
-  end
+    end
+  done;
+  if !others <> [] then begin
+    let fus = first :: List.rev !others in
+    M.Hazard.report state.log ~cycle:state.cycle
+      (if is_mem then M.Hazard.Multiple_mem_write { addr = loc; fus }
+       else M.Hazard.Multiple_reg_write { reg = Reg.make loc; fus })
+  end;
+  !value
+
+(* Land the queue's first [d] entries, the results due this cycle, as
+   the reference model does: stores get their bank check, then registers
+   land in order of first write, then stores in order of first store.
+   Returns how many results and condition codes commit. *)
+let land_due (state : State.t) d =
+  let q = state.queue in
+  let writes = q.reg_writes in
+  let committed = ref state.scratch.cc_len in
+  for k = 0 to d - 1 do
+    let loc = q.q_loc.(k) in
+    if not q.q_mem.(k) then begin
+      writes.(loc) <- writes.(loc) + 1;
+      incr committed
+    end
+    else if M.Memory.accessible state.mem ~fu:q.q_fu.(k) loc then
+      incr committed
+    else begin
+      let fu = q.q_fu.(k) in
+      q.q_fu.(k) <- -1;
+      M.Hazard.report state.log ~cycle:state.cycle
+        (M.Hazard.Mem_out_of_bounds { addr = loc; fu })
+    end
+  done;
+  (* Progress meter for the deadlock watchdog: anything that commits
+     counts. *)
+  state.stats.commit_ops <- state.stats.commit_ops + !committed;
+  (* A per-register count keeps registers linear: only a register
+     written more than once is looked for again. *)
+  let values = M.Regfile.values state.regs in
+  for k = 0 to d - 1 do
+    if q.q_fu.(k) >= 0 && not q.q_mem.(k) then begin
+      let r = q.q_loc.(k) in
+      values.(r) <-
+        (if writes.(r) = 1 then q.q_value.(k)
+         else resolve state ~is_mem:false ~loc:r k d);
+      writes.(r) <- 0
+    end
+  done;
+  for k = 0 to d - 1 do
+    if q.q_fu.(k) >= 0 && q.q_mem.(k) then
+      let addr = q.q_loc.(k) in
+      M.Memory.set state.mem addr (resolve state ~is_mem:true ~loc:addr k d)
+  done;
+  !committed
+
+(* Drop the first [d] entries, keeping the rest in issue order. *)
+let retire (q : State.queue) d =
+  let rest = q.q_len - d in
+  if rest > 0 then begin
+    Array.blit q.q_due d q.q_due 0 rest;
+    Array.blit q.q_mem d q.q_mem 0 rest;
+    Array.blit q.q_fu d q.q_fu 0 rest;
+    Array.blit q.q_loc d q.q_loc 0 rest;
+    Array.blit q.q_value d q.q_value 0 rest
+  end;
+  q.q_len <- rest
 
 let commit_cycle (state : State.t) =
-  let s = state.scratch in
-  match
-    flush_due state;
-    (* Progress meter for the deadlock watchdog: anything that reaches
-       the commit stage counts.  Read after [flush_due] so deferred
-       pipeline results landing this cycle are included. *)
-    let committed =
-      M.Regfile.staged_count state.regs
-      + M.Memory.staged_count state.mem
-      + s.cc_len
-    in
-    state.stats.commit_ops <- state.stats.commit_ops + committed;
-    M.Regfile.commit state.regs ~cycle:state.cycle ~log:state.log;
-    M.Memory.commit state.mem ~cycle:state.cycle ~log:state.log;
-    committed
-  with
+  let q = state.queue and s = state.scratch in
+  let d = ref 0 in
+  while !d < q.q_len && q.q_due.(!d) <= state.cycle do
+    incr d
+  done;
+  let d = !d in
+  match land_due state d with
   | committed ->
+    retire q d;
     s.commit_results <- committed;
     s.commit_ccs <- s.cc_len;
     for k = 0 to s.cc_len - 1 do
@@ -257,8 +277,12 @@ let commit_cycle (state : State.t) =
     done;
     s.cc_len <- 0
   | exception e ->
-    (* a Raise-policy hazard aborts the cycle: staged condition codes
-       must not leak into the next one *)
+    (* a Raise-policy hazard aborts the cycle: none of its due results
+       or condition codes may leak into the next one *)
+    for k = 0 to d - 1 do
+      if not q.q_mem.(k) then q.reg_writes.(q.q_loc.(k)) <- 0
+    done;
+    retire q d;
     s.cc_len <- 0;
     raise e
 
@@ -312,7 +336,7 @@ let apply_faults (state : State.t) faults =
    accounting stays conserved against [stats.cycles].  Nothing issues
    while draining, so no condition code commits. *)
 let drain_pipeline (state : State.t) =
-  while state.inflight.ifl_len > 0 do
+  while state.queue.q_len > 0 do
     state.cycle <- state.cycle + 1;
     commit_cycle state;
     match state.obs with

@@ -2,22 +2,26 @@
 
     Every sequencing model of the {!Engine} uses this module: the
     models differ only in their control paths.  All reads observe
-    start-of-cycle state; all writes (registers, memory, condition codes)
-    are staged and applied by {!commit_cycle}.
+    start-of-cycle state.  This module is the machine's one write-back
+    path: every register and memory result, under any [result_latency],
+    joins the queue in [state.queue], due at the end of cycle [issue +
+    result_latency - 1], and {!commit_cycle} lands the due ones, with
+    the multiple-write rule (the highest-numbered FU's value wins, the
+    latest write on ties; the hazard is reported first).  Condition-code
+    updates wait in [state.scratch] and land at the end of the issuing
+    cycle.
 
     Condition evaluation builds no closures or mask lists (the ALL/ANY
     barrier tests are top-level recursions over the sync array and the
-    mask, so a group waiting at a barrier allocates nothing), condition-code
-    updates go through the preallocated buffer in [state.scratch],
-    pipelined results live in the growable arrays of [state.inflight],
+    mask, so a group waiting at a barrier allocates nothing), the queue
+    and the condition-code buffer are preallocated at their largest,
     values are immediate ints and operands come from the program's
     decoded image, so neither {!exec_cycle} nor {!commit_cycle}
     allocates on the hazard-free path (tier 1's [misc] case "the image
     executor allocates nothing" pins it for every kind of data
     operation).  A hazard report allocates its event, and so do the
-    first store to an untouched memory page and the growth of the
-    in-flight queue, the store stage or an output port's log.
-    [ledger.exe trace] counts both phases per cycle as
+    first store to an untouched memory page and the growth of an output
+    port's log.  [ledger.exe trace] counts both phases per cycle as
     [engine.M.exec_words] and [engine.M.commit_words].
 
     Neither reports to the observability sink: {!Engine.step} reads
@@ -51,10 +55,12 @@ val eval_cond : State.t -> fu:int -> Cond.t -> bool
 val exec_cycle : State.t -> Program.image -> unit
 (** Executes one cycle's data operations from the program's decoded
     image ({!Program.image}): every FU whose [scratch.was_live] is set
-    runs the slot [scratch.slots.(fu)], reading its operands, staging
-    its register and memory writes, performing its I/O, updating the
+    runs the slot [scratch.slots.(fu)], reading its operands, queueing
+    its register or memory result, performing its I/O, updating the
     statistics and pushing a compare's condition-code update into
-    [state.scratch]; every other FU counts a halted slot.  The whole of
+    [state.scratch]; every other FU counts a halted slot.  Under unit
+    latency a store outside its FU's reach ({!Ximd_machine.Memory.accessible})
+    is reported and dropped here, at issue.  The whole of
     each operation runs inside this module, reading register operands
     straight from {!Ximd_machine.Regfile.values}. *)
 
@@ -65,21 +71,28 @@ val exec_data : State.t -> fu:int -> Parcel.data -> unit
     do. *)
 
 val commit_cycle : State.t -> unit
-(** Commits staged register and memory writes (including in-flight
-    pipelined results whose write-back stage is this cycle) and applies
-    the condition-code updates buffered in [state.scratch], leaving the
+(** Lands the queued results due by the end of this cycle, a prefix of
+    the queue, as the reference model does: first a pipelined store
+    outside its FU's reach is reported and dropped; then registers land
+    in order of first write, then stores in order of first store, each
+    multiple write reported before its winner lands.  Then applies the
+    condition-code updates buffered in [state.scratch], leaving the
     number of results and of condition codes committed in
-    [scratch.commit_results] and [scratch.commit_ccs].  Does not advance
-    PCs or the cycle counter — that is the control path's job. *)
+    [scratch.commit_results] and [scratch.commit_ccs].  A commit that a
+    [Raise]-policy hazard aborts drops the rest of its due results and
+    its condition codes, so the next commit lands none of them.  Does
+    not advance PCs or the cycle counter — that is the control path's
+    job. *)
 
 val apply_faults : State.t -> Ximd_machine.Fault.t -> unit
 (** Fires the fault events due this cycle: control-plane faults (SS/CC
     flips, stuck halts) mutate the state directly; write-port faults arm
-    the session's per-cycle drop/duplicate masks consulted by the staging
-    functions.  The simulators call this at the top of each cycle, only
-    when [state.faults] is [Some _]. *)
+    the session's per-cycle drop/duplicate masks, which decide whether
+    an FU's result joins the queue not at all or twice.  The simulators
+    call this at the top of each cycle, only when [state.faults] is
+    [Some _]. *)
 
 val drain_pipeline : State.t -> unit
-(** Commits any still-in-flight pipelined results after all FUs have
-    halted, advancing the cycle counter per write-back stage.  A no-op
-    under the research model's single-cycle latency. *)
+(** Commits the results still queued after all FUs have halted, one
+    {!commit_cycle} per cycle, advancing the cycle counter, until the
+    queue is empty.  A no-op under the research model's unit latency. *)

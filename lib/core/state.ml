@@ -21,13 +21,14 @@ type scratch = {
   mutable commit_ccs : int;
 }
 
-type inflight = {
-  mutable ifl_len : int;
-  mutable ifl_due : int array;
-  mutable ifl_is_mem : bool array;
-  mutable ifl_fu : int array;
-  mutable ifl_loc : int array;
-  mutable ifl_value : Value.t array;
+type queue = {
+  mutable q_len : int;
+  q_due : int array;
+  q_mem : bool array;
+  q_fu : int array;
+  q_loc : int array;
+  q_value : Value.t array;
+  reg_writes : int array;
 }
 
 type t = {
@@ -47,7 +48,7 @@ type t = {
   halted : bool array;
   mutable partition : Partition.t;
   scratch : scratch;
-  inflight : inflight;
+  queue : queue;
   faults : Ximd_machine.Fault.t option;
       (* [None] in the common case: the simulators and [Exec] test this
          field with a single branch and touch nothing else *)
@@ -107,20 +108,24 @@ let create ?(config = Config.default) ?faults ?obs program =
         cc_len = 0;
         commit_results = 0;
         commit_ccs = 0 };
-    inflight =
-      (let cap = max 16 (n * config.result_latency) in
-       { ifl_len = 0;
-         ifl_due = Array.make cap 0;
-         ifl_is_mem = Array.make cap false;
-         ifl_fu = Array.make cap 0;
-         ifl_loc = Array.make cap 0;
-         ifl_value = Array.make cap Value.zero }) }
+    queue =
+      (* An FU issues at most one result a cycle, two when a fault
+         duplicates it, and a result stays queued for [result_latency]
+         cycles at most, so the queue never grows. *)
+      (let cap = 2 * n * config.result_latency in
+       { q_len = 0;
+         q_due = Array.make cap 0;
+         q_mem = Array.make cap false;
+         q_fu = Array.make cap 0;
+         q_loc = Array.make cap 0;
+         q_value = Array.make cap Value.zero;
+         reg_writes = Array.make Reg.count 0 }) }
 
 (* Rewind to the [create] state without reallocating any arena: the
-   register file, memory pages, scratch buffers and in-flight queue are
-   all reused in place.  The configuration is fixed for the lifetime of
-   the state — every arena is sized from it — so only the program may be
-   swapped. *)
+   register file, memory pages, scratch buffers and write-back queue
+   are all reused in place.  The configuration is fixed for the
+   lifetime of the state — every arena is sized from it — so only the
+   program may be swapped. *)
 let reset ?program t =
   let program =
     match program with
@@ -145,7 +150,7 @@ let reset ?program t =
   Array.fill t.scratch.labels 0 n 0;
   t.scratch.cc_len <- 0;
   Array.fill t.scratch.spun 0 n false;
-  t.inflight.ifl_len <- 0;
+  t.queue.q_len <- 0;
   (match t.faults with
    | None -> ()
    | Some f -> Ximd_machine.Fault.reset f);
@@ -156,7 +161,7 @@ let reset ?program t =
 let n_fus t = t.config.n_fus
 let all_halted t = Array.for_all Fun.id t.halted
 
-let in_flight_count t = t.inflight.ifl_len
+let in_flight_count t = t.queue.q_len
 
 let reg t i = Ximd_machine.Regfile.read t.regs (Reg.make i)
 let set_reg t i v = Ximd_machine.Regfile.set t.regs (Reg.make i) v

@@ -9,12 +9,20 @@
     become defined when a compare executes on that FU.  Synchronisation
     signals start at BUSY.
 
-    The [scratch] and [inflight] fields are preallocated working storage
-    for the simulator hot loop ({!Engine}, {!Exec}); they carry no
-    architectural state between cycles and other clients should ignore
-    them.  The hot loop keeps slot and row indices into the program's
-    decoded image there ({!Program.image}), plain ints, so a cycle
-    stores no pointer into them. *)
+    Every register and memory result waits in one write-back queue,
+    [queue], until the end of the cycle it is due in, where
+    {!Exec.commit_cycle} lands it, so the register file and memory hold
+    committed values only.  Under the research model's unit latency a
+    result is due in the cycle that issued it; under a pipelined
+    datapath, [result_latency - 1] cycles later.  Condition-code updates
+    are not pipelined: they wait in [scratch] for the end of the issuing
+    cycle.
+
+    The [scratch] and [queue] fields are preallocated working storage
+    for the simulator hot loop ({!Engine}, {!Exec}); other clients
+    should ignore them.  The hot loop keeps slot and row indices into
+    the program's decoded image there ({!Program.image}), plain ints,
+    so a cycle stores no pointer into them. *)
 
 open Ximd_isa
 
@@ -65,16 +73,23 @@ type scratch = {
 (** Per-cycle scratch buffers, sized [n_fus], reused every cycle instead
     of allocated per step. *)
 
-type inflight = {
-  mutable ifl_len : int;
-  mutable ifl_due : int array;     (** cycle whose end the write commits at *)
-  mutable ifl_is_mem : bool array; (** memory store vs. register write *)
-  mutable ifl_fu : int array;
-  mutable ifl_loc : int array;     (** register index or memory address *)
-  mutable ifl_value : Value.t array;
+type queue = {
+  mutable q_len : int;      (** entries [0, q_len) are queued *)
+  q_due : int array;        (** the cycle at whose end the result lands *)
+  q_mem : bool array;       (** memory store vs. register write *)
+  q_fu : int array;         (** the FU that issued it *)
+  q_loc : int array;        (** register index or memory address *)
+  q_value : Value.t array;
+  reg_writes : int array;
+      (** per register: its writes in the commit under way; all zero
+          between commits *)
 }
-(** Pipelined datapath results not yet committed, in issue order, as
-    growable parallel arrays (empty when [config.result_latency = 1]). *)
+(** Register and memory results not yet committed, in issue order, as
+    parallel arrays sized [2 * n_fus * result_latency]: an FU issues at
+    most one result a cycle (two under a duplicated write) and a result
+    stays queued for [result_latency] cycles at most.  Since the due
+    cycle follows issue order, the results due at a commit are a prefix
+    of the queue. *)
 
 type t = {
   config : Config.t;
@@ -94,7 +109,7 @@ type t = {
   halted : bool array;
   mutable partition : Partition.t;
   scratch : scratch;
-  inflight : inflight;
+  queue : queue;
   faults : Ximd_machine.Fault.t option;
       (** fault-injection session; [None] (the default) costs the
           simulators a single branch per cycle and nothing else *)
@@ -124,7 +139,7 @@ val create :
 val reset : ?program:Program.t -> t -> unit
 (** Rewinds the state to cycle 0 — exactly the state {!create} would
     build — without reallocating the register/memory/scratch arenas or
-    the in-flight queue, so repeated runs amortise construction (see
+    the write-back queue, so repeated runs amortise construction (see
     {!Session}).  [program] swaps in a different program for the next
     run, validated as by {!create}; omitted, the current program is
     kept.  The configuration (and with it every arena size) is fixed
@@ -141,7 +156,9 @@ val n_fus : t -> int
 val all_halted : t -> bool
 
 val in_flight_count : t -> int
-(** Number of pipelined results awaiting write-back. *)
+(** Number of results awaiting write-back.  Between cycles these are
+    the pipelined ones: under unit latency every result lands in the
+    cycle that issued it. *)
 
 val reg : t -> int -> Value.t
 (** Convenience register read by index. *)

@@ -20,13 +20,13 @@ type ctx = {
     ((Core.Config.t * Core.Engine.model)
     * (Core.Session.t * Obs.Sink.t option))
     list;
-  mutable sinks : ((int * int) * Obs.Sink.t) list;
-      (* account-only sinks keyed by (n_fus, code_len) — the only
-         dimensions that size a sink.  A domain runs jobs one at a
-         time and the session resets its sink at every run, so jobs
-         whose sessions share a shape can share a sink; this keeps
-         sink construction off the per-job path when every job is a
-         session-cache miss (distinct seeds). *)
+  mutable sinks : (int * Obs.Sink.t) list;
+      (* account-only sinks keyed by FU count, the one dimension that
+         sizes such a sink, so the list holds at most 16.  A domain
+         runs jobs one at a time and the session resets its sink at
+         every run, so jobs whose sessions share a width can share a
+         sink; this keeps sink construction off the per-job path when
+         every job is a session-cache miss (distinct seeds). *)
   watchdog : Core.Watchdog.t;
   workloads : Ximd_workloads.Workload.t list Lazy.t;
       (* Suite.all builds every workload (programs, data, checkers);
@@ -44,21 +44,20 @@ let make_ctx ~telemetry _index =
 (* Account-only sink: no event ring traffic, no hot-PC sampling, to keep
    the whole-campaign overhead (the ledger's campaign [trace_overhead])
    small; slot accounting is one array increment per fu×cycle slot.
-   [code_len] only sizes the (disabled) profiler. *)
-let new_sink ctx ~config ~program =
+   [code_len] only sizes the profiler, which is off, so no program
+   length enters the key. *)
+let new_sink ctx ~config =
   if not ctx.telemetry then None
   else begin
     let n_fus = config.Core.Config.n_fus in
-    let code_len = Core.Program.length program in
-    let key = (n_fus, code_len) in
-    match List.assoc_opt key ctx.sinks with
+    match List.assoc_opt n_fus ctx.sinks with
     | Some sink -> Some sink
     | None ->
       let sink =
         Obs.Sink.create ~trace:false ~profile:false ~account:true ~n_fus
-          ~code_len ()
+          ~code_len:0 ()
       in
-      ctx.sinks <- (key, sink) :: ctx.sinks;
+      ctx.sinks <- (n_fus, sink) :: ctx.sinks;
       Some sink
   end
 
@@ -69,14 +68,14 @@ let new_sink ctx ~config ~program =
 let session_for ctx ~config ~model ~faults program =
   match faults with
   | Some faults ->
-    let sink = new_sink ctx ~config ~program in
+    let sink = new_sink ctx ~config in
     (Core.Session.create ~config ~faults ?obs:sink ~model program, sink, false)
   | None -> (
     let key = (config, model) in
     match List.assoc_opt key ctx.sessions with
     | Some (session, sink) -> (session, sink, true)
     | None ->
-      let sink = new_sink ctx ~config ~program in
+      let sink = new_sink ctx ~config in
       let session = Core.Session.create ~config ?obs:sink ~model program in
       let keep =
         List.filteri (fun i _ -> i < session_cache_cap - 1) ctx.sessions

@@ -58,6 +58,15 @@ let non_negative key = function
     Error (Printf.sprintf "key %S: must be non-negative (got %d)" key v)
   | v -> Ok v
 
+let at_most bound key = function
+  | Some v when v > bound ->
+    Error (Printf.sprintf "key %S: must be at most %d (got %d)" key bound v)
+  | v -> Ok v
+
+(* Each retry sleeps up to 250 ms of backoff, so ten hold a worker for
+   at most about 1.7 s. *)
+let max_retries = 10
+
 let parse_regs json =
   match Json.member "regs" json with
   | None -> Ok []
@@ -164,7 +173,11 @@ let of_line ~index line =
         let* deadline_ms =
           int_field json "deadline_ms" >>? non_negative "deadline_ms"
         in
-        let* retries = int_field json "retries" >>? non_negative "retries" in
+        let* retries =
+          int_field json "retries"
+          >>? non_negative "retries"
+          >>? at_most max_retries "retries"
+        in
         let retries = Option.value retries ~default:0 in
         let* detect_deadlock = bool_field json "detect_deadlock" in
         let detect_deadlock = Option.value detect_deadlock ~default:true in

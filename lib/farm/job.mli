@@ -30,7 +30,9 @@ type t = {
   deadline_ms : int option;
       (** per-attempt wall-clock limit ([deadline_ms]), from when a
           worker takes the job (payload parsing counts) or a retry starts *)
-  retries : int;        (** extra attempts after a transient failure *)
+  retries : int;
+      (** extra attempts after a transient failure, at most
+          {!max_retries} *)
   detect_deadlock : bool;    (** default [true] *)
   reg_inits : (Ximd_isa.Reg.t * Ximd_isa.Value.t) list;
       (** [regs]: object of ["rN" : int] *)
@@ -40,6 +42,12 @@ type t = {
       (** [dump_regs]: registers to read back into the result record *)
   raw : string;         (** the original spec line, echoed on crashes *)
 }
+
+val max_retries : int
+(** The most [retries] a job may ask for: 10.  Each retry first sleeps
+    a backoff of up to 250 ms, so ten hold a worker for at most about
+    1.7 s; a larger value is a rejected spec
+    ([key "retries": must be at most 10 (got N)]). *)
 
 val of_line : index:int -> string -> (t, string) result
 (** Parses and validates one [ximd-job/1] line.  Every diagnostic names

@@ -9,11 +9,11 @@
       (BUSY <-> DONE) — models a glitched SS broadcast wire (§2.2).
     - {!Flip_cc}: invert condition code [target] (an undefined CC is
       forced TRUE) — models a corrupted CC broadcast.
-    - {!Drop_write}: every register/memory result FU [target] stages on
+    - {!Drop_write}: every register/memory result FU [target] issues on
       that cycle is silently lost — models a dropped write-port transfer.
-    - {!Dup_write}: every result FU [target] stages on that cycle is
-      staged twice, which the hazard layer surfaces as a multiple-write
-      event — models a double-clocked write port.
+    - {!Dup_write}: every result FU [target] issues on that cycle is
+      written back twice, which the hazard layer surfaces as a
+      multiple-write event — models a double-clocked write port.
     - {!Stuck_halt}: FU [target] halts permanently {e without} raising
       its SS bit to DONE (unlike a normal halt, DESIGN.md §5) — the
       canonical deadlock-inducing failure for SS handshakes.

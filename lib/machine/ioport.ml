@@ -4,9 +4,9 @@ type timing =
   | At of int
   | After of int
 
-(* The write log is growable parallel arrays in write order, like the
-   memory's store stage, so a write appends without allocating once the
-   log has grown to the run's output, and [reset] keeps that size. *)
+(* The write log is growable parallel arrays in write order, so a write
+   appends without allocating once the log has grown to the run's
+   output, and [reset] keeps that size. *)
 type port = {
   mutable input : (timing * Value.t) list;
   mutable last_consumed : int;             (* cycle of previous consumption *)

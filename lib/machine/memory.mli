@@ -13,11 +13,12 @@
       into equal per-FU banks and an FU may only access its own bank;
       foreign accesses are out-of-bounds hazards.
 
-    Reads observe start-of-cycle contents; writes are staged and
-    committed at end of cycle, with multiple-write detection as for the
-    register file.  Out-of-bounds accesses report a hazard; under the
-    [Record] policy a failing read returns zero and a failing write is
-    dropped. *)
+    Reads observe start-of-cycle contents because no store lands during
+    a cycle: the engine queues every store with the register results and
+    lands the due ones at the end of their cycle through {!set}, after
+    the same multiple-write resolution as registers.  An access that is
+    not {!accessible} reports a hazard; under the [Record] policy a
+    failing read returns zero and a failing store is dropped. *)
 
 open Ximd_isa
 
@@ -33,25 +34,23 @@ val create : ?organisation:organisation -> words:int -> unit -> t
 val words : t -> int
 val organisation : t -> organisation
 
+val accessible : t -> fu:int -> int -> bool
+(** [accessible t ~fu addr]: [addr] is in range and, under the
+    distributed organisation, in [fu]'s bank.  An accessible address
+    never makes {!set} or {!get} raise. *)
+
 val read : t -> fu:int -> cycle:int -> log:Hazard.log -> int -> Value.t
-(** [read t ~fu ~cycle ~log addr]. *)
-
-val stage_write :
-  t -> fu:int -> cycle:int -> log:Hazard.log -> int -> Value.t -> unit
-
-val commit : t -> cycle:int -> log:Hazard.log -> unit
-
-val staged_count : t -> int
-(** Number of stores currently staged (and not yet committed). *)
+(** [read t ~fu ~cycle ~log addr]: the word, or zero after reporting
+    {!Hazard.Mem_out_of_bounds} if [addr] is not {!accessible}. *)
 
 val reset : t -> unit
-(** Rewinds to the {!create} state — all words zero, the stage empty.
-    Pages already allocated are zeroed in place rather than freed, so a
-    reused state keeps its working-set arenas warm. *)
+(** Rewinds to the {!create} state, all words zero.  Pages already
+    allocated are zeroed in place rather than freed, so a reused state
+    keeps its working-set arenas warm. *)
 
 val set : t -> int -> Value.t -> unit
-(** Direct write for initialisation; bounds-checked, raises
-    [Invalid_argument]. *)
+(** Direct write: initialisation, and a store that passed {!accessible}
+    landing.  Bounds-checked, raises [Invalid_argument]. *)
 
 val get : t -> int -> Value.t
 (** Direct read for result checking; raises [Invalid_argument]. *)

@@ -542,7 +542,7 @@ let test_fuzz_subcommands () =
       done;
       Alcotest.(check string) "suites"
         (each (fun p -> "ok   " ^ p ^ "\n")
-         ^ "suites: 18 cases, 0 failures\n")
+         ^ "suites: 19 cases, 0 failures\n")
         (fuzz_ok [ "suites"; "--dir"; copy ])))
 
 (* A command line the parser refuses is bad usage like any other: exit

@@ -553,6 +553,33 @@ let test_shape_keys_one_vocabulary () =
                 (Ximd_gen.Conform.directives_of_config
                    Ximd_core.Config.default)))))
 
+(* Each retry sleeps up to 250 ms of backoff and any client of the
+   server may send the line, so a job's retries are bounded: past the
+   bound it is a rejected spec, never a worker held for hours. *)
+let test_retries_capped () =
+  Alcotest.(check int) "the bound itself is accepted" F.Job.max_retries
+    (job_of_line ~index:0
+       {|{"workload":"tproc","deadline_ms":0,"retries":10}|})
+      .F.Job.retries;
+  List.iter
+    (fun n ->
+      let line =
+        Printf.sprintf {|{"workload":"tproc","deadline_ms":0,"retries":%d}|}
+          n
+      in
+      match F.Job.of_line ~index:0 line with
+      | Error e ->
+        Alcotest.(check string) line
+          (Printf.sprintf {|key "retries": must be at most 10 (got %d)|} n)
+          e
+      | Ok _ -> Alcotest.failf "accepted %s" line)
+    [ 11; 1_000_000 ];
+  match run_lines ~domains:1 [ {|{"workload":"tproc","retries":11}|} ] with
+  | [ { F.Record.status = F.Record.Rejected { reason }; _ } ], _ ->
+    Alcotest.(check string) "a rejected record"
+      {|key "retries": must be at most 10 (got 11)|} reason
+  | _ -> Alcotest.fail "expected one rejected record"
+
 let to_alcotest = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -563,6 +590,8 @@ let suite =
           `Quick test_one_record_per_job;
         Alcotest.test_case "deadline retries are deterministic" `Quick
           test_deadline_retry_deterministic;
+        Alcotest.test_case "a job's retries are capped" `Quick
+          test_retries_capped;
         Alcotest.test_case "crash isolation recycles the worker" `Quick
           test_crash_recycling;
         Alcotest.test_case "strict spec validation" `Quick

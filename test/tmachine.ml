@@ -2,115 +2,133 @@
    I/O ports, hazard log. *)
 
 open Ximd_isa
-module M = Ximd_machine
+open Cycle_helpers
 
 let value = Alcotest.testable Value.pp Value.equal
 
 let fresh_log () = M.Hazard.create_log M.Hazard.Record
 
-(* --- Regfile --------------------------------------------------------- *)
+(* --- Register and memory writes ----------------------------------------
+   Results wait in the engine's write-back queue until their commit, so
+   these cases issue one row at a time through [Cycle_helpers]. *)
 
 let test_regfile_staging () =
-  let rf = M.Regfile.create () in
-  let log = fresh_log () in
-  let r = Reg.make 7 in
-  M.Regfile.stage_write rf ~fu:0 r (Value.of_int 42);
-  (* Staged writes invisible until commit — start-of-cycle reads. *)
-  Alcotest.check value "before commit" Value.zero (M.Regfile.read rf r);
-  M.Regfile.commit rf ~cycle:0 ~log;
-  Alcotest.check value "after commit" (Value.of_int 42) (M.Regfile.read rf r);
-  Alcotest.(check int) "no hazards" 0 (M.Hazard.count log)
+  let state = state_of ".fus 1\n  [0] mov #42, r7 | halt\n" in
+  issue state 0;
+  (* Queued writes invisible until commit — start-of-cycle reads. *)
+  check_reg "before commit" state 7 0;
+  commit state;
+  check_reg "after commit" state 7 42;
+  check_hazards "no hazards" [] state
 
 let test_regfile_multiwrite_hazard () =
-  let rf = M.Regfile.create () in
-  let log = fresh_log () in
-  let r = Reg.make 9 in
-  M.Regfile.stage_write rf ~fu:2 r (Value.of_int 1);
-  M.Regfile.stage_write rf ~fu:5 r (Value.of_int 2);
-  M.Regfile.commit rf ~cycle:3 ~log;
-  Alcotest.(check int) "one hazard" 1 (M.Hazard.count log);
-  (match M.Hazard.events log with
-   | [ { cycle = 3; hazard = M.Hazard.Multiple_reg_write { reg; fus } } ] ->
-     Alcotest.(check int) "reg" 9 (Reg.index reg);
-     Alcotest.(check (list int)) "fus" [ 2; 5 ] (List.sort compare fus)
-   | _ -> Alcotest.fail "expected Multiple_reg_write at cycle 3");
+  let state =
+    state_of
+      ".fus 6\n  [2] mov #1, r9 | halt\n  [5] mov #2, r9 | halt\n"
+  in
+  state.cycle <- 3;
+  issue state 0;
+  commit state;
+  check_hazards "one hazard, every writer"
+    [ (3, "multiple writes to r9 by FUs 2,5") ]
+    state;
   (* Documented recovery: highest FU wins. *)
-  Alcotest.check value "highest FU wins" (Value.of_int 2)
-    (M.Regfile.read rf r)
+  check_reg "highest FU wins" state 9 2
 
 let test_regfile_raise_policy () =
-  let rf = M.Regfile.create () in
-  let log = M.Hazard.create_log M.Hazard.Raise in
-  let r = Reg.make 1 in
-  M.Regfile.stage_write rf ~fu:0 r Value.one;
-  M.Regfile.stage_write rf ~fu:1 r Value.one;
+  let state =
+    state_of ~policy:M.Hazard.Raise
+      ".fus 2\n  [0] mov #1, r1 | halt\n  [1] mov #1, r1 | halt\n"
+  in
+  issue state 0;
   Alcotest.(check bool) "raises" true
-    (match M.Regfile.commit rf ~cycle:0 ~log with
+    (match Core.Exec.commit_cycle state with
      | exception M.Hazard.Error _ -> true
      | () -> false)
 
 let test_regfile_same_fu_double_write_is_hazard () =
   (* Even a single FU writing one register twice in a cycle is flagged —
-     the parcel shapes make it impossible on the real machine, so it
-     indicates a simulator-user bug. *)
-  let rf = M.Regfile.create () in
-  let log = fresh_log () in
-  let r = Reg.make 4 in
-  M.Regfile.stage_write rf ~fu:3 r Value.one;
-  M.Regfile.stage_write rf ~fu:3 r (Value.of_int 2);
-  M.Regfile.commit rf ~cycle:0 ~log;
-  Alcotest.(check int) "flagged" 1 (M.Hazard.count log)
-
-(* --- Memory ---------------------------------------------------------- *)
+     the parcel shapes make it impossible on the real machine, so only a
+     duplicating write port ({!M.Fault.Dup_write}) produces it. *)
+  let state =
+    state_of
+      ~faults:
+        (M.Fault.create [ { at = 0; kind = M.Fault.Dup_write; target = 3 } ])
+      ".fus 4\n  [3] mov #2, r4 | halt\n"
+  in
+  issue state 0;
+  commit state;
+  check_hazards "flagged" [ (0, "multiple writes to r4 by FUs 3,3") ] state
 
 let test_memory_staging () =
-  let mem = M.Memory.create ~words:64 () in
-  let log = fresh_log () in
-  M.Memory.stage_write mem ~fu:0 ~cycle:0 ~log 10 (Value.of_int 5);
-  Alcotest.check value "before commit" Value.zero
-    (M.Memory.read mem ~fu:1 ~cycle:0 ~log 10);
-  M.Memory.commit mem ~cycle:0 ~log;
-  Alcotest.check value "after commit" (Value.of_int 5)
-    (M.Memory.read mem ~fu:1 ~cycle:1 ~log 10);
-  Alcotest.(check int) "no hazards" 0 (M.Hazard.count log)
+  let state =
+    state_of ~mem_words:64
+      ".fus 2\n\
+      \  [0] store #5, #10    | -> @1\n\
+      \  [1] load #10, #0, r1 | -> @1\n\
+      \  [1] load #10, #0, r2 | halt\n"
+  in
+  issue state 0;
+  check_mem "before commit" state 10 0;
+  commit state;
+  check_reg "a load beside the store reads start-of-cycle memory" state 1 0;
+  check_mem "after commit" state 10 5;
+  issue state 1;
+  commit state;
+  check_reg "a later load reads the store" state 2 5;
+  check_hazards "no hazards" [] state
 
 let test_memory_bounds () =
-  let mem = M.Memory.create ~words:16 () in
-  let log = fresh_log () in
-  let v = M.Memory.read mem ~fu:0 ~cycle:0 ~log 99 in
-  Alcotest.check value "oob read returns zero" Value.zero v;
-  M.Memory.stage_write mem ~fu:1 ~cycle:0 ~log (-1) Value.one;
-  Alcotest.(check int) "two hazards" 2 (M.Hazard.count log);
+  let state =
+    state_of ~mem_words:16
+      ".fus 2\n  [0] load #99, #0, r1 | halt\n  [1] store #1, #-1 | halt\n"
+  in
+  issue state 0;
+  commit state;
+  check_reg "oob load reads zero" state 1 0;
+  check_hazards "an oob load and an oob store, both reported"
+    [ (0, "FU0 accessed out-of-bounds M[99]");
+      (0, "FU1 accessed out-of-bounds M[-1]") ]
+    state;
+  Alcotest.(check int) "the oob store is dropped: only the load commits" 1
+    state.scratch.commit_results;
   Alcotest.check_raises "set raises"
     (Invalid_argument "Memory.set: address 16 out of bounds") (fun () ->
-      M.Memory.set mem 16 Value.one)
+      M.Memory.set state.mem 16 Value.one)
 
 let test_memory_multiwrite () =
-  let mem = M.Memory.create ~words:16 () in
-  let log = fresh_log () in
-  M.Memory.stage_write mem ~fu:0 ~cycle:7 ~log 3 (Value.of_int 10);
-  M.Memory.stage_write mem ~fu:6 ~cycle:7 ~log 3 (Value.of_int 20);
-  M.Memory.commit mem ~cycle:7 ~log;
-  Alcotest.(check int) "hazard" 1 (M.Hazard.count log);
-  Alcotest.check value "highest FU wins" (Value.of_int 20) (M.Memory.get mem 3)
+  let state =
+    state_of ~mem_words:16
+      ".fus 7\n  [0] store #10, #3 | halt\n  [6] store #20, #3 | halt\n"
+  in
+  state.cycle <- 7;
+  issue state 0;
+  commit state;
+  check_hazards "hazard" [ (7, "multiple writes to M[3] by FUs 0,6") ] state;
+  check_mem "highest FU wins" state 3 20
 
 let test_memory_distributed_banks () =
-  (* Prototype organisation: 4 FUs, 16 words, 4-word banks. *)
-  let mem =
-    M.Memory.create ~organisation:(M.Memory.Distributed { n_fus = 4 })
-      ~words:16 ()
+  (* Prototype organisation: 4 FUs, 16 words, 4-word banks; FU 1 owns
+     words 4..7. *)
+  let state =
+    state_of ~mem_words:16
+      ~mem_organisation:(M.Memory.Distributed { n_fus = 4 })
+      ".fus 4\n\
+      \  [1] store #9, #5    | -> @1\n\
+      \  [0] load #5, #0, r2 | halt\n\
+      \  [1] load #5, #0, r1 | halt\n"
   in
-  let log = fresh_log () in
-  (* FU 1 owns words 4..7. *)
-  M.Memory.stage_write mem ~fu:1 ~cycle:0 ~log 5 (Value.of_int 9);
-  M.Memory.commit mem ~cycle:0 ~log;
-  Alcotest.check value "own bank" (Value.of_int 9)
-    (M.Memory.read mem ~fu:1 ~cycle:1 ~log 5);
-  Alcotest.(check int) "no hazard yet" 0 (M.Hazard.count log);
+  issue state 0;
+  commit state;
+  check_mem "own bank" state 5 9;
+  check_hazards "no hazard yet" [] state;
+  issue state 1;
+  commit state;
+  check_reg "own bank reads the store" state 1 9;
   (* FU 0 reaching into FU 1's bank is a fault. *)
-  let v = M.Memory.read mem ~fu:0 ~cycle:1 ~log 5 in
-  Alcotest.check value "foreign bank reads zero" Value.zero v;
-  Alcotest.(check int) "hazard recorded" 1 (M.Hazard.count log)
+  check_reg "foreign bank reads zero" state 2 0;
+  check_hazards "hazard recorded" [ (1, "FU0 accessed out-of-bounds M[5]") ]
+    state
 
 let test_memory_distributed_divides () =
   Alcotest.(check bool) "uneven banks rejected" true
