@@ -18,10 +18,12 @@ module M = Ximd_machine
    §5).  Every phase runs from the program's decoded image
    ([Program.image]): fetch stores row and slot indices, the data path
    runs from resolved operands, and the next PC is one of a slot's two
-   resolved targets; the sink's [report] reads the image too, so no
-   code here sees a parcel.  The loop keeps its per-cycle buffers, the
-   groups and the partition's label vector included, in the
-   preallocated [state.scratch], and machine values are immediate ints,
+   resolved targets, so no code here sees a parcel.  The loop keeps its
+   per-cycle buffers, the groups and the partition's label vector
+   included, in the preallocated [state.scratch], and does its
+   per-cycle work in the cycle record there ({!Ximd_obs.Cycle}), which
+   the sink takes as it stands once the cycle is finished.  Machine
+   values are immediate ints,
    so the data path, the control phase and an unchanged partition
    allocate nothing.  A cycle still allocates: the closure in
    [State.all_halted] (twice a step under the global sequencer) and a
@@ -77,30 +79,12 @@ let[@inline] hook_cycle_top (state : State.t) =
 
 (* ------------------------------------------------------------------ *)
 (* The observation point (DESIGN.md §7, §9).  The phases of {!step} do
-   machine work only; once the cycle is finished, [report] reads it
-   back from the state, [state.scratch] and the image and hands the
-   sink its facts in the order the event ring records them (the
-   exporters' goldens pin it): fetches, the commit's results and
-   condition codes, then per stream its sync edges, halts and branch
-   resolution, then every slot's class for {!Ximd_obs.Account} and the
-   committing ops' dependence nodes for {!Ximd_obs.Critpath}.  The
-   sink's streams are the sequencers: every issuing FU under per-FU
-   sequencers, each running group otherwise; a group's members read its
-   control slot, next PC (-1: it halted) and spin flag.  A sync edge is
-   a level that differs from [scratch.ss_before], the levels the branch
-   evaluation read.  Fault drop masks stay armed until the next cycle
-   begins, so a dropped write still classifies as lost here. *)
-
-(* The stream whose branch resolution the sink hears once [fu]'s edges
-   are out, named by the FU it reports against, or -1: every issuing FU
-   under per-FU sequencers; a running group after its last member
-   otherwise. *)
-let[@inline] resolution_at model (s : State.scratch) ~n fu =
-  match model with
-  | Per_fu -> if s.was_live.(fu) then fu else -1
-  | Global | Banked ->
-    let l = s.lead.(fu) in
-    if l >= 0 && (fu = n - 1 || s.lead.(fu + 1) <> l) then l else -1
+   their per-cycle work in [state.scratch.record], the one record every
+   observer reads; once the cycle is finished, [observe] adds what only
+   the image knows — each slot's class, each group's condition and a
+   committing op's operand registers — and hands the record to the sink
+   once.  Fault drop masks stay armed until the next cycle begins, so a
+   dropped write still classifies as lost here. *)
 
 (* Only operations that stage a register or memory write can lose their
    result to an armed drop-write fault (I/O writes and compares bypass
@@ -110,20 +94,21 @@ let droppable : Program.op -> bool = function
   | Nop | Cmp _ | Out -> false
 
 (* An fu×cycle slot's class (see {!Ximd_obs.Account} for the taxonomy
-   and its priority). *)
+   and its priority), once its group's condition is in the record. *)
 let slot_class (state : State.t) (img : Program.image) fu :
     Ximd_obs.Account.cls =
   let s = state.scratch in
-  if not s.was_live.(fu) then Halted
+  let c = s.record in
+  if not c.was_live.(fu) then Halted
   else begin
     let op = img.op.(s.slots.(fu)) in
-    let l = s.lead.(fu) in
-    let spun = s.spun.(l) in
+    let l = c.lead.(fu) in
+    let spun = c.spun.(l) in
     match op with
     | Nop -> (
       if not spun then Nop_padding
       else
-        match img.cond.(s.ctrl.(l)) with
+        match c.cond.(l) with
         | Cond.Ss _ -> Spin_ss
         | Cond.All_ss _ | Cond.Any_ss _ -> Barrier_wait
         | Cond.Cc _ -> Spin_cc
@@ -141,96 +126,33 @@ let slot_class (state : State.t) (img : Program.image) fu :
         if dropped then Fault_lost else Commit
   end
 
-(* Hand {!Ximd_obs.Critpath} the op committing in slot [k]: its source
-   registers (-1 for an immediate or a missing operand), the register it
-   writes (-1: compares, stores and output write none) and whether it
-   sets a condition code. *)
-let issue crit (img : Program.image) ~cycle ~fu ~pc ~latency k =
-  let w, sets_cc =
-    match img.op.(k) with
-    | Bin _ | Un _ | Load | In -> (Reg.index img.dest.(k), false)
-    | Cmp _ -> (-1, true)
-    | Nop | Store | Out -> (-1, false)
-  in
-  Ximd_obs.Critpath.issue crit ~cycle ~fu ~pc ~r1:img.a_reg.(k)
-    ~r2:img.b_reg.(k) ~w ~sets_cc ~latency
-
-(* Bind [fu]'s conditional branch to its control producers, as of the
-   sync levels its evaluation read. *)
-let bind_branch crit (s : State.scratch) ~n ~fu (cond : Cond.t) =
-  match cond with
-  | Cond.Cc j -> Ximd_obs.Critpath.bind_cc crit ~fu ~j
-  | Cond.Ss j -> Ximd_obs.Critpath.bind_ss crit ~fu ~j
-  | Cond.All_ss mask -> Ximd_obs.Critpath.bind_all crit ~fu ~mask
-  | Cond.Any_ss mask ->
-    let dm = ref 0 in
-    for j = 0 to n - 1 do
-      if mask land (1 lsl j) <> 0 && Sync.equal s.ss_before.(j) Sync.Done
-      then dm := !dm lor (1 lsl j)
-    done;
-    Ximd_obs.Critpath.bind_any crit ~fu ~done_mask:!dm
-  | Cond.Always1 | Cond.Always2 -> ()
-
-let report model (state : State.t) (img : Program.image) obs ~live_streams =
-  let module Sink = Ximd_obs.Sink in
-  let n = State.n_fus state in
+let observe model (state : State.t) (img : Program.image) obs ~groups
+    ~live_streams =
   let s = state.scratch in
-  let cycle = state.cycle in
-  for fu = 0 to n - 1 do
-    if s.was_live.(fu) then begin
-      Sink.on_fetch obs ~cycle ~fu ~pc:s.old_pcs.(s.lead.(fu));
-      match img.op.(s.slots.(fu)) with
-      | Nop -> ()
-      | Bin _ | Un _ | Cmp _ | Load | Store | In | Out ->
-        Sink.on_data_op obs ~fu
-    end
+  let c = s.record in
+  c.cycle <- state.cycle;
+  c.fu_streams <- (match model with Per_fu -> true | Global | Banked -> false);
+  c.live_streams <- live_streams;
+  for g = 0 to groups - 1 do
+    let l = s.leaders.(g) in
+    c.cond.(l) <- img.cond.(s.ctrl.(l))
   done;
-  if s.commit_results > 0 then
-    Sink.on_commit obs ~cycle ~results:s.commit_results;
-  for k = 0 to s.commit_ccs - 1 do
-    Sink.on_cc obs ~cycle ~fu:s.cc_fu.(k) ~value:s.cc_val.(k)
-  done;
-  for fu = 0 to n - 1 do
-    if s.was_live.(fu) then begin
-      let ss = state.sss.(fu) in
-      if not (Sync.equal ss s.ss_before.(fu)) then
-        Sink.on_ss obs ~cycle ~fu ~to_done:(Sync.equal ss Sync.Done);
-      if s.next_pc.(s.lead.(fu)) < 0 then Sink.on_halt obs ~cycle ~fu
-    end;
-    (* a stream's branch resolution follows its last member's edges *)
-    let r = resolution_at model s ~n fu in
-    if r >= 0 then
-      let l = s.lead.(fu) in
-      if s.next_pc.(l) >= 0 then
-        Sink.on_control obs ~cycle ~fu:r ~pc:s.old_pcs.(r) ~spinning:s.spun.(l)
-          ~sync:(Cond.is_sync img.cond.(s.ctrl.(l)))
-  done;
-  let acct = Sink.account obs and crit = Sink.critpath obs in
-  let latency = state.config.result_latency in
-  for fu = 0 to n - 1 do
+  for fu = 0 to State.n_fus state - 1 do
     let cls = slot_class state img fu in
-    (match acct with None -> () | Some a -> Ximd_obs.Account.tally a ~fu cls);
-    match crit with
-    | None -> ()
-    | Some c -> (
-      (* a halt's condition is [Always1], which binds nothing *)
-      if s.was_live.(fu) then
-        bind_branch c s ~n ~fu img.cond.(s.ctrl.(s.lead.(fu)));
-      match cls with
-      | Commit ->
-        issue c img ~cycle ~fu ~pc:s.old_pcs.(fu) ~latency s.slots.(fu)
-      | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
-      | Halted -> ())
+    c.cls.(fu) <- cls;
+    match cls with
+    | Commit ->
+      let k = s.slots.(fu) in
+      c.r1.(fu) <- img.a_reg.(k);
+      c.r2.(fu) <- img.b_reg.(k);
+      c.w.(fu) <-
+        (match img.op.(k) with
+         | Bin _ | Un _ | Load | In -> Reg.index img.dest.(k)
+         | Nop | Cmp _ | Store | Out -> -1)
+    | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
+    | Halted -> ()
   done;
-  (match crit with
-   | None -> ()
-   | Some c ->
-     for fu = 0 to n - 1 do
-       if not (Sync.equal state.sss.(fu) s.ss_before.(fu)) then
-         Ximd_obs.Critpath.ss_mark c ~fu
-     done;
-     Ximd_obs.Critpath.end_cycle c);
-  Sink.on_cycle_end obs ~cycle ~live_streams
+  Ximd_obs.Sink.on_cycle obs c
 
 (* ------------------------------------------------------------------ *)
 (* What stays per model: the grouping rule, who counts as a sequencer,
@@ -269,7 +191,7 @@ let[@inline] lead_of model (state : State.t) classes ~n ~len fu =
     else
       let pc = state.pcs.(fu) in
       let c = if pc >= 0 && pc < len then classes.((pc * n) + fu) else -1 in
-      find_group state.scratch.lead state.pcs classes ~n ~pc ~c fu 0
+      find_group state.scratch.record.lead state.pcs classes ~n ~pc ~c fu 0
 
 (* Who counts as a sequencer: every issuing FU under per-FU sequencers;
    otherwise one per group, blamed on its lowest issuing FU — the global
@@ -279,15 +201,15 @@ let[@inline] lead_of model (state : State.t) classes ~n ~len fu =
 let[@inline] sequencers model ~members =
   match model with Per_fu -> members | Global | Banked -> 1
 
-let rec first_issuer (s : State.scratch) l fu =
-  if s.lead.(fu) = l && s.was_live.(fu) then fu else first_issuer s l (fu + 1)
+let rec first_issuer (c : Ximd_obs.Cycle.t) l fu =
+  if c.lead.(fu) = l && c.was_live.(fu) then fu else first_issuer c l (fu + 1)
 
-let sequencer model (s : State.scratch) fu =
-  s.was_live.(fu)
+let sequencer model (c : Ximd_obs.Cycle.t) fu =
+  c.was_live.(fu)
   &&
   match model with
   | Per_fu -> true
-  | Global | Banked -> first_issuer s s.lead.(fu) 0 = fu
+  | Global | Banked -> first_issuer c c.lead.(fu) 0 = fu
 
 (* The SS discipline: sync signals have no architectural role under the
    global sequencer; otherwise an FU drives its parcel's sync value and
@@ -325,7 +247,7 @@ let rec first_mate (s : State.scratch) img fu j =
 let label_per_fu (s : State.scratch) img n =
   let changed = ref false in
   for fu = 0 to n - 1 do
-    let l = s.lead.(fu) in
+    let l = s.record.lead.(fu) in
     let label =
       if l >= 0 && l < fu then s.labels.(l) else first_mate s img fu 0
     in
@@ -383,9 +305,10 @@ let step model (state : State.t) =
     let n = State.n_fus state in
     let stats = state.stats in
     let s = state.scratch in
-    let lead = s.lead
+    let c = s.record in
+    let lead = c.lead
     and slots = s.slots
-    and was_live = s.was_live
+    and was_live = c.was_live
     and ctrl = s.ctrl
     and taken = s.taken
     and pcs = state.pcs
@@ -432,7 +355,7 @@ let step model (state : State.t) =
     (* Each sequencer that fell off the end reports it, in FU order. *)
     if !fell then
       for fu = 0 to n - 1 do
-        if sequencer model s fu then begin
+        if sequencer model c fu then begin
           let pc = pcs.(lead.(fu)) in
           if pc < 0 || pc >= len then
             M.Hazard.report state.log ~cycle:state.cycle
@@ -446,43 +369,43 @@ let step model (state : State.t) =
     let unset = ref false in
     for g = 0 to groups - 1 do
       let l = leaders.(g) in
-      let c = ctrl.(l) in
-      if img.conditional.(c) then begin
-        let cond = img.cond.(c) in
+      let k = ctrl.(l) in
+      if img.conditional.(k) then begin
+        let cond = img.cond.(k) in
         if Exec.unset_cc state cond >= 0 then unset := true;
         taken.(l) <- Exec.holds state cond
       end
     done;
     if !unset then
       for fu = 0 to n - 1 do
-        if sequencer model s fu then
-          let c = ctrl.(lead.(fu)) in
-          if img.conditional.(c) then
-            let j = Exec.unset_cc state img.cond.(c) in
+        if sequencer model c fu then
+          let k = ctrl.(lead.(fu)) in
+          if img.conditional.(k) then
+            let j = Exec.unset_cc state img.cond.(k) in
             if j >= 0 then Exec.undefined_cc state ~fu j
       done;
     (* Data operations: every issuing FU executes its slot; an idle slot
        is a halted slot. *)
     Exec.exec_cycle state img;
     Exec.commit_cycle state;
-    (* The sync levels the branch evaluation read, kept for {!report}. *)
+    (* The sync levels the branch evaluation read, kept for observers. *)
     (match state.obs with
      | None -> ()
-     | Some _ -> Array.blit sss 0 s.ss_before 0 n);
+     | Some _ -> Array.blit sss 0 c.ss_before 0 n);
     (* Control commit.  Each group resolves its next PC once (-1: it
        halts); conditional branches are charged once per sequencer and
        spin slots once per issuing member, so a spinning k-FU group
        wastes k slots.  Then every member takes the next PC, issuing
        members drive their sync signals, and a halting group stops its
        issuing members. *)
-    let old_pcs = s.old_pcs and next_pc = s.next_pc and spun = s.spun in
+    let old_pcs = c.old_pcs and next_pc = c.next_pc and spun = c.spun in
     Array.blit pcs 0 old_pcs 0 n;
     for g = 0 to groups - 1 do
       let l = leaders.(g) in
-      let c = ctrl.(l) in
-      let conditional = img.conditional.(c) in
+      let k = ctrl.(l) in
+      let conditional = img.conditional.(k) in
       let next =
-        if conditional && not taken.(l) then img.t2.(c) else img.t1.(c)
+        if conditional && not taken.(l) then img.t2.(k) else img.t1.(k)
       in
       let spinning = conditional && next = old_pcs.(l) in
       next_pc.(l) <- next;
@@ -514,7 +437,7 @@ let step model (state : State.t) =
     (* The finished cycle goes to the sink from one place. *)
     (match state.obs with
      | None -> ()
-     | Some obs -> report model state img obs ~live_streams);
+     | Some obs -> observe model state img obs ~groups ~live_streams);
     state.cycle <- state.cycle + 1;
     stats.cycles <- state.cycle
   end

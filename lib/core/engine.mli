@@ -26,8 +26,8 @@
     program's decoded image ({!Program.image}, built on its first run):
     a group fetches a row index, each member executes its slot's
     resolved operands ({!Exec.exec_cycle}), and the next PC is one of
-    the slot's two targets, already resolved; no phase, nor the sink's
-    report, reads a parcel.  What belongs to a sequencer
+    the slot's two targets, already resolved; no phase reads a
+    parcel.  What belongs to a sequencer
     stays per sequencer, in FU order: its fell-off-end and
     undefined-CC hazards, its conditional-branch count and its halt;
     spin slots are charged per issuing member.  Under per-FU
@@ -42,14 +42,14 @@
     live on the state; the per-run ones (the {!Tracer}, the
     {!Watchdog}, the cycle budget and the supervision poll) are
     arguments of {!Session.run}.  Faults land at the top of the cycle.
-    The sink sees the partition there, and the rest of the cycle from
-    one function at the end of {!step} that reads the finished cycle
-    back from the state, [state.scratch] and the image: fetches, the
-    commit's results and condition codes, each stream's sync edges,
-    halts and branch resolution, every slot's class and the critical
-    path's nodes.  The phases in between do machine work only, so a
-    cycle with nothing attached tests [state.obs] three times and pays
-    nothing else.
+    The sink sees the partition there, and the rest of the cycle once,
+    at the end of {!step}: the phases do their per-cycle work in the
+    cycle record that [state.scratch] holds ({!Ximd_obs.Cycle}), and
+    with a sink attached the step adds what only the image knows (each
+    slot's class, each group's condition, a committing op's operand
+    registers) and hands the record to {!Ximd_obs.Sink.on_cycle}, which
+    feeds every consumer from it.  So a cycle with nothing attached
+    tests [state.obs] three times and pays nothing else.
 
     The hot loop keeps its per-cycle buffers, the groups included, in
     the preallocated [state.scratch], as slot and row indices into the

@@ -93,8 +93,8 @@ let write_reg state ~fu (reg : Reg.t) value =
 
 let push_cc (state : State.t) ~fu value =
   let s = state.scratch in
-  s.cc_fu.(s.cc_len) <- fu;
-  s.cc_val.(s.cc_len) <- value;
+  s.record.cc_fu.(s.cc_len) <- fu;
+  s.record.cc_val.(s.cc_len) <- value;
   s.cc_len <- s.cc_len + 1
 
 (* Operand [k] of an image: the register straight from the register
@@ -160,10 +160,18 @@ let exec_slot (state : State.t) (img : Program.image) values ~fu k =
 let exec_cycle (state : State.t) img =
   let s = state.scratch and stats = state.stats in
   let values = M.Regfile.values state.regs in
-  for fu = 0 to Array.length s.slots - 1 do
-    if s.was_live.(fu) then exec_slot state img values ~fu s.slots.(fu)
-    else stats.halted_slots <- stats.halted_slots + 1
-  done
+  let queued = state.queue.q_len and was_live = s.record.was_live in
+  try
+    for fu = 0 to Array.length s.slots - 1 do
+      if was_live.(fu) then exec_slot state img values ~fu s.slots.(fu)
+      else stats.halted_slots <- stats.halted_slots + 1
+    done
+  with e ->
+    (* a Raise-policy hazard aborts the cycle at issue: what earlier FUs
+       queued or staged in it may not land at a later commit *)
+    state.queue.q_len <- queued;
+    s.cc_len <- 0;
+    raise e
 
 (* A one-parcel program's image: slot 0 is [data]. *)
 let exec_data (state : State.t) ~fu data =
@@ -269,11 +277,12 @@ let commit_cycle (state : State.t) =
   match land_due state d with
   | committed ->
     retire q d;
-    s.commit_results <- committed;
-    s.commit_ccs <- s.cc_len;
+    let c = s.record in
+    c.commit_results <- committed;
+    c.commit_ccs <- s.cc_len;
     for k = 0 to s.cc_len - 1 do
-      state.ccs.(s.cc_fu.(k)) <-
-        (if s.cc_val.(k) then some_true else some_false)
+      state.ccs.(c.cc_fu.(k)) <-
+        (if c.cc_val.(k) then some_true else some_false)
     done;
     s.cc_len <- 0
   | exception e ->
@@ -341,14 +350,7 @@ let drain_pipeline (state : State.t) =
     commit_cycle state;
     match state.obs with
     | None -> ()
-    | Some obs -> (
-      let results = state.scratch.commit_results in
-      if results > 0 then
-        Ximd_obs.Sink.on_commit obs ~cycle:state.cycle ~results;
-      match Ximd_obs.Sink.account obs with
-      | None -> ()
-      | Some a ->
-        for fu = 0 to State.n_fus state - 1 do
-          Ximd_obs.Account.tally a ~fu Halted
-        done)
+    | Some obs ->
+      Ximd_obs.Sink.on_drain obs ~cycle:state.cycle
+        ~results:state.scratch.record.commit_results
   done

@@ -24,11 +24,12 @@
     port's log.  [ledger.exe trace] counts both phases per cycle as
     [engine.M.exec_words] and [engine.M.commit_words].
 
-    Neither reports to the observability sink: {!Engine.step} reads
-    what they did back from the state and [state.scratch] at the end
-    of the cycle.  Only {!apply_faults} (the faults that fired) and
-    {!drain_pipeline} (the drained commits and halted slots) call the
-    sink, since neither runs inside a cycle's report. *)
+    Neither reports to the observability sink: what they did is left
+    in the state and in the cycle record [state.scratch] holds, which
+    {!Engine.step} hands to the sink at the end of the cycle.  Only
+    {!apply_faults} (the faults that fired) and {!drain_pipeline} (one
+    {!Ximd_obs.Sink.on_drain} per drained cycle) call the sink, since
+    neither runs inside an observed cycle. *)
 
 open Ximd_isa
 
@@ -54,11 +55,14 @@ val eval_cond : State.t -> fu:int -> Cond.t -> bool
 
 val exec_cycle : State.t -> Program.image -> unit
 (** Executes one cycle's data operations from the program's decoded
-    image ({!Program.image}): every FU whose [scratch.was_live] is set
-    runs the slot [scratch.slots.(fu)], reading its operands, queueing
-    its register or memory result, performing its I/O, updating the
-    statistics and pushing a compare's condition-code update into
-    [state.scratch]; every other FU counts a halted slot.  Under unit
+    image ({!Program.image}): every FU whose [scratch.record.was_live]
+    is set runs the slot [scratch.slots.(fu)], reading its operands,
+    queueing its register or memory result, performing its I/O,
+    updating the statistics and pushing a compare's condition-code
+    update into [state.scratch]; every other FU counts a halted slot.
+    A hazard that aborts the cycle under the [Raise] policy drops what
+    this cycle queued and staged before it re-raises, so no later
+    commit lands any of it, as for an aborted {!commit_cycle}.  Under unit
     latency a store outside its FU's reach ({!Ximd_machine.Memory.accessible})
     is reported and dropped here, at issue.  The whole of
     each operation runs inside this module, reading register operands
@@ -77,8 +81,8 @@ val commit_cycle : State.t -> unit
     in order of first write, then stores in order of first store, each
     multiple write reported before its winner lands.  Then applies the
     condition-code updates buffered in [state.scratch], leaving the
-    number of results and of condition codes committed in
-    [scratch.commit_results] and [scratch.commit_ccs].  A commit that a
+    number of results and of condition codes committed in the cycle
+    record's [commit_results] and [commit_ccs].  A commit that a
     [Raise]-policy hazard aborts drops the rest of its due results and
     its condition codes, so the next commit lands none of them.  Does
     not advance PCs or the cycle counter — that is the control path's

@@ -2,23 +2,14 @@ open Ximd_isa
 
 type scratch = {
   slots : int array;
-  was_live : bool array;
-  lead : int array;
   leaders : int array;
   members : int array;
   rows : int array;
   ctrl : int array;
   taken : bool array;
-  next_pc : int array;
-  spun : bool array;
-  old_pcs : int array;
   labels : int array;
-  ss_before : Sync.t array;
-  cc_fu : int array;
-  cc_val : bool array;
   mutable cc_len : int;
-  mutable commit_results : int;
-  mutable commit_ccs : int;
+  record : Ximd_obs.Cycle.t;
 }
 
 type queue = {
@@ -72,6 +63,7 @@ let create ?(config = Config.default) ?faults ?obs program =
    | Some sink when Ximd_obs.Sink.n_fus sink <> config.n_fus ->
      invalid_arg "State.create: obs sink built for a different FU count"
    | Some _ | None -> ());
+  let sss = Array.make n Sync.Busy in
   { config;
     faults;
     obs;
@@ -86,28 +78,21 @@ let create ?(config = Config.default) ?faults ?obs program =
     cycle = 0;
     pcs = Array.make n 0;
     ccs = Array.make n None;
-    sss = Array.make n Sync.Busy;
+    sss;
     halted = Array.make n false;
     partition = Partition.initial ~n;
     scratch =
       { slots = Array.make n 0;
-        was_live = Array.make n false;
-        lead = Array.make n (-1);
         leaders = Array.make n 0;
         members = Array.make n 0;
         rows = Array.make n 0;
         ctrl = Array.make n 0;
         taken = Array.make n false;
-        next_pc = Array.make n 0;
-        spun = Array.make n false;
-        old_pcs = Array.make n 0;
         labels = Array.make n 0;
-        ss_before = Array.make n Sync.Busy;
-        cc_fu = Array.make n 0;
-        cc_val = Array.make n false;
         cc_len = 0;
-        commit_results = 0;
-        commit_ccs = 0 };
+        record =
+          Ximd_obs.Cycle.create ~ss:sss ~latency:config.result_latency
+            ~observed:(Option.is_some obs) };
     queue =
       (* An FU issues at most one result a cycle, two when a fault
          duplicates it, and a result stays queued for [result_latency]
@@ -149,7 +134,6 @@ let reset ?program t =
   t.partition <- Partition.initial ~n;
   Array.fill t.scratch.labels 0 n 0;
   t.scratch.cc_len <- 0;
-  Array.fill t.scratch.spun 0 n false;
   t.queue.q_len <- 0;
   (match t.faults with
    | None -> ()

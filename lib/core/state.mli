@@ -31,16 +31,13 @@ type scratch = {
       (** per FU: the image slot it issues this cycle (see
           {!Program.image}), or its slot in the halt row when it does
           not issue *)
-  was_live : bool array;     (** issuing at start of cycle *)
-  lead : int array;
-      (** per FU: the leader of its group this cycle, or -1 if it is in
-          no running group.  A group is the FUs one sequencer step
-          serves ({!Engine}): its leader is its lowest member, and the
-          leader's PC and control field are the group's.  The fields
-          below marked "per group" are indexed by leader. *)
   leaders : int array;
       (** this cycle's group leaders in FU order; as many as there are
-          FUs with [lead.(fu) = fu] *)
+          FUs with [record.lead.(fu) = fu].  A group is the FUs one
+          sequencer step serves ({!Engine}): its leader is its lowest
+          member, and the leader's PC and control field are the
+          group's.  The fields below marked "per group" are indexed by
+          leader. *)
   members : int array;       (** per group: its issuing members *)
   rows : int array;
       (** per group: the image row it fetched, {!Program.length} (the
@@ -49,9 +46,6 @@ type scratch = {
   taken : bool array;
       (** per group: branch-condition outcome, set for conditional
           branches only *)
-  next_pc : int array;       (** per group: the resolved next PC, -1 if it halts *)
-  spun : bool array;         (** per group: branch re-selected its PC *)
-  old_pcs : int array;       (** PCs at start of cycle *)
   labels : int array;
       (** the partition as a label vector: FU [i]'s SSET is named by its
           lowest member, [labels.(i)].  {!Engine} rewrites it in place
@@ -59,16 +53,17 @@ type scratch = {
           [Partition.of_labels labels] only when a label changed, so
           [partition] is a new value exactly when the grouping changes.
           All zeros (one SSET) after {!create} and {!reset}. *)
-  ss_before : Sync.t array;
-      (** per-FU sync levels the branch evaluation read, copied only
-          when a sink is attached; [sss] differs where an edge fired *)
-  cc_fu : int array;         (** staged condition-code updates… *)
-  cc_val : bool array;       (** …with their new values *)
   mutable cc_len : int;
-  mutable commit_results : int;  (** results the last commit moved… *)
-  mutable commit_ccs : int;
-      (** …of which condition codes: the first [commit_ccs] entries of
-          [cc_fu]/[cc_val] *)
+      (** condition-code updates staged in [record.cc_fu]/[cc_val] for
+          the end of the cycle *)
+  record : Ximd_obs.Cycle.t;
+      (** the cycle the engine works in and observers read: which FUs
+          issued and their groups, the start-of-cycle PCs, each group's
+          next PC and spin flag, the sync levels the branch evaluation
+          read ([ss_before], copied only when a sink is attached; its
+          [ss] is [sss] itself), the staged condition codes and the
+          commit's counts.  Its per-slot observer fields are allocated
+          only when a sink is attached. *)
 }
 (** Per-cycle scratch buffers, sized [n_fus], reused every cycle instead
     of allocated per step. *)
@@ -117,8 +112,8 @@ type t = {
       (** observability sink (see {!Ximd_obs.Sink}); [None] (the
           default) costs {!Engine.step} three predictable branches a
           cycle and nothing else: at the top of the cycle, before the
-          control phase, and at the end, where one function reports
-          the finished cycle *)
+          control phase, and at the end, where the sink takes the
+          finished cycle's record *)
 }
 
 val create :

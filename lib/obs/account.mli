@@ -1,9 +1,10 @@
 (** Exhaustive per-slot cycle accounting.
 
     Every fu×cycle slot of a run is classified into exactly one category
-    of a closed taxonomy, classified by the engine's end-of-cycle report
-    (the engine is the only place that knows {e why} a slot was idle — an SS
-    spin and a structural nop look identical from the outside).  The
+    of a closed taxonomy, classified by the engine at the end of the
+    cycle and handed over in the cycle record ({!Cycle.t}; the engine is
+    the only place that knows {e why} a slot was idle — an SS spin and a
+    structural nop look identical from the outside).  The
     categories are conserved: they sum to [cycles × n_fus], which the
     test suite checks as a QCheck property.
 

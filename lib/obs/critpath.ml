@@ -1,5 +1,5 @@
-(* Dynamic-dependence critical path, built online by the engine's
-   end-of-cycle report (the drop-oldest event ring cannot be replayed
+(* Dynamic-dependence critical path, built online from each finished
+   cycle's record (the drop-oldest event ring cannot be replayed
    soundly — see DESIGN.md §9).  Nodes are committing data operations; edges are the
    realised dependences that constrained their issue cycle:
 
@@ -17,6 +17,8 @@
    use.cycle]); a use that raced ahead read the older value and carries
    no edge.  Dropping edges only loosens the bound, so the invariant
    [lower_bound <= realised cycles] always holds. *)
+
+open Ximd_isa
 
 type edge = Start | Seq | Reg | Cc | Ss | Barrier
 
@@ -51,19 +53,6 @@ type t = {
   ss_def : node option array;    (* per FU: op behind the latest SS edge *)
   pend_kind : edge array;        (* per FU: bound control dependence *)
   pend : node option array;
-  (* a branch evaluated at cycle c selects the fetch at c+1, so its
-     binding constrains issues from c+1 on — never the same-cycle issue
-     of the row the branch itself sits in.  Bindings stage here and
-     promote at {!end_cycle}. *)
-  pend_stage_kind : edge array;
-  pend_stage : node option array;
-  pend_bound : bool array;
-  (* end-of-cycle staging: a def must not be visible to same-cycle
-     consumers (all reads observe start-of-cycle state) *)
-  stage_node : node option array;
-  stage_reg : int array;         (* register written, or -1 *)
-  stage_cc : bool array;
-  stage_ss : bool array;         (* SS edge requested this cycle *)
   mutable best : node option;
   mutable node_count : int;
 }
@@ -78,13 +67,6 @@ let create ~n_fus ~n_regs =
     ss_def = Array.make n_fus None;
     pend_kind = Array.make n_fus Start;
     pend = Array.make n_fus None;
-    pend_stage_kind = Array.make n_fus Start;
-    pend_stage = Array.make n_fus None;
-    pend_bound = Array.make n_fus false;
-    stage_node = Array.make n_fus None;
-    stage_reg = Array.make n_fus (-1);
-    stage_cc = Array.make n_fus false;
-    stage_ss = Array.make n_fus false;
     best = None;
     node_count = 0 }
 
@@ -96,62 +78,19 @@ let reset t =
   Array.fill t.cc_def 0 t.n_fus None;
   Array.fill t.ss_def 0 t.n_fus None;
   Array.fill t.pend 0 t.n_fus None;
-  Array.fill t.pend_stage 0 t.n_fus None;
-  Array.fill t.pend_bound 0 t.n_fus false;
-  Array.fill t.stage_node 0 t.n_fus None;
-  Array.fill t.stage_reg 0 t.n_fus (-1);
-  Array.fill t.stage_cc 0 t.n_fus false;
-  Array.fill t.stage_ss 0 t.n_fus false;
   t.best <- None;
   t.node_count <- 0
 
 (* ------------------------------------------------------------------ *)
-(* Binding control dependences.  Called on every evaluation of a
-   conditional branch; the binding in effect when the stream's next op
-   issues is the decisive (releasing) evaluation's. *)
+(* A cycle's reads observe start-of-cycle state, so {!on_cycle} adds
+   the cycle's nodes and bindings against the defs of earlier cycles
+   and publishes what the cycle defined only after them. *)
 
-let bind t ~fu kind producer =
-  t.pend_bound.(fu) <- true;
-  t.pend_stage_kind.(fu) <- kind;
-  t.pend_stage.(fu) <- producer
-
-let bind_cc t ~fu ~j = bind t ~fu Cc t.cc_def.(j)
-let bind_ss t ~fu ~j = bind t ~fu Ss t.ss_def.(j)
-
-(* ALL-barrier: the release waits for the slowest producer. *)
-let bind_all t ~fu ~mask =
-  let best = ref None in
-  for j = 0 to t.n_fus - 1 do
-    if mask land (1 lsl j) <> 0 then
-      match t.ss_def.(j) with
-      | None -> ()
-      | Some p ->
-        (match !best with
-         | Some b when b.dist >= p.dist -> ()
-         | _ -> best := Some p)
-  done;
-  bind t ~fu Barrier !best
-
-(* ANY-barrier: the release waited only for the earliest producer among
-   the signals that were DONE at the decisive evaluation. *)
-let bind_any t ~fu ~done_mask =
-  let best = ref None in
-  for j = 0 to t.n_fus - 1 do
-    if done_mask land (1 lsl j) <> 0 then
-      match t.ss_def.(j) with
-      | None -> ()
-      | Some p ->
-        (match !best with
-         | Some b when b.dist <= p.dist -> ()
-         | _ -> best := Some p)
-  done;
-  bind t ~fu Barrier !best
-
-let ss_mark t ~fu = t.stage_ss.(fu) <- true
-
-(* ------------------------------------------------------------------ *)
-
-let issue t ~cycle ~fu ~pc ~r1 ~r2 ~w ~sets_cc ~latency =
+(* A committing data op becomes a node with its tightest in-edge:
+   program order, the control binding in effect, or a register def
+   whose result had arrived. *)
+let issue t (c : Cycle.t) ~fu =
+  let cycle = c.cycle and latency = c.latency in
   let c_kind = ref Start and c_lat = ref 0 and c_dist = ref 0 in
   let c_parent = ref None in
   let consider kind lat producer =
@@ -179,42 +118,75 @@ let issue t ~cycle ~fu ~pc ~r1 ~r2 ~w ~sets_cc ~latency =
         consider Reg latency t.reg_def.(r)
       | Some _ | None -> ()
   in
+  let r1 = c.r1.(fu) and r2 = c.r2.(fu) in
   consider_reg r1;
   if r2 <> r1 then consider_reg r2;
   let node =
     { e_kind = !c_kind; e_latency = !c_lat; parent = !c_parent;
-      dist = !c_dist; cycle; fu; pc }
+      dist = !c_dist; cycle; fu; pc = c.old_pcs.(fu) }
   in
   t.last.(fu) <- Some node;
   t.node_count <- t.node_count + 1;
-  t.stage_node.(fu) <- Some node;
-  t.stage_reg.(fu) <- w;
-  t.stage_cc.(fu) <- sets_cc;
   match t.best with
   | Some b when b.dist >= node.dist -> ()
   | _ -> t.best <- Some node
 
-(* Defs become visible to consumers only from the next cycle on. *)
-let end_cycle t =
+(* The producer a barrier on [mask] waited for: the slowest for an ALL
+   barrier; for an ANY barrier the earliest among the signals that were
+   DONE at the evaluation, since only those could release it. *)
+let barrier_producer t (c : Cycle.t) ~all mask =
+  let best = ref None in
+  for j = 0 to t.n_fus - 1 do
+    if mask land (1 lsl j) <> 0 && (all || Sync.equal c.ss_before.(j) Sync.Done)
+    then
+      match t.ss_def.(j) with
+      | None -> ()
+      | Some p -> (
+        match !best with
+        | Some b when if all then b.dist >= p.dist else b.dist <= p.dist -> ()
+        | Some _ | None -> best := Some p)
+  done;
+  !best
+
+(* A conditional branch binds its control producers.  The branch
+   evaluated at cycle c selects the fetch at c+1, so the binding
+   constrains the stream's issues from c+1 on, never the op issued
+   beside it; the binding in effect at the next issue is the decisive
+   (releasing) evaluation's. *)
+let bind_branch t c ~fu (cond : Cond.t) =
+  let bind kind producer =
+    t.pend_kind.(fu) <- kind;
+    t.pend.(fu) <- producer
+  in
+  match cond with
+  | Cond.Cc j -> bind Cc t.cc_def.(j)
+  | Cond.Ss j -> bind Ss t.ss_def.(j)
+  | Cond.All_ss mask -> bind Barrier (barrier_producer t c ~all:true mask)
+  | Cond.Any_ss mask -> bind Barrier (barrier_producer t c ~all:false mask)
+  | Cond.Always1 | Cond.Always2 -> ()
+
+let on_cycle t (c : Cycle.t) =
   for fu = 0 to t.n_fus - 1 do
-    (match t.stage_node.(fu) with
-     | None -> ()
-     | Some _ as node ->
-       if t.stage_reg.(fu) >= 0 then t.reg_def.(t.stage_reg.(fu)) <- node;
-       if t.stage_cc.(fu) then t.cc_def.(fu) <- node;
-       t.stage_node.(fu) <- None;
-       t.stage_reg.(fu) <- -1;
-       t.stage_cc.(fu) <- false);
-    if t.stage_ss.(fu) then begin
-      t.ss_def.(fu) <- t.last.(fu);
-      t.stage_ss.(fu) <- false
-    end;
-    if t.pend_bound.(fu) then begin
-      t.pend_kind.(fu) <- t.pend_stage_kind.(fu);
-      t.pend.(fu) <- t.pend_stage.(fu);
-      t.pend_stage.(fu) <- None;
-      t.pend_bound.(fu) <- false
-    end
+    (match c.cls.(fu) with
+     | Commit -> issue t c ~fu
+     | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Squashed | Fault_lost
+     | Halted -> ());
+    (* a halt's condition is [Always1], which binds nothing *)
+    if c.was_live.(fu) then bind_branch t c ~fu c.cond.(c.lead.(fu))
+  done;
+  for fu = 0 to t.n_fus - 1 do
+    (match c.cls.(fu) with
+     | Commit when c.w.(fu) >= 0 -> t.reg_def.(c.w.(fu)) <- t.last.(fu)
+     | _ -> ());
+    if not (Sync.equal c.ss.(fu) c.ss_before.(fu)) then
+      t.ss_def.(fu) <- t.last.(fu)
+  done;
+  (* a compare that committed defines its FU's condition code *)
+  for k = 0 to c.commit_ccs - 1 do
+    let fu = c.cc_fu.(k) in
+    match c.cls.(fu) with
+    | Commit -> t.cc_def.(fu) <- t.last.(fu)
+    | _ -> ()
   done
 
 (* ------------------------------------------------------------------ *)

@@ -7,9 +7,9 @@
     same latencies?".  The report is [lower bound N, realised M, gap
     decomposition] (head / per-edge-kind slack / tail).
 
-    Fed online by the engine's end-of-cycle report rather than by
-    replaying the event ring: the ring drops its oldest events under pressure, which
-    would make a replayed graph unsound (DESIGN.md §9).  Only
+    Fed online, one finished cycle at a time ({!on_cycle}), rather than
+    by replaying the event ring: the ring drops its oldest events under
+    pressure, which would make a replayed graph unsound (DESIGN.md §9).  Only
     {e realised} dependences become edges — e.g. a register use that
     issued before the def's result arrived read the older value and
     carries no edge — so dropped edges only loosen the bound and
@@ -37,42 +37,17 @@ val create : n_fus:int -> n_regs:int -> t
 val n_fus : t -> int
 val reset : t -> unit
 
-(** {1 Feeding the graph (called by the engine)} *)
-
-val bind_cc : t -> fu:int -> j:int -> unit
-val bind_ss : t -> fu:int -> j:int -> unit
-val bind_all : t -> fu:int -> mask:int -> unit
-val bind_any : t -> fu:int -> done_mask:int -> unit
-(** Called on every evaluation of a conditional branch on [fu]'s
-    stream, {e before} this cycle's issues: binds the branch's control
-    producers as of start-of-cycle state.  The binding in effect when
-    the stream's next op issues (the decisive evaluation's) becomes
-    that op's control in-edge.  [bind_any] receives the mask bits that
-    were DONE at evaluation — the release waited only for the earliest
-    of those. *)
-
-val issue :
-  t ->
-  cycle:int ->
-  fu:int ->
-  pc:int ->
-  r1:int ->
-  r2:int ->
-  w:int ->
-  sets_cc:bool ->
-  latency:int ->
-  unit
-(** A committing data op.  [r1]/[r2] are source register indices and
-    [w] the written register ([-1] = none); [latency] is the config's
-    [result_latency].  Written registers/codes become visible to
-    consumers at {!end_cycle}, never within the cycle. *)
-
-val ss_mark : t -> fu:int -> unit
-(** [fu]'s sync signal changed this cycle: record [fu]'s latest op as
-    the producer behind the new signal value. *)
-
-val end_cycle : t -> unit
-(** Publish this cycle's defs and SS marks. *)
+val on_cycle : t -> Cycle.t -> unit
+(** Adds one finished cycle ({!Sink.on_cycle} calls it).  Each issuing
+    FU's conditional branch binds its control producers as of the sync
+    levels its evaluation read ([ss_before]; an ANY barrier waited only
+    for the earliest producer among the signals DONE then); the binding
+    in effect when the stream's next op issues becomes that op's control
+    in-edge.  Each {!Account.Commit} slot becomes a node from its
+    operand registers and the configuration's [latency]; an FU whose
+    sync level moved makes its latest op the producer behind the new
+    level.  What the cycle defines becomes visible to consumers only
+    from the next cycle on. *)
 
 (** {1 Results} *)
 

@@ -1,3 +1,5 @@
+open Ximd_isa
+
 type t = {
   ring : Event.t Ring.t;
   trace : bool;
@@ -90,27 +92,12 @@ let n_fus t = t.n_fus
 (* Hooks.  Each tests [t.trace] before it builds an event, so a sink
    without a ring allocates none. *)
 
-let on_fetch t ~cycle ~fu ~pc =
-  Metrics.incr t.m_fu_live.(fu);
-  (match t.prof with None -> () | Some p -> Profile.sample p ~fu ~pc);
-  if t.trace then Ring.push t.ring (Event.Fetch { cycle; fu; pc })
-
-let on_data_op t ~fu = Metrics.incr t.m_fu_ops.(fu)
-
-let on_commit t ~cycle ~results =
-  Metrics.add t.m_commits results;
-  Metrics.observe t.h_commit_batch results;
-  if t.trace then Ring.push t.ring (Event.Commit { cycle; results })
-
-let on_cc t ~cycle ~fu ~value =
-  Metrics.incr t.m_cc;
-  if t.trace then
-    Ring.push t.ring (Event.Cc_broadcast { cycle; fu; value })
-
-let on_ss t ~cycle ~fu ~to_done =
-  Metrics.incr t.m_ss;
-  if t.trace then
-    Ring.push t.ring (Event.Ss_transition { cycle; fu; to_done })
+let commit t ~cycle results =
+  if results > 0 then begin
+    Metrics.add t.m_commits results;
+    Metrics.observe t.h_commit_batch results;
+    if t.trace then Ring.push t.ring (Event.Commit { cycle; results })
+  end
 
 let close_streak t ~cycle fu =
   let pc = t.spin_pc.(fu) in
@@ -131,7 +118,9 @@ let close_streak t ~cycle fu =
     end
   end
 
-let on_control t ~cycle ~fu ~pc ~spinning ~sync =
+(* A stream's branch resolution: a streak opens on its first spinning
+   cycle and closes when it moves on. *)
+let resolve t ~cycle ~fu ~pc ~spinning ~sync =
   if spinning then begin
     if t.spin_pc.(fu) <> pc then begin
       close_streak t ~cycle fu;
@@ -144,13 +133,10 @@ let on_control t ~cycle ~fu ~pc ~spinning ~sync =
   end
   else close_streak t ~cycle fu
 
-let on_halt t ~cycle ~fu =
-  close_streak t ~cycle fu;
-  Metrics.incr t.m_halts;
-  if t.trace then Ring.push t.ring (Event.Halt { cycle; fu })
-
+(* The partition is a new value exactly when the grouping changed, so a
+   physical compare finds the changes. *)
 let on_partition t ~cycle ~ssets =
-  if ssets <> t.last_part then begin
+  if ssets != t.last_part then begin
     t.last_part <- ssets;
     t.parts_rev <- (cycle, ssets) :: t.parts_rev;
     Metrics.incr t.m_partitions;
@@ -158,11 +144,79 @@ let on_partition t ~cycle ~ssets =
       Ring.push t.ring (Event.Partition_change { cycle; ssets })
   end
 
-let on_cycle_end t ~cycle ~live_streams =
+(* The FU that [fu]'s stream reports its branch resolution against once
+   [fu]'s edges are out, or -1: every issuing FU is its own stream under
+   per-FU sequencers; otherwise a running group reports against its
+   leader after its last member. *)
+let[@inline] resolution (c : Cycle.t) ~n fu =
+  if c.fu_streams then if c.was_live.(fu) then fu else -1
+  else
+    let l = c.lead.(fu) in
+    if l >= 0 && (fu = n - 1 || c.lead.(fu + 1) <> l) then l else -1
+
+let on_cycle t (c : Cycle.t) =
+  let n = t.n_fus and cycle = c.cycle in
+  for fu = 0 to n - 1 do
+    if c.was_live.(fu) then begin
+      let pc = c.old_pcs.(c.lead.(fu)) in
+      Metrics.incr t.m_fu_live.(fu);
+      (match t.prof with None -> () | Some p -> Profile.sample p ~fu ~pc);
+      if t.trace then Ring.push t.ring (Event.Fetch { cycle; fu; pc });
+      match c.cls.(fu) with
+      | Commit | Squashed | Fault_lost -> Metrics.incr t.m_fu_ops.(fu)
+      | Nop_padding | Spin_ss | Spin_cc | Barrier_wait | Halted -> ()
+    end
+  done;
+  commit t ~cycle c.commit_results;
+  for k = 0 to c.commit_ccs - 1 do
+    Metrics.incr t.m_cc;
+    if t.trace then
+      Ring.push t.ring
+        (Event.Cc_broadcast { cycle; fu = c.cc_fu.(k); value = c.cc_val.(k) })
+  done;
+  for fu = 0 to n - 1 do
+    if c.was_live.(fu) then begin
+      let ss = c.ss.(fu) in
+      if not (Sync.equal ss c.ss_before.(fu)) then begin
+        Metrics.incr t.m_ss;
+        if t.trace then
+          Ring.push t.ring
+            (Event.Ss_transition
+               { cycle; fu; to_done = Sync.equal ss Sync.Done })
+      end;
+      if c.next_pc.(c.lead.(fu)) < 0 then begin
+        close_streak t ~cycle fu;
+        Metrics.incr t.m_halts;
+        if t.trace then Ring.push t.ring (Event.Halt { cycle; fu })
+      end
+    end;
+    let r = resolution c ~n fu in
+    if r >= 0 then
+      let l = c.lead.(fu) in
+      if c.next_pc.(l) >= 0 then
+        resolve t ~cycle ~fu:r ~pc:c.old_pcs.(r) ~spinning:c.spun.(l)
+          ~sync:(Cond.is_sync c.cond.(l))
+  done;
+  (match t.acct with
+   | None -> ()
+   | Some a ->
+     for fu = 0 to n - 1 do
+       Account.tally a ~fu c.cls.(fu)
+     done);
+  (match t.crit with None -> () | Some cp -> Critpath.on_cycle cp c);
   Metrics.incr t.m_cycles;
-  Metrics.set_gauge t.g_streams live_streams;
-  Metrics.observe t.h_sset_width live_streams;
+  Metrics.set_gauge t.g_streams c.live_streams;
+  Metrics.observe t.h_sset_width c.live_streams;
   t.final_cycle <- cycle + 1
+
+let on_drain t ~cycle ~results =
+  commit t ~cycle results;
+  match t.acct with
+  | None -> ()
+  | Some a ->
+    for fu = 0 to t.n_fus - 1 do
+      Account.tally a ~fu Halted
+    done
 
 let on_fault t ~cycle ~kind ~target =
   Metrics.incr t.m_faults;

@@ -8,17 +8,23 @@
     without observability pays three predictable branches a cycle and
     allocates nothing (the same discipline as fault injection).
 
-    [Engine.step] calls {!on_partition} at the top of a cycle and the
-    other per-cycle hooks from one function at its end, which also
-    feeds {!account} and {!critpath} directly; [Exec] reports fired
-    faults and drained commits, [Session] the watchdog and {!finish}.
-    Everything derived (spin-streak histograms, barrier-wait
-    attribution, per-FU utilisation, SSET width) is computed here so the
-    simulators stay oblivious to what is being measured.  All hooks take
-    the *current* (pre-increment) cycle.
+    [Engine.step] calls {!on_partition} at the top of a cycle and
+    {!on_cycle} once at its end, with the finished cycle's record
+    ({!Cycle.t}); [Exec] reports fired faults and drained commits,
+    [Session] the watchdog and {!finish}.  {!on_cycle} decides the
+    order in which a cycle's events enter the ring and feeds every
+    consumer from the one record: the metrics, the profile, the
+    account and the critical path.  Everything derived (spin-streak
+    histograms, barrier-wait attribution, per-FU utilisation, SSET
+    width) is computed here so the simulators stay oblivious to what is
+    being measured.  All hooks take the *current* (pre-increment)
+    cycle.
 
     Metric names exposed through {!metrics}:
-    - counters [cycles], [commits], [cc_broadcasts], [ss_transitions],
+    - counters [cycles] (issuing cycles only: the drain that empties
+      the result pipeline after the last halt adds commits but no
+      cycle, while {!final_cycle}, [Stats.cycles] and the account count
+      it), [commits], [cc_broadcasts], [ss_transitions],
       [partition_changes], [faults_fired], [halts],
       [events_dropped], and per-FU [fu<i>/ops], [fu<i>/live_cycles];
     - gauge [live_streams];
@@ -46,37 +52,41 @@ val create :
     increment per fu×cycle slot) defaults to [true]; [critpath]
     (dynamic dependence graph — allocates a node per committing op)
     defaults to [false] and tracks the 256 architectural registers.
-    Metrics are always on — they are the cheap part.
+    Metrics are always on, and they are not cheap: every observed cycle
+    updates several counters per FU and the record's per-slot fields,
+    so even a sink with no ring, profile or analysis runs a program at
+    about twice its bare time ([obs.sink_lean.overhead] in
+    [ledger.exe trace] read 2.0-2.4).
     @raise Invalid_argument if [n_fus] is not in [1, 64]. *)
 
 val n_fus : t -> int
 
 (** {1 Hooks (called by the simulators)} *)
 
-val on_fetch : t -> cycle:int -> fu:int -> pc:int -> unit
-val on_data_op : t -> fu:int -> unit
-(** A non-nop data operation issued on [fu]. *)
-
-val on_commit : t -> cycle:int -> results:int -> unit
-val on_cc : t -> cycle:int -> fu:int -> value:bool -> unit
-val on_ss : t -> cycle:int -> fu:int -> to_done:bool -> unit
-
-val on_control : t -> cycle:int -> fu:int -> pc:int -> spinning:bool ->
-  sync:bool -> unit
-(** Branch resolution on a live FU.  [spinning] — the branch re-selected
-    [pc]; [sync] — the condition reads sync signals (a barrier).
-    Tracks busy-wait streaks: a streak opens on the first spinning cycle
-    (emitting {!Event.Barrier_enter} when [sync]) and closes when the FU
-    moves on, halts, or the run finishes (emitting
-    {!Event.Barrier_exit} and feeding the [spin_streak]/[barrier_wait]
-    histograms and the per-address wait attribution). *)
-
-val on_halt : t -> cycle:int -> fu:int -> unit
 val on_partition : t -> cycle:int -> ssets:int list list -> unit
-(** Called every cycle with the partition in effect; records (and
-    emits) only changes. *)
+(** Called at the top of every cycle with the partition in effect;
+    records (and emits) only changes.  The engine builds a new
+    partition exactly when the grouping changes, so a change is a
+    physically different [ssets]. *)
 
-val on_cycle_end : t -> cycle:int -> live_streams:int -> unit
+val on_cycle : t -> Cycle.t -> unit
+(** The end of a cycle, once: its events enter the ring in a fixed
+    order — each issuing FU's fetch, the commit, the condition codes it
+    broadcast, then per FU its sync edge, its halt and the branch
+    resolution of the stream it closes (every issuing FU under per-FU
+    sequencers; a running group after its last member, named by its
+    leader).  A resolution tracks busy-wait streaks: a streak opens on
+    the first spinning cycle (emitting {!Event.Barrier_enter} when the
+    condition reads sync signals) and closes when the stream moves on,
+    halts, or the run finishes (emitting {!Event.Barrier_exit} and
+    feeding the [spin_streak]/[barrier_wait] histograms and the
+    per-address wait attribution).  Then every slot is tallied into
+    {!account} and the record goes to {!critpath}. *)
+
+val on_drain : t -> cycle:int -> results:int -> unit
+(** One cycle of the drain after the last halt: its commit, and a
+    halted slot per FU in {!account}. *)
+
 val on_fault : t -> cycle:int -> kind:string -> target:int -> unit
 val on_watchdog : t -> cycle:int -> quiet:int -> unit
 
@@ -101,11 +111,12 @@ val profile : t -> Profile.t option
 
 val account : t -> Account.t option
 (** The per-slot accounting, [None] when created with [~account:false];
-    the engine tallies every slot of every cycle into it. *)
+    {!on_cycle} and {!on_drain} tally every slot of every cycle into
+    it. *)
 
 val critpath : t -> Critpath.t option
 (** The dependence graph, [None] unless created with [~critpath:true];
-    the engine feeds it directly. *)
+    {!on_cycle} feeds it. *)
 
 val partition_history : t -> (int * int list list) list
 (** Chronological [(cycle, ssets)] change points. *)

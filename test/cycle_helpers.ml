@@ -34,7 +34,7 @@ let issue (state : Core.State.t) row =
    | None -> ());
   let n = Core.State.n_fus state and s = state.scratch in
   for fu = 0 to n - 1 do
-    s.was_live.(fu) <- true;
+    s.record.was_live.(fu) <- true;
     s.slots.(fu) <- (row * n) + fu
   done;
   Core.Exec.exec_cycle state (Core.Program.image state.program)

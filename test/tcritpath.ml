@@ -168,6 +168,66 @@ let prop_critpath_sound =
       && slacks_ok
       && String.equal json json')
 
+(* An ANY barrier released by FU1's signal alone: FU2 pulsed DONE and
+   went BUSY again before FU0 reached the barrier, so FU2's earlier op
+   is no producer of the release.  FU0's op after the barrier carries a
+   barrier edge from the end of FU1's 8-op chain (dist 7 + 2), which
+   makes the bound 10; binding FU2's op instead would leave it at
+   FU1's chain, 8. *)
+let test_any_barrier_binds_done_signals () =
+  let program =
+    parse
+      {|.fus 3
+  [0] mov #5, r1          | -> a1
+  [1] iadd r11, #1, r11   | -> c1
+  [2] mov #1, r20         | -> q1 | done
+a1:
+  [0] iadd r1, #1, r1     | -> a2
+q1:
+  [2] nop                 | -> s2
+a2:
+  [0] iadd r1, #1, r1     | -> bar
+bar:
+  [0] nop                 | if any(1,2) go : bar
+go:
+  [0] iadd r1, #1, r2     | -> fin0
+fin0:
+  [0] nop                 | halt
+c1:
+  [1] iadd r11, #1, r11   | -> c2
+c2:
+  [1] iadd r11, #1, r11   | -> c3
+c3:
+  [1] iadd r11, #1, r11   | -> c4
+c4:
+  [1] iadd r11, #1, r11   | -> c5
+c5:
+  [1] iadd r11, #1, r11   | -> c6
+c6:
+  [1] iadd r11, #1, r11   | -> c7
+c7:
+  [1] iadd r11, #1, r11   | -> e1 | done
+e1:
+  [1] nop                 | halt
+s2:
+  [2] nop                 | if ss0 e2 : s2
+e2:
+  [2] nop                 | halt
+|}
+  in
+  let outcome, _state, cp = run_observed program in
+  (match outcome with
+   | Core.Run.Halted _ -> ()
+   | _ -> Alcotest.fail "expected halt");
+  check_int "lower bound" 10 (CP.lower_bound cp);
+  let barrier = kind_sum cp CP.Barrier in
+  check_int "one barrier edge" 1 barrier.CP.k_edges;
+  match List.rev (CP.path cp) with
+  | last :: _ ->
+    check_int "chain tail fu" 0 last.CP.s_fu;
+    check_int "chain tail cycle" 9 last.CP.s_cycle
+  | [] -> Alcotest.fail "empty path"
+
 let suite =
   [ ( "critpath",
       [ Alcotest.test_case "register chain bound at latency 3" `Quick
@@ -175,4 +235,6 @@ let suite =
         Alcotest.test_case "ss handshake edge" `Quick test_ss_edge;
         QCheck_alcotest.to_alcotest prop_critpath_sound;
         Alcotest.test_case "an input heads a register chain" `Quick
-          test_input_heads_reg_chain ] ) ]
+          test_input_heads_reg_chain;
+        Alcotest.test_case "an ANY barrier binds only DONE signals" `Quick
+          test_any_barrier_binds_done_signals ] ) ]

@@ -91,7 +91,7 @@ let test_memory_bounds () =
       (0, "FU1 accessed out-of-bounds M[-1]") ]
     state;
   Alcotest.(check int) "the oob store is dropped: only the load commits" 1
-    state.scratch.commit_results;
+    state.scratch.record.commit_results;
   Alcotest.check_raises "set raises"
     (Invalid_argument "Memory.set: address 16 out of bounds") (fun () ->
       M.Memory.set state.mem 16 Value.one)

@@ -250,7 +250,7 @@ let test_image_executor_allocates_nothing () =
       (fun (i, v) -> Ximd_core.State.set_reg state i v)
       [ (1, Value.of_int 100); (2, Value.of_int 4); (3, Value.of_float 1.5);
         (4, Value.of_int 1) ];
-    Array.fill s.was_live 0 n true;
+    Array.fill s.record.was_live 0 n true;
     let before = Gc.minor_words () in
     cycles ();
     Gc.minor_words () -. before
@@ -298,6 +298,76 @@ let test_validation_allocates_nothing () =
         (w.ximd :: Option.to_list w.vliw))
     (Ximd_workloads.Suite.all ())
 
+(* The engine's allocation, pinned run by run: every suite workload on
+   a warm session with nothing attached, its XIMD coding under xsim and
+   its VLIW coding under vsim and t500.  The counts are deterministic
+   for one compiler, so this OCaml's pins are exact; under any other
+   version they are upper bounds.  A change that allocates less lowers
+   its pins. *)
+let pinned_words =
+  [ ( "5.1.1",
+      [ ("tproc", (112, 148, 112));
+        ("ll1", (2673, 3837, 2673));
+        ("ll3", (951, 1269, 951));
+        ("ll5", (2611, 3757, 2611));
+        ("ll12", (783, 1083, 783));
+        ("matmul", (1153, 1669, 1153));
+        ("minmax", (1071, 1318, 892));
+        ("bitcount", (3186, 6844, 4576));
+        ("classify", (1943, 9292, 6208));
+        ("iosync", (998, 2003, 1367)) ] ) ]
+
+let test_engine_words_pinned () =
+  let words model (v : Ximd_workloads.Workload.variant) =
+    let session =
+      Ximd_core.Session.create ~config:v.config ~model v.program
+    in
+    let run () = ignore (Ximd_core.Session.run ~setup:v.setup session) in
+    run ();
+    let before = Gc.minor_words () in
+    run ();
+    int_of_float (Gc.minor_words () -. before)
+  in
+  let measured =
+    List.map
+      (fun (w : Ximd_workloads.Workload.t) ->
+        let vliw model = Option.fold ~none:(-1) ~some:(words model) w.vliw in
+        ( w.name,
+          ( words Ximd_core.Engine.Per_fu w.ximd,
+            vliw Ximd_core.Engine.Global,
+            vliw Ximd_core.Engine.Banked ) ))
+      (Ximd_workloads.Suite.all ())
+  in
+  let exact, pins =
+    match List.assoc_opt Sys.ocaml_version pinned_words with
+    | Some pins -> (true, pins)
+    | None -> (false, List.assoc "5.1.1" pinned_words)
+  in
+  let table () =
+    String.concat "\n"
+      (List.map
+         (fun (name, (x, v, t)) ->
+           Printf.sprintf "  (%S, (%d, %d, %d));" name x v t)
+         measured)
+  in
+  let ok =
+    List.length measured = List.length pins
+    && List.for_all2
+         (fun (name, (x, v, t)) (name', (x', v', t')) ->
+           name = name'
+           &&
+           if exact then (x, v, t) = (x', v', t')
+           else x <= x' && v <= v' && t <= t')
+         measured pins
+  in
+  if not ok then
+    Alcotest.failf
+      "OCaml %s: the engine's minor words per run (xsim, vsim, t500) left \
+       their %s pins; measured:\n%s"
+      Sys.ocaml_version
+      (if exact then "exact" else "5.1.1")
+      (table ())
+
 let suite =
   [ ( "misc",
       [ Alcotest.test_case "tracer cc string" `Quick test_tracer_cc_string;
@@ -318,4 +388,6 @@ let suite =
         Alcotest.test_case "the image executor allocates nothing" `Quick
           test_image_executor_allocates_nothing;
         Alcotest.test_case "validation allocates nothing" `Quick
-          test_validation_allocates_nothing ] ) ]
+          test_validation_allocates_nothing;
+        Alcotest.test_case "the engine's words per run are pinned" `Quick
+          test_engine_words_pinned ] ) ]

@@ -363,6 +363,137 @@ let test_lean_sink_words () =
     [ (Core.Engine.Per_fu, ll1.W.Workload.ximd);
       (Core.Engine.Global, Option.get ll1.W.Workload.vliw) ]
 
+(* --- The sink's counters = the engine's own --------------------------- *)
+
+(* A full sink's counters restate what the engine counts itself: ops,
+   commits, condition codes and live slots against [Stats], the
+   account's slots against the run's cycles, and, when the ring kept
+   every event, the event counts against the counters. *)
+let prop_sink_counts_engine =
+  QCheck2.Test.make ~count:300
+    ~name:"the sink's counters agree with the engine's statistics"
+    Ximd_gen.Proggen.case (fun case ->
+      let n = case.config.n_fus in
+      let models =
+        List.filter_map
+          (fun m -> Core.Engine.model_of_name (Ximd_gen.Diff.model_name m))
+          (Ximd_gen.Diff.applicable_models case.program)
+      in
+      List.iter
+        (fun model ->
+          let sink =
+            Obs.Sink.create ~critpath:true ~n_fus:n
+              ~code_len:(Core.Program.length case.program)
+              ()
+          in
+          let session =
+            Core.Session.create ~config:case.config ~obs:sink ~model
+              case.program
+          in
+          ignore (Core.Session.run session);
+          let stats = (Core.Session.state session).stats in
+          let counter name =
+            match
+              List.find_opt
+                (fun (c : Obs.Metrics.counter) -> c.c_name = name)
+                (Obs.Metrics.counters (Obs.Sink.metrics sink))
+            with
+            | Some c -> c.c_value
+            | None -> 0
+          in
+          let per_fu what =
+            List.fold_left ( + ) 0
+              (List.init n (fun fu -> counter (Printf.sprintf "fu%d/%s" fu what)))
+          in
+          let live = per_fu "live_cycles" in
+          let acct = Option.get (Obs.Sink.account sink) in
+          let events = Obs.Sink.events sink in
+          let count_events p = List.length (List.filter p events) in
+          let check what expected got =
+            if expected <> got then
+              QCheck2.Test.fail_reportf "%s under %s: expected %d, got %d" what
+                (Core.Engine.model_name model) expected got
+          in
+          check "fu<i>/ops" stats.data_ops (per_fu "ops");
+          check "commits" stats.commit_ops (counter "commits");
+          check "cc_broadcasts" stats.cmp_ops (counter "cc_broadcasts");
+          check "fu<i>/live_cycles" ((counter "cycles" * n) - stats.halted_slots)
+            live;
+          check "account slots" (stats.cycles * n) (Obs.Account.slots acct);
+          check "account non-halted slots" live
+            (Obs.Account.slots acct - Obs.Account.total acct Obs.Account.Halted);
+          check "partition_changes"
+            (List.length (Obs.Sink.partition_history sink))
+            (counter "partition_changes");
+          if Obs.Sink.dropped_events sink = 0 then begin
+            check "Fetch events" live
+              (count_events (function Obs.Event.Fetch _ -> true | _ -> false));
+            check "Halt events" (counter "halts")
+              (count_events (function Obs.Event.Halt _ -> true | _ -> false));
+            check "Ss_transition events" (counter "ss_transitions")
+              (count_events (function
+                | Obs.Event.Ss_transition _ -> true
+                | _ -> false))
+          end)
+        models;
+      true)
+
+(* --- A stream's branch resolution follows its members' sync edges ------- *)
+
+(* Under the two-sequencer model bank 0 spins at a barrier from cycle 0
+   while both its FUs drive their signals DONE in that cycle: the
+   bank's barrier entry is reported once, after the last member's
+   edge. *)
+let test_bank_edges_before_barrier () =
+  let program =
+    match
+      Ximd_asm.Source.parse
+        ".fus 4\n\
+         top:\n\
+        \  [0] nop | if all(2,3) go : top | done\n\
+        \  [1] nop | if all(2,3) go : top | done\n\
+        \  [2] nop | -> w\n\
+        \  [3] nop | -> w\n\
+         w:\n\
+        \  [0] nop | halt\n\
+        \  [1] nop | halt\n\
+        \  [2] nop | -> go | done\n\
+        \  [3] nop | -> go | done\n\
+         go:\n\
+        \  [0] nop | halt\n\
+        \  [1] nop | halt\n\
+        \  [2] nop | halt\n\
+        \  [3] nop | halt\n"
+    with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "parse: %a" Ximd_asm.Source.pp_error e
+  in
+  let sink =
+    Obs.Sink.create ~n_fus:4 ~code_len:(Core.Program.length program) ()
+  in
+  let session =
+    Core.Session.create ~config:(Core.Config.make ~n_fus:4 ()) ~obs:sink
+      ~model:Core.Engine.Banked program
+  in
+  (match Core.Session.run session with
+   | Core.Run.Halted { cycles = 4 } -> ()
+   | outcome -> Alcotest.failf "expected a 4-cycle halt: %a" Core.Run.pp outcome);
+  let edges =
+    List.filter_map
+      (function
+        | Obs.Event.Ss_transition { cycle; fu; _ } ->
+          Some (Printf.sprintf "ss %d:%d" cycle fu)
+        | Obs.Event.Barrier_enter { cycle; fu; pc } ->
+          Some (Printf.sprintf "enter %d:%d@%d" cycle fu pc)
+        | Obs.Event.Barrier_exit { cycle; fu; waited; _ } ->
+          Some (Printf.sprintf "exit %d:%d+%d" cycle fu waited)
+        | _ -> None)
+      (Obs.Sink.events sink)
+  in
+  Alcotest.(check (list string)) "edges, then the bank's entry"
+    [ "ss 0:0"; "ss 0:1"; "enter 0:0@0"; "ss 1:2"; "ss 1:3"; "exit 2:0+2" ]
+    edges
+
 let suite =
   [ ( "obs",
       [ Alcotest.test_case "ring drops oldest" `Quick test_ring;
@@ -388,4 +519,7 @@ let suite =
         Alcotest.test_case "sink reset reuse" `Quick test_sink_reset_reuse;
         QCheck_alcotest.to_alcotest prop_attachments_transparent;
         Alcotest.test_case "account-only sink builds no events" `Quick
-          test_lean_sink_words ] ) ]
+          test_lean_sink_words;
+        Alcotest.test_case "a bank's barrier entry follows its edges" `Quick
+          test_bank_edges_before_barrier;
+        QCheck_alcotest.to_alcotest prop_sink_counts_engine ] ) ]

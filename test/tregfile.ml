@@ -65,13 +65,13 @@ let test_queue_count_and_clear () =
     (Core.State.in_flight_count state);
   commit state;
   Alcotest.(check int) "queue cleared" 0 (Core.State.in_flight_count state);
-  Alcotest.(check int) "results committed" 3 state.scratch.commit_results;
+  Alcotest.(check int) "results committed" 3 state.scratch.record.commit_results;
   (* A second commit must be a no-op: no re-applied writes, no fresh
      hazards. *)
   Core.State.set_reg state 1 (Value.of_int 99);
   commit state;
   check_reg "no stale queued write" state 1 99;
-  Alcotest.(check int) "nothing committed" 0 state.scratch.commit_results;
+  Alcotest.(check int) "nothing committed" 0 state.scratch.record.commit_results;
   Alcotest.(check int) "no extra hazard" 1
     (List.length (Core.State.hazards state))
 
@@ -94,6 +94,26 @@ let test_aborted_commit_lands_nothing () =
   commit state;
   check_mem "the aborted store never lands" state 5 0;
   check_reg "the aborted register never lands" state 1 0
+
+(* Under the Raise policy an issue-time hazard aborts its cycle too:
+   the store FU1 queued and the condition code FU0 staged before FU2
+   divided by zero must not land at the next commit. *)
+let test_aborted_issue_lands_nothing () =
+  let state =
+    state_of ~policy:M.Hazard.Raise
+      ".fus 3\n\
+      \  [0] eq #1, #1         | halt\n\
+      \  [1] store #77, #5     | halt\n\
+      \  [2] idiv #1, #0, r1   | halt\n"
+  in
+  (match issue state 0 with
+   | exception M.Hazard.Error { hazard = M.Hazard.Div_by_zero _; _ } -> ()
+   | () -> Alcotest.fail "expected the issue to raise");
+  Alcotest.(check int) "queue emptied" 0 (Core.State.in_flight_count state);
+  commit state;
+  check_mem "the aborted store never lands" state 5 0;
+  Alcotest.(check bool) "the aborted condition code never lands" true
+    (state.ccs.(0) = None)
 
 (* The queue's worst case: every FU writes a register every cycle, each
    write duplicated, at the longest latency.  The queue then holds
@@ -276,4 +296,6 @@ let suite =
           test_aborted_commit_lands_nothing;
         Alcotest.test_case "the queue's worst case fits" `Quick
           test_queue_worst_case;
-        QCheck_alcotest.to_alcotest prop_queue_matches_reference ] ) ]
+        QCheck_alcotest.to_alcotest prop_queue_matches_reference;
+        Alcotest.test_case "aborted issue lands nothing" `Quick
+          test_aborted_issue_lands_nothing ] ) ]
