@@ -289,15 +289,16 @@ let write_output ?code ~tool path contents =
 let write_json ~tool path json =
   write_output ~tool path (Ximd_json.to_string json ^ "\n")
 
-(* The steps every CLI run shares.  [run ()] runs the program (more
-   than once under --repeat): a hazard under the [Raise] policy prints
-   "hazard: ..." and exits 2, a program its model rejects exits 1.
-   Then the tracer's Figure 10 table and the outcome are printed,
-   [report] prints what the tool adds, and the process exits with the
-   outcome's code; the call returns only when that code is 0.  The
-   canonical table lives in {!Ximd_core.Run.exit_codes}; --help's EXIT
-   STATUS section and the README document the same values. *)
-let run_and_report ?tracer ~report run =
+(* The steps every CLI run shares.  [run ()] runs the program on
+   [state] (more than once under --repeat): a hazard under the [Raise]
+   policy prints "hazard: ..." and exits 2, a program its model rejects
+   exits 1.  Then the tracer's Figure 10 table and the outcome are
+   printed, [report] prints what the tool adds, and the process exits
+   with the finished run's code, from its outcome and the hazards it
+   recorded; the call returns only when that code is 0.  The canonical
+   table lives in {!Ximd_core.Run.exit_codes}; --help's EXIT STATUS
+   section and the README document the same values. *)
+let run_and_report ?tracer ~state ~report run =
   let outcome =
     try run () with
     | Ximd_machine.Hazard.Error event ->
@@ -312,7 +313,10 @@ let run_and_report ?tracer ~report run =
    | None -> ());
   Format.printf "%a@." Ximd_core.Run.pp outcome;
   report outcome;
-  match Ximd_core.Run.exit_code outcome with 0 -> () | code -> exit code
+  let hazards = List.length (Ximd_core.State.hazards state) in
+  match Ximd_core.Run.exit_code ~hazards outcome with
+  | 0 -> ()
+  | code -> exit code
 
 (* --compare short-circuits the normal run: both sides execute through
    {!Ximd_report.Compare} with accounting sinks attached, built by the
@@ -346,8 +350,10 @@ let run_compare ~tool model program compare_path compare_json ~config_of
           write_json ~tool out (Ximd_report.Compare.to_json cmp));
        exit
          (max
-            (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.ximd.outcome)
-            (Ximd_core.Run.exit_code cmp.Ximd_report.Compare.vliw.outcome)))
+            (Ximd_core.Run.exit_code ~hazards:0
+               cmp.Ximd_report.Compare.ximd.outcome)
+            (Ximd_core.Run.exit_code ~hazards:0
+               cmp.Ximd_report.Compare.vliw.outcome)))
 
 let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
     record_hazards
@@ -592,8 +598,7 @@ let run_simulator ~tool model path trace listing stats max_cycles cycle_budget
              Ximd_report.Diagnostics.pp
              (Ximd_report.Diagnostics.collect state ~outcome))
     in
-    run_and_report ?tracer ~report run;
-    if Ximd_core.State.hazards state <> [] then exit 5
+    run_and_report ?tracer ~state ~report run
 
 (* --help's EXIT STATUS section, one entry per (code, doc) pair. *)
 let exit_infos = List.map (fun (code, doc) -> Cmd.Exit.info code ~doc)

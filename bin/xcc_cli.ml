@@ -68,6 +68,7 @@ let compile_and_go path width emit_asm run_args listing trace explain
          if trace then Some (Ximd_core.Tracer.create ()) else None
        in
        Cli_common.run_and_report ?tracer
+         ~state:(Ximd_core.Session.state session)
          ~report:(fun _ ->
            List.iteri
              (fun i v -> Format.printf "result %d = %a@." i Value.pp v)

@@ -91,10 +91,10 @@ let next_line r =
   go ~long:false
 
 (* One campaign on the farm [opts] describe: job lines from [input],
-   result lines to [output].  Returns the worst exit code seen, or 130
-   if interrupted.  Telemetry is per-campaign: in socket mode each
-   connection gets a fresh observer and overwrites the trace/report
-   files. *)
+   result lines to [output].  Returns the worst exit code seen, or
+   {!Ximd_core.Run.interrupted_exit_code} if interrupted.  Telemetry is
+   per-campaign: in socket mode each connection gets a fresh observer
+   and overwrites the trace/report files. *)
 let run_campaign ~opts ~queue_bound ~summary input output =
   let obs = Cli_common.farm_observer opts in
   (* SIGPIPE is ignored, so a reader that hangs up surfaces as a
@@ -158,7 +158,8 @@ let run_campaign ~opts ~queue_bound ~summary input output =
     write_line (Farm.Record.summary_to_json_string ?metrics s)
   end;
   Cli_common.write_farm_observer ~tool:"ximd-serve" opts obs;
-  if !interrupted then 130 else s.Farm.Record.max_exit_code
+  if !interrupted then Ximd_core.Run.interrupted_exit_code
+  else s.Farm.Record.max_exit_code
 
 let serve_stdin ~opts ~queue_bound ~summary =
   let code = run_campaign ~opts ~queue_bound ~summary stdin stdout in
@@ -180,7 +181,7 @@ let serve_socket ~opts ~queue_bound ~summary path =
     match Unix.accept sock with
     | exception Sys.Break ->
       cleanup ();
-      if worst = 0 then 130 else worst
+      if worst = 0 then Ximd_core.Run.interrupted_exit_code else worst
     | conn, _ ->
       let input = Unix.in_channel_of_descr conn in
       let output = Unix.out_channel_of_descr conn in
@@ -197,7 +198,7 @@ let serve_socket ~opts ~queue_bound ~summary path =
   (try accept_loop 0
    with Sys.Break ->
      cleanup ();
-     130)
+     Ximd_core.Run.interrupted_exit_code)
 
 let run opts queue_bound socket no_summary =
   if queue_bound < 1 then
@@ -212,11 +213,6 @@ let run opts queue_bound socket no_summary =
     | Some path -> serve_socket ~opts ~queue_bound ~summary path
   in
   exit code
-
-let exits =
-  Cmd.Exit.info 130 ~doc:"interrupted (SIGINT); completed records were \
-                          flushed"
-  :: Cli_common.exits
 
 let cmd =
   let doc = "supervised batch run service (ximd serve)" in
@@ -247,7 +243,7 @@ let cmd =
       `P "ximd-serve --socket /tmp/ximd.sock --domains 2" ]
   in
   Cmd.v
-    (Cmd.info "ximd-serve" ~doc ~man ~exits)
+    (Cmd.info "ximd-serve" ~doc ~man ~exits:Cli_common.exits)
     Term.(
       const run $ Cli_common.farm_term () $ queue_bound_arg $ socket_arg
       $ no_summary_flag)

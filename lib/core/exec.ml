@@ -168,9 +168,11 @@ let exec_cycle (state : State.t) img =
     done
   with e ->
     (* a Raise-policy hazard aborts the cycle at issue: what earlier FUs
-       queued or staged in it may not land at a later commit *)
+       queued or staged in it may not land at a later commit, and the
+       ports they read or wrote go back as the cycle found them *)
     state.queue.q_len <- queued;
     s.cc_len <- 0;
+    M.Ioport.restore state.io ~cycle:state.cycle;
     raise e
 
 (* A one-parcel program's image: slot 0 is [data]. *)

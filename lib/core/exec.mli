@@ -62,7 +62,10 @@ val exec_cycle : State.t -> Program.image -> unit
     update into [state.scratch]; every other FU counts a halted slot.
     A hazard that aborts the cycle under the [Raise] policy drops what
     this cycle queued and staged before it re-raises, so no later
-    commit lands any of it, as for an aborted {!commit_cycle}.  Under unit
+    commit lands any of it, as for an aborted {!commit_cycle}, and puts
+    back every I/O port the cycle read from or wrote to
+    ({!Ximd_machine.Ioport.restore}).  The statistics keep counting the
+    operations the aborted cycle issued.  Under unit
     latency a store outside its FU's reach ({!Ximd_machine.Memory.accessible})
     is reported and dropped here, at issue.  The whole of
     each operation runs inside this module, reading register operands

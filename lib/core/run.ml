@@ -21,10 +21,15 @@ let spinning = function
   | Halted _ | Fuel_exhausted _ | Budget_exceeded _ -> []
   | Deadlocked { spinning; _ } -> spinning
 
+(* Codes with no {!outcome} constructor, both produced by the run farm
+   (see lib/farm): 7 when an exception escapes a job, 130 (the SIGINT
+   convention) when [ximd-serve] is interrupted. *)
+let job_crashed_exit_code = 7
+let interrupted_exit_code = 130
+
 (* The one table the CLIs (--help EXIT STATUS), the README and the
    smoke tests all derive from; keep the wording in sync with all
-   three.  [exit_code] maps an outcome to its CLI exit code under the
-   default Raise hazard policy. *)
+   three. *)
 let exit_codes =
   [ (0, "ok");
     (1, "bad input");
@@ -32,18 +37,15 @@ let exit_codes =
     (3, "fuel exhausted");
     (4, "deadlocked");
     (5, "hazards recorded (--record-hazards)");
-    (6, "cycle budget exceeded (--cycle-budget)");
-    (7, "job crashed (ximd serve)") ]
+    (6, "cycle budget (--cycle-budget) or job deadline exceeded");
+    (job_crashed_exit_code, "job crashed (ximd serve)");
+    (interrupted_exit_code, "interrupted by SIGINT (ximd serve)") ]
 
-let exit_code = function
-  | Halted _ -> 0
+let exit_code ~hazards = function
+  | Halted _ -> if hazards > 0 then 5 else 0
   | Fuel_exhausted _ -> 3
   | Deadlocked _ -> 4
   | Budget_exceeded _ -> 6
-
-(* Code 7 has no {!outcome} constructor: it is produced by the run farm
-   when an exception escapes a job (see lib/farm). *)
-let job_crashed_exit_code = 7
 
 let kind = function
   | Halted _ -> "halted"

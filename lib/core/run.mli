@@ -27,19 +27,26 @@ val spinning : outcome -> waiting list
 
 val exit_codes : (int * string) list
 (** The canonical CLI exit-code table — [(code, meaning)] pairs, sorted
-    by code.  The simulator CLIs derive their [--help] EXIT STATUS
-    sections from this list and the README documents the same table; a
-    smoke test asserts all three agree. *)
+    by code.  Every tool derives its [--help] EXIT STATUS section from
+    this list and the README documents the same table; tier-1 cases
+    check that all three agree. *)
 
-val exit_code : outcome -> int
-(** The exit code a simulator CLI reports for this outcome: 0 halted,
-    3 fuel exhausted, 4 deadlocked, 6 cycle budget exceeded.  (Codes 1,
-    2, 5 and 7 arise from input validation, hazards,
-    [--record-hazards] and farm job crashes, not from the outcome.) *)
+val exit_code : hazards:int -> outcome -> int
+(** The exit code of a finished run, from its outcome and the number of
+    hazards it recorded: 0 halted, or 5 if it halted with recorded
+    hazards ([--record-hazards]); 3 fuel exhausted; 4 deadlocked; 6
+    cycle budget exceeded.  The CLIs and the run farm's
+    records both take a finished run's code from here.  (Codes 1, 2, 7
+    and 130 arise from input validation, a [Raise]-policy hazard, a
+    farm job crash and an interrupted farm, not from a finished run.) *)
 
 val job_crashed_exit_code : int
 (** Exit code 7 — an exception escaped a run-farm job (lib/farm); there
     is no [outcome] constructor for it because the run never finished. *)
+
+val interrupted_exit_code : int
+(** Exit code 130 (the SIGINT convention) — [ximd-serve] was
+    interrupted, and its farm's unrun jobs were dropped. *)
 
 val kind : outcome -> string
 (** ["halted"], ["fuel_exhausted"], ["deadlocked"] or

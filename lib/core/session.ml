@@ -11,23 +11,25 @@ let state t = t.state
 (* The models' structural requirements, checked once per run (not per
    step).  The messages keep the names of the simulators that first
    raised them; the serve campaign golden pins the bank-consistency
-   one. *)
-let validate model (state : State.t) =
+   one.  Every result is a constant, so a check allocates nothing. *)
+let check model program =
   match (model : Engine.model) with
-  | Per_fu -> ()
+  | Per_fu -> Ok ()
   | Global ->
-    if not (Program.control_consistent state.program) then
-      invalid_arg
+    if Program.control_consistent program then Ok ()
+    else
+      Error
         "Vsim.run: program is not control-consistent (VLIW programs must \
          duplicate the control fields in every parcel of a row)"
   | Banked ->
-    let n = State.n_fus state in
+    let n = Program.n_fus program in
     if n < 2 || n mod 2 <> 0 then
-      invalid_arg "T500.run: the two-sequencer model needs an even FU count";
-    if not (Engine.bank_consistent state.program) then
-      invalid_arg
+      Error "T500.run: the two-sequencer model needs an even FU count"
+    else if not (Engine.bank_consistent program) then
+      Error
         "T500.run: program is not bank-consistent (each bank has a single \
          sequencer; XIMD programs with finer partitions cannot run)"
+    else Ok ()
 
 (* How often the supervision poll fires, in cycles.  A power of two so
    the check is one mask on the hot path; the first poll lands on
@@ -44,7 +46,9 @@ let run ?tracer ?watchdog ?budget ?poll ?program ?setup t =
   let state = t.state in
   State.reset ?program state;
   (match setup with None -> () | Some f -> f state);
-  validate t.model state;
+  (match check t.model state.program with
+   | Ok () -> ()
+   | Error msg -> invalid_arg msg);
   let fuel = state.config.max_cycles in
   (* The budget is a per-run limit below the configured fuel; a budget
      at or above the fuel never fires (fuel wins). *)

@@ -71,10 +71,18 @@ val run :
 
     A run on a session is indistinguishable from a run on a freshly
     created session.
-    @raise Invalid_argument as {!State.reset}; under [Global] if the
-    program is not control-consistent; under [Banked] if the FU count
-    is odd or below 2 or the program is not bank-consistent; or if
-    [budget] is not positive. *)
+    @raise Invalid_argument as {!State.reset}; with {!check}'s message
+    if the program fails the model's check; or if [budget] is not
+    positive. *)
+
+val check : Engine.model -> Program.t -> (unit, string) result
+(** The model's structural requirements on a program, the check {!run}
+    makes before its first step: [Per_fu] runs any program; [Global]
+    needs a control-consistent one ({!Program.control_consistent});
+    [Banked] needs an even FU count of at least 2 and a bank-consistent
+    program ({!Engine.bank_consistent}).  [Error] carries the message
+    {!run} raises.  The result is a constant, so a check allocates
+    nothing. *)
 
 val state : t -> State.t
 (** The session's state — inspect registers, stats or hazards after a

@@ -206,22 +206,15 @@ let backoff_s ~seed ~attempt =
    tallies in the sink that must not pollute the deterministic campaign
    aggregates. *)
 
-let quality_of label =
-  match label with
-  | "ok" -> Obs.Span.Good
-  | "crashed" | "rejected" | "dropped" -> Obs.Span.Bad
-  | _ -> Obs.Span.Suspect
-
-let outcome_of (record : Record.t) =
-  let label = Record.class_label record in
-  Obs.Span.outcome ~label ~quality:(quality_of label)
-
 let completed ?obs ~seq ?sink ?n_fus (record : Record.t) =
   (match obs with
    | None -> ()
    | Some o ->
      Obs.Farmobs.on_complete o ~seq ~id:record.Record.job.Job.id
-       ~result:(outcome_of record) ~attempts:record.Record.attempts
+       ~result:
+         (Obs.Span.outcome ~label:(Record.class_label record)
+            ~quality:(Record.quality record))
+       ~attempts:record.Record.attempts
        ?cycles:
          (Option.map (fun (s : Record.stats) -> s.Record.cycles)
             record.Record.stats)

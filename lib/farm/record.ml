@@ -27,18 +27,21 @@ type t = {
 
 let exit_code t =
   match t.status with
-  | Finished outcome ->
-    let code = Core.Run.exit_code outcome in
-    if code = 0 && t.hazards > 0 then 5 else code
+  | Finished outcome -> Core.Run.exit_code ~hazards:t.hazards outcome
   | Deadline_exceeded _ -> 6
   | Crashed _ -> Core.Run.job_crashed_exit_code
   | Rejected _ -> 1
-  | Dropped _ -> 130
+  | Dropped _ -> Core.Run.interrupted_exit_code
 
-(* One deterministic word per record, the campaign-telemetry outcome
-   vocabulary.  Finer than exit codes (deadline_exceeded and
-   budget_exceeded share code 6 but are different failures) and stable
-   across runs, unlike the status payloads. *)
+(* One deterministic word per record, the outcome vocabulary of the
+   summary and of campaign telemetry.  Finer than exit codes
+   (deadline_exceeded and budget_exceeded share code 6 but are
+   different failures) and stable across runs, unlike the status
+   payloads.  [class_labels] lists every word in summary order. *)
+let class_labels =
+  [ "ok"; "hazardous"; "fuel_exhausted"; "deadlocked"; "budget_exceeded";
+    "deadline_exceeded"; "crashed"; "rejected"; "dropped" ]
+
 let class_label t =
   match t.status with
   | Finished outcome -> (
@@ -51,6 +54,12 @@ let class_label t =
   | Crashed _ -> "crashed"
   | Rejected _ -> "rejected"
   | Dropped _ -> "dropped"
+
+let quality t =
+  match t.status with
+  | Finished (Core.Run.Halted _) when t.hazards = 0 -> Ximd_obs.Span.Good
+  | Crashed _ | Rejected _ | Dropped _ -> Ximd_obs.Span.Bad
+  | Finished _ | Deadline_exceeded _ -> Ximd_obs.Span.Suspect
 
 let json_of_status = function
   | Finished outcome -> Core.Run.to_json outcome
@@ -117,57 +126,34 @@ let to_json_string t = Json.to_string (to_json t)
 
 type summary = {
   jobs : int;
-  ok : int;
-  hazardous : int;
-  fuel_exhausted : int;
-  deadlocked : int;
-  budget_exceeded : int;
-  crashed : int;
-  rejected : int;
-  dropped : int;
+  classes : (string * int) list;
   check_failed : int;
   retried : int;
   max_exit_code : int;
 }
 
 let summarise records =
-  List.fold_left
-    (fun acc t ->
-      let code = exit_code t in
-      { jobs = acc.jobs + 1;
-        ok = (acc.ok + if code = 0 then 1 else 0);
-        hazardous = (acc.hazardous + if code = 5 then 1 else 0);
-        fuel_exhausted = (acc.fuel_exhausted + if code = 3 then 1 else 0);
-        deadlocked = (acc.deadlocked + if code = 4 then 1 else 0);
-        budget_exceeded = (acc.budget_exceeded + if code = 6 then 1 else 0);
-        crashed = (acc.crashed + if code = 7 then 1 else 0);
-        rejected = (acc.rejected + if code = 1 then 1 else 0);
-        dropped = (acc.dropped + if code = 130 then 1 else 0);
-        check_failed = (acc.check_failed + if t.check <> None then 1 else 0);
-        retried = (acc.retried + if t.attempts > 1 then 1 else 0);
-        max_exit_code = max acc.max_exit_code code })
-    { jobs = 0; ok = 0; hazardous = 0; fuel_exhausted = 0; deadlocked = 0;
-      budget_exceeded = 0; crashed = 0; rejected = 0; dropped = 0;
-      check_failed = 0; retried = 0; max_exit_code = 0 }
-    records
+  let count p =
+    List.fold_left (fun n t -> if p t then n + 1 else n) 0 records
+  in
+  { jobs = List.length records;
+    classes =
+      List.map
+        (fun label -> (label, count (fun t -> class_label t = label)))
+        class_labels;
+    check_failed = count (fun t -> t.check <> None);
+    retried = count (fun t -> t.attempts > 1);
+    max_exit_code =
+      List.fold_left (fun acc t -> max acc (exit_code t)) 0 records }
 
 let summary_to_json_string ?metrics s =
-  let metrics_field =
-    match metrics with None -> [] | Some j -> [ ("metrics", j) ]
-  in
+  let ints = List.map (fun (key, n) -> (key, Json.Int n)) in
   Json.to_string
     (Json.Obj
-       ([ ("schema", Json.String "ximd-summary/1");
-         ("jobs", Json.Int s.jobs);
-         ("ok", Json.Int s.ok);
-         ("hazardous", Json.Int s.hazardous);
-         ("fuel_exhausted", Json.Int s.fuel_exhausted);
-         ("deadlocked", Json.Int s.deadlocked);
-         ("budget_exceeded", Json.Int s.budget_exceeded);
-         ("crashed", Json.Int s.crashed);
-         ("rejected", Json.Int s.rejected);
-         ("dropped", Json.Int s.dropped);
-         ("check_failed", Json.Int s.check_failed);
-          ("retried", Json.Int s.retried);
-          ("max_exit_code", Json.Int s.max_exit_code) ]
-       @ metrics_field))
+       ((("schema", Json.String "ximd-summary/1")
+         :: ints
+              ((("jobs", s.jobs) :: s.classes)
+              @ [ ("check_failed", s.check_failed);
+                  ("retried", s.retried);
+                  ("max_exit_code", s.max_exit_code) ]))
+       @ match metrics with None -> [] | Some j -> [ ("metrics", j) ]))

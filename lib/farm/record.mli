@@ -45,19 +45,24 @@ type t = {
 
 val exit_code : t -> int
 (** The record's slot in the canonical {!Ximd_core.Run.exit_codes}
-    table: finished outcomes map through {!Ximd_core.Run.exit_code}
-    (with recorded hazards promoting a clean halt to 5),
-    deadline-exceeded is 6, crashed is
+    table: a finished run's code is {!Ximd_core.Run.exit_code} of its
+    outcome and hazard count, deadline-exceeded is 6, crashed is
     {!Ximd_core.Run.job_crashed_exit_code}, rejected is 1, and dropped
-    is 130 (the SIGINT convention). *)
+    is {!Ximd_core.Run.interrupted_exit_code}. *)
 
 val class_label : t -> string
 (** The record's outcome class as one deterministic word — [ok],
     [hazardous], [fuel_exhausted], [deadlocked], [budget_exceeded],
     [deadline_exceeded], [crashed], [rejected] or [dropped].  Finer
     than {!exit_code} (deadline and budget overruns share code 6) and
-    free of run-dependent payloads, so campaign telemetry can count on
-    it. *)
+    free of run-dependent payloads.  It is the one outcome vocabulary
+    of a campaign: the summary, the rollup's [outcomes], the heartbeat
+    and the farm's telemetry all count these words. *)
+
+val quality : t -> Ximd_obs.Span.quality
+(** How campaign telemetry paints the record: [Good] for [ok], [Bad]
+    for [crashed], [rejected] and [dropped], [Suspect] for the rest (a
+    run that hit a limit or recorded hazards). *)
 
 val to_json : t -> Json.t
 val to_json_string : t -> string
@@ -65,22 +70,19 @@ val to_json_string : t -> string
 
 type summary = {
   jobs : int;
-  ok : int;               (** exit code 0 *)
-  hazardous : int;        (** exit code 5 *)
-  fuel_exhausted : int;
-  deadlocked : int;
-  budget_exceeded : int;  (** cycle budget and wall deadline *)
-  crashed : int;
-  rejected : int;
-  dropped : int;
+  classes : (string * int) list;
+      (** every {!class_label} word, in the order {!class_label} lists
+          them, with its record count; the counts sum to [jobs] *)
   check_failed : int;
   retried : int;          (** records whose [attempts] exceeded 1 *)
-  max_exit_code : int;
+  max_exit_code : int;    (** the worst {!exit_code} (0 for no records) *)
 }
 
 val summarise : t list -> summary
 
 val summary_to_json_string : ?metrics:Json.t -> summary -> string
-(** One [ximd-summary/1] line, no trailing newline.  [metrics], when
-    given (e.g. a campaign's merged {!Ximd_obs.Metrics.to_json}), is
-    embedded as a ["metrics"] field. *)
+(** One [ximd-summary/1] line, no trailing newline: [jobs], then one
+    key per class label in [classes] order, then [check_failed],
+    [retried] and [max_exit_code].  [metrics], when given (e.g. a
+    campaign's merged {!Ximd_obs.Metrics.to_json}), is embedded as a
+    ["metrics"] field. *)

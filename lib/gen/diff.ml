@@ -32,16 +32,12 @@ let model_name model = Core.Engine.model_name (engine_model model)
 let model_of_name name =
   List.find_opt (fun m -> model_name m = name) all_models
 
-(* The models a program can structurally run under (mirrors the
-   engine's and the reference's validation). *)
+(* The models a program can structurally run under: those whose
+   session check passes. *)
 let applicable_models program =
-  let n = Core.Program.n_fus program in
-  [ Per_fu ]
-  @ (if Core.Program.control_consistent program then [ Global ] else [])
-  @
-  if n >= 2 && n mod 2 = 0 && Core.Engine.bank_consistent program then
-    [ Banked ]
-  else []
+  List.filter
+    (fun m -> Result.is_ok (Core.Session.check (engine_model m) program))
+    all_models
 
 (* ------------------------------------------------------------------ *)
 (* Engine-side observation                                             *)

@@ -11,9 +11,9 @@ val model_of_name : string -> model option
 val all_models : model list
 
 val applicable_models : Ximd_core.Program.t -> model list
-(** The models the program can structurally run under: [Per_fu] always;
-    [Global] iff control-consistent; [Banked] iff the FU count is even
-    (≥ 2) and the program is bank-consistent. *)
+(** The models the program can structurally run under, in
+    {!all_models} order: those whose {!Ximd_core.Session.check}
+    passes. *)
 
 val observe_engine :
   model -> Ximd_core.Program.t -> Ximd_core.Config.t -> Ximd_ref.Observation.t

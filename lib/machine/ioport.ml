@@ -6,13 +6,20 @@ type timing =
 
 (* The write log is growable parallel arrays in write order, so a write
    appends without allocating once the log has grown to the run's
-   output, and [reset] keeps that size. *)
+   output, and [reset] keeps that size.  The [saved_*] fields hold the
+   port's input side as it was before cycle [saved_cycle] first
+   consumed from it, so an aborted cycle can be undone ({!restore})
+   without allocating; its writes are the log's entries of that
+   cycle. *)
 type port = {
   mutable input : (timing * Value.t) list;
   mutable last_consumed : int;             (* cycle of previous consumption *)
   mutable out_cycles : int array;          (* write log: cycles… *)
   mutable out_values : Value.t array;      (* …and values *)
   mutable out_len : int;
+  mutable saved_cycle : int;               (* -1: nothing saved *)
+  mutable saved_input : (timing * Value.t) list;
+  mutable saved_consumed : int;
 }
 
 type t = port array
@@ -24,7 +31,10 @@ let create ?(n_ports = 16) () =
       last_consumed = 0;
       out_cycles = [||];
       out_values = [||];
-      out_len = 0 })
+      out_len = 0;
+      saved_cycle = -1;
+      saved_input = [];
+      saved_consumed = 0 })
 
 let n_ports t = Array.length t
 
@@ -50,6 +60,14 @@ let ready_at port timing =
   | At cycle -> cycle
   | After gap -> port.last_consumed + gap
 
+(* Called before cycle [cycle] consumes a delivery of [port]. *)
+let save port ~cycle =
+  if port.saved_cycle <> cycle then begin
+    port.saved_cycle <- cycle;
+    port.saved_input <- port.input;
+    port.saved_consumed <- port.last_consumed
+  end
+
 let read t ~fu ~cycle ~log port_no =
   if port_no < 0 || port_no >= Array.length t then begin
     Hazard.report log ~cycle (Hazard.Port_out_of_range { port = port_no; fu });
@@ -59,6 +77,7 @@ let read t ~fu ~cycle ~log port_no =
     let port = t.(port_no) in
     match port.input with
     | (timing, value) :: rest when cycle >= ready_at port timing ->
+      save port ~cycle;
       port.input <- rest;
       port.last_consumed <- cycle;
       value
@@ -90,8 +109,23 @@ let reset t =
     (fun port ->
       port.input <- [];
       port.last_consumed <- 0;
-      port.out_len <- 0)
+      port.out_len <- 0;
+      port.saved_cycle <- -1;
+      port.saved_input <- [])
     t
+
+let restore t ~cycle =
+  for i = 0 to Array.length t - 1 do
+    let port = t.(i) in
+    if port.saved_cycle = cycle then begin
+      port.input <- port.saved_input;
+      port.last_consumed <- port.saved_consumed;
+      port.saved_cycle <- -1
+    end;
+    while port.out_len > 0 && port.out_cycles.(port.out_len - 1) = cycle do
+      port.out_len <- port.out_len - 1
+    done
+  done
 
 let output t ~port =
   check t port "output";

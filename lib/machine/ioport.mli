@@ -46,6 +46,14 @@ val read : t -> fu:int -> cycle:int -> log:Hazard.log -> int -> Value.t
 
 val write : t -> fu:int -> cycle:int -> log:Hazard.log -> int -> Value.t -> unit
 
+val restore : t -> cycle:int -> unit
+(** Puts every port that cycle [cycle] read from or wrote to back as
+    that cycle found it: its unread deliveries and last consumption
+    time, which the cycle's first consumption saves in the port, and
+    its write log, whose entries of that cycle are dropped.  Neither
+    the save nor the restore allocates.  [Exec.exec_cycle] calls it
+    when a hazard aborts the cycle at issue. *)
+
 val reset : t -> unit
 (** Rewinds every port to the {!create} state: input scripts, consumption
     times and write logs are cleared (a log keeps its arrays).  Callers

@@ -1,36 +1,18 @@
-(* Campaign-level telemetry: one {!Span} per job, aggregated under a
-   single mutex.  Hooks arrive concurrently from the pool's worker
-   domains and from the producer; everything merged here is either
-   timing-flavoured (exported only into the trace / heartbeat) or a
-   commutative-associative fold (sums, maxes, per-class counts), so the
-   logical rollup is a pure function of the campaign spec — identical
-   bytes at any domain count, on any machine.
+(* Campaign-level telemetry: one {!Span} per job, under a single
+   mutex.  Hooks arrive concurrently from the pool's worker domains and
+   from the producer.  A job's span is its one record here: each hook
+   replaces the pending span, [on_emit] finalises it, and the rollup's
+   retry histogram, cycles, session-cache counts and per-domain tallies
+   are folded from the finished spans when they are read.  Kept running
+   beside the spans are only what no span holds — the queue samples,
+   the merged account and metrics — and the outcome counts, which the
+   heartbeat prints at every N-th emit.  Every fold is commutative
+   (sums, maxes, per-class counts), so the logical rollup is a pure
+   function of the campaign spec — identical bytes at any domain count,
+   on any machine.
 
    The clock is injected at creation (lib/obs stays dependency-free and
    tests can drive a fake clock); callers pass Unix.gettimeofday. *)
-
-type pending = {
-  p_seq : int;
-  mutable p_id : string;
-  mutable p_domain : int;
-  p_enqueue : float;
-  mutable p_dequeue : float;   (* < 0 = not yet *)
-  mutable p_session : float;
-  mutable p_run_end : float;
-  mutable p_cache_hit : bool option;
-  mutable p_retries : int;
-  mutable p_attempts : int;
-  mutable p_result : Span.outcome option;
-  mutable p_cycles : int;
-  mutable p_n_fus : int;
-  mutable p_markers : Span.marker list;  (* newest first *)
-}
-
-type domain_tally = {
-  mutable d_jobs : int;
-  mutable d_cycles : int;
-  mutable d_busy : float;  (* dequeue -> run end, seconds *)
-}
 
 type t = {
   mutex : Mutex.t;
@@ -38,24 +20,18 @@ type t = {
   t0 : float;
   progress_every : int;
   progress : string -> unit;
-  pending : (int, pending) Hashtbl.t;
+  pending : (int, Span.t) Hashtbl.t;
+      (* spans not yet emitted: an unreached phase's time is < 0 and a
+         job never named has id "" *)
   mutable spans_rev : Span.t list;
   mutable submitted : int;
   mutable completed : int;
   mutable queue_hwm : int;
   mutable queue_samples_rev : (float * int) list;
-  (* logical aggregates *)
-  outcomes : (string, int ref) Hashtbl.t;
-  retry_hist : (int, int ref) Hashtbl.t;  (* attempts -> jobs *)
-  mutable total_cycles : int;
+  outcomes : (string, int ref) Hashtbl.t;  (* label -> emitted jobs *)
   account_totals : int array;  (* indexed like Account.cls *)
   mutable account_slots : int;
   merged_metrics : Metrics.t;
-  mutable metrics_jobs : int;
-  (* fleet aggregates *)
-  mutable cache_hits : int;
-  mutable cache_misses : int;
-  domains : (int, domain_tally) Hashtbl.t;
   mutable last_emit : float;
 }
 
@@ -73,15 +49,9 @@ let create ?(progress_every = 0) ?(progress = fun _ -> ()) ~clock () =
     queue_hwm = 0;
     queue_samples_rev = [];
     outcomes = Hashtbl.create 16;
-    retry_hist = Hashtbl.create 8;
-    total_cycles = 0;
     account_totals = Array.make (List.length Account.all) 0;
     account_slots = 0;
     merged_metrics = Metrics.create ();
-    metrics_jobs = 0;
-    cache_hits = 0;
-    cache_misses = 0;
-    domains = Hashtbl.create 8;
     last_emit = t0 }
 
 let locked t f =
@@ -99,8 +69,22 @@ let bump table key =
   | Some r -> incr r
   | None -> Hashtbl.replace table key (ref 1)
 
+(* [(key, count)] pairs, sorted by key. *)
+let sorted_counts table =
+  List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) table [])
+
 (* ------------------------------------------------------------------ *)
 (* Hooks *)
+
+(* A job emitted without ever completing: the pool built the record
+   itself (an interrupt drain the caller didn't annotate). *)
+let dropped = Span.outcome ~label:"dropped" ~quality:Span.Bad
+
+(* Callers must hold the lock. *)
+let update t seq f =
+  match Hashtbl.find_opt t.pending seq with
+  | None -> ()
+  | Some s -> Hashtbl.replace t.pending seq (f s)
 
 let on_enqueue t ~seq ~depth =
   let now = t.clock () in
@@ -109,65 +93,48 @@ let on_enqueue t ~seq ~depth =
     if depth > t.queue_hwm then t.queue_hwm <- depth;
     t.queue_samples_rev <- (now, depth) :: t.queue_samples_rev;
     Hashtbl.replace t.pending seq
-      { p_seq = seq;
-        p_id = "";  (* "job-<seq>" synthesised at emit if never named *)
-        p_domain = -1;
-        p_enqueue = now;
-        p_dequeue = -1.;
-        p_session = -1.;
-        p_run_end = -1.;
-        p_cache_hit = None;
-        p_retries = 0;
-        p_attempts = 0;
-        p_result = None;
-        p_cycles = 0;
-        p_n_fus = 0;
-        p_markers = [] })
+      { Span.seq;
+        id = "";
+        domain = -1;
+        enqueue_t = now;
+        dequeue_t = -1.;
+        session_t = -1.;
+        run_end_t = -1.;
+        emit_t = -1.;
+        cache_hit = None;
+        retries = 0;
+        attempts = 0;
+        result = dropped;
+        cycles = 0;
+        n_fus = 0;
+        markers = [] })
 
 let on_dequeue t ~seq ~domain ~depth =
   let now = t.clock () in
   locked t (fun () ->
     t.queue_samples_rev <- (now, depth) :: t.queue_samples_rev;
-    match Hashtbl.find_opt t.pending seq with
-    | None -> ()
-    | Some p ->
-      p.p_domain <- domain;
-      p.p_dequeue <- now)
+    update t seq (fun s -> { s with Span.domain; dequeue_t = now }))
 
 let on_session_ready t ~seq ~cache_hit =
   let now = t.clock () in
   locked t (fun () ->
-    if cache_hit then t.cache_hits <- t.cache_hits + 1
-    else t.cache_misses <- t.cache_misses + 1;
-    match Hashtbl.find_opt t.pending seq with
-    | None -> ()
-    | Some p ->
-      p.p_session <- now;
-      p.p_cache_hit <- Some cache_hit)
+    update t seq (fun s ->
+      { s with Span.session_t = now; cache_hit = Some cache_hit }))
 
 let on_retry t ~seq ~attempt =
   let now = t.clock () in
+  let marker = { Span.at = now; note = Printf.sprintf "retry %d" attempt } in
   locked t (fun () ->
-    match Hashtbl.find_opt t.pending seq with
-    | None -> ()
-    | Some p ->
-      p.p_retries <- p.p_retries + 1;
-      p.p_markers <-
-        { Span.at = now; note = Printf.sprintf "retry %d" attempt }
-        :: p.p_markers)
+    update t seq (fun s ->
+      { s with
+        Span.retries = s.retries + 1;
+        markers = s.markers @ [ marker ] }))
 
 let on_complete t ~seq ~id ~result ~attempts ?(cycles = 0) ?(n_fus = 0) () =
   let now = t.clock () in
   locked t (fun () ->
-    match Hashtbl.find_opt t.pending seq with
-    | None -> ()
-    | Some p ->
-      p.p_id <- id;
-      p.p_run_end <- now;
-      p.p_result <- Some result;
-      p.p_attempts <- attempts;
-      p.p_cycles <- cycles;
-      p.p_n_fus <- n_fus)
+    update t seq (fun s ->
+      { s with Span.id; run_end_t = now; result; attempts; cycles; n_fus }))
 
 let merge_account t acct =
   locked t (fun () ->
@@ -178,12 +145,7 @@ let merge_account t acct =
     t.account_slots <- t.account_slots + Account.slots acct)
 
 let merge_metrics t registry =
-  locked t (fun () ->
-    t.metrics_jobs <- t.metrics_jobs + 1;
-    Metrics.merge ~into:t.merged_metrics registry)
-
-let outcome_counts t =
-  List.sort compare (Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.outcomes [])
+  locked t (fun () -> Metrics.merge ~into:t.merged_metrics registry)
 
 let counts pairs =
   Ximd_json.Obj (List.map (fun (k, n) -> (k, Ximd_json.Int n)) pairs)
@@ -202,74 +164,36 @@ let progress_line t ~now =
        [ ("schema", String "ximd-progress/1");
          ("completed", Int t.completed);
          ("submitted", Int t.submitted);
-         ("outcomes", counts (outcome_counts t));
+         ("outcomes", counts (sorted_counts t.outcomes));
          ("elapsed_ms", Int (int_of_float (elapsed *. 1000.)));
          ("jobs_per_sec", Fixed (1, per_sec t.completed elapsed)) ])
 
+(* The span leaves [pending]: a phase the job never reached takes the
+   time of the one before it, and a job never named is "job-<seq>". *)
 let on_emit t ~seq =
   let now = t.clock () in
   locked t (fun () ->
     match Hashtbl.find_opt t.pending seq with
     | None -> ()
-    | Some p ->
+    | Some s ->
       Hashtbl.remove t.pending seq;
-      let result =
-        match p.p_result with
-        | Some r -> r
-        | None ->
-          (* emitted without ever completing: the pool built the record
-             itself (an interrupt drain the caller didn't annotate) *)
-          { Span.label = "dropped"; quality = Span.Bad }
-      in
-      let dequeue = if p.p_dequeue < 0. then p.p_enqueue else p.p_dequeue in
-      let session = if p.p_session < 0. then dequeue else p.p_session in
-      let run_end = if p.p_run_end < 0. then session else p.p_run_end in
-      let id =
-        if p.p_id = "" then Printf.sprintf "job-%d" p.p_seq else p.p_id
-      in
-      let span =
-        { Span.seq = p.p_seq;
-          id;
-          domain = p.p_domain;
-          enqueue_t = p.p_enqueue;
-          dequeue_t = dequeue;
-          session_t = session;
-          run_end_t = run_end;
-          emit_t = now;
-          cache_hit = p.p_cache_hit;
-          retries = p.p_retries;
-          attempts = p.p_attempts;
-          result;
-          cycles = p.p_cycles;
-          n_fus = p.p_n_fus;
-          markers = List.rev p.p_markers }
-      in
-      t.spans_rev <- span :: t.spans_rev;
+      let dequeue_t = if s.dequeue_t < 0. then s.enqueue_t else s.dequeue_t in
+      let session_t = if s.session_t < 0. then dequeue_t else s.session_t in
+      let run_end_t = if s.run_end_t < 0. then session_t else s.run_end_t in
+      let id = if s.id = "" then Printf.sprintf "job-%d" seq else s.id in
+      t.spans_rev <-
+        { s with id; dequeue_t; session_t; run_end_t; emit_t = now }
+        :: t.spans_rev;
       t.completed <- t.completed + 1;
       t.last_emit <- now;
-      bump t.outcomes result.Span.label;
-      bump t.retry_hist p.p_attempts;
-      t.total_cycles <- t.total_cycles + p.p_cycles;
-      if p.p_domain >= 0 then begin
-        let d =
-          match Hashtbl.find_opt t.domains p.p_domain with
-          | Some d -> d
-          | None ->
-            let d = { d_jobs = 0; d_cycles = 0; d_busy = 0. } in
-            Hashtbl.replace t.domains p.p_domain d;
-            d
-        in
-        d.d_jobs <- d.d_jobs + 1;
-        d.d_cycles <- d.d_cycles + p.p_cycles;
-        d.d_busy <- d.d_busy +. (run_end -. dequeue)
-      end;
+      bump t.outcomes s.result.Span.label;
       if t.progress_every > 0 && t.completed mod t.progress_every = 0 then
         t.progress (progress_line t ~now))
 
 (* ------------------------------------------------------------------ *)
-(* Results *)
+(* Results, folded from the finished spans.  Callers of the unlocked
+   helpers must hold the lock. *)
 
-(* Callers must hold the lock. *)
 let sorted_spans t =
   List.sort
     (fun (a : Span.t) (b : Span.t) -> Int.compare a.seq b.seq)
@@ -280,10 +204,27 @@ let spans t = locked t (fun () -> sorted_spans t)
 let completed t = locked t (fun () -> t.completed)
 let queue_depth_high_water t = locked t (fun () -> t.queue_hwm)
 
-let session_cache_stats t =
-  locked t (fun () -> (t.cache_hits, t.cache_misses))
+let cache_counts spans =
+  let count hit =
+    List.length
+      (List.filter (fun (s : Span.t) -> s.cache_hit = Some hit) spans)
+  in
+  (count true, count false)
 
-(* Callers must hold the lock. *)
+let session_cache_stats t = locked t (fun () -> cache_counts t.spans_rev)
+
+let sum_cycles spans =
+  List.fold_left (fun acc (s : Span.t) -> acc + s.cycles) 0 spans
+
+let total_cycles t = locked t (fun () -> sum_cycles t.spans_rev)
+
+(* The worker domains that ran a job, ascending. *)
+let span_domains spans =
+  List.sort_uniq Int.compare
+    (List.filter_map
+       (fun (s : Span.t) -> if s.domain >= 0 then Some s.domain else None)
+       spans)
+
 let named_account_totals t =
   List.mapi (fun i cls -> (Account.name cls, t.account_totals.(i))) Account.all
 
@@ -291,7 +232,6 @@ let account_totals t = locked t (fun () -> named_account_totals t)
 
 let account_slots t = locked t (fun () -> t.account_slots)
 let merged_metrics t = t.merged_metrics
-let total_cycles t = locked t (fun () -> t.total_cycles)
 
 (* ------------------------------------------------------------------ *)
 (* Rollup.  The logical view is golden-diffable; the fleet view is
@@ -299,21 +239,18 @@ let total_cycles t = locked t (fun () -> t.total_cycles)
    logical line never sees a wall time, a domain identity or a cache
    artefact. *)
 
-(* Callers must hold the lock. *)
-let logical t =
+let logical t spans =
   let open Ximd_json in
-  let retries =
-    List.sort compare
-      (Hashtbl.fold
-         (fun k r acc -> (string_of_int k, !r) :: acc)
-         t.retry_hist [])
-  in
+  let retries = Hashtbl.create 8 in
+  List.iter
+    (fun (s : Span.t) -> bump retries (string_of_int s.attempts))
+    spans;
   Obj
     [ ("view", String "logical");
       ("jobs", Int t.completed);
-      ("outcomes", counts (outcome_counts t));
-      ("total_cycles", Int t.total_cycles);
-      ("retry_histogram", counts retries);
+      ("outcomes", counts (sorted_counts t.outcomes));
+      ("total_cycles", Int (sum_cycles spans));
+      ("retry_histogram", counts (sorted_counts retries));
       ( "account",
         counts (named_account_totals t @ [ ("slots", t.account_slots) ]) );
       ("metrics", Metrics.to_json t.merged_metrics);
@@ -328,17 +265,27 @@ let logical t =
                    ("attempts", Int s.attempts);
                    ("cycles", Int s.cycles);
                    ("n_fus", Int s.n_fus) ])
-             (sorted_spans t)) ) ]
+             spans) ) ]
 
-let logical_json t = locked t (fun () -> Ximd_json.to_string (logical t))
+let logical_json t =
+  locked t (fun () -> Ximd_json.to_string (logical t (sorted_spans t)))
 
-(* Callers must hold the lock. *)
-let fleet t ~now =
+let fleet t spans ~now =
   let open Ximd_json in
-  let hits = t.cache_hits and misses = t.cache_misses in
+  let hits, misses = cache_counts spans in
   let lookups = hits + misses in
-  let domains =
-    List.sort compare (Hashtbl.fold (fun k d acc -> (k, d) :: acc) t.domains [])
+  let domain d =
+    let mine = List.filter (fun (s : Span.t) -> s.domain = d) spans in
+    let busy =
+      List.fold_left
+        (fun acc (s : Span.t) -> acc +. (s.run_end_t -. s.dequeue_t))
+        0. mine
+    in
+    Obj
+      [ ("domain", Int d);
+        ("jobs", Int (List.length mine));
+        ("cycles", Int (sum_cycles mine));
+        ("busy_ms", Int (int_of_float (busy *. 1000.))) ]
   in
   Obj
     [ ("view", String "fleet");
@@ -353,16 +300,7 @@ let fleet t ~now =
                 ( 3,
                   if lookups = 0 then 0.
                   else float_of_int hits /. float_of_int lookups ) ) ] );
-      ( "domains",
-        List
-          (List.map
-             (fun (domain, d) ->
-               Obj
-                 [ ("domain", Int domain);
-                   ("jobs", Int d.d_jobs);
-                   ("cycles", Int d.d_cycles);
-                   ("busy_ms", Int (int_of_float (d.d_busy *. 1000.))) ])
-             domains) );
+      ("domains", List (List.map domain (span_domains spans)));
       ("jobs_per_sec", Fixed (1, per_sec t.completed (t.last_emit -. t.t0))) ]
 
 (* Three lines by construction: line 2 is the logical view (plus a
@@ -371,10 +309,11 @@ let fleet t ~now =
 let rollup_json t =
   let now = t.clock () in
   locked t (fun () ->
+    let spans = sorted_spans t in
     let members =
       [ ("schema", Ximd_json.String "ximd-campaign/1");
-        ("logical", logical t);
-        ("fleet", fleet t ~now) ]
+        ("logical", logical t spans);
+        ("fleet", fleet t spans ~now) ]
     in
     "{"
     ^ String.concat ",\n" (List.map Ximd_json.member_to_string members)
@@ -395,12 +334,6 @@ let chrome_json t =
   let micros seconds = int_of_float (seconds *. 1e6) in
   let us f = micros (f -. t.t0) in
   let dur a b = max 0 (micros (b -. a)) in
-  let domains =
-    List.sort_uniq Int.compare
-      (List.filter_map
-         (fun (s : Span.t) -> if s.domain >= 0 then Some s.domain else None)
-         spans)
-  in
   let job_events (s : Span.t) =
     let label = s.result.Span.label in
     (* full-lifetime async lane: enqueue -> emit, reorder wait and
@@ -466,7 +399,7 @@ let chrome_json t =
      :: List.map
           (fun domain ->
             Trace.thread_name ~tid:domain (Printf.sprintf "domain %d" domain))
-          domains
+          (span_domains spans)
     @ List.map
         (fun (at, depth) ->
           Trace.counter ~ts:(us at) "queue_depth" [ ("depth", Int depth) ])

@@ -6,10 +6,20 @@
     job layer — the farm, or [tools/fuzz run] — calls the session,
     retry and completion hooks.  From these lifecycle boundaries of
     each job (enqueue → dequeue → session ready → run end → emit) the
-    aggregator assembles a {!Span.t} per job plus merged
-    campaign-level aggregates.  All hooks are thread-safe (one internal
-    mutex) and none of them calls back into the pool, so they are safe
-    to invoke with the pool lock held.
+    aggregator assembles a {!Span.t} per job.  All hooks are
+    thread-safe (one internal mutex) and none of them calls back into
+    the pool, so they are safe to invoke with the pool lock held.
+
+    {b What it stores and what it computes.}  A job's span is its one
+    record: a hook replaces the job's pending span, and {!on_emit}
+    finishes it.  The retry histogram, {!total_cycles},
+    {!session_cache_stats} and the fleet view's per-domain jobs, cycles
+    and busy time are folded from the emitted spans each time they are
+    read.  Stored beside the spans are only the facts no span holds —
+    queue depths, the merged account ({!merge_account}) and metrics
+    ({!merge_metrics}) — and the per-outcome counts, kept running
+    because the [ximd-progress/1] heartbeat prints them at every
+    [progress_every]-th emit; the rollup reads the same counts.
 
     Telemetry costs nothing when absent: callers thread a
     [Farmobs.t option] and branch once per site, the established
@@ -82,9 +92,11 @@ val on_complete :
 
 val on_emit : t -> seq:int -> unit
 (** The record left the reorder buffer into the result stream: the
-    span is finalised, aggregates update, and the progress heartbeat
-    may fire.  Jobs emitted without an [on_complete] (e.g. an
-    interrupt drain) are recorded with outcome ["dropped"]. *)
+    span is finalised (a phase the job never reached takes the time of
+    the one before it; a job never named is ["job-<seq>"]), its outcome
+    is counted, and the progress heartbeat may fire.  Jobs emitted
+    without an [on_complete] (e.g. an interrupt drain) are recorded
+    with outcome ["dropped"]. *)
 
 (** {1 Per-job aggregate merging} *)
 
@@ -105,14 +117,16 @@ val completed : t -> int
 val queue_depth_high_water : t -> int
 
 val session_cache_stats : t -> int * int
-(** [(hits, misses)]. *)
+(** [(hits, misses)] over the emitted spans that had a session phase. *)
 
 val account_totals : t -> (string * int) list
 (** Merged slot taxonomy, one entry per {!Account.cls} in canonical
     order. *)
 
 val account_slots : t -> int
+
 val total_cycles : t -> int
+(** The emitted spans' cycles, summed. *)
 
 val merged_metrics : t -> Metrics.t
 (** The live merged registry (do not mutate while workers run). *)

@@ -42,17 +42,22 @@ let mixed_lines =
 let serialise records =
   String.concat "\n" (List.map F.Record.to_json_string records)
 
-(* Submits job lines the one way the farm takes them and returns the
-   records in stream order with their summary. *)
-let run_lines ?hook ~domains lines =
+(* Submits job lines the one way the farm takes them, observed by [obs]
+   if given, and returns the records in stream order with their
+   summary. *)
+let run_lines ?hook ?obs ~domains lines =
   let acc = ref [] in
   let farm =
-    F.Farm.create ~domains ?hook ~emit:(fun r -> acc := r :: !acc) ()
+    F.Farm.create ~domains ?hook ?obs ~emit:(fun r -> acc := r :: !acc) ()
   in
   List.iter (fun line -> ignore (F.Farm.submit_line farm line)) lines;
   F.Farm.join farm;
   let records = List.rev !acc in
   (records, F.Record.summarise records)
+
+(* The summary's count of one class label. *)
+let class_count (s : F.Record.summary) label =
+  List.assoc label s.F.Record.classes
 
 (* --- Determinism --------------------------------------------------------- *)
 
@@ -154,8 +159,8 @@ let test_crash_recycling () =
   in
   let records, summary = run_lines ~hook ~domains:1 lines in
   Alcotest.(check int) "all jobs answered" 9 (List.length records);
-  Alcotest.(check int) "three crashes" 3 summary.F.Record.crashed;
-  Alcotest.(check int) "six fine" 6 summary.F.Record.ok
+  Alcotest.(check int) "three crashes" 3 (class_count summary "crashed");
+  Alcotest.(check int) "six fine" 6 (class_count summary "ok")
 
 (* --- Strict spec validation ----------------------------------------------- *)
 
@@ -407,11 +412,12 @@ let test_acceptance_sweep () =
   let one = submit 1 in
   Alcotest.(check int) "one record per job" 1000 (List.length one);
   let s = F.Record.summarise one in
-  Alcotest.(check bool) "has deadlocks" true (s.F.Record.deadlocked > 50);
-  Alcotest.(check bool) "has crashes" true (s.F.Record.crashed > 50);
+  Alcotest.(check bool) "has deadlocks" true
+    (class_count s "deadlocked" > 50);
+  Alcotest.(check bool) "has crashes" true (class_count s "crashed" > 50);
   Alcotest.(check bool) "has budget hits" true
-    (s.F.Record.budget_exceeded > 50);
-  Alcotest.(check bool) "has rejects" true (s.F.Record.rejected >= 10);
+    (class_count s "budget_exceeded" > 50);
+  Alcotest.(check bool) "has rejects" true (class_count s "rejected" >= 10);
   let baseline = serialise one in
   List.iter
     (fun domains ->
@@ -582,6 +588,75 @@ let test_retries_capped () =
 
 let to_alcotest = QCheck_alcotest.to_alcotest
 
+(* --- One outcome vocabulary --------------------------------------------- *)
+
+(* The summary counts the classes the records carry and the campaign
+   rollup counts.  Read back from their JSON: each class key of the
+   summary holds the records' count of that [class_label], the class
+   keys sum to [jobs], and the non-zero ones are the rollup's logical
+   [outcomes]. *)
+let check_one_vocabulary ~what ~domains lines =
+  let obs = Ximd_obs.Farmobs.create ~clock:Unix.gettimeofday () in
+  let records, summary = run_lines ~obs ~domains lines in
+  let what = Printf.sprintf "%s at %d domains" what domains in
+  let parse text =
+    match Ximd_json.parse text with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let ints j keys =
+    List.map
+      (fun k ->
+        match Option.bind (Ximd_json.member k j) Ximd_json.to_int with
+        | Some n -> (k, n)
+        | None -> Alcotest.failf "%s: no integer %S" what k)
+      keys
+  in
+  let summary = parse (F.Record.summary_to_json_string summary) in
+  let classes =
+    ints summary
+      (List.filter
+         (fun k ->
+           not
+             (List.mem k
+                [ "schema"; "jobs"; "check_failed"; "retried";
+                  "max_exit_code" ]))
+         (Ximd_json.keys summary))
+  in
+  let counted label =
+    List.length
+      (List.filter (fun r -> F.Record.class_label r = label) records)
+  in
+  let pairs = Alcotest.(list (pair string int)) in
+  Alcotest.check pairs (what ^ ": summary = the records' classes")
+    (List.map (fun (label, _) -> (label, counted label)) classes)
+    classes;
+  Alcotest.(check int) (what ^ ": the classes sum to jobs")
+    (List.length records)
+    (List.fold_left (fun acc (_, n) -> acc + n) 0 classes);
+  let outcomes =
+    match
+      Ximd_json.member "outcomes" (parse (Ximd_obs.Farmobs.logical_json obs))
+    with
+    | Some o -> o
+    | None -> Alcotest.failf "%s: the rollup has no outcomes" what
+  in
+  Alcotest.check pairs (what ^ ": summary = the rollup's outcomes")
+    (ints outcomes (Ximd_json.keys outcomes))
+    (List.sort compare (List.filter (fun (_, n) -> n > 0) classes))
+
+let test_summary_counts_the_rollup_classes () =
+  let endless = quote ".fus 1\nloop:\n  [0] iadd r1, #1, r1 | -> loop\n" in
+  check_one_vocabulary ~what:"a missed deadline and a spent budget"
+    ~domains:1
+    [ Printf.sprintf {|{"source":"%s","id":"deadline","deadline_ms":0}|}
+        endless;
+      Printf.sprintf {|{"source":"%s","id":"budget","budget":5}|} endless ];
+  List.iter
+    (fun domains ->
+      check_one_vocabulary ~what:"mixed_lines" ~domains mixed_lines)
+    [ 1; 2; 4 ]
+
 let suite =
   [ ( "farm",
       [ Alcotest.test_case "determinism across domain counts" `Quick
@@ -614,4 +689,6 @@ let suite =
         Alcotest.test_case "a FIFO file job is rejected unopened" `Quick
           test_fifo_file_rejected;
         Alcotest.test_case "a job's deadline covers parsing its payload"
-          `Quick test_deadline_covers_parsing ] ) ]
+          `Quick test_deadline_covers_parsing;
+        Alcotest.test_case "the summary counts the rollup's classes" `Quick
+          test_summary_counts_the_rollup_classes ] ) ]

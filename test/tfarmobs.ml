@@ -12,20 +12,13 @@ let wall = Unix.gettimeofday
 (* Submit raw spec lines (the generator plants malformed ones on
    purpose — they must flow through as pre-rejected jobs, exactly as
    ximd-serve would handle them). *)
-let run_lines ?obs ~domains lines =
-  let acc = ref [] in
-  let farm = F.Farm.create ~domains ?obs ~emit:(fun r -> acc := r :: !acc) () in
-  List.iter (fun line -> ignore (F.Farm.submit_line farm line)) lines;
-  F.Farm.join farm;
-  List.rev !acc
+let run_lines ?obs ~domains lines = fst (Tfarm.run_lines ?obs ~domains lines)
 
 let run_lines_obs ?(progress_every = 0) ?(progress = fun _ -> ()) ~domains
     lines =
-  let obs =
-    Obs.Farmobs.create ~progress_every ~progress ~clock:wall ()
-  in
-  let records = run_lines ~obs ~domains lines in
-  (obs, records, F.Record.summarise records)
+  let obs = Obs.Farmobs.create ~progress_every ~progress ~clock:wall () in
+  let records, summary = Tfarm.run_lines ~obs ~domains lines in
+  (obs, records, summary)
 
 (* --- Logical rollup: byte-stable across domains and repeat runs ---------- *)
 
@@ -76,6 +69,47 @@ let test_logical_rollup_stable () =
       Alcotest.(check int) "span attempts" r.F.Record.attempts
         s.Obs.Span.attempts)
     records (Obs.Farmobs.spans obs1);
+  (* the aggregates folded from the spans agree with the records: the
+     retry histogram is the records' attempts, and the fleet's domains
+     ran every job once *)
+  let member path j =
+    List.fold_left
+      (fun j key ->
+        match Ximd_json.member key j with
+        | Some v -> v
+        | None -> Alcotest.failf "the rollup has no %S" key)
+      j path
+  in
+  let rollup =
+    match Ximd_json.parse (Obs.Farmobs.rollup_json obs1) with
+    | Ok j -> j
+    | Error e -> Alcotest.failf "rollup: %s" e
+  in
+  let ints j =
+    List.map
+      (fun k -> (k, Option.get (Ximd_json.to_int (member [ k ] j))))
+      (Ximd_json.keys j)
+  in
+  let attempts = Hashtbl.create 4 in
+  List.iter
+    (fun (r : F.Record.t) ->
+      let k = string_of_int r.F.Record.attempts in
+      Hashtbl.replace attempts k
+        (1 + Option.value ~default:0 (Hashtbl.find_opt attempts k)))
+    records;
+  Alcotest.(check (list (pair string int)))
+    "retry histogram = the records' attempts"
+    (List.sort compare (List.of_seq (Hashtbl.to_seq attempts)))
+    (ints (member [ "logical"; "retry_histogram" ] rollup));
+  (match member [ "fleet"; "domains" ] rollup with
+   | Ximd_json.List domains ->
+     Alcotest.(check int) "the domains' jobs sum to the records"
+       (List.length records)
+       (List.fold_left
+          (fun acc d ->
+            acc + Option.get (Ximd_json.to_int (member [ "jobs" ] d)))
+          0 domains)
+   | _ -> Alcotest.fail "fleet domains is not a list");
   (* fleet facts exist even if their values are timing-dependent *)
   Alcotest.(check bool) "queue saw depth" true
     (Obs.Farmobs.queue_depth_high_water obs1 >= 1);

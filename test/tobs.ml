@@ -305,13 +305,18 @@ let test_readme_exit_codes () =
     Core.Run.exit_codes
 
 let test_exit_code_of_outcome () =
-  check_int "halted" 0 (Core.Run.exit_code (Core.Run.Halted { cycles = 1 }));
-  check_int "fuel" 3
-    (Core.Run.exit_code (Core.Run.Fuel_exhausted { cycles = 1 }));
+  let code = Core.Run.exit_code ~hazards:0 in
+  check_int "halted" 0 (code (Core.Run.Halted { cycles = 1 }));
+  check_int "fuel" 3 (code (Core.Run.Fuel_exhausted { cycles = 1 }));
   check_int "deadlock" 4
-    (Core.Run.exit_code (Core.Run.Deadlocked { cycles = 1; spinning = [] }));
+    (code (Core.Run.Deadlocked { cycles = 1; spinning = [] }));
   check_int "budget" 6
-    (Core.Run.exit_code (Core.Run.Budget_exceeded { cycles = 7; budget = 7 }));
+    (code (Core.Run.Budget_exceeded { cycles = 7; budget = 7 }));
+  (* recorded hazards turn a clean halt into 5, and only a clean halt *)
+  check_int "halted with hazards" 5
+    (Core.Run.exit_code ~hazards:2 (Core.Run.Halted { cycles = 1 }));
+  check_int "fuel with hazards" 3
+    (Core.Run.exit_code ~hazards:2 (Core.Run.Fuel_exhausted { cycles = 1 }));
   check_int "job crashed" 7 Core.Run.job_crashed_exit_code
 
 (* --- Sink reset reuse ---------------------------------------------------- *)

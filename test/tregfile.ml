@@ -115,6 +115,41 @@ let test_aborted_issue_lands_nothing () =
   Alcotest.(check bool) "the aborted condition code never lands" true
     (state.ccs.(0) = None)
 
+(* An aborted issue leaves the I/O ports as it found them: in cycle 1,
+   FU0's write to port 1 and FU1's read of port 2's second delivery
+   both come before FU2 divides by zero, and neither may outlive the
+   abort, while cycle 0's write and read stay. *)
+let test_aborted_issue_restores_ports () =
+  let state =
+    state_of ~policy:M.Hazard.Raise
+      ".fus 3\n\
+      \  [0] out #5, #1        | -> next\n\
+      \  [1] in #2, r4         | -> next\n\
+      \  [2] nop               | -> next\n\
+       next:\n\
+      \  [0] out #7, #1        | halt\n\
+      \  [1] in #2, r3         | halt\n\
+      \  [2] idiv #1, #0, r1   | halt\n"
+  in
+  M.Ioport.script state.io ~port:2
+    [ (M.Ioport.At 0, Ximd_isa.Value.of_int 8);
+      (M.Ioport.At 0, Ximd_isa.Value.of_int 9) ];
+  issue state 0;
+  commit state;
+  (match issue state 1 with
+   | exception M.Hazard.Error { hazard = M.Hazard.Div_by_zero _; _ } -> ()
+   | () -> Alcotest.fail "expected the issue to raise");
+  Alcotest.(check (list (pair int int))) "only cycle 0's write is logged"
+    [ (0, 5) ]
+    (List.map
+       (fun (c, v) -> (c, Ximd_isa.Value.to_int v))
+       (M.Ioport.output state.io ~port:1));
+  Alcotest.(check int) "the aborted read left its delivery" 1
+    (M.Ioport.pending state.io ~port:2);
+  commit state;
+  check_reg "cycle 0's read landed" state 4 8;
+  check_reg "the aborted read never lands" state 3 0
+
 (* The queue's worst case: every FU writes a register every cycle, each
    write duplicated, at the longest latency.  The queue then holds
    2 x n_fus x latency results just before the first commit that lands
@@ -298,4 +333,6 @@ let suite =
           test_queue_worst_case;
         QCheck_alcotest.to_alcotest prop_queue_matches_reference;
         Alcotest.test_case "aborted issue lands nothing" `Quick
-          test_aborted_issue_lands_nothing ] ) ]
+          test_aborted_issue_lands_nothing;
+        Alcotest.test_case "aborted issue restores the ports" `Quick
+          test_aborted_issue_restores_ports ] ) ]
